@@ -5,12 +5,16 @@ Symmetry is absorbed by the canonical statement form, so the closure only
 applies the other three; decomposition and weak union enumerate every
 two-way partition of a statement's second side, and contraction pairs a
 statement against every compatible split of another's conditioning set.
-Each derived statement remembers one derivation, replayable as a chain.
+Contraction partners are found through an index built as statements are
+admitted: I(X, Z, Y) is filed under (X, Z) and (X, Z+Y) for either side X,
+so each statement meets only the statements it can contract with, not every
+known one.  Each derived statement remembers one derivation, replayable as
+a chain.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -93,14 +97,22 @@ def axiom_consequences(
 
 
 class Closure:
-    """Least fixpoint of an initial statement set under the axioms."""
+    """Least fixpoint of an initial statement set under the axioms.
 
-    __slots__ = ("_universe", "_statements", "_parents")
+    ``stats`` holds the deterministic work counters of the run that built
+    it: ``admitted_<rule>`` for each rule that added statements,
+    ``pairs_tried`` and ``pairs_productive`` for contraction applications
+    (productive ones admitted at least one new statement), and
+    ``peak_queue`` for the longest the worklist grew.
+    """
 
-    def __init__(self, universe, statements, parents):
+    __slots__ = ("_universe", "_statements", "_parents", "_stats")
+
+    def __init__(self, universe, parents, stats):
         self._universe = universe
-        self._statements = frozenset(statements)
+        self._statements = frozenset(parents)
         self._parents = parents
+        self._stats = stats
 
     @property
     def universe(self) -> Universe:
@@ -109,6 +121,10 @@ class Closure:
     @property
     def statements(self) -> frozenset:
         return self._statements
+
+    @property
+    def stats(self) -> dict[str, int]:
+        return dict(self._stats)
 
     def __contains__(self, s: object) -> bool:
         return s in self._statements
@@ -177,30 +193,62 @@ def closure(
         start.add(s)
 
     parents: dict[CanonicalStatement, tuple[str, tuple[CanonicalStatement, ...]]] = {}
-    known: set[CanonicalStatement] = set()
+    keys: dict[CanonicalStatement, tuple] = {}
     queue: deque[CanonicalStatement] = deque()
+    # Contraction partners, indexed on admission: (side, z) finds the
+    # statements that can play s1 = I(X, Z+Y, W), (side, z + other side)
+    # those that can play s2 = I(X, Z, Y).
+    by_z: dict[tuple[frozenset, frozenset], list] = defaultdict(list)
+    by_zy: dict[tuple[frozenset, frozenset], list] = defaultdict(list)
+    stats = dict.fromkeys(
+        ("admitted_given", "admitted_decomposition", "admitted_weak_union",
+         "admitted_contraction", "pairs_tried", "pairs_productive", "peak_queue"),
+        0,
+    )
 
-    def admit(c: CanonicalStatement, rule: str, premises: tuple) -> None:
-        if c not in known:
-            known.add(c)
-            parents[c] = (rule, premises)
-            queue.append(c)
+    def admit(c: CanonicalStatement, rule: str, premises: tuple) -> bool:
+        if c in parents:
+            return False
+        parents[c] = (rule, premises)
+        keys[c] = statement_key(c)
+        for side, other in ((c.x, c.y), (c.y, c.x)):
+            by_z[side, c.z].append(c)
+            by_zy[side, c.z | other].append(c)
+        queue.append(c)
+        stats[f"admitted_{rule}"] += 1
+        stats["peak_queue"] = max(stats["peak_queue"], len(queue))
+        return True
+
+    def contract(s1: CanonicalStatement, s2: CanonicalStatement) -> None:
+        stats["pairs_tried"] += 1
+        added = False
+        for c in _contraction_consequences(s1, s2):
+            added |= admit(c, "contraction", (s1, s2))
+        stats["pairs_productive"] += added
 
     for s in sorted(start, key=statement_key):
         admit(s, "given", ())
 
     while queue:
         s = queue.popleft()
-        snapshot = sorted(known, key=statement_key)
+        # Partners are taken from the statements known when s is popped,
+        # queued ones included, and tried in statement_key order: the same
+        # admissions, in the same order, as trying every known statement.
+        as_s1 = set()
+        as_s2 = set()
+        for side, other in ((s.x, s.y), (s.y, s.x)):
+            as_s1.update(by_zy.get((side, s.z), ()))
+            as_s2.update(by_z.get((side, s.z | other), ()))
+        partners = sorted(as_s1 | as_s2, key=keys.__getitem__)
         for rule, c in _unary_consequences(s):
             admit(c, rule, (s,))
-        for t in snapshot:
-            for c in _contraction_consequences(s, t):
-                admit(c, "contraction", (s, t))
-            for c in _contraction_consequences(t, s):
-                admit(c, "contraction", (t, s))
+        for t in partners:
+            if t in as_s1:
+                contract(s, t)
+            if t in as_s2:
+                contract(t, s)
 
-    return Closure(universe, known, parents)
+    return Closure(universe, parents, stats)
 
 
 def first_invalid_step(

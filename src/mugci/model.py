@@ -12,13 +12,14 @@ statement object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import InvalidOverlap, UnknownElement, UniverseTooLarge
 
-# Exhaustive enumeration walks 4**n side assignments; keep n small.
-ENUMERATION_GUARD = 12
+# Largest universe that enumeration and closure accept.  The closure of
+# every statement over 7 elements (6069 of them) takes about 2 s through the
+# CLI; over 8 elements (26335) it takes about 12 s.
+ENUMERATION_GUARD = 7
 
 
 def _checked_name(name: str) -> str:
@@ -109,7 +110,8 @@ class CanonicalStatement:
             raise ValueError("canonical statements have non-empty sides")
         if self.x & self.z or self.y & self.z or self.x & self.y:
             raise ValueError("canonical statement sets must be pairwise disjoint")
-        if set_key(self.x) > set_key(self.y):
+        # Disjoint sides compare as sorted tuples by their lowest members.
+        if min(self.x) > min(self.y):
             raise ValueError("canonical statement sides must be ordered")
 
     @property
@@ -158,7 +160,7 @@ def canonicalize(s: Statement) -> CanonicalStatement | TriviallyTrue:
         )
     if not x or not y:
         return TRIVIALLY_TRUE
-    if set_key(x) > set_key(y):
+    if min(x) > min(y):
         x, y = y, x
     return CanonicalStatement(x, frozenset(s.z), y)
 
@@ -175,24 +177,40 @@ def enumerate_canonical(
 ) -> Iterator[CanonicalStatement]:
     """Yield every canonical statement over the universe exactly once.
 
-    Each element is independently assigned to x, z, y, or left out; the
-    resulting triples are canonicalized and deduplicated.  Statements come
-    out sorted by ``statement_key`` so callers see a stable order.
+    Element sets are bitmasks over the sorted universe: x, then y among the
+    elements outside x, then z among those outside both.  Sides are
+    disjoint, so x sorts first iff it holds the lower of the two lowest
+    bits, and each statement is generated once.  Statements come out sorted
+    by ``statement_key`` so callers see a stable order.
     """
     if len(universe) > max_elements:
         raise UniverseTooLarge(
             f"universe has {len(universe)} elements, guard is {max_elements}"
         )
     elements = universe.elements
-    seen = set()
-    for assignment in product(range(4), repeat=len(elements)):
-        x = frozenset(e for e, a in zip(elements, assignment) if a == 0)
-        z = frozenset(e for e, a in zip(elements, assignment) if a == 1)
-        y = frozenset(e for e, a in zip(elements, assignment) if a == 2)
-        if not x or not y:
-            continue
-        seen.add(canonicalize(Statement(x, z, y)))
-    yield from sorted(seen, key=statement_key)
+    full = (1 << len(elements)) - 1
+    names = [
+        tuple(e for i, e in enumerate(elements) if mask >> i & 1)
+        for mask in range(full + 1)
+    ]
+    keys = []
+    for x in range(1, full + 1):
+        x_low = x & -x
+        rest = full & ~x
+        y = rest
+        while y:
+            if x_low < y & -y:
+                free = rest & ~y
+                z = free
+                while True:
+                    keys.append((names[x], names[z], names[y]))
+                    if not z:
+                        break
+                    z = (z - 1) & free
+            y = (y - 1) & rest
+    keys.sort()
+    for x, z, y in keys:
+        yield CanonicalStatement(frozenset(x), frozenset(z), frozenset(y))
 
 
 def validate_statement(universe: Universe, s: Statement) -> None:

@@ -39,20 +39,20 @@ class ElementGraph:
             adj[b].add(a)
         return adj
 
-    def separated(self, x: frozenset, z: frozenset, y: frozenset) -> bool:
-        """True iff removing z leaves no path from any x-vertex to any y-vertex."""
-        adj = self.adjacency()
-        stack = [v for v in x]
-        visited = set(stack)
-        while stack:
-            v = stack.pop()
-            if v in y:
-                return False
-            for nb in adj[v]:
-                if nb not in z and nb not in visited:
-                    visited.add(nb)
-                    stack.append(nb)
-        return True
+
+def _separated(adj: Mapping[str, set], x, z, y) -> bool:
+    """True iff removing z leaves no path from any x-vertex to any y-vertex."""
+    stack = list(x)
+    visited = set(stack)
+    while stack:
+        v = stack.pop()
+        if v in y:
+            return False
+        for nb in adj[v]:
+            if nb not in z and nb not in visited:
+                visited.add(nb)
+                stack.append(nb)
+    return True
 
 
 def _as_edge(pair) -> frozenset:
@@ -63,9 +63,13 @@ def _as_edge(pair) -> frozenset:
 
 
 class UGraph:
-    """Undirected graph over integer node ids, each holding an element set."""
+    """Undirected graph over integer node ids, each holding an element set.
 
-    __slots__ = ("_nodes", "_edges")
+    Immutable: the element set and the element-graph adjacency are computed
+    on first use and kept for every later query.
+    """
+
+    __slots__ = ("_nodes", "_edges", "_elements", "_adjacency")
 
     def __init__(self, nodes: Mapping[int, Iterable[str]], edges: Iterable = ()):
         node_map = {int(n): frozenset(es) for n, es in nodes.items()}
@@ -81,6 +85,8 @@ class UGraph:
             edge_set.add(edge)
         self._nodes = node_map
         self._edges = frozenset(edge_set)
+        self._elements = None
+        self._adjacency = None
 
     @classmethod
     def from_singletons(cls, elements: Iterable[str], element_edges: Iterable = ()):
@@ -100,10 +106,9 @@ class UGraph:
 
     @property
     def elements(self) -> frozenset:
-        out: set[str] = set()
-        for es in self._nodes.values():
-            out |= es
-        return frozenset(out)
+        if self._elements is None:
+            self._elements = frozenset().union(*self._nodes.values())
+        return self._elements
 
     def node_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self._nodes))
@@ -148,7 +153,9 @@ class UGraph:
             raise MissingElements(f"graph lacks {', '.join(sorted(missing))}")
         if x & y or x & z or y & z:
             raise InvalidOverlap("separation queries take a canonicalized triple")
-        return self.expand().separated(x, z, y)
+        if self._adjacency is None:
+            self._adjacency = self.expand().adjacency()
+        return _separated(self._adjacency, x, z, y)
 
     def add_arcs(self, arcs: Iterable) -> "UGraph":
         """Return a copy with the given node-id pairs added as edges."""

@@ -1,7 +1,9 @@
 import io
+import time
 
 import pytest
 
+from mugci import ENUMERATION_GUARD
 from mugci.cli import main
 
 FIXTURES = "tests/fixtures"
@@ -164,6 +166,26 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert code == 2
     code, text = run("closure", "does/not/exist.mug")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, extra", [("closure", ()), ("query", ("--stmt", "{e0}|{}|{e1}"))]
+)
+def test_universe_over_guard_fails_fast(tmp_path, capsys, command, extra):
+    n = ENUMERATION_GUARD + 1
+    names = [f"e{i}" for i in range(n)]
+    nodes = "; ".join(f"node {i} = {{{e}}}" for i, e in enumerate(names))
+    edges = "; ".join(f"edge {i} {i + 1}" for i in range(n - 1))
+    model = tmp_path / "big.mug"
+    model.write_text(f"universe {' '.join(names)}\ngraph P {{ {nodes}; {edges}; }}\n")
+    start = time.perf_counter()
+    code, _ = run(command, str(model), *extra)
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: universe has {n} elements, guard is {ENUMERATION_GUARD}\n"
+    )
+    assert elapsed < 1.0
 
 
 def test_unknown_subcommand_exits_two():

@@ -1,19 +1,30 @@
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mugci import (
     AxiomStep,
+    Closure,
+    Mug,
     Statement,
+    UGraph,
     Universe,
     axiom_consequences,
     canonical_triple,
     closure,
+    enumerate_canonical,
     statement_key,
     verify_chain,
 )
 from mugci.errors import InvalidOverlap, UniverseTooLarge, UnknownElement
-from mugci.graphoid import first_invalid_step
+from mugci.graphoid import (
+    _contraction_consequences,
+    _unary_consequences,
+    first_invalid_step,
+)
 
 U4 = Universe(["w", "x", "y", "z"])
 
@@ -175,8 +186,6 @@ def test_forward_premise_reference_rejected():
 
 
 def statements_over(u):
-    from mugci import enumerate_canonical
-
     return sorted(enumerate_canonical(u), key=statement_key)
 
 
@@ -191,3 +200,120 @@ def test_closure_monotone_and_idempotent(data):
     assert c_small.statements <= c_big.statements
     again = closure(c_small.statements, U4)
     assert again.statements == c_small.statements
+
+
+# -- differential: indexed closure against the all-pairs loop -----------------
+
+
+def all_pairs_closure(init, universe):
+    """Reference loop: on every pop, try contraction against a sorted snapshot
+    of every known statement, queued ones included."""
+    parents = {}
+    known = set()
+    queue = deque()
+
+    def admit(c, rule, premises):
+        if c not in known:
+            known.add(c)
+            parents[c] = (rule, premises)
+            queue.append(c)
+
+    for s in sorted(set(init), key=statement_key):
+        admit(s, "given", ())
+    while queue:
+        s = queue.popleft()
+        snapshot = sorted(known, key=statement_key)
+        for rule, c in _unary_consequences(s):
+            admit(c, rule, (s,))
+        for t in snapshot:
+            for c in _contraction_consequences(s, t):
+                admit(c, "contraction", (s, t))
+            for c in _contraction_consequences(t, s):
+                admit(c, "contraction", (t, s))
+    return Closure(universe, parents, {})
+
+
+def chain_text(cl, s):
+    return [(step.rule, step.premises, str(step.conclusion)) for step in cl.chain(s)]
+
+
+def assert_same_closure(init, universe):
+    got = closure(init, universe)
+    want = all_pairs_closure(init, universe)
+    assert got.statements == want.statements
+    for s in want.statements:
+        assert chain_text(got, s) == chain_text(want, s)
+    return got
+
+
+def path_init(n):
+    names = [f"v{i}" for i in range(n)]
+    g = UGraph.from_singletons(names, zip(names, names[1:]))
+    u = Universe(names)
+    return Mug(u, [g]).enumerate_satisfied(), u
+
+
+def random_model_init(rng, n):
+    names = [f"e{i}" for i in range(n)]
+    graphs = []
+    for _ in range(rng.randint(1, 3)):
+        members = rng.sample(names, rng.randint(n - 2, n))
+        edges = [
+            (a, b)
+            for i, a in enumerate(members)
+            for b in members[i + 1:]
+            if rng.random() < 0.4
+        ]
+        graphs.append(UGraph.from_singletons(members, edges))
+    u = Universe(names)
+    return Mug(u, graphs).enumerate_satisfied(), u
+
+
+def test_indexed_closure_matches_all_pairs_on_premise_sets():
+    rng = random.Random(20130322)
+    pools = {n: statements_over(Universe("abcdef"[:n])) for n in (4, 5, 6)}
+    for _ in range(150):
+        n = rng.choice((4, 5, 6))
+        premises = rng.sample(pools[n], rng.randint(1, 4))
+        assert_same_closure(premises, Universe("abcdef"[:n]))
+
+
+def test_indexed_closure_matches_all_pairs_on_graph_models():
+    rng = random.Random(1987)
+    for _ in range(20):
+        assert_same_closure(*random_model_init(rng, rng.choice((5, 6))))
+
+
+def test_indexed_closure_matches_all_pairs_on_seven_element_path():
+    assert_same_closure(*path_init(7))
+
+
+# -- work counters ------------------------------------------------------------
+
+
+def test_closure_stats_on_seven_element_path():
+    cl = closure(*path_init(7))
+    assert cl.stats == {
+        "admitted_given": 1141,
+        "admitted_decomposition": 0,
+        "admitted_weak_union": 0,
+        "admitted_contraction": 0,
+        "pairs_tried": 6056,
+        "pairs_productive": 0,
+        "peak_queue": 1141,
+    }
+
+
+def test_closure_stats_count_every_rule():
+    cl = closure([cs("xy", "z", "w"), cs("x", "z", "y")], U4)
+    stats = cl.stats
+    assert stats == {
+        "admitted_given": 2,
+        "admitted_decomposition": 2,
+        "admitted_weak_union": 3,
+        "admitted_contraction": 2,
+        "pairs_tried": 10,
+        "pairs_productive": 2,
+        "peak_queue": 6,
+    }
+    assert sum(v for k, v in stats.items() if k.startswith("admitted_")) == len(cl)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,27 @@ def test_enumeration_covers_every_canonical_statement(s):
     if c is TRIVIALLY_TRUE:
         return
     assert c in set(enumerate_canonical(Universe(ELEMENTS)))
+
+
+def product_enumeration(universe):
+    """Reference: assign each element to x, z, y or neither (4**n ways),
+    canonicalize, deduplicate and sort."""
+    elements = universe.elements
+    seen = set()
+    for assignment in product(range(4), repeat=len(elements)):
+        x = frozenset(e for e, a in zip(elements, assignment) if a == 0)
+        z = frozenset(e for e, a in zip(elements, assignment) if a == 1)
+        y = frozenset(e for e, a in zip(elements, assignment) if a == 2)
+        if x and y:
+            seen.add(canonicalize(Statement(x, z, y)))
+    return sorted(seen, key=statement_key)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_enumerate_matches_product_enumeration(n):
+    names = [f"v{i}" for i in range(n)][::-1]
+    u = Universe(names)
+    assert list(enumerate_canonical(u)) == product_enumeration(u)
 
 
 def test_enumeration_guard():
