@@ -83,6 +83,15 @@ def _closure_init(model: ModelFile) -> set:
     return init
 
 
+def _seed_mug(model: ModelFile) -> Mug:
+    """The graphical modes' starting model: declared graphs and statements."""
+    return initial_mug(
+        model.universe,
+        statements=_declared_canonical(model),
+        graphs=list(model.graphs.values()),
+    )
+
+
 def _format_chain(chain: tuple[AxiomStep, ...]) -> list[str]:
     lines = []
     for i, step in enumerate(chain):
@@ -174,14 +183,24 @@ def _cmd_query(args, out) -> int:
         print("result: trivially-true", file=out)
         return 0
     print(f"statement: {target}", file=out)
-    init = _closure_init(model)
-    result = closure(init, model.universe)
-    chain = result.query(target)
-
-    if args.mode == "axioms":
-        if chain is None:
-            print("result: not-derivable", file=out)
+    if args.mode == "search":
+        # Search needs no chain, so it neither pays for the axiom closure
+        # nor is bound by the closure's size guard.
+        outcome = search(_seed_mug(model), target, args.max_moves, args.max_graphs)
+        if isinstance(outcome, Exhausted):
+            print("result: exhausted", file=out)
+            print(f"states-explored: {outcome.states_explored}", file=out)
+            print(f"depth-reached: {outcome.depth_reached}", file=out)
             return 1
+        print("result: proven", file=out)
+        _print_script(outcome, out)
+        return 0
+
+    chain = closure(_closure_init(model), model.universe).query(target)
+    if chain is None:
+        print("result: not-derivable", file=out)
+        return 1
+    if args.mode == "axioms":
         givens = {st.conclusion for st in chain if st.rule == "given"}
         if not verify_chain(chain, givens):
             raise AssertionError("emitted chain failed verification")
@@ -192,30 +211,11 @@ def _cmd_query(args, out) -> int:
         print("chain-verified: true", file=out)
         return 0
 
-    m0 = initial_mug(
-        model.universe,
-        statements=_declared_canonical(model),
-        graphs=list(model.graphs.values()),
-    )
-    if args.mode == "replay":
-        if chain is None:
-            print("result: not-derivable", file=out)
-            return 1
-        script = replay_chain(m0, chain)
-        if not verify_script(script):
-            raise AssertionError("emitted script failed verification")
-        print("result: proven", file=out)
-        _print_script(script, out)
-        return 0
-
-    outcome = search(m0, target, args.max_moves, args.max_graphs)
-    if isinstance(outcome, Exhausted):
-        print("result: exhausted", file=out)
-        print(f"states-explored: {outcome.states_explored}", file=out)
-        print(f"depth-reached: {outcome.depth_reached}", file=out)
-        return 1
+    script = replay_chain(_seed_mug(model), chain)
+    if not verify_script(script):
+        raise AssertionError("emitted script failed verification")
     print("result: proven", file=out)
-    _print_script(outcome, out)
+    _print_script(script, out)
     return 0
 
 

@@ -14,9 +14,9 @@ chain is supplied.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     ModelError,
@@ -27,12 +27,10 @@ from .graphoid import AxiomStep, first_invalid_step
 from .model import (
     CanonicalStatement,
     Statement,
-    TriviallyTrue,
     Universe,
     canonicalize,
-    statement_key,
 )
-from .mug import Combine, Delete, Move, Mug, append_transformed
+from .mug import Combine, Delete, Move, Mug, append_transformed, combination_graph
 from .ugraph import UGraph
 
 
@@ -47,10 +45,19 @@ class MoveScript:
 
 @dataclass(frozen=True)
 class Exhausted:
-    """Search gave up within its bounds; carries frontier statistics."""
+    """Search gave up within its bounds; carries frontier statistics.
+
+    ``stats`` holds the search's deterministic work counters: states
+    explored at each depth (``states_depth_<d>``), successors dropped as
+    already visited (``dedup_hits``), by a ``ModelError``
+    (``rejected_model_error``) or by the graph cap
+    (``rejected_graph_cap``), and separation answers reused or computed
+    (``answer_hits``, ``answer_misses``).  It takes no part in equality.
+    """
 
     states_explored: int
     depth_reached: int
+    stats: dict = field(default_factory=dict, compare=False)
 
 
 def witness_graph(s: CanonicalStatement) -> UGraph:
@@ -156,33 +163,48 @@ def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
     return MoveScript(m0, tuple(moves), steps[-1].conclusion)
 
 
-def _combine_candidates(m: Mug, gi: int) -> list[Combine]:
-    g = m.graphs[gi]
-    inside = sorted(g.elements)
-    outside = sorted(set(m.universe) - g.elements)
-    if not outside:
-        return []
-    out = []
-    for xmask in range(1, 1 << len(inside)):
-        x = frozenset(e for i, e in enumerate(inside) if xmask >> i & 1)
-        z = frozenset(inside) - x
-        for ymask in range(1, 1 << len(outside)):
-            y = frozenset(e for i, e in enumerate(outside) if ymask >> i & 1)
-            c = canonicalize(Statement(x, z, y))
-            if isinstance(c, TriviallyTrue):
-                continue
-            if m.witness(c) is not None:
-                out.append(Combine(c, gi))
-    out.sort(key=lambda mv: statement_key(mv.statement))
-    return out
+def _subsets(names: list[str]) -> list[tuple[str, ...]]:
+    """Every non-empty subset of ``names``, each in the order of ``names``."""
+    return [
+        tuple(e for i, e in enumerate(names) if mask >> i & 1)
+        for mask in range(1, 1 << len(names))
+    ]
 
 
-def _search_moves(m: Mug) -> list[Move]:
-    moves: list[Move] = []
-    for gi, g in enumerate(m.graphs):
-        moves.extend(Delete(gi, n) for n in sorted(g.nodes))
-        moves.extend(_combine_candidates(m, gi))
-    return moves
+def _combine_statements(inside: frozenset, reach: frozenset) -> list:
+    """Canonical statements a graph over ``inside`` could be combined with.
+
+    One side plus the conditioning set is exactly ``inside``, the other
+    side lies in ``reach``; the list is in ``statement_key`` order.
+    """
+    members = sorted(inside)
+    outside = _subsets(sorted(reach))
+    keys = []
+    for x in _subsets(members):
+        z = tuple(e for e in members if e not in x)
+        # Disjoint sides: the one holding the lower element comes first.
+        keys.extend((x, z, y) if x[0] < y[0] else (y, z, x) for y in outside)
+    keys.sort()
+    return [CanonicalStatement(frozenset(x), frozenset(z), frozenset(y)) for x, z, y in keys]
+
+
+class _Member:
+    """One graph object as a search holds it, shared by every state holding it.
+
+    ``answers`` is the separation-answer table of the graph's key (shared by
+    every member with that key); the member's own successors are built on
+    first use, since every state that inherits it would ask for the same.
+    """
+
+    __slots__ = ("graph", "gid", "elements", "answers", "deletions", "combinations")
+
+    def __init__(self, graph: UGraph, gid: int, answers: dict):
+        self.graph = graph
+        self.gid = gid
+        self.elements = graph.elements
+        self.answers = answers
+        self.deletions = None
+        self.combinations = {}
 
 
 def search(
@@ -190,40 +212,141 @@ def search(
 ) -> MoveScript | Exhausted:
     """Breadth-first search for a deletion/combination script reaching target.
 
-    States are deduplicated by their graph-key multiset; successor moves are
-    ordered by graph index, deletions before combinations, so the result is
-    the deterministic shortest script within the bounds.
+    States are deduplicated by their set of graph keys; successor moves are
+    ordered by graph index, deletions before combinations (in
+    ``statement_key`` order), so the result is the deterministic shortest
+    script within the bounds.
+
+    Two tables live for one call: the candidate combination statements of
+    each element set and reach, and every graph's separation answers, keyed by graph
+    key and statement (each numbered once per call).  A state is the tuple
+    of its graphs' members and the set of their key numbers; a successor
+    shares its parent's members, so each graph is keyed, and each question
+    put to it, once per search.
     """
     if max_moves <= 0 or max_graphs <= 0:
         raise ValueError("search bounds must be positive")
-    if m0.witness(target) is not None:
+    stats = dict.fromkeys(
+        (
+            "dedup_hits",
+            "rejected_model_error",
+            "rejected_graph_cap",
+            "answer_hits",
+            "answer_misses",
+        ),
+        0,
+    )
+    gids: dict[tuple, int] = {}
+    answers: list[dict] = []
+    questions: dict[CanonicalStatement, tuple] = {}
+    candidates: dict[tuple[frozenset, frozenset], list] = {}
+
+    def member(g: UGraph) -> _Member:
+        gid = gids.setdefault(g.key(), len(gids))
+        if gid == len(answers):
+            answers.append({})
+        return _Member(g, gid, answers[gid])
+
+    def question(s: CanonicalStatement) -> tuple:
+        """(s, its elements, its number in this search)."""
+        if s not in questions:
+            questions[s] = (s, s.elements, len(questions))
+        return questions[s]
+
+    def holds(members, q: tuple) -> bool:
+        s, needed, qid = q
+        for mem in members:
+            if not needed <= mem.elements:
+                continue
+            answer = mem.answers.get(qid)
+            if answer is None:
+                stats["answer_misses"] += 1
+                answer = mem.answers[qid] = mem.graph.separates(s.x, s.z, s.y)
+            else:
+                stats["answer_hits"] += 1
+            if answer:
+                return True
+        return False
+
+    def grown(build, *args) -> _Member | None:
+        """The member of a transformed graph; None if the move is invalid."""
+        try:
+            return member(build(*args))
+        except ModelError:
+            return None
+
+    def deletions(mem: _Member) -> list:
+        if mem.deletions is None:
+            g = mem.graph
+            mem.deletions = [(n, grown(g.delete_node, n)) for n in g.node_ids()]
+        return mem.deletions
+
+    def combination(mem: _Member, q: tuple) -> _Member | None:
+        s, _, qid = q
+        if qid not in mem.combinations:
+            # Candidates are offered only once s is known to hold.
+            mem.combinations[qid] = grown(combination_graph, mem.graph, s)
+        return mem.combinations[qid]
+
+    def successors(members) -> Iterator[tuple[Move, _Member | None]]:
+        for gi, mem in enumerate(members):
+            for n, child in deletions(mem):
+                yield Delete(gi, n), child
+            # Only a graph with more elements can witness a candidate, so
+            # its other side lies among those graphs' extra elements.
+            inside = mem.elements
+            covering = [other for other in members if inside < other.elements]
+            if not covering:
+                continue
+            reach = frozenset().union(*(other.elements for other in covering)) - inside
+            if (inside, reach) not in candidates:
+                candidates[inside, reach] = [
+                    question(s) for s in _combine_statements(inside, reach)
+                ]
+            for q in candidates[inside, reach]:
+                if holds(covering, q):
+                    yield Combine(q[0], gi), combination(mem, q)
+
+    members0 = tuple(member(g) for g in m0.graphs)
+    target_q = question(target)
+    if holds(members0, target_q):
         return MoveScript(m0, (), target)
-    visited = {m0.state_key()}
-    queue: deque[tuple[Mug, tuple[Move, ...]]] = deque([(m0, ())])
+    ids0 = frozenset(mem.gid for mem in members0)
+    visited = {ids0}
+    queue: deque[tuple[tuple, frozenset, tuple[Move, ...]]] = deque(
+        [(members0, ids0, ())]
+    )
     explored = 0
     depth_reached = 0
     while queue:
-        m, path = queue.popleft()
+        members, ids, path = queue.popleft()
         explored += 1
+        depth = f"states_depth_{len(path)}"
+        stats[depth] = stats.get(depth, 0) + 1
         if len(path) >= max_moves:
             continue
-        for move in _search_moves(m):
-            try:
-                m2, _ = append_transformed(m, move)
-            except ModelError:
+        for move, child in successors(members):
+            if child is None:
+                stats["rejected_model_error"] += 1
                 continue
-            if len(m2.graphs) > max_graphs:
+            is_new = child.gid not in ids
+            if len(members) + is_new > max_graphs:
+                stats["rejected_graph_cap"] += 1
                 continue
-            key = m2.state_key()
-            if key in visited:
+            ids2 = ids | {child.gid} if is_new else ids
+            if ids2 in visited:
+                stats["dedup_hits"] += 1
                 continue
-            visited.add(key)
+            visited.add(ids2)
             path2 = path + (move,)
             depth_reached = max(depth_reached, len(path2))
-            if m2.witness(target) is not None:
+            # The parent's graphs already fail the target; ask the new one.
+            if holds((child,), target_q):
                 return MoveScript(m0, path2, target)
-            queue.append((m2, path2))
-    return Exhausted(states_explored=explored, depth_reached=depth_reached)
+            queue.append((members + (child,), ids2, path2))
+    return Exhausted(
+        states_explored=explored, depth_reached=depth_reached, stats=stats
+    )
 
 
 def first_failing_move(script: MoveScript) -> int | None:

@@ -22,6 +22,14 @@ from .model import (
 from .ugraph import UGraph
 
 
+def _check_elements(universe: Universe, g: UGraph) -> None:
+    extra = g.elements.difference(universe)
+    if extra:
+        raise UnknownElement(
+            f"graph uses elements outside the universe: {', '.join(sorted(extra))}"
+        )
+
+
 class Mug:
     """An ordered, duplicate-free collection of undirected graphs."""
 
@@ -32,11 +40,7 @@ class Mug:
         self._graphs: tuple[UGraph, ...] = ()
         self._index: dict[tuple, int] = {}
         for g in graphs:
-            extra = g.elements - frozenset(universe)
-            if extra:
-                raise UnknownElement(
-                    f"graph uses elements outside the universe: {', '.join(sorted(extra))}"
-                )
+            _check_elements(universe, g)
             key = g.key()
             if key not in self._index:
                 self._index[key] = len(self._graphs)
@@ -85,7 +89,15 @@ class Mug:
         existing = self._index.get(key)
         if existing is not None:
             return self, existing
-        return Mug(self._universe, self._graphs + (g,)), len(self._graphs)
+        # Only the new graph needs checking: the parent's graphs and their
+        # keys carry over as they are.
+        _check_elements(self._universe, g)
+        gi = len(self._graphs)
+        m = Mug.__new__(Mug)
+        m._universe = self._universe
+        m._graphs = self._graphs + (g,)
+        m._index = {**self._index, key: gi}
+        return m, gi
 
     def _graph_at(self, gi: int) -> UGraph:
         if not 0 <= gi < len(self._graphs):
@@ -95,36 +107,13 @@ class Mug:
     def combined(self, s: CanonicalStatement, gi: int) -> tuple["Mug", int]:
         """Graph combination: the one transformation that adds statements.
 
-        Requires s to be satisfied somewhere in the model and graph ``gi``
-        to cover exactly one side of s plus its conditioning set.  The new
-        graph copies ``gi``, adds a fresh single-element node for each
-        element of the other side, and cliques those new nodes together with
-        every node carrying a conditioning element.
+        Requires s to be satisfied somewhere in the model; the appended
+        graph is ``combination_graph(graph gi, s)``.
         """
         base = self._graph_at(gi)
         if self.witness(s) is None:
             raise StatementNotSatisfied(f"model does not satisfy {s}")
-        elements = base.elements
-        if elements == s.x | s.z:
-            added_side = s.y
-        elif elements == s.y | s.z:
-            added_side = s.x
-        else:
-            raise WrongElementSet(
-                f"graph {gi} covers {sorted(elements)}, not one side of {s} plus z"
-            )
-        nodes = base.nodes
-        edges = set(base.edges)
-        next_id = max(nodes, default=-1) + 1
-        new_ids = []
-        for e in sorted(added_side):
-            nodes[next_id] = frozenset((e,))
-            new_ids.append(next_id)
-            next_id += 1
-        anchors = [n for n in sorted(base.nodes) if base.nodes[n] & s.z]
-        for a, b in combinations(new_ids + anchors, 2):
-            edges.add(frozenset((a, b)))
-        return self.with_graph(UGraph(nodes, edges))
+        return self.with_graph(combination_graph(base, s))
 
     def with_arcs_added(self, gi: int, arcs: Iterable) -> tuple["Mug", int]:
         return self.with_graph(self._graph_at(gi).add_arcs(arcs))
@@ -150,6 +139,37 @@ class Mug:
 
     def __repr__(self) -> str:
         return f"Mug({len(self._graphs)} graphs over {self._universe!r})"
+
+
+def combination_graph(base: UGraph, s: CanonicalStatement) -> UGraph:
+    """The graph that combining ``base`` with a satisfied statement s adds.
+
+    ``base`` must cover exactly one side of s plus its conditioning set.
+    The new graph copies it, adds a fresh single-element node for each
+    element of the other side, and cliques those new nodes together with
+    every node carrying a conditioning element.
+    """
+    elements = base.elements
+    if elements == s.x | s.z:
+        added_side = s.y
+    elif elements == s.y | s.z:
+        added_side = s.x
+    else:
+        raise WrongElementSet(
+            f"graph covers {sorted(elements)}, not one side of {s} plus z"
+        )
+    nodes = base.nodes
+    edges = set(base.edges)
+    anchors = [n for n in sorted(nodes) if nodes[n] & s.z]
+    next_id = max(nodes, default=-1) + 1
+    new_ids = []
+    for e in sorted(added_side):
+        nodes[next_id] = frozenset((e,))
+        new_ids.append(next_id)
+        next_id += 1
+    for a, b in combinations(new_ids + anchors, 2):
+        edges.add(frozenset((a, b)))
+    return UGraph(nodes, edges)
 
 
 @dataclass(frozen=True)

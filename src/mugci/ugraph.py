@@ -65,11 +65,11 @@ def _as_edge(pair) -> frozenset:
 class UGraph:
     """Undirected graph over integer node ids, each holding an element set.
 
-    Immutable: the element set and the element-graph adjacency are computed
-    on first use and kept for every later query.
+    Immutable: the element set, the element-graph adjacency and the
+    canonical key are computed on first use and kept for every later query.
     """
 
-    __slots__ = ("_nodes", "_edges", "_elements", "_adjacency")
+    __slots__ = ("_nodes", "_edges", "_elements", "_adjacency", "_key")
 
     def __init__(self, nodes: Mapping[int, Iterable[str]], edges: Iterable = ()):
         node_map = {int(n): frozenset(es) for n, es in nodes.items()}
@@ -87,6 +87,7 @@ class UGraph:
         self._edges = frozenset(edge_set)
         self._elements = None
         self._adjacency = None
+        self._key = None
 
     @classmethod
     def from_singletons(cls, elements: Iterable[str], element_edges: Iterable = ()):
@@ -223,53 +224,16 @@ class UGraph:
             edges.add(frozenset((b, v)))
         return UGraph(nodes, edges)
 
-    def validate_element_paths(self) -> list[tuple[str, int, int]]:
-        """Report repeated elements that can be separated from themselves.
-
-        For each element held by several nodes, returns every pair of those
-        nodes joined by a simple path with an intermediate node lacking the
-        element.  An empty list means the repetition is benign.
-        """
-        adj = {n: sorted(self.neighbors(n)) for n in self._nodes}
-        violations = []
-        carriers: dict[str, list[int]] = {}
-        for n in sorted(self._nodes):
-            for e in self._nodes[n]:
-                carriers.setdefault(e, []).append(n)
-        for e in sorted(carriers):
-            holders = carriers[e]
-            if len(holders) < 2:
-                continue
-            for a, b in combinations(holders, 2):
-                if self._has_gap_path(adj, a, b, e):
-                    violations.append((e, a, b))
-        return violations
-
-    def _has_gap_path(self, adj, start: int, goal: int, element: str) -> bool:
-        # Depth-first over simple paths; exponential in the worst case but
-        # this is a diagnostic for hand-sized graphs.
-        def walk(current: int, gap_seen: bool, on_path: frozenset) -> bool:
-            for nb in adj[current]:
-                if nb == goal:
-                    if gap_seen:
-                        return True
-                    continue
-                if nb in on_path:
-                    continue
-                if walk(nb, gap_seen or element not in self._nodes[nb], on_path | {nb}):
-                    return True
-            return False
-
-        return walk(start, False, frozenset((start,)))
-
     def key(self) -> tuple:
         """Canonical serialization; equal keys mean element-wise identical graphs."""
-        labels = {n: tuple(sorted(es)) for n, es in self._nodes.items()}
-        nodes_part = tuple(sorted(labels.values()))
-        edges_part = tuple(
-            sorted(tuple(sorted((labels[a], labels[b]))) for a, b in map(tuple, self._edges))
-        )
-        return (nodes_part, edges_part)
+        if self._key is None:
+            labels = {n: tuple(sorted(es)) for n, es in self._nodes.items()}
+            nodes_part = tuple(sorted(labels.values()))
+            edges_part = tuple(
+                sorted(tuple(sorted((labels[a], labels[b]))) for a, b in map(tuple, self._edges))
+            )
+            self._key = (nodes_part, edges_part)
+        return self._key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UGraph):

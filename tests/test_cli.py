@@ -188,6 +188,24 @@ def test_universe_over_guard_fails_fast(tmp_path, capsys, command, extra):
     assert elapsed < 1.0
 
 
+def test_search_is_not_bound_by_the_closure_guard(tmp_path, capsys):
+    n = ENUMERATION_GUARD + 1
+    model = tmp_path / "wide.mug"
+    model.write_text(
+        f"universe {' '.join(f'e{i}' for i in range(n))}\n"
+        "stmt P: {e0} | {e1} | {e2}\n"
+    )
+    argv = ("query", str(model), "--stmt", "{e0}|{e1}|{e2}")
+    code, text = run(*argv, "--mode", "search", "--max-moves", "3", "--max-graphs", "8")
+    assert code == 0 and "result: proven" in text
+    assert capsys.readouterr().err == ""
+    code, _ = run(*argv, "--mode", "axioms")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: universe has {n} elements, guard is {ENUMERATION_GUARD}\n"
+    )
+
+
 def test_unknown_subcommand_exits_two():
     code, _ = run("frobnicate")
     assert code == 2

@@ -1,8 +1,14 @@
+import random
+from collections import deque
+from pathlib import Path
+
 import pytest
 
 from mugci import (
     Combine,
+    Delete,
     Exhausted,
+    Move,
     MoveScript,
     Mug,
     UGraph,
@@ -20,10 +26,14 @@ from mugci import (
     witness_graph,
 )
 from mugci.derivation import first_failing_move
-from mugci.errors import PremiseNotSatisfied
+from mugci.errors import ModelError, PremiseNotSatisfied
 from mugci.graphoid import AxiomStep
+from mugci.model import CanonicalStatement, Statement, TriviallyTrue, canonicalize
+from mugci.modelfile import parse_model
+from mugci.mug import append_transformed
 
 U4 = Universe(["w", "x", "y", "z"])
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def cs(x, z, y):
@@ -235,3 +245,178 @@ def test_search_scripts_stay_inside_the_closure():
             continue  # bounds may be too tight; soundness is what matters
         assert verify_script(outcome)
         assert replay_final(outcome).enumerate_satisfied() <= allowed
+
+
+# -- search against a reference search -----------------------------------------
+#
+# The reference below builds a whole model for every successor and asks every
+# witness question of every graph afresh; ``search`` must return the same
+# outcome: the same moves, or the same exhaustion figures.
+
+
+def _combine_candidates(m: Mug, gi: int) -> list[Combine]:
+    g = m.graphs[gi]
+    inside = sorted(g.elements)
+    outside = sorted(set(m.universe) - g.elements)
+    if not outside:
+        return []
+    out = []
+    for xmask in range(1, 1 << len(inside)):
+        x = frozenset(e for i, e in enumerate(inside) if xmask >> i & 1)
+        z = frozenset(inside) - x
+        for ymask in range(1, 1 << len(outside)):
+            y = frozenset(e for i, e in enumerate(outside) if ymask >> i & 1)
+            c = canonicalize(Statement(x, z, y))
+            if isinstance(c, TriviallyTrue):
+                continue
+            if m.witness(c) is not None:
+                out.append(Combine(c, gi))
+    out.sort(key=lambda mv: statement_key(mv.statement))
+    return out
+
+
+def _search_moves(m: Mug) -> list[Move]:
+    moves: list[Move] = []
+    for gi, g in enumerate(m.graphs):
+        moves.extend(Delete(gi, n) for n in sorted(g.nodes))
+        moves.extend(_combine_candidates(m, gi))
+    return moves
+
+
+def reference_search(
+    m0: Mug, target: CanonicalStatement, max_moves: int, max_graphs: int
+) -> MoveScript | Exhausted:
+    """Breadth-first search for a deletion/combination script reaching target.
+
+    States are deduplicated by their graph-key multiset; successor moves are
+    ordered by graph index, deletions before combinations, so the result is
+    the deterministic shortest script within the bounds.
+    """
+    if max_moves <= 0 or max_graphs <= 0:
+        raise ValueError("search bounds must be positive")
+    if m0.witness(target) is not None:
+        return MoveScript(m0, (), target)
+    visited = {m0.state_key()}
+    queue: deque[tuple[Mug, tuple[Move, ...]]] = deque([(m0, ())])
+    explored = 0
+    depth_reached = 0
+    while queue:
+        m, path = queue.popleft()
+        explored += 1
+        if len(path) >= max_moves:
+            continue
+        for move in _search_moves(m):
+            try:
+                m2, _ = append_transformed(m, move)
+            except ModelError:
+                continue
+            if len(m2.graphs) > max_graphs:
+                continue
+            key = m2.state_key()
+            if key in visited:
+                continue
+            visited.add(key)
+            path2 = path + (move,)
+            depth_reached = max(depth_reached, len(path2))
+            if m2.witness(target) is not None:
+                return MoveScript(m0, path2, target)
+            queue.append((m2, path2))
+    return Exhausted(states_explored=explored, depth_reached=depth_reached)
+
+
+def _intersection_model():
+    model = parse_model((FIXTURES / "intersection.mug").read_text(encoding="utf-8"))
+    premises = [canonicalize(s) for s in model.statements.values()]
+    m0 = initial_mug(model.universe, statements=premises)
+    return m0, cs("x", "z", "yw")
+
+
+def _random_search_cases(count):
+    """Premise models over 4-5 elements; every other target is derivable."""
+    rng = random.Random(20)
+    for i in range(count):
+        u = Universe("abcde"[: rng.randint(4, 5)])
+        pool = sorted(enumerate_canonical(u), key=statement_key)
+        premises = rng.sample(pool, rng.randint(2, 3))
+        m0 = initial_mug(u, statements=premises)
+        derivable = sorted(
+            closure(premises, u).statements - m0.enumerate_satisfied(),
+            key=statement_key,
+        )
+        yield m0, rng.choice(derivable if i % 2 and derivable else pool)
+
+
+def test_search_matches_reference_on_random_models():
+    # Equality covers a script's initial model, moves and target, and an
+    # exhaustion's states explored and depth reached.
+    exhausted = scripts = 0
+    cases = list(_random_search_cases(100)) + [_intersection_model()]
+    for m0, target in cases:
+        got = search(m0, target, max_moves=3, max_graphs=8)
+        want = reference_search(m0, target, max_moves=3, max_graphs=8)
+        assert got == want, (m0, target)
+        exhausted += isinstance(got, Exhausted)
+        scripts += isinstance(got, MoveScript) and len(got.moves) > 0
+        # a graph cap the search runs into
+        got = search(m0, target, max_moves=3, max_graphs=3)
+        want = reference_search(m0, target, max_moves=3, max_graphs=3)
+        assert got == want, (m0, target)
+    # both outcomes occur, and scripts of one to three moves are compared
+    assert exhausted >= 20 and scripts >= 20
+
+
+@pytest.mark.parametrize(
+    "max_graphs, expected",
+    [
+        (
+            8,
+            {
+                "states_depth_0": 1,
+                "states_depth_1": 4,
+                "states_depth_2": 18,
+                "states_depth_3": 70,
+                "dedup_hits": 228,
+                "rejected_model_error": 0,
+                "rejected_graph_cap": 0,
+                "answer_hits": 511,
+                "answer_misses": 121,
+            },
+        ),
+        (
+            3,
+            {
+                "states_depth_0": 1,
+                "states_depth_1": 4,
+                "dedup_hits": 16,
+                "rejected_model_error": 0,
+                "rejected_graph_cap": 36,
+                "answer_hits": 13,
+                "answer_misses": 43,
+            },
+        ),
+    ],
+)
+def test_search_stats_on_intersection_fixture(max_graphs, expected):
+    m0, target = _intersection_model()
+    outcome = search(m0, target, max_moves=3, max_graphs=max_graphs)
+    assert isinstance(outcome, Exhausted)
+    # the counters take no part in equality
+    assert outcome == Exhausted(outcome.states_explored, outcome.depth_reached)
+    assert outcome.stats == expected
+    depths = [v for k, v in outcome.stats.items() if k.startswith("states_depth_")]
+    assert sum(depths) == outcome.states_explored
+
+
+def test_search_work_ignores_elements_no_graph_holds():
+    import time
+
+    premises = [cs("x", "zy", "w"), cs("x", "zw", "y")]
+    wide = Universe(["w", "x", "y", "z"] + [f"u{i}" for i in range(12)])
+    start = time.perf_counter()
+    outcome = search(initial_mug(wide, statements=premises), cs("x", "z", "yw"), 3, 8)
+    elapsed = time.perf_counter() - start
+    m0, target = _intersection_model()
+    narrow = search(m0, target, max_moves=3, max_graphs=8)
+    assert outcome == narrow and outcome.stats == narrow.stats
+    # candidates range over what the model's graphs hold, not over 2**16
+    assert elapsed < 1.0

@@ -71,6 +71,23 @@ def test_universe_containment_checked():
         Mug(Universe(["a"]), [UGraph.from_singletons("ab")])
 
 
+def test_with_graph_checks_the_new_graph_against_the_universe():
+    m = Mug(U3, [chain_graph()])
+    with pytest.raises(UnknownElement):
+        m.with_graph(UGraph.from_singletons("xw", [("x", "w")]))
+
+
+def test_with_graph_extends_like_a_fresh_model():
+    m = Mug(U3, [chain_graph()])
+    m2, gi = m.with_graph(triangle_graph())
+    fresh = Mug(U3, [chain_graph(), triangle_graph()])
+    assert gi == 1 and m2 == fresh
+    assert m2.state_key() == fresh.state_key()
+    assert m.graphs == (chain_graph(),)
+    m3, gi = m2.with_graph(triangle_graph())
+    assert m3 is m2 and gi == 1
+
+
 def test_duplicate_graphs_stored_once():
     m = Mug(U3, [chain_graph(), chain_graph()])
     assert len(m.graphs) == 1

@@ -297,29 +297,6 @@ def test_arc_addition_antimonotone_exhaustive(g):
         assert oracle_triples(denser) <= before
 
 
-# -- repeated-element path rule ----------------------------------------------
-
-
-def test_element_on_every_path_node_is_fine():
-    g = UGraph({0: {"e", "x"}, 1: {"e", "z"}, 2: {"e", "y"}}, [(0, 1), (1, 2)])
-    assert g.validate_element_paths() == []
-
-
-def test_gap_in_element_path_is_reported():
-    g = UGraph({0: {"e"}, 1: {"z"}, 2: {"e"}}, [(0, 1), (1, 2)])
-    assert g.validate_element_paths() == [("e", 0, 2)]
-
-
-def test_single_occurrence_never_reported():
-    g = chain_xzy()
-    assert g.validate_element_paths() == []
-
-
-def test_disconnected_repeats_are_not_path_violations():
-    g = UGraph({0: {"e"}, 1: {"e"}})
-    assert g.validate_element_paths() == []
-
-
 # -- structural --------------------------------------------------------------
 
 
@@ -338,3 +315,21 @@ def test_key_ignores_node_ids_but_not_structure():
     g3 = UGraph({0: {"a"}, 1: {"b"}})
     assert g1.key() == g2.key()
     assert g1.key() != g3.key()
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [
+        lambda g: g.delete_node(1),
+        lambda g: g.merge_nodes(0, 2),
+        lambda g: g.split_node(1, {"z", "w"}, {"w"}),
+        lambda g: g.add_arcs([(0, 2)]),
+    ],
+)
+def test_cached_key_of_transformed_graph_matches_fresh_build(transform):
+    g = UGraph({0: {"x"}, 1: {"z", "w"}, 2: {"y"}}, [(0, 1), (1, 2)])
+    g.key()
+    t = transform(g)
+    first = t.key()
+    assert t.key() is first
+    assert first == UGraph(t.nodes, t.edges).key()
