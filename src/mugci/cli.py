@@ -9,6 +9,7 @@ input and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -280,7 +281,9 @@ def _cmd_build_jointree(args, out) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mugci",
         description="Decide conditional-independence statements graphically.",
@@ -332,9 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -26,7 +26,9 @@ from .ugraph import UGraph
 class DiGraph:
     """Acyclic directed graph over elements, with a deterministic-node flag."""
 
-    __slots__ = ("_universe", "_arcs", "_deterministic", "_order")
+    __slots__ = (
+        "_universe", "_arcs", "_deterministic", "_parents", "_children", "_order"
+    )
 
     def __init__(
         self,
@@ -45,23 +47,27 @@ class DiGraph:
         det = frozenset(deterministic)
         universe.require(det)
         self._deterministic = det
+        parents: dict[str, set] = {v: set() for v in universe}
+        children: dict[str, set] = {v: set() for v in universe}
+        for a, b in arc_set:
+            parents[b].add(a)
+            children[a].add(b)
+        self._parents = {v: frozenset(ps) for v, ps in parents.items()}
+        self._children = {v: frozenset(cs) for v, cs in children.items()}
         self._order = self._toposort()
 
     def _toposort(self) -> tuple[str, ...]:
-        indegree = {v: 0 for v in self._universe}
-        for _, b in self._arcs:
-            indegree[b] += 1
-        ready = [v for v in self._universe if indegree[v] == 0]
+        indegree = {v: len(ps) for v, ps in self._parents.items()}
+        ready = [v for v, n in indegree.items() if n == 0]
         heapq.heapify(ready)
         order = []
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for a, b in self._arcs:
-                if a == v:
-                    indegree[b] -= 1
-                    if indegree[b] == 0:
-                        heapq.heappush(ready, b)
+            for c in self._children[v]:
+                indegree[c] -= 1
+                if indegree[c] == 0:
+                    heapq.heappush(ready, c)
         if len(order) != len(self._universe):
             raise CyclicGraph("arcs contain a directed cycle")
         return tuple(order)
@@ -80,11 +86,11 @@ class DiGraph:
 
     def parents(self, v: str) -> frozenset:
         self._universe.require((v,))
-        return frozenset(a for a, b in self._arcs if b == v)
+        return self._parents[v]
 
     def children(self, v: str) -> frozenset:
         self._universe.require((v,))
-        return frozenset(b for a, b in self._arcs if a == v)
+        return self._children[v]
 
     def topological_order(self) -> tuple[str, ...]:
         """Parents before children; ties broken lexicographically."""
@@ -98,7 +104,7 @@ class DiGraph:
         frontier = list(seed)
         while frontier:
             v = frontier.pop()
-            for p in self.parents(v):
+            for p in self._parents[v]:
                 if p not in reached and p not in seed:
                     reached.add(p)
                     frontier.append(p)
@@ -135,7 +141,7 @@ class DiGraph:
         """Drop arc directions and marry every pair of co-parents."""
         edges = {tuple(sorted(arc)) for arc in self._arcs}
         for v in self._universe:
-            for a, b in combinations(sorted(self.parents(v)), 2):
+            for a, b in combinations(sorted(self._parents[v]), 2):
                 edges.add((a, b))
         return UGraph.from_singletons(self._universe, edges)
 
@@ -174,7 +180,7 @@ class DiGraph:
 
 
 class JoinTree:
-    """Tree of element clusters; sepsets default to neighbor intersections."""
+    """Tree of element clusters; each sepset is its link's cluster intersection."""
 
     __slots__ = ("_clusters", "_links", "_sepsets")
 
@@ -182,21 +188,14 @@ class JoinTree:
         self,
         clusters: Mapping[int, Iterable[str]],
         links: Iterable[tuple[int, int]] = (),
-        sepsets: Mapping[tuple[int, int], Iterable[str]] | None = None,
     ):
         self._clusters = {int(c): frozenset(es) for c, es in clusters.items()}
         self._links = frozenset(frozenset(l) for l in links)
-        if sepsets is None:
-            computed = {}
-            for link in self._links:
-                a, b = sorted(link)
-                if a in self._clusters and b in self._clusters:
-                    computed[(a, b)] = self._clusters[a] & self._clusters[b]
-            self._sepsets = computed
-        else:
-            self._sepsets = {
-                tuple(sorted(k)): frozenset(v) for k, v in sepsets.items()
-            }
+        self._sepsets = {}
+        for link in self._links:
+            a, b = sorted(link)
+            if a in self._clusters and b in self._clusters:
+                self._sepsets[(a, b)] = self._clusters[a] & self._clusters[b]
 
     @property
     def clusters(self) -> dict[int, frozenset]:
@@ -212,13 +211,12 @@ class JoinTree:
     def validate(self) -> list[str]:
         """Diagnostics: empty means a structurally valid join tree.
 
-        Checks that links reference clusters and form a tree, that each
-        sepset equals its endpoint intersection, and that every element's
-        clusters form a connected subtree (running intersection).
+        Checks that links reference clusters and form a tree, and that every
+        element's clusters form a connected subtree (running intersection).
         """
         violations = []
         adjacency: dict[int, set[int]] = {c: set() for c in self._clusters}
-        well_formed = []
+        well_formed = 0
         for link in sorted(self._links, key=sorted):
             a, b = sorted(link)
             if a not in self._clusters or b not in self._clusters:
@@ -226,7 +224,7 @@ class JoinTree:
                 continue
             adjacency[a].add(b)
             adjacency[b].add(a)
-            well_formed.append((a, b))
+            well_formed += 1
 
         if self._clusters:
             start = min(self._clusters)
@@ -240,20 +238,10 @@ class JoinTree:
                         stack.append(nb)
             is_tree = (
                 len(seen) == len(self._clusters)
-                and len(well_formed) == len(self._clusters) - 1
+                and well_formed == len(self._clusters) - 1
             )
             if not is_tree:
                 violations.append("links do not form a tree over the clusters")
-
-        for a, b in well_formed:
-            expected = self._clusters[a] & self._clusters[b]
-            actual = self._sepsets.get((a, b))
-            if actual != expected:
-                shown = format_set(actual) if actual is not None else "missing"
-                violations.append(
-                    f"sepset {a}-{b} is {shown}, endpoint intersection is "
-                    f"{format_set(expected)}"
-                )
 
         every_element = sorted(set().union(*self._clusters.values())) if self._clusters else []
         for e in every_element:
@@ -278,11 +266,7 @@ class JoinTree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JoinTree):
             return NotImplemented
-        return (
-            self._clusters == other._clusters
-            and self._links == other._links
-            and self._sepsets == other._sepsets
-        )
+        return self._clusters == other._clusters and self._links == other._links
 
     def __repr__(self) -> str:
         parts = "; ".join(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .dsep import DiGraph, JoinTree
 from .errors import (
@@ -28,27 +29,30 @@ from .errors import (
 from .model import Statement, Universe, format_set
 from .ugraph import UGraph
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[{}();:|=,]|\S")
+# One pass classifies each token by its group: 1 a name, 2 any other valid
+# token (a digit run or punctuation), 3 a character no token can start with.
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|(\d+|[{}();:|=,])|(\S)")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     column: int
+    is_name: bool = False
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for match in _TOKEN_RE.finditer(body):
-            tok = _Token(match.group(), lineno, match.start() + 1)
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[{}();:|=,]", tok.text):
+        for match in _TOKEN_RE.finditer(line.split("#", 1)[0]):
+            kind = match.lastindex
+            if kind == 3:
                 raise ModelSyntaxError(
-                    f"unexpected character {tok.text!r}", tok.line, tok.column
+                    f"unexpected character {match.group()!r}",
+                    lineno,
+                    match.start() + 1,
                 )
-            tokens.append(tok)
+            tokens.append(_Token(match.group(), lineno, match.start() + 1, kind == 1))
     return tokens
 
 
@@ -72,13 +76,13 @@ class _Parser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self, expectation: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
+        pos = self.pos
+        if pos == len(self.tokens):
             last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
             raise ModelSyntaxError(f"expected {expectation} at end of input",
                                    last.line, last.column)
-        self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def expect(self, text: str) -> _Token:
         tok = self.next(repr(text))
@@ -90,7 +94,7 @@ class _Parser:
 
     def name(self, what: str) -> _Token:
         tok = self.next(what)
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text):
+        if not tok.is_name:
             raise ModelSyntaxError(
                 f"expected {what}, found {tok.text!r}", tok.line, tok.column
             )

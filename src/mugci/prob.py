@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterable
 
 from .dsep import DiGraph
@@ -56,12 +57,6 @@ class DiscreteJoint:
     def exact(self) -> bool:
         return all(isinstance(p, (Fraction, int)) for p in self.probabilities)
 
-    def _strides(self) -> tuple[int, ...]:
-        strides = [1] * len(self.cardinalities)
-        for i in range(len(self.cardinalities) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.cardinalities[i + 1]
-        return tuple(strides)
-
     def configurations(self):
         """Yield (config tuple, probability) over the full product space."""
         for cfg, p in zip(product(*(range(c) for c in self.cardinalities)),
@@ -99,11 +94,22 @@ def ci_holds(
     if len(set(xs) | set(zs) | set(ys)) != len(xs) + len(zs) + len(ys):
         raise ValueError("ci_holds takes pairwise disjoint variable sets")
 
+    exact = p.exact
+    probabilities = p.probabilities
+    if exact:
+        # Cross-multiplication is homogeneous, so integer numerators over
+        # one common denominator give the same answers as the fractions.
+        scale = lcm(*(pr.denominator for pr in probabilities))
+        probabilities = [
+            pr.numerator * (scale // pr.denominator) for pr in probabilities
+        ]
+
     pz: dict = {}
     pzy: dict = {}
     pxz: dict = {}
     pxzy: dict = {}
-    for cfg, pr in p.configurations():
+    configurations = product(*(range(c) for c in p.cardinalities))
+    for cfg, pr in zip(configurations, probabilities):
         if pr == 0:
             continue
         xc = tuple(cfg[i] for i in xs)
@@ -114,7 +120,6 @@ def ci_holds(
         pxz[(xc, zc)] = pxz.get((xc, zc), 0) + pr
         pxzy[(xc, zc, yc)] = pxzy.get((xc, zc, yc), 0) + pr
 
-    exact = p.exact
     x_configs = list(product(*(range(p.cardinalities[i]) for i in xs)))
     for zc in product(*(range(p.cardinalities[i]) for i in zs)):
         mass_z = pz.get(zc, 0)
@@ -163,25 +168,31 @@ def sample_dag_joint(d: DiGraph, seed: int) -> DiscreteJoint:
     """
     rng = random.Random(seed)
     variables = tuple(d.universe)
-    tables = {}
+    position = {v: i for i, v in enumerate(variables)}
+    # Each factor is weight/10 (weight/1 for a deterministic element): keep
+    # the integer weights of value 0 and value 1 and divide once at the end.
+    factors = []
+    scale = 1
     for v in variables:
         parents = tuple(sorted(d.parents(v)))
+        deterministic = v in d.deterministic
         rows = {}
         for cfg in product((0, 1), repeat=len(parents)):
-            if v in d.deterministic:
-                rows[cfg] = Fraction(rng.randrange(2))
+            if deterministic:
+                one = rng.randrange(2)
+                rows[cfg] = (1 - one, one)
             else:
-                rows[cfg] = Fraction(rng.randint(1, 9), 10)
-        tables[v] = (parents, rows)
+                one = rng.randint(1, 9)
+                rows[cfg] = (10 - one, one)
+        if not deterministic:
+            scale *= 10
+        factors.append((tuple(position[q] for q in parents), rows))
     probabilities = []
     for cfg in product((0, 1), repeat=len(variables)):
-        value = dict(zip(variables, cfg))
-        pr = Fraction(1)
-        for v in variables:
-            parents, rows = tables[v]
-            p_one = rows[tuple(value[q] for q in parents)]
-            pr *= p_one if value[v] == 1 else 1 - p_one
-        probabilities.append(pr)
+        weight = 1
+        for value, (parents, rows) in zip(cfg, factors):
+            weight *= rows[tuple(cfg[i] for i in parents)][value]
+        probabilities.append(Fraction(weight, scale))
     return DiscreteJoint(variables, (2,) * len(variables), tuple(probabilities))
 
 

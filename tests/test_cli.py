@@ -4,7 +4,7 @@ import time
 import pytest
 
 from mugci import ENUMERATION_GUARD
-from mugci.cli import main
+from mugci.cli import _build_parser, main
 
 FIXTURES = "tests/fixtures"
 
@@ -242,3 +242,21 @@ def test_repeated_runs_are_identical(argv):
     first = run(*argv)
     second = run(*argv)
     assert first == second
+
+
+def test_parser_reuse_is_invisible(capsys):
+    commands = [
+        ("dsep", f"{FIXTURES}/directed.mug", "--graph", "D"),  # no --x: exit 2
+        ("dsep", f"{FIXTURES}/directed.mug", "--graph", "Prop",
+         "--x", "x", "--z", "z", "--y", "y"),
+        ("moralize", f"{FIXTURES}/directed.mug", "--graph", "Prop"),
+    ]
+    first_calls = []
+    for argv in commands:
+        _build_parser.cache_clear()
+        first_calls.append((run(*argv), capsys.readouterr()))
+    _build_parser.cache_clear()
+    reused = [(run(*argv), capsys.readouterr()) for argv in commands]
+    assert reused == first_calls
+    assert [code for (code, _), _ in reused] == [2, 1, 0]
+    assert _build_parser() is _build_parser()

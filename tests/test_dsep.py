@@ -1,4 +1,6 @@
-from itertools import permutations
+import heapq
+import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -7,7 +9,10 @@ from mugci import (
     JoinTree,
     UGraph,
     Universe,
+    Statement,
+    TRIVIALLY_TRUE,
     build_join_tree,
+    canonicalize,
     validate_join_tree,
 )
 from mugci.errors import CyclicGraph, InvalidOrder, UnknownElement
@@ -218,15 +223,6 @@ def test_running_intersection_violation_detected():
     assert any("element e" in v for v in broken.validate())
 
 
-def test_wrong_sepset_detected():
-    t = JoinTree(
-        {0: {"a", "b"}, 1: {"b", "c"}},
-        [(0, 1)],
-        sepsets={(0, 1): {"a"}},
-    )
-    assert any(v.startswith("sepset") for v in t.validate())
-
-
 def test_non_tree_links_detected():
     t = JoinTree({0: {"a"}, 1: {"a"}, 2: {"a"}}, [(0, 1)])
     assert any("tree" in v for v in t.validate())
@@ -297,3 +293,132 @@ def test_disconnected_graph_still_yields_a_tree():
     _, tree = build_join_tree(g, ("a", "b", "c", "d"))
     assert tree.validate() == []
     assert len(tree.links) == len(tree.clusters) - 1
+
+
+# -- differential: the parents and children index against arc scans ---------
+#
+# The references below scan every arc for each element, as ``DiGraph`` did
+# before it indexed parents and children once.  Orders, parents, ancestors,
+# moral graphs and separation verdicts must all be the same.
+
+
+def reference_toposort(universe, arcs):
+    indegree = {v: 0 for v in universe}
+    for _, b in arcs:
+        indegree[b] += 1
+    ready = [v for v in universe if indegree[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for a, b in arcs:
+            if a == v:
+                indegree[b] -= 1
+                if indegree[b] == 0:
+                    heapq.heappush(ready, b)
+    return tuple(order)
+
+
+def reference_parents(arcs, v):
+    return frozenset(a for a, b in arcs if b == v)
+
+
+def reference_ancestors(arcs, seed):
+    seed = frozenset(seed)
+    reached = set()
+    frontier = list(seed)
+    while frontier:
+        v = frontier.pop()
+        for p in reference_parents(arcs, v):
+            if p not in reached and p not in seed:
+                reached.add(p)
+                frontier.append(p)
+    return frozenset(reached)
+
+
+def reference_moralize(universe, arcs):
+    edges = {tuple(sorted(arc)) for arc in arcs}
+    for v in universe:
+        for a, b in combinations(sorted(reference_parents(arcs, v)), 2):
+            edges.add((a, b))
+    return UGraph.from_singletons(universe, edges)
+
+
+def reference_d_separated(d, x, z, y):
+    c = canonicalize(Statement(frozenset(x), frozenset(z), frozenset(y)))
+    if c is TRIVIALLY_TRUE:
+        return True
+    keep = c.x | c.z | c.y
+    kept = keep | reference_ancestors(d.arcs, keep)
+    arcs = {(a, b) for a, b in d.arcs if a in kept and b in kept}
+    for v in reference_toposort(sorted(kept), arcs):
+        if v not in d.deterministic or v in c.z:
+            continue
+        parents = sorted(a for a, b in arcs if b == v)
+        for child in sorted(b for a, b in arcs if a == v):
+            arcs.discard((v, child))
+            arcs.update((p, child) for p in parents)
+    return reference_moralize(sorted(kept), arcs).separates(c.x, c.z, c.y)
+
+
+def random_dag(rng, n, det_share):
+    names = [f"v{i:02d}" for i in range(n)]
+    rng.shuffle(names)  # so that the order is not the name order
+    arcs = []
+    for j in range(1, n):
+        for i in rng.sample(range(j), min(j, rng.randint(0, 3))):
+            arcs.append((names[i], names[j]))
+    det = {v for v in names if rng.random() < det_share}
+    return DiGraph(Universe(names), arcs, det)
+
+
+def random_query(rng, names):
+    pool = rng.sample(names, min(len(names), rng.randint(2, 7)))
+    cut1 = rng.randint(1, len(pool) - 1)
+    cut2 = rng.randint(cut1, len(pool))
+    x, y, z = pool[:cut1], pool[cut1:cut2], pool[cut2:]
+    return set(x), set(z), set(y)
+
+
+def test_index_matches_arc_scans_on_random_dags():
+    rng = random.Random(31)
+    for _ in range(200):
+        d = random_dag(rng, rng.randint(1, 14), 0.2)
+        names = list(d.universe)
+        assert d.topological_order() == reference_toposort(names, d.arcs)
+        for v in names:
+            assert d.parents(v) == reference_parents(d.arcs, v)
+            assert d.children(v) == frozenset(b for a, b in d.arcs if a == v)
+        seed = rng.sample(names, rng.randint(0, len(names)))
+        assert d.ancestors(seed) == reference_ancestors(d.arcs, seed)
+        want = reference_moralize(names, d.arcs).expand().edges
+        assert d.moralize().expand().edges == want
+        if len(names) >= 2:
+            for _ in range(5):
+                x, z, y = random_query(rng, names)
+                assert d.d_separated(x, z, y) == reference_d_separated(d, x, z, y)
+
+
+# -- networkx as an outside oracle ------------------------------------------------
+
+
+def test_d_separation_and_moral_graph_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(57)
+    verdicts = set()
+    for _ in range(30):
+        d = random_dag(rng, rng.randint(16, 64), 0.0)
+        g = nx.DiGraph()
+        g.add_nodes_from(d.universe)
+        g.add_edges_from(d.arcs)
+        moral = {frozenset(e) for e in nx.moral_graph(g).edges}
+        assert d.moralize().expand().edges == moral
+        names = list(d.universe)
+        for _ in range(10):
+            x, z, y = random_query(rng, names)
+            want = nx.is_d_separator(g, x, y, z)
+            assert d.d_separated(x, z, y) == want
+            assert d.d_separated(y, z, x) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +12,7 @@ from mugci import (
     canonical_triple,
     ci_holds,
     closure,
+    enumerate_canonical,
     sample_dag_joint,
 )
 from mugci.errors import UniverseTooLarge, UnknownVariable
@@ -219,3 +222,145 @@ def test_overlap_consistency_against_literal_definition():
                 assert literal
             else:
                 assert literal == ci_holds(p, c.x, c.z, c.y)
+
+
+# -- differential: integer arithmetic against the Fraction-only code ---------
+#
+# The references below do every step in ``Fraction``; the library multiplies
+# integer weights and compares integer numerators over one denominator.  The
+# tables and every answer must be exactly the same.
+
+
+def reference_sample_dag_joint(d, seed):
+    rng = random.Random(seed)
+    variables = tuple(d.universe)
+    tables = {}
+    for v in variables:
+        parents = tuple(sorted(d.parents(v)))
+        rows = {}
+        for cfg in product((0, 1), repeat=len(parents)):
+            if v in d.deterministic:
+                rows[cfg] = Fraction(rng.randrange(2))
+            else:
+                rows[cfg] = Fraction(rng.randint(1, 9), 10)
+        tables[v] = (parents, rows)
+    probabilities = []
+    for cfg in product((0, 1), repeat=len(variables)):
+        value = dict(zip(variables, cfg))
+        pr = Fraction(1)
+        for v in variables:
+            parents, rows = tables[v]
+            p_one = rows[tuple(value[q] for q in parents)]
+            pr *= p_one if value[v] == 1 else 1 - p_one
+        probabilities.append(pr)
+    return DiscreteJoint(variables, (2,) * len(variables), tuple(probabilities))
+
+
+def reference_ci_holds(p, x, z, y):
+    index = {v: i for i, v in enumerate(p.variables)}
+    xs, zs, ys = (tuple(index[v] for v in sorted(side)) for side in (x, z, y))
+    pz, pzy, pxz, pxzy = {}, {}, {}, {}
+    for cfg, pr in p.configurations():
+        if pr == 0:
+            continue
+        xc = tuple(cfg[i] for i in xs)
+        zc = tuple(cfg[i] for i in zs)
+        yc = tuple(cfg[i] for i in ys)
+        pz[zc] = pz.get(zc, 0) + pr
+        pzy[(zc, yc)] = pzy.get((zc, yc), 0) + pr
+        pxz[(xc, zc)] = pxz.get((xc, zc), 0) + pr
+        pxzy[(xc, zc, yc)] = pxzy.get((xc, zc, yc), 0) + pr
+    x_configs = list(product(*(range(p.cardinalities[i]) for i in xs)))
+    for zc in product(*(range(p.cardinalities[i]) for i in zs)):
+        mass_z = pz.get(zc, 0)
+        if mass_z == 0:
+            continue
+        for yc in product(*(range(p.cardinalities[i]) for i in ys)):
+            mass_zy = pzy.get((zc, yc), 0)
+            if mass_zy == 0:
+                continue
+            for xc in x_configs:
+                joint = pxzy.get((xc, zc, yc), 0)
+                marginal = pxz.get((xc, zc), 0)
+                if joint * mass_z != marginal * mass_zy:
+                    return False
+    return True
+
+
+def random_dag(rng, n):
+    names = [f"v{i}" for i in range(n)]
+    arcs = [
+        (names[i], names[j])
+        for j in range(n)
+        for i in range(j)
+        if rng.random() < 0.4
+    ]
+    det = {v for v in names if rng.random() < 0.3}
+    return DiGraph(Universe(names), arcs, det)
+
+
+def test_sample_dag_joint_matches_fraction_reference():
+    rng = random.Random(5)
+    saw_deterministic = False
+    for seed in range(100):
+        d = random_dag(rng, rng.randint(1, 8))
+        saw_deterministic |= bool(d.deterministic)
+        got = sample_dag_joint(d, seed)
+        want = reference_sample_dag_joint(d, seed)
+        assert got.variables == want.variables
+        assert got.probabilities == want.probabilities
+        assert all(type(pr) is Fraction for pr in got.probabilities)
+    assert saw_deterministic
+
+
+def random_exact_joint(rng):
+    """Entries with mixed denominators and zeros; every other joint is built
+    as p(z) p(x | z) p(y | z) over a random split, so some statements hold."""
+    n = rng.randint(2, 4)
+    names = tuple(f"v{i}" for i in range(n))
+    cards = tuple(rng.choice((2, 2, 3)) for _ in names)
+
+    def weight():
+        return 0 if rng.random() < 0.25 else Fraction(rng.randint(1, 9), rng.randint(1, 12))
+
+    configs = list(product(*(range(c) for c in cards)))
+    if rng.random() < 0.5:
+        weights = [weight() for _ in configs]
+    else:
+        roles = [rng.choice("xzy") for _ in names]
+        tables = {}
+        weights = []
+        for cfg in configs:
+            pr = 1
+            for role in "xzy":
+                key = (role,) + tuple(
+                    c for c, r in zip(cfg, roles) if r == role or (role != "z" and r == "z")
+                )
+                if key not in tables:
+                    tables[key] = weight()
+                pr *= tables[key]
+            weights.append(pr)
+    total = sum(weights)
+    if total == 0:
+        weights[0], total = 1, 1
+    return DiscreteJoint(names, cards, tuple(Fraction(w) / total for w in weights))
+
+
+def test_ci_holds_matches_fraction_reference():
+    rng = random.Random(17)
+    answers = set()
+    mixed = 0
+    joints = [
+        DiscreteJoint(("a", "b"), (2, 2), (1, 0, 0, 0)),
+        DiscreteJoint(("a", "b"), (2, 2), (Fraction(1, 3), 0, Fraction(1, 6), HALF)),
+    ]
+    joints += [random_exact_joint(rng) for _ in range(150)]
+    for p in joints:
+        denominators = {Fraction(pr).denominator for pr in p.probabilities}
+        mixed += len(denominators) > 1 and 0 in p.probabilities
+        for s in enumerate_canonical(Universe(p.variables)):
+            got = ci_holds(p, s.x, s.z, s.y)
+            assert got == reference_ci_holds(p, s.x, s.z, s.y)
+            answers.add(got)
+    assert answers == {True, False}
+    assert mixed > 50  # zeros beside entries over several denominators
