@@ -23,13 +23,8 @@ from .errors import (
     PremiseNotSatisfied,
     ReducedGraphLosesSeparation,
 )
-from .graphoid import AxiomStep, first_invalid_step
-from .model import (
-    CanonicalStatement,
-    Statement,
-    Universe,
-    canonicalize,
-)
+from .graphoid import AxiomStep, contraction_parts, first_invalid_step
+from .model import CanonicalStatement, Universe
 from .mug import Combine, Delete, Move, Mug, append_transformed, combination_graph
 from .ugraph import UGraph
 
@@ -95,19 +90,6 @@ def initial_mug(
     return Mug(universe, members)
 
 
-def _contraction_parts(s1, s2, conclusion):
-    """Recover (x, z, y, w) with s2 = I(x,z,y), s1 = I(x, z+y, w)."""
-    for x, y in ((s2.x, s2.y), (s2.y, s2.x)):
-        if s2.z | y != s1.z:
-            continue
-        for a, b in ((s1.x, s1.y), (s1.y, s1.x)):
-            if a != x:
-                continue
-            if canonicalize(Statement(x, s2.z, y | b)) == conclusion:
-                return x, s2.z, y, b
-    raise ValueError(f"{conclusion} is not a contraction of {s1} and {s2}")
-
-
 def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
     """Construct a move script realizing a verified axiom chain.
 
@@ -139,7 +121,8 @@ def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
             continue
         s1 = steps[step.premises[0]].conclusion
         s2 = steps[step.premises[1]].conclusion
-        x, z, y, _w = _contraction_parts(s1, s2, step.conclusion)
+        # The chain verified, so the premises pair up as contraction's.
+        x, z, y, _w = contraction_parts(s1, s2)
         kept = x | z | y
         gi = m.witness(s2)
         if gi is None:

@@ -39,7 +39,9 @@ class DiGraph:
         self._universe = universe
         arc_set = set()
         for a, b in arcs:
-            universe.require((a, b))
+            # require() builds a sorted error message; call it only to raise.
+            if a not in universe or b not in universe:
+                universe.require((a, b))
             if a == b:
                 raise CyclicGraph(f"self-arc on {a}")
             arc_set.add((a, b))

@@ -10,6 +10,10 @@ admitted: I(X, Z, Y) is filed under (X, Z) and (X, Z+Y) for either side X,
 so each statement meets only the statements it can contract with, not every
 known one.  Each derived statement remembers one derivation, replayable as
 a chain.
+
+The rules run on statements packed into ints by ``model.Encoding``: the
+closure packs over its universe, and the single-step checks pack over the
+sorted union of the elements their statements use.
 """
 
 from __future__ import annotations
@@ -18,16 +22,16 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import UniverseTooLarge
 from .model import (
     ENUMERATION_GUARD,
     TRIVIALLY_TRUE,
     CanonicalStatement,
+    Encoding,
     Statement,
     TriviallyTrue,
     Universe,
     canonicalize,
-    statement_key,
+    check_size,
 )
 
 RULES = ("given", "symmetry", "decomposition", "weak_union", "contraction")
@@ -46,45 +50,48 @@ class AxiomStep:
     conclusion: CanonicalStatement
 
 
-def _subsets(elements: frozenset):
-    """Nonempty proper subsets in a fixed order (bitmask over sorted names)."""
-    items = sorted(elements)
-    for mask in range(1, (1 << len(items)) - 1):
-        yield frozenset(e for i, e in enumerate(items) if mask >> i & 1)
+def _unary(enc: Encoding, p: int) -> list[tuple[str, int]]:
+    """Decomposition and weak union of a packed statement.
 
-
-def _unary_consequences(s: CanonicalStatement) -> list[tuple[str, CanonicalStatement]]:
+    For each side kept whole, every non-empty proper part of the other side
+    in ascending mask order (the order of the sorted names' subsets) gives
+    I(kept, z, part) and I(kept, z + part, rest).  No two of these coincide.
+    """
+    x, z, y = enc.unpack(p)
+    pack = enc.pack
     out = []
-    seen = set()
-    for kept, split_side in ((s.x, s.y), (s.y, s.x)):
-        for part in _subsets(split_side):
-            rest = split_side - part
-            dec = canonicalize(Statement(kept, s.z, part))
-            wu = canonicalize(Statement(kept, s.z | part, rest))
-            for rule, c in (("decomposition", dec), ("weak_union", wu)):
-                if (rule, c) not in seen:
-                    seen.add((rule, c))
-                    out.append((rule, c))
+    for kept, split in ((x, y), (y, x)):
+        part = (-split) & split
+        while part != split:
+            out.append(("decomposition", pack(kept, z, part)))
+            out.append(("weak_union", pack(kept, z | part, split ^ part)))
+            part = (part - split) & split
     return out
 
 
-def _contraction_consequences(
-    s1: CanonicalStatement, s2: CanonicalStatement
-) -> list[CanonicalStatement]:
-    """Conclusions of contraction with s1 = I(X, Z+Y, W) and s2 = I(X, Z, Y)."""
-    out = []
-    seen = set()
-    for x1, w in ((s1.x, s1.y), (s1.y, s1.x)):
-        for x2, y in ((s2.x, s2.y), (s2.y, s2.x)):
-            if x1 != x2:
-                continue
-            if s1.z != s2.z | y or s2.z & y:
-                continue
-            c = canonicalize(Statement(x1, s2.z, y | w))
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-    return out
+def _contraction(enc: Encoding, p1: int, p2: int) -> tuple[int, int, int, int] | None:
+    """Masks (x, z, y, w) with p1 = I(x, z+y, w) and p2 = I(x, z, y), or None.
+
+    Sides are disjoint from each other and from z, so at most one pairing
+    of the sides matches; the conclusion is ``_contracted(enc, x, z, y, w)``.
+    """
+    x1, z1, y1 = enc.unpack(p1)
+    x2, z2, y2 = enc.unpack(p2)
+    for a, w in ((x1, y1), (y1, x1)):
+        for b, y in ((x2, y2), (y2, x2)):
+            if a == b and z1 == z2 | y:
+                return a, z2, y, w
+    return None
+
+
+def _contracted(enc: Encoding, x: int, z: int, y: int, w: int) -> int:
+    """Contraction's conclusion I(x, z, y+w)."""
+    return enc.pack(x, z, y | w)
+
+
+def _encoding_of(*statements: CanonicalStatement) -> Encoding:
+    """Encoding over the sorted union of the statements' elements."""
+    return Encoding(sorted(frozenset().union(*(s.elements for s in statements))))
 
 
 def axiom_consequences(
@@ -92,8 +99,22 @@ def axiom_consequences(
 ) -> list[tuple[str, CanonicalStatement]]:
     """Single-application consequences; pass s2 only for contraction."""
     if s2 is None:
-        return _unary_consequences(s1)
-    return [("contraction", c) for c in _contraction_consequences(s1, s2)]
+        enc = _encoding_of(s1)
+        return [(rule, enc.decode(c)) for rule, c in _unary(enc, enc.encode(s1))]
+    enc = _encoding_of(s1, s2)
+    parts = _contraction(enc, enc.encode(s1), enc.encode(s2))
+    if parts is None:
+        return []
+    return [("contraction", enc.decode(_contracted(enc, *parts)))]
+
+
+def contraction_parts(
+    s1: CanonicalStatement, s2: CanonicalStatement
+) -> tuple[frozenset, frozenset, frozenset, frozenset] | None:
+    """(x, z, y, w) with s1 = I(x, z+y, w) and s2 = I(x, z, y), or None."""
+    enc = _encoding_of(s1, s2)
+    parts = _contraction(enc, enc.encode(s1), enc.encode(s2))
+    return None if parts is None else tuple(map(enc.names, parts))
 
 
 class Closure:
@@ -175,13 +196,13 @@ def closure(
     """Saturate the initial statements under the axioms.
 
     The worklist starts from the initial statements in lexicographic order
-    and runs FIFO, so the discovered chains are deterministic.
+    and runs FIFO, so the discovered chains are deterministic.  The work
+    runs on statements packed by the universe's encoding; statement
+    objects are made once per closure statement, at the end.
     """
-    if len(universe) > max_elements:
-        raise UniverseTooLarge(
-            f"universe has {len(universe)} elements, guard is {max_elements}"
-        )
-    start: set[CanonicalStatement] = set()
+    check_size(universe, max_elements)
+    enc = universe.encoding
+    objects: dict[int, CanonicalStatement] = {}
     for s in init:
         if not isinstance(s, CanonicalStatement):
             universe.require(s.x | s.z | s.y)
@@ -189,66 +210,77 @@ def closure(
             if c is TRIVIALLY_TRUE:
                 continue
             s = c
-        universe.require(s.elements)
-        start.add(s)
+        try:
+            p = enc.encode(s)
+        except KeyError:
+            universe.require(s.elements)
+            raise
+        objects.setdefault(p, s)
 
-    parents: dict[CanonicalStatement, tuple[str, tuple[CanonicalStatement, ...]]] = {}
-    keys: dict[CanonicalStatement, tuple] = {}
-    queue: deque[CanonicalStatement] = deque()
+    unpack, key = enc.unpack, enc.key
+    parents: dict[int, tuple[str, tuple[int, ...]]] = {}
+    queue: deque[int] = deque()
     # Contraction partners, indexed on admission: (side, z) finds the
     # statements that can play s1 = I(X, Z+Y, W), (side, z + other side)
-    # those that can play s2 = I(X, Z, Y).
-    by_z: dict[tuple[frozenset, frozenset], list] = defaultdict(list)
-    by_zy: dict[tuple[frozenset, frozenset], list] = defaultdict(list)
-    stats = dict.fromkeys(
-        ("admitted_given", "admitted_decomposition", "admitted_weak_union",
-         "admitted_contraction", "pairs_tried", "pairs_productive", "peak_queue"),
-        0,
-    )
+    # those that can play s2 = I(X, Z, Y).  Entries carry the statement's
+    # sort key and the parts the conclusion is made of.
+    by_z: dict[tuple[int, int], list] = defaultdict(list)
+    by_zy: dict[tuple[int, int], list] = defaultdict(list)
+    admitted = dict.fromkeys(("given", "decomposition", "weak_union", "contraction"), 0)
+    peak_queue = 0
 
-    def admit(c: CanonicalStatement, rule: str, premises: tuple) -> bool:
-        if c in parents:
-            return False
+    def admit(c: int, rule: str, premises: tuple) -> None:
+        nonlocal peak_queue
         parents[c] = (rule, premises)
-        keys[c] = statement_key(c)
-        for side, other in ((c.x, c.y), (c.y, c.x)):
-            by_z[side, c.z].append(c)
-            by_zy[side, c.z | other].append(c)
+        k = key(c)
+        x, z, y = unpack(c)
+        by_z[x, z].append((k, c, y))
+        by_z[y, z].append((k, c, x))
+        by_zy[x, z | y].append((k, c, z, y))
+        by_zy[y, z | x].append((k, c, z, x))
         queue.append(c)
-        stats[f"admitted_{rule}"] += 1
-        stats["peak_queue"] = max(stats["peak_queue"], len(queue))
-        return True
+        admitted[rule] += 1
+        peak_queue = max(peak_queue, len(queue))
 
-    def contract(s1: CanonicalStatement, s2: CanonicalStatement) -> None:
-        stats["pairs_tried"] += 1
-        added = False
-        for c in _contraction_consequences(s1, s2):
-            added |= admit(c, "contraction", (s1, s2))
-        stats["pairs_productive"] += added
+    for p in sorted(objects, key=key):
+        admit(p, "given", ())
 
-    for s in sorted(start, key=statement_key):
-        admit(s, "given", ())
-
+    pairs_tried = pairs_productive = 0
     while queue:
         s = queue.popleft()
+        x, z, y = unpack(s)
         # Partners are taken from the statements known when s is popped,
         # queued ones included, and tried in statement_key order: the same
         # admissions, in the same order, as trying every known statement.
-        as_s1 = set()
-        as_s2 = set()
-        for side, other in ((s.x, s.y), (s.y, s.x)):
-            as_s1.update(by_zy.get((side, s.z), ()))
-            as_s2.update(by_z.get((side, s.z | other), ()))
-        partners = sorted(as_s1 | as_s2, key=keys.__getitem__)
-        for rule, c in _unary_consequences(s):
-            admit(c, rule, (s,))
-        for t in partners:
-            if t in as_s1:
-                contract(s, t)
-            if t in as_s2:
-                contract(t, s)
+        # Each partner meets s in exactly one contraction.
+        found = []
+        for side, other in ((x, y), (y, x)):
+            for k, t, tz, ty in by_zy.get((side, z), ()):
+                found.append((k, _contracted(enc, side, tz, ty, other), (s, t)))
+            for k, t, tw in by_z.get((side, z | other), ()):
+                found.append((k, _contracted(enc, side, z, other, tw), (t, s)))
+        found.sort()
+        for rule, c in _unary(enc, s):
+            if c not in parents:
+                admit(c, rule, (s,))
+        pairs_tried += len(found)
+        for _, c, premises in found:
+            if c not in parents:
+                admit(c, "contraction", premises)
+                pairs_productive += 1
 
-    return Closure(universe, parents, stats)
+    for p in parents:
+        if p not in objects:
+            objects[p] = enc.decode(p)
+    named = {
+        objects[p]: (rule, tuple(objects[q] for q in premises))
+        for p, (rule, premises) in parents.items()
+    }
+    stats = {f"admitted_{rule}": count for rule, count in admitted.items()}
+    stats.update(
+        pairs_tried=pairs_tried, pairs_productive=pairs_productive, peak_queue=peak_queue
+    )
+    return Closure(universe, named, stats)
 
 
 def first_invalid_step(
@@ -273,14 +305,18 @@ def first_invalid_step(
             if len(step.premises) != 1:
                 return i
             premise = steps[step.premises[0]].conclusion
-            if (step.rule, step.conclusion) not in _unary_consequences(premise):
+            enc = _encoding_of(premise, step.conclusion)
+            wanted = (step.rule, enc.encode(step.conclusion))
+            if wanted not in _unary(enc, enc.encode(premise)):
                 return i
         elif step.rule == "contraction":
             if len(step.premises) != 2:
                 return i
             s1 = steps[step.premises[0]].conclusion
             s2 = steps[step.premises[1]].conclusion
-            if step.conclusion not in _contraction_consequences(s1, s2):
+            enc = _encoding_of(s1, s2, step.conclusion)
+            parts = _contraction(enc, enc.encode(s1), enc.encode(s2))
+            if parts is None or _contracted(enc, *parts) != enc.encode(step.conclusion):
                 return i
         else:
             return i

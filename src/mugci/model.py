@@ -16,10 +16,12 @@ from typing import Iterable, Iterator
 
 from .errors import InvalidOverlap, UnknownElement, UniverseTooLarge
 
-# Largest universe that enumeration and closure accept.  The closure of
-# every statement over 7 elements (6069 of them) takes about 2 s through the
-# CLI; over 8 elements (26335) it takes about 12 s.
-ENUMERATION_GUARD = 7
+# Largest universe that enumeration and closure accept.  The slowest closure
+# measured over 8 elements (every statement, 26335 of them, given or derived)
+# takes about 1.5 s through the CLI, below the 2 s the slowest 7-element one
+# took on the frozenset engine; over 9 elements the statement count grows
+# 4.2-fold again (README "Size limits").
+ENUMERATION_GUARD = 8
 
 
 def _checked_name(name: str) -> str:
@@ -31,15 +33,23 @@ def _checked_name(name: str) -> str:
 class Universe:
     """Finite ordered set of named elements; iteration is lexicographic."""
 
-    __slots__ = ("_elements", "_members")
+    __slots__ = ("_elements", "_members", "_encoding")
 
     def __init__(self, elements: Iterable[str]):
         self._elements = tuple(sorted({_checked_name(e) for e in elements}))
         self._members = frozenset(self._elements)
+        self._encoding = None
 
     @property
     def elements(self) -> tuple[str, ...]:
         return self._elements
+
+    @property
+    def encoding(self) -> "Encoding":
+        """The bitmask encoding over this universe, built on first use."""
+        if self._encoding is None:
+            self._encoding = Encoding(self._elements)
+        return self._encoding
 
     def require(self, names: Iterable[str]) -> None:
         """Raise UnknownElement unless every name belongs to this universe."""
@@ -172,6 +182,86 @@ def canonical_triple(
     return canonicalize(Statement(frozenset(x), frozenset(z), frozenset(y)))
 
 
+def check_size(universe: Universe, max_elements: int) -> None:
+    """Raise UniverseTooLarge when the universe exceeds the guard."""
+    if len(universe) > max_elements:
+        raise UniverseTooLarge(
+            f"universe has {len(universe)} elements, guard is {max_elements}"
+        )
+
+
+class Encoding:
+    """Element sets as int bitmasks, canonical statements as packed ints.
+
+    Bit i of a mask stands for ``elements[i]``; with the elements sorted,
+    a mask's lowest bit is its lowest member.  A canonical statement over n
+    elements packs into ``x << 2n | z << n | y``, x being the side that
+    holds the lower lowest bit, as in ``CanonicalStatement``.  This class is
+    the only code that knows the packed layout.
+    """
+
+    __slots__ = ("elements", "full", "_n", "_bits", "_sets", "_rank")
+
+    def __init__(self, elements: Iterable[str]):
+        self.elements = tuple(elements)
+        self._n = len(self.elements)
+        self.full = (1 << self._n) - 1
+        self._bits = {e: 1 << i for i, e in enumerate(self.elements)}
+        self._sets: dict[int, frozenset] = {}
+        self._rank: list[int] | None = None
+
+    def mask(self, names: Iterable[str]) -> int:
+        """Mask of a set of names; KeyError for a name not encoded."""
+        return sum(map(self._bits.__getitem__, names))
+
+    def names(self, mask: int) -> frozenset:
+        found = self._sets.get(mask)
+        if found is None:
+            found = self._sets[mask] = frozenset(
+                e for i, e in enumerate(self.elements) if mask >> i & 1
+            )
+        return found
+
+    def pack(self, a: int, z: int, b: int) -> int:
+        """The statement with disjoint non-empty sides a and b given z."""
+        if b & -b < a & -a:
+            a, b = b, a
+        n = self._n
+        return (a << n | z) << n | b
+
+    def unpack(self, p: int) -> tuple[int, int, int]:
+        n = self._n
+        return p >> n >> n, p >> n & self.full, p & self.full
+
+    def encode(self, s: CanonicalStatement) -> int:
+        """Pack a statement; KeyError if it uses an element not encoded."""
+        n = self._n
+        return (self.mask(s.x) << n | self.mask(s.z)) << n | self.mask(s.y)
+
+    def decode(self, p: int) -> CanonicalStatement:
+        x, z, y = self.unpack(p)
+        return CanonicalStatement(self.names(x), self.names(z), self.names(y))
+
+    def key(self, p: int) -> int:
+        """Sort key of a packed statement, in ``statement_key`` order.
+
+        Masks are ranked by their ascending index tuples, which is how
+        ``set_key`` orders the sets they stand for.
+        """
+        rank = self._rank
+        if rank is None:
+            rank = self._rank = [0] * (self.full + 1)
+            order = sorted(
+                range(self.full + 1),
+                key=lambda m: [i for i in range(self._n) if m >> i & 1],
+            )
+            for r, m in enumerate(order):
+                rank[m] = r
+        n = self._n
+        full = self.full
+        return (rank[p >> n >> n] << n | rank[p >> n & full]) << n | rank[p & full]
+
+
 def enumerate_canonical(
     universe: Universe, max_elements: int = ENUMERATION_GUARD
 ) -> Iterator[CanonicalStatement]:
@@ -183,17 +273,10 @@ def enumerate_canonical(
     bits, and each statement is generated once.  Statements come out sorted
     by ``statement_key`` so callers see a stable order.
     """
-    if len(universe) > max_elements:
-        raise UniverseTooLarge(
-            f"universe has {len(universe)} elements, guard is {max_elements}"
-        )
-    elements = universe.elements
-    full = (1 << len(elements)) - 1
-    names = [
-        tuple(e for i, e in enumerate(elements) if mask >> i & 1)
-        for mask in range(full + 1)
-    ]
-    keys = []
+    check_size(universe, max_elements)
+    enc = universe.encoding
+    full = enc.full
+    packed = []
     for x in range(1, full + 1):
         x_low = x & -x
         rest = full & ~x
@@ -203,14 +286,14 @@ def enumerate_canonical(
                 free = rest & ~y
                 z = free
                 while True:
-                    keys.append((names[x], names[z], names[y]))
+                    packed.append(enc.pack(x, z, y))
                     if not z:
                         break
                     z = (z - 1) & free
             y = (y - 1) & rest
-    keys.sort()
-    for x, z, y in keys:
-        yield CanonicalStatement(frozenset(x), frozenset(z), frozenset(y))
+    packed.sort(key=enc.key)
+    for p in packed:
+        yield enc.decode(p)
 
 
 def validate_statement(universe: Universe, s: Statement) -> None:

@@ -16,8 +16,9 @@ from .errors import StatementNotSatisfied, UnknownElement, WrongElementSet
 from .model import (
     ENUMERATION_GUARD,
     CanonicalStatement,
+    Encoding,
     Universe,
-    enumerate_canonical,
+    check_size,
 )
 from .ugraph import UGraph
 
@@ -76,12 +77,16 @@ class Mug:
     def enumerate_satisfied(
         self, max_elements: int = ENUMERATION_GUARD
     ) -> frozenset:
-        """All canonical statements over the universe satisfied by some graph."""
-        return frozenset(
-            s
-            for s in enumerate_canonical(self._universe, max_elements)
-            if self.witness(s) is not None
-        )
+        """All canonical statements over the universe satisfied by some graph.
+
+        Generated graph by graph, not tested one by one: see ``_separations``.
+        """
+        check_size(self._universe, max_elements)
+        enc = self._universe.encoding
+        found: set[int] = set()
+        for g in self._graphs:
+            found.update(_separations(enc, g))
+        return frozenset(map(enc.decode, found))
 
     def with_graph(self, g: UGraph) -> tuple["Mug", int]:
         """Append a graph, deduplicating by key; returns (mug, graph index)."""
@@ -139,6 +144,49 @@ class Mug:
 
     def __repr__(self) -> str:
         return f"Mug({len(self._graphs)} graphs over {self._universe!r})"
+
+
+def _separations(enc: Encoding, g: UGraph) -> list[int]:
+    """Every statement the graph witnesses, packed.
+
+    I(x, z, y) holds in g iff its elements lie in g and no connected
+    component of the element graph minus z meets both x and y.  So for each
+    z within g's elements, each component of g - z gives a non-empty subset
+    of itself to x, to y, or nothing; the side holding the lower lowest bit
+    is x.
+    """
+    members = enc.mask(g.elements)
+    neighbours = {
+        enc.mask((e,)): enc.mask(nbrs) for e, nbrs in g.element_adjacency().items()
+    }
+    out = []
+    z = 0
+    while True:
+        rest = members & ~z
+        pairs = [(0, 0)]
+        while rest:
+            component = frontier = rest & -rest
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                new = neighbours[bit] & rest & ~component
+                component |= new
+                frontier |= new
+            rest &= ~component
+            parts = []
+            part = component
+            while part:
+                parts.append(part)
+                part = (part - 1) & component
+            pairs += [(x | part, y) for x, y in pairs for part in parts] + [
+                (x, y | part) for x, y in pairs for part in parts
+            ]
+        out.extend(
+            enc.pack(x, z, y) for x, y in pairs if x and y and x & -x < y & -y
+        )
+        if z == members:
+            return out
+        z = (z - members) & members
 
 
 def combination_graph(base: UGraph, s: CanonicalStatement) -> UGraph:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -154,9 +155,18 @@ class UGraph:
             raise MissingElements(f"graph lacks {', '.join(sorted(missing))}")
         if x & y or x & z or y & z:
             raise InvalidOverlap("separation queries take a canonicalized triple")
+        return _separated(self._element_adjacency(), x, z, y)
+
+    def element_adjacency(self) -> Mapping[str, frozenset]:
+        """Each element's neighbours in the element graph (read-only view)."""
+        return MappingProxyType(self._element_adjacency())
+
+    def _element_adjacency(self) -> dict[str, frozenset]:
         if self._adjacency is None:
-            self._adjacency = self.expand().adjacency()
-        return _separated(self._adjacency, x, z, y)
+            self._adjacency = {
+                v: frozenset(nbrs) for v, nbrs in self.expand().adjacency().items()
+            }
+        return self._adjacency
 
     def add_arcs(self, arcs: Iterable) -> "UGraph":
         """Return a copy with the given node-id pairs added as edges."""

@@ -62,6 +62,56 @@ def test_unknown_members_rejected():
         DiGraph(u, deterministic={"q"})
 
 
+def test_first_bad_arc_decides_the_error():
+    u = Universe(["a", "b"])
+    with pytest.raises(CyclicGraph, match="^self-arc on a$"):
+        DiGraph(u, [("a", "b"), ("a", "a"), ("q", "b")])
+    with pytest.raises(UnknownElement, match="^not in universe: q$"):
+        DiGraph(u, [("a", "b"), ("q", "b"), ("a", "a"), ("r", "s")])
+    with pytest.raises(UnknownElement, match="^not in universe: r, s$"):
+        DiGraph(u, [("s", "r"), ("q", "q")])
+
+
+def reference_arc_check(universe, arcs):
+    """The arc-by-arc check DiGraph made before it tested membership first."""
+    arc_set = set()
+    for a, b in arcs:
+        universe.require((a, b))
+        if a == b:
+            raise CyclicGraph(f"self-arc on {a}")
+        arc_set.add((a, b))
+    return frozenset(arc_set)
+
+
+def outcome(build):
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_arc_check_matches_arc_by_arc_reference():
+    rng = random.Random(4860)
+    u = Universe("abcde")
+    pool = list("abcdeqr") + [["a", "b"], ("a", "b", "c"), ("a",), 7]
+    for _ in range(2000):
+        arcs = []
+        for _ in range(rng.randint(0, 5)):
+            if rng.random() < 0.1:
+                arcs.append(rng.choice(pool[7:]))
+            else:
+                arcs.append((rng.choice(pool[:7]), rng.choice(pool[:7])))
+        want = outcome(lambda: reference_arc_check(u, arcs))
+        got = outcome(lambda: DiGraph(u, arcs))
+        if isinstance(got, DiGraph):
+            assert got.arcs == want, arcs
+        elif isinstance(want, frozenset):
+            # arcs that pass the check may still close a cycle
+            assert got == (CyclicGraph, "arcs contain a directed cycle"), arcs
+        else:
+            assert got == want, arcs
+
+
 def test_topological_order_breaks_ties_lexicographically():
     u = Universe(["a", "b", "c"])
     d = DiGraph(u, [("c", "a")])

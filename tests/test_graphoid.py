@@ -14,17 +14,14 @@ from mugci import (
     Universe,
     axiom_consequences,
     canonical_triple,
+    canonicalize,
     closure,
     enumerate_canonical,
     statement_key,
     verify_chain,
 )
 from mugci.errors import InvalidOverlap, UniverseTooLarge, UnknownElement
-from mugci.graphoid import (
-    _contraction_consequences,
-    _unary_consequences,
-    first_invalid_step,
-)
+from mugci.graphoid import first_invalid_step
 
 U4 = Universe(["w", "x", "y", "z"])
 
@@ -204,6 +201,48 @@ def test_closure_monotone_and_idempotent(data):
 
 # -- differential: indexed closure against the all-pairs loop -----------------
 
+# The frozenset rules the closure ran on before it moved to packed ints,
+# kept verbatim as the reference's rule implementation.
+
+
+def _subsets(elements: frozenset):
+    """Nonempty proper subsets in a fixed order (bitmask over sorted names)."""
+    items = sorted(elements)
+    for mask in range(1, (1 << len(items)) - 1):
+        yield frozenset(e for i, e in enumerate(items) if mask >> i & 1)
+
+
+def _unary_consequences(s):
+    out = []
+    seen = set()
+    for kept, split_side in ((s.x, s.y), (s.y, s.x)):
+        for part in _subsets(split_side):
+            rest = split_side - part
+            dec = canonicalize(Statement(kept, s.z, part))
+            wu = canonicalize(Statement(kept, s.z | part, rest))
+            for rule, c in (("decomposition", dec), ("weak_union", wu)):
+                if (rule, c) not in seen:
+                    seen.add((rule, c))
+                    out.append((rule, c))
+    return out
+
+
+def _contraction_consequences(s1, s2):
+    """Conclusions of contraction with s1 = I(X, Z+Y, W) and s2 = I(X, Z, Y)."""
+    out = []
+    seen = set()
+    for x1, w in ((s1.x, s1.y), (s1.y, s1.x)):
+        for x2, y in ((s2.x, s2.y), (s2.y, s2.x)):
+            if x1 != x2:
+                continue
+            if s1.z != s2.z | y or s2.z & y:
+                continue
+            c = canonicalize(Statement(x1, s2.z, y | w))
+            if c not in seen:
+                seen.add(c)
+                out.append(c)
+    return out
+
 
 def all_pairs_closure(init, universe):
     """Reference loop: on every pop, try contraction against a sorted snapshot
@@ -317,3 +356,97 @@ def test_closure_stats_count_every_rule():
         "peak_queue": 6,
     }
     assert sum(v for k, v in stats.items() if k.startswith("admitted_")) == len(cl)
+
+
+def test_closure_stats_on_eight_element_path():
+    init, u = path_init(8)
+    assert closure(init, u, max_elements=8).stats == {
+        "admitted_given": 4711,
+        "admitted_decomposition": 0,
+        "admitted_weak_union": 0,
+        "admitted_contraction": 0,
+        "pairs_tried": 35656,
+        "pairs_productive": 0,
+        "peak_queue": 4711,
+    }
+
+
+# -- differential: mask rules against the frozenset rules ---------------------
+
+
+def test_unary_rules_match_frozenset_rules():
+    for s in statements_over(Universe("abcde")):
+        assert axiom_consequences(s) == _unary_consequences(s)
+
+
+def test_contraction_rule_matches_frozenset_rule():
+    pool = statements_over(U4)
+    matched = 0
+    for s1 in pool:
+        for s2 in pool:
+            want = [("contraction", c) for c in _contraction_consequences(s1, s2)]
+            assert axiom_consequences(s1, s2) == want
+            matched += bool(want)
+    assert matched > 50
+
+
+def reference_first_invalid_step(chain, init):
+    """first_invalid_step as it ran on the frozenset rules."""
+    given = set(init)
+    steps = list(chain)
+    for i, step in enumerate(steps):
+        if any(not 0 <= p < i for p in step.premises):
+            return i
+        if step.rule == "given":
+            if step.premises or step.conclusion not in given:
+                return i
+        elif step.rule == "symmetry":
+            if len(step.premises) != 1:
+                return i
+            if steps[step.premises[0]].conclusion != step.conclusion:
+                return i
+        elif step.rule in ("decomposition", "weak_union"):
+            if len(step.premises) != 1:
+                return i
+            premise = steps[step.premises[0]].conclusion
+            if (step.rule, step.conclusion) not in _unary_consequences(premise):
+                return i
+        elif step.rule == "contraction":
+            if len(step.premises) != 2:
+                return i
+            s1 = steps[step.premises[0]].conclusion
+            s2 = steps[step.premises[1]].conclusion
+            if step.conclusion not in _contraction_consequences(s1, s2):
+                return i
+        else:
+            return i
+    return None
+
+
+def test_chain_check_matches_frozenset_rules_on_corrupted_chains():
+    rng = random.Random(1988)
+    pool = statements_over(Universe("abcde"))
+    rules = ("given", "symmetry", "decomposition", "weak_union", "contraction")
+    checked = 0
+    for _ in range(60):
+        init = rng.sample(pool, rng.randint(1, 4))
+        cl = closure(init, Universe("abcde"))
+        ordered = sorted(cl.statements, key=statement_key)
+        for s in rng.sample(ordered, min(5, len(ordered))):
+            chain = list(cl.chain(s))
+            assert first_invalid_step(chain, init) is None
+            i = rng.randrange(len(chain))
+            step = chain[i]
+            change = rng.choice(("rule", "conclusion", "premises"))
+            if change == "rule":
+                step = AxiomStep(rng.choice(rules), step.premises, step.conclusion)
+            elif change == "conclusion":
+                step = AxiomStep(step.rule, step.premises, rng.choice(pool))
+            else:
+                step = AxiomStep(step.rule, step.premises[::-1], step.conclusion)
+            chain[i] = step
+            assert first_invalid_step(chain, init) == reference_first_invalid_step(
+                chain, init
+            )
+            checked += first_invalid_step(chain, init) is not None
+    assert checked > 100

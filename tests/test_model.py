@@ -156,3 +156,31 @@ def test_universe_iteration_is_sorted_and_checked():
     assert "a" in u and "x" not in u
     with pytest.raises(ValueError):
         Universe(["not an identifier!"])
+
+
+# -- bitmask encoding -----------------------------------------------------------
+
+
+def test_encoding_round_trip_and_key_order():
+    # names whose string order differs from their numeric order
+    u = Universe(["v10", "v2", "v1", "w", "a_b", "ab"])
+    enc = u.encoding
+    statements = list(enumerate_canonical(u))
+    packed = [enc.encode(s) for s in statements]
+    assert [enc.decode(p) for p in packed] == statements
+    assert len(set(packed)) == len(packed)
+    assert sorted(packed, key=enc.key) == packed
+    for s, p in zip(statements, packed):
+        x, z, y = enc.unpack(p)
+        assert (enc.names(x), enc.names(z), enc.names(y)) == (s.x, s.z, s.y)
+        assert enc.pack(y, z, x) == enc.pack(x, z, y) == p
+
+
+def test_encoding_bits_follow_the_element_order():
+    u = Universe(["c", "a", "b"])
+    enc = u.encoding
+    assert u.encoding is enc
+    assert enc.mask({"a"}) == 1 and enc.mask({"c", "b"}) == 6
+    assert enc.names(5) == frozenset({"a", "c"})
+    with pytest.raises(KeyError):
+        enc.mask({"q"})

@@ -1,6 +1,10 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from mugci import (
+    ENUMERATION_GUARD,
     Combine,
     Delete,
     Merge,
@@ -10,8 +14,14 @@ from mugci import (
     Universe,
     append_transformed,
     canonical_triple,
+    enumerate_canonical,
 )
-from mugci.errors import StatementNotSatisfied, UnknownElement, WrongElementSet
+from mugci.errors import (
+    StatementNotSatisfied,
+    UniverseTooLarge,
+    UnknownElement,
+    WrongElementSet,
+)
 
 from oracle import as_plain, mug_statements
 
@@ -219,3 +229,76 @@ def test_transformations_never_shrink_satisfaction():
     m2, _ = append_transformed(m, Delete(0, g.nodes_with_element("w")[0]))
     m3, _ = append_transformed(m2, Merge(0, 1, 2))
     assert base <= m2.enumerate_satisfied() <= m3.enumerate_satisfied()
+
+
+# -- differential: separations generated per graph against the 4^n filter -----
+
+
+def filtered_satisfied(m, max_elements=ENUMERATION_GUARD):
+    """The filter enumerate_satisfied ran before it generated statements per
+    graph: test every canonical statement over the universe."""
+    return frozenset(
+        s
+        for s in enumerate_canonical(m.universe, max_elements)
+        if m.witness(s) is not None
+    )
+
+
+def random_graph(rng, names):
+    """A graph over part or all of names: multi-element nodes, elements
+    repeated across nodes, and edgeless, complete or sparse edges."""
+    members = rng.sample(names, rng.randint(1, len(names)))
+    k = rng.randint((len(members) + 1) // 2, len(members))
+    nodes = {i: set() for i in range(k)}
+    for i, e in enumerate(members):
+        nodes[i % k].add(e)
+    for _ in range(rng.randint(0, 2)):
+        nodes[rng.randrange(k)].add(rng.choice(members))
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    style = rng.choice(("edgeless", "complete", "sparse", "sparse"))
+    if style == "edgeless":
+        edges = []
+    elif style == "complete":
+        edges = pairs
+    else:
+        edges = [p for p in pairs if rng.random() < 0.4]
+    return UGraph(nodes, edges)
+
+
+def test_generated_separations_match_the_filter():
+    rng = random.Random(7734)
+    for n in range(8):
+        names = [f"e{i}" for i in range(n)]
+        for _ in range(30 if n <= 5 else 12 if n == 6 else 8):
+            graphs = [random_graph(rng, names) for _ in range(rng.randint(1, 3))] if n else []
+            m = Mug(Universe(names), graphs)
+            assert m.enumerate_satisfied() == filtered_satisfied(m), graphs
+
+
+def test_generated_separations_on_edgeless_and_complete_graphs():
+    names = list("abcdefg")
+    edgeless = UGraph.from_singletons(names)
+    complete = UGraph.from_singletons(names, combinations(names, 2))
+    for graphs in ([edgeless], [complete], [complete, edgeless]):
+        m = Mug(Universe(names), graphs)
+        assert m.enumerate_satisfied() == filtered_satisfied(m)
+    assert len(Mug(Universe(names), [edgeless]).enumerate_satisfied()) == 6069
+    assert Mug(Universe(names), [complete]).enumerate_satisfied() == frozenset()
+
+
+def test_enumerate_satisfied_guard_comes_before_any_work(monkeypatch):
+    n = ENUMERATION_GUARD + 1
+    names = [f"e{i}" for i in range(n)]
+    m = Mug(Universe(names), [UGraph.from_singletons(names)])
+
+    def no_work(self):
+        raise AssertionError("graph read before the guard")
+
+    monkeypatch.setattr(UGraph, "element_adjacency", no_work)
+    monkeypatch.setattr(UGraph, "elements", property(no_work))
+    with pytest.raises(
+        UniverseTooLarge, match=f"^universe has {n} elements, guard is {ENUMERATION_GUARD}$"
+    ):
+        m.enumerate_satisfied()
+    with pytest.raises(UniverseTooLarge, match=f"^universe has {n} elements, guard is 5$"):
+        m.enumerate_satisfied(max_elements=5)

@@ -333,3 +333,15 @@ def test_cached_key_of_transformed_graph_matches_fresh_build(transform):
     first = t.key()
     assert t.key() is first
     assert first == UGraph(t.nodes, t.edges).key()
+
+
+def test_element_adjacency_is_a_read_only_view_of_the_expansion():
+    g = UGraph({0: {"a", "b"}, 1: {"b", "c"}, 2: {"d"}}, [(1, 2)])
+    adjacency = g.element_adjacency()
+    assert adjacency == g.expand().adjacency()
+    assert adjacency["a"] == frozenset({"b"})
+    assert adjacency["b"] == frozenset({"a", "c", "d"})
+    with pytest.raises(TypeError):
+        adjacency["a"] = frozenset()
+    assert g.separates({"a"}, {"b"}, {"d"})
+    assert g.element_adjacency() == adjacency
