@@ -43,6 +43,17 @@ SEARCH_DEFAULT_MOVES = 5
 SEARCH_DEFAULT_GRAPHS = 10
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the search bounds: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_elements(text: str) -> frozenset:
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
@@ -301,8 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stmt", required=True, help="'{x}|{z}|{y}'")
     p.add_argument("--mode", choices=("axioms", "replay", "search"),
                    default="axioms")
-    p.add_argument("--max-moves", type=int, default=SEARCH_DEFAULT_MOVES)
-    p.add_argument("--max-graphs", type=int, default=SEARCH_DEFAULT_GRAPHS)
+    p.add_argument("--max-moves", type=_positive_int, default=SEARCH_DEFAULT_MOVES)
+    p.add_argument("--max-graphs", type=_positive_int, default=SEARCH_DEFAULT_GRAPHS)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("dsep", help="directed-graph separation test")

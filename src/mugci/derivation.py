@@ -25,7 +25,15 @@ from .errors import (
 )
 from .graphoid import AxiomStep, contraction_parts, first_invalid_step
 from .model import CanonicalStatement, Universe
-from .mug import Combine, Delete, Move, Mug, append_transformed, combination_graph
+from .mug import (
+    Combine,
+    Delete,
+    Move,
+    Mug,
+    append_transformed,
+    combination_graph,
+    neighbour_masks,
+)
 from .ugraph import UGraph
 
 
@@ -46,8 +54,11 @@ class Exhausted:
     explored at each depth (``states_depth_<d>``), successors dropped as
     already visited (``dedup_hits``), by a ``ModelError``
     (``rejected_model_error``) or by the graph cap
-    (``rejected_graph_cap``), and separation answers reused or computed
-    (``answer_hits``, ``answer_misses``).  It takes no part in equality.
+    (``rejected_graph_cap``), and separation questions answered from a
+    graph key's table or computed (``answer_hits``, ``answer_misses``).  A
+    hit is a question that key was asked before, through another graph or
+    state; the holding candidates a state takes over from its parent are
+    not asked again and count as neither.  It takes no part in equality.
     """
 
     states_explored: int
@@ -146,48 +157,20 @@ def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
     return MoveScript(m0, tuple(moves), steps[-1].conclusion)
 
 
-def _subsets(names: list[str]) -> list[tuple[str, ...]]:
-    """Every non-empty subset of ``names``, each in the order of ``names``."""
-    return [
-        tuple(e for i, e in enumerate(names) if mask >> i & 1)
-        for mask in range(1, 1 << len(names))
-    ]
-
-
-def _combine_statements(inside: frozenset, reach: frozenset) -> list:
-    """Canonical statements a graph over ``inside`` could be combined with.
-
-    One side plus the conditioning set is exactly ``inside``, the other
-    side lies in ``reach``; the list is in ``statement_key`` order.
-    """
-    members = sorted(inside)
-    outside = _subsets(sorted(reach))
-    keys = []
-    for x in _subsets(members):
-        z = tuple(e for e in members if e not in x)
-        # Disjoint sides: the one holding the lower element comes first.
-        keys.extend((x, z, y) if x[0] < y[0] else (y, z, x) for y in outside)
-    keys.sort()
-    return [CanonicalStatement(frozenset(x), frozenset(z), frozenset(y)) for x, z, y in keys]
-
-
 class _Member:
-    """One graph object as a search holds it, shared by every state holding it.
+    """One distinct graph in a search.
 
-    ``answers`` is the separation-answer table of the graph's key (shared by
-    every member with that key); the member's own successors are built on
-    first use, since every state that inherits it would ask for the same.
+    ``mask`` is its element set; ``answers`` holds its key's separation
+    answers (shared by every member with that key) by packed statement.
     """
 
-    __slots__ = ("graph", "gid", "elements", "answers", "deletions", "combinations")
+    __slots__ = ("graph", "gid", "mask", "answers")
 
-    def __init__(self, graph: UGraph, gid: int, answers: dict):
+    def __init__(self, graph: UGraph, gid: int, mask: int, answers: dict):
         self.graph = graph
         self.gid = gid
-        self.elements = graph.elements
+        self.mask = mask
         self.answers = answers
-        self.deletions = None
-        self.combinations = {}
 
 
 def search(
@@ -200,12 +183,13 @@ def search(
     ``statement_key`` order), so the result is the deterministic shortest
     script within the bounds.
 
-    Two tables live for one call: the candidate combination statements of
-    each element set and reach, and every graph's separation answers, keyed by graph
-    key and statement (each numbered once per call).  A state is the tuple
-    of its graphs' members and the set of their key numbers; a successor
-    shares its parent's members, so each graph is keyed, and each question
-    put to it, once per search.
+    Element sets are masks and statements packed ints of the universe's
+    encoding; every table is sized by what the graphs hold, never by the
+    universe.  Each distinct graph is keyed, and each question put to a
+    key answered, once per call.  A queued state carries its parent's
+    per-member lists of holding candidates: only a member the new graph
+    strictly covers can gain some, those the new graph witnesses.  A state
+    at the move bound is counted as explored, not queued.
     """
     if max_moves <= 0 or max_graphs <= 0:
         raise ValueError("search bounds must be positive")
@@ -219,37 +203,99 @@ def search(
         ),
         0,
     )
+    enc = m0.universe.encoding
+    held: dict[UGraph, _Member] = {}
     gids: dict[tuple, int] = {}
     answers: list[dict] = []
-    questions: dict[CanonicalStatement, tuple] = {}
-    candidates: dict[tuple[frozenset, frozenset], list] = {}
+    neighbours: list[dict | None] = []
+    candidates: dict[tuple[int, int], list] = {}
+    statements: dict[int, CanonicalStatement] = {}
+    # Each member's successors, built on first use since every state holding
+    # it would ask for the same.  They live here, not on the members: equal
+    # graphs share a member, so links between members could form cycles that
+    # keep a finished search's graphs alive until a full collection.
+    deletions: dict[_Member, list] = {}
+    combinations: dict[_Member, dict] = {}
 
     def member(g: UGraph) -> _Member:
-        gid = gids.setdefault(g.key(), len(gids))
-        if gid == len(answers):
-            answers.append({})
-        return _Member(g, gid, answers[gid])
+        mem = held.get(g)
+        if mem is None:
+            gid = gids.setdefault(g.key(), len(gids))
+            if gid == len(answers):
+                answers.append({})
+                neighbours.append(None)
+            mem = held[g] = _Member(g, gid, enc.mask(g.elements), answers[gid])
+        return mem
 
-    def question(s: CanonicalStatement) -> tuple:
-        """(s, its elements, its number in this search)."""
-        if s not in questions:
-            questions[s] = (s, s.elements, len(questions))
-        return questions[s]
-
-    def holds(members, q: tuple) -> bool:
-        s, needed, qid = q
+    def holds(members, c: tuple) -> bool:
+        """Whether a member witnesses c, a (packed statement, elements) pair."""
+        p, needed = c
         for mem in members:
-            if not needed <= mem.elements:
+            if needed & ~mem.mask:
                 continue
-            answer = mem.answers.get(qid)
+            answer = mem.answers.get(p)
             if answer is None:
                 stats["answer_misses"] += 1
-                answer = mem.answers[qid] = mem.graph.separates(s.x, s.z, s.y)
+                nbrs = neighbours[mem.gid]
+                if nbrs is None:
+                    nbrs = neighbours[mem.gid] = neighbour_masks(enc, mem.graph)
+                # Flood from x through the element graph minus z.
+                x, z, y = enc.unpack(p)
+                reached = frontier = x
+                while frontier and not reached & y:
+                    bit = frontier & -frontier
+                    frontier ^= bit
+                    new = nbrs[bit] & ~(z | reached)
+                    reached |= new
+                    frontier |= new
+                answer = mem.answers[p] = not reached & y
             else:
                 stats["answer_hits"] += 1
             if answer:
                 return True
         return False
+
+    def combinable(inside: int, reach: int) -> list:
+        """Candidates for a graph over ``inside``, as (packed, elements) pairs.
+
+        One side plus z is exactly ``inside``, the other lies in ``reach``;
+        the list is in ``statement_key`` order.
+        """
+        if (inside, reach) not in candidates:
+            found = []
+            x = inside
+            while x:
+                y = reach
+                while y:
+                    found.append((enc.pack(x, inside ^ x, y), inside | y))
+                    y = (y - 1) & reach
+                x = (x - 1) & inside
+            found.sort(key=lambda c: [sorted(enc.names(m)) for m in enc.unpack(c[0])])
+            candidates[inside, reach] = found
+        return candidates[inside, reach]
+
+    def listing(mem: _Member, members) -> tuple[int, list]:
+        """A member's reach and holding candidates among a state's members."""
+        # Only a graph with more elements can witness a candidate, so its
+        # other side lies among those graphs' extra elements.
+        inside = mem.mask
+        covering = [o for o in members if o.mask != inside and not inside & ~o.mask]
+        reach = 0
+        for other in covering:
+            reach |= other.mask & ~inside
+        return reach, [c for c in combinable(inside, reach) if holds(covering, c)]
+
+    def extended(mem: _Member, listed: tuple, new: _Member) -> tuple[int, list]:
+        """A member's listing once ``new``, which strictly covers it, joins.
+
+        The older covering graphs' answers stand, so only ``new`` is asked.
+        """
+        reach, before = listed
+        reach |= new.mask & ~mem.mask
+        known = {p for p, _ in before}
+        return reach, [
+            c for c in combinable(mem.mask, reach) if c[0] in known or holds((new,), c)
+        ]
 
     def grown(build, *args) -> _Member | None:
         """The member of a transformed graph; None if the move is invalid."""
@@ -258,57 +304,52 @@ def search(
         except ModelError:
             return None
 
-    def deletions(mem: _Member) -> list:
-        if mem.deletions is None:
-            g = mem.graph
-            mem.deletions = [(n, grown(g.delete_node, n)) for n in g.node_ids()]
-        return mem.deletions
-
-    def combination(mem: _Member, q: tuple) -> _Member | None:
-        s, _, qid = q
-        if qid not in mem.combinations:
-            # Candidates are offered only once s is known to hold.
-            mem.combinations[qid] = grown(combination_graph, mem.graph, s)
-        return mem.combinations[qid]
-
-    def successors(members) -> Iterator[tuple[Move, _Member | None]]:
+    def successors(members, lists) -> Iterator[tuple]:
+        """(move kind, its two arguments, child member or None) in move order."""
         for gi, mem in enumerate(members):
-            for n, child in deletions(mem):
-                yield Delete(gi, n), child
-            # Only a graph with more elements can witness a candidate, so
-            # its other side lies among those graphs' extra elements.
-            inside = mem.elements
-            covering = [other for other in members if inside < other.elements]
-            if not covering:
-                continue
-            reach = frozenset().union(*(other.elements for other in covering)) - inside
-            if (inside, reach) not in candidates:
-                candidates[inside, reach] = [
-                    question(s) for s in _combine_statements(inside, reach)
-                ]
-            for q in candidates[inside, reach]:
-                if holds(covering, q):
-                    yield Combine(q[0], gi), combination(mem, q)
+            g = mem.graph
+            if mem not in deletions:
+                deletions[mem] = [(n, grown(g.delete_node, n)) for n in g.node_ids()]
+            for n, child in deletions[mem]:
+                yield Delete, gi, n, child
+            combined = combinations.setdefault(mem, {})
+            for p, _ in lists[gi][1]:
+                if p not in combined:
+                    s = statements[p] = statements.get(p) or enc.decode(p)
+                    combined[p] = s, grown(combination_graph, g, s)
+                s, child = combined[p]
+                yield Combine, s, gi, child
 
     members0 = tuple(member(g) for g in m0.graphs)
-    target_q = question(target)
-    if holds(members0, target_q):
+    try:
+        goal = enc.encode(target), enc.mask(target.elements)
+    except KeyError:  # an element outside the universe, so no graph holds it
+        goal = None, -1
+    if holds(members0, goal):
         return MoveScript(m0, (), target)
     ids0 = frozenset(mem.gid for mem in members0)
     visited = {ids0}
-    queue: deque[tuple[tuple, frozenset, tuple[Move, ...]]] = deque(
-        [(members0, ids0, ())]
-    )
+    # Members, their key numbers, moves and the parent's listings (None at first).
+    queue: deque[tuple] = deque([(members0, ids0, (), None)])
     explored = 0
     depth_reached = 0
     while queue:
-        members, ids, path = queue.popleft()
+        members, ids, path, inherited = queue.popleft()
         explored += 1
         depth = f"states_depth_{len(path)}"
         stats[depth] = stats.get(depth, 0) + 1
-        if len(path) >= max_moves:
-            continue
-        for move, child in successors(members):
+        if inherited is None:
+            lists = [listing(mem, members) for mem in members]
+        else:
+            new = members[-1]
+            lists = [
+                extended(mem, listed, new)
+                if mem.mask != new.mask and not mem.mask & ~new.mask
+                else listed
+                for mem, listed in zip(members, inherited)
+            ]
+            lists.append(listing(new, members))
+        for kind, a, b, child in successors(members, lists):
             if child is None:
                 stats["rejected_model_error"] += 1
                 continue
@@ -321,12 +362,17 @@ def search(
                 stats["dedup_hits"] += 1
                 continue
             visited.add(ids2)
-            path2 = path + (move,)
+            path2 = path + (kind(a, b),)
             depth_reached = max(depth_reached, len(path2))
             # The parent's graphs already fail the target; ask the new one.
-            if holds((child,), target_q):
+            if holds((child,), goal):
                 return MoveScript(m0, path2, target)
-            queue.append((members + (child,), ids2, path2))
+            if len(path2) < max_moves:
+                queue.append((members + (child,), ids2, path2, lists))
+            else:
+                explored += 1
+                depth = f"states_depth_{max_moves}"
+                stats[depth] = stats.get(depth, 0) + 1
     return Exhausted(
         states_explored=explored, depth_reached=depth_reached, stats=stats
     )

@@ -294,8 +294,3 @@ def enumerate_canonical(
     packed.sort(key=enc.key)
     for p in packed:
         yield enc.decode(p)
-
-
-def validate_statement(universe: Universe, s: Statement) -> None:
-    """Raise UnknownElement if the statement uses names outside the universe."""
-    universe.require(s.x | s.z | s.y)

@@ -146,6 +146,13 @@ class Mug:
         return f"Mug({len(self._graphs)} graphs over {self._universe!r})"
 
 
+def neighbour_masks(enc: Encoding, g: UGraph) -> dict[int, int]:
+    """Each element's bit mapped to the mask of its element-graph neighbours."""
+    return {
+        enc.mask((e,)): enc.mask(nbrs) for e, nbrs in g.element_adjacency().items()
+    }
+
+
 def _separations(enc: Encoding, g: UGraph) -> list[int]:
     """Every statement the graph witnesses, packed.
 
@@ -156,9 +163,7 @@ def _separations(enc: Encoding, g: UGraph) -> list[int]:
     is x.
     """
     members = enc.mask(g.elements)
-    neighbours = {
-        enc.mask((e,)): enc.mask(nbrs) for e, nbrs in g.element_adjacency().items()
-    }
+    neighbours = neighbour_masks(enc, g)
     out = []
     z = 0
     while True:

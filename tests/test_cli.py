@@ -206,6 +206,19 @@ def test_search_is_not_bound_by_the_closure_guard(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("option", ["--max-moves", "--max-graphs"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_search_bounds_below_one_are_usage_errors(capsys, option, value):
+    code, text = run(
+        "query", f"{FIXTURES}/intersection.mug", "--stmt", "{x}|{z}|{y,w}",
+        "--mode", "search", option, value,
+    )
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mugci query")
+    assert f"argument {option}: expected a positive integer, got '{value}'" in err
+
+
 def test_unknown_subcommand_exits_two():
     code, _ = run("frobnicate")
     assert code == 2
