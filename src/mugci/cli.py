@@ -37,7 +37,7 @@ from .modelfile import (
     format_ugraph,
     parse_model,
 )
-from .mug import AddArcs, Combine, Delete, Merge, Mug, Split
+from .mug import Combine, Delete, Mug
 
 SEARCH_DEFAULT_MOVES = 5
 SEARCH_DEFAULT_GRAPHS = 10
@@ -117,16 +117,6 @@ def _format_chain(chain: tuple[AxiomStep, ...]) -> list[str]:
 def _format_move(move) -> str:
     if isinstance(move, Delete):
         return f"delete graph={move.graph} node={move.node}"
-    if isinstance(move, AddArcs):
-        arcs = ",".join(f"{a}-{b}" for a, b in sorted(tuple(sorted(p)) for p in move.arcs))
-        return f"add-arcs graph={move.graph} arcs={arcs}"
-    if isinstance(move, Merge):
-        return f"merge graph={move.graph} nodes={move.node1},{move.node2}"
-    if isinstance(move, Split):
-        return (
-            f"split graph={move.graph} node={move.node} "
-            f"parts={format_set(move.part1)}/{format_set(move.part2)}"
-        )
     if isinstance(move, Combine):
         return f"combine graph={move.graph} stmt={move.statement}"
     raise TypeError(f"unknown move {move!r}")

@@ -126,17 +126,22 @@ class DiGraph:
         Visits elements in graph order; each deterministic element outside z
         has every outgoing arc replaced by arcs from its current parents, so
         earlier propagations cascade into later ones.  Observed deterministic
-        elements (members of z) are left untouched.
+        elements (members of z) are left untouched; a graph with nothing to
+        reroute is returned as it is.
         """
         z = frozenset(z)
-        arcs = set(self._arcs)
-        for v in self._order:
-            if v not in self._deterministic or v in z:
-                continue
-            parents = sorted(a for a, b in arcs if b == v)
-            for c in sorted(b for a, b in arcs if a == v):
-                arcs.discard((v, c))
-                arcs.update((p, c) for p in parents)
+        rerouted = [v for v in self._order if v in self._deterministic and v not in z]
+        if not rerouted:
+            return self
+        parents = {v: set(ps) for v, ps in self._parents.items()}
+        # Rerouting v gives new children only to v's parents, which come
+        # before v in graph order, so each element's children are still its
+        # original ones when it is visited.
+        for v in rerouted:
+            for c in self._children[v]:
+                parents[c].discard(v)
+                parents[c] |= parents[v]
+        arcs = [(p, c) for c, ps in parents.items() for p in ps]
         return DiGraph(self._universe, arcs, self._deterministic)
 
     def moralize(self) -> UGraph:

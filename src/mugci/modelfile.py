@@ -10,50 +10,39 @@ trees, and statements::
     jointree J { cluster 0 = {e,l,t}; cluster 1 = {b,d,e}; link 0 1; }
     stmt S: {l} | {e} | {b}
 
-Graph and join-tree blocks may span lines; ``universe`` and ``stmt`` occupy
-a single line.  Sepsets of join trees are always computed, never declared.
+Tokens are names (``[A-Za-z_][A-Za-z0-9_]*``), digit runs and the marks
+``{}();:|=,``.  Graph and join-tree blocks may span lines; ``universe`` reads
+the names on its own line and ``stmt`` occupies a single line.  Errors carry
+the line and column of the token at fault.  Sepsets of join trees are always
+computed, never declared.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .dsep import DiGraph, JoinTree
-from .errors import (
-    DuplicateName,
-    ModelSyntaxError,
-    UnknownElement,
-)
+from .errors import DuplicateName, ModelError, ModelSyntaxError, UnknownElement
 from .model import Statement, Universe, format_set
 from .ugraph import UGraph
 
-# One pass classifies each token by its group: 1 a name, 2 any other valid
-# token (a digit run or punctuation), 3 a character no token can start with.
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|(\d+|[{}();:|=,])|(\S)")
-
-
-class _Token(NamedTuple):
-    text: str
-    line: int
-    column: int
-    is_name: bool = False
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for match in _TOKEN_RE.finditer(line.split("#", 1)[0]):
-            kind = match.lastindex
-            if kind == 3:
-                raise ModelSyntaxError(
-                    f"unexpected character {match.group()!r}",
-                    lineno,
-                    match.start() + 1,
-                )
-            tokens.append(_Token(match.group(), lineno, match.start() + 1, kind == 1))
-    return tokens
+# A token is a name, a digit run or one punctuation mark, so a token is a
+# name exactly when ``str.isidentifier`` holds.  Every other non-space
+# character is an error; ``\d`` and ``\s`` are Unicode classes.
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[{}();:|=,]")
+_BAD_RE = re.compile(r"[^A-Za-z_\d\s{}();:|=,]")
+# Clauses read fixed windows of up to four tokens; the padding after the
+# last token matches no name, number or punctuation mark.
+_PAD = ["\n"] * 4
+# Expected-name text of each named declaration.
+_DECLARATIONS = {
+    "graph": "graph name",
+    "digraph": "digraph name",
+    "jointree": "jointree name",
+    "stmt": "statement name",
+}
 
 
 @dataclass
@@ -67,274 +56,247 @@ class ModelFile:
     statements: dict[str, Statement] = field(default_factory=dict)
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+class _Tokens:
+    """Token strings of a model text, with each line's first token index.
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    A token's line and column are worked out only when an error names them.
+    """
 
-    def next(self, expectation: str) -> _Token:
-        pos = self.pos
-        if pos == len(self.tokens):
-            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
-            raise ModelSyntaxError(f"expected {expectation} at end of input",
-                                   last.line, last.column)
-        self.pos = pos + 1
-        return self.tokens[pos]
+    def __init__(self, text: str):
+        lines = text.splitlines()
+        if "#" in text:
+            lines = [line.split("#", 1)[0] for line in lines]
+        self.lines = lines
+        self.firsts: list[int] = []
+        toks: list[str] = []
+        search, findall, first = _BAD_RE.search, _TOKEN_RE.findall, self.firsts.append
+        for body in lines:
+            if bad := search(body):
+                lineno = len(self.firsts) + 1
+                raise ModelSyntaxError(
+                    f"unexpected character {bad.group()!r}", lineno, bad.start() + 1
+                )
+            first(len(toks))
+            toks += findall(body)
+        self.n = len(toks)
+        self.toks = toks + _PAD
 
-    def expect(self, text: str) -> _Token:
-        tok = self.next(repr(text))
-        if tok.text != text:
-            raise ModelSyntaxError(
-                f"expected {text!r}, found {tok.text!r}", tok.line, tok.column
-            )
-        return tok
+    def position(self, j: int) -> tuple[int, int]:
+        line = bisect_right(self.firsts, j) - 1
+        match = list(_TOKEN_RE.finditer(self.lines[line]))[j - self.firsts[line]]
+        return line + 1, match.start() + 1
 
-    def name(self, what: str) -> _Token:
-        tok = self.next(what)
-        if not tok.is_name:
-            raise ModelSyntaxError(
-                f"expected {what}, found {tok.text!r}", tok.line, tok.column
-            )
-        return tok
+    def line_end(self, j: int) -> int:
+        """Index just past the last token on token j's line."""
+        line = bisect_right(self.firsts, j)
+        return self.firsts[line] if line < len(self.firsts) else self.n
 
-    def integer(self, what: str) -> tuple[int, _Token]:
-        tok = self.next(what)
-        if not tok.text.isdigit():
-            raise ModelSyntaxError(
-                f"expected {what}, found {tok.text!r}", tok.line, tok.column
-            )
-        return int(tok.text), tok
+    def error(self, message: str, j: int) -> ModelSyntaxError:
+        return ModelSyntaxError(message, *self.position(j))
 
-    def element_set(self, universe: Universe | None) -> frozenset:
-        """Parse ``{a,b,...}``; ``{}`` is the empty set."""
-        self.expect("{")
-        members = []
-        tok = self.peek()
-        if tok is not None and tok.text != "}":
+    def expected(self, j: int, what: str, at_end: str = "") -> ModelSyntaxError:
+        if j < self.n:
+            return self.error(f"expected {what}, found {self.toks[j]!r}", j)
+        line, column = self.position(self.n - 1) if self.n else (1, 1)
+        return ModelSyntaxError(
+            f"expected {at_end or what} at end of input", line, column
+        )
+
+    def outsider(self, j: int) -> ModelError:
+        """The error for token j where a universe element belongs."""
+        if not self.toks[j].isidentifier():
+            return self.expected(j, "element name")
+        line, column = self.position(j)
+        return UnknownElement(
+            f"element {self.toks[j]!r} is not in the universe "
+            f"(line {line}, column {column})"
+        )
+
+    def element_set(self, j: int, members: frozenset) -> tuple[frozenset, int]:
+        """Parse ``{a,b,...}`` at token j; ``{}`` is the empty set."""
+        toks = self.toks
+        if toks[j] != "{":
+            raise self.expected(j, "'{'")
+        j += 1
+        found = []
+        if toks[j] != "}" and j < self.n:
             while True:
-                el = self.name("element name")
-                if universe is not None and el.text not in universe:
-                    raise UnknownElement(
-                        f"element {el.text!r} is not in the universe "
-                        f"(line {el.line}, column {el.column})"
-                    )
-                members.append(el.text)
-                tok = self.peek()
-                if tok is not None and tok.text == ",":
-                    self.pos += 1
-                    continue
-                break
-        self.expect("}")
-        return frozenset(members)
+                if toks[j] not in members:
+                    raise self.outsider(j)
+                found.append(toks[j])
+                if toks[j + 1] != ",":
+                    j += 1
+                    break
+                j += 2
+        if toks[j] != "}":
+            raise self.expected(j, "'}'")
+        return frozenset(found), j + 1
 
 
 def parse_model(text: str) -> ModelFile:
     """Parse model text; syntax errors carry line and column."""
-    parser = _Parser(_tokenize(text))
-    universe: Universe | None = None
+    p = _Tokens(text)
+    toks = p.toks
     model: ModelFile | None = None
+    members: frozenset = frozenset()
     names_taken: set[str] = set()
-
-    def fresh_name(tok: _Token) -> str:
-        if tok.text in names_taken:
-            raise DuplicateName(f"name {tok.text!r} already used (line {tok.line})")
-        names_taken.add(tok.text)
-        return tok.text
-
-    def need_model(tok: _Token) -> ModelFile:
-        if model is None:
-            raise ModelSyntaxError(
-                "universe must be declared first", tok.line, tok.column
-            )
-        return model
-
-    while parser.peek() is not None:
-        head = parser.next("declaration")
-        if head.text == "universe":
-            if universe is not None:
-                raise ModelSyntaxError(
-                    "universe already declared", head.line, head.column
-                )
-            names = []
-            while (tok := parser.peek()) is not None and tok.line == head.line:
-                names.append(parser.name("element name").text)
+    i = 0
+    while i < p.n:
+        head = toks[i]
+        if head == "universe":
+            if model is not None:
+                raise p.error("universe already declared", i)
+            end = p.line_end(i)
+            for j in range(i + 1, end):
+                if not toks[j].isidentifier():
+                    raise p.expected(j, "element name")
+            names = toks[i + 1:end]
             if not names:
-                raise ModelSyntaxError(
-                    "universe needs at least one element", head.line, head.column
-                )
-            if len(set(names)) != len(names):
-                raise ModelSyntaxError(
-                    "duplicate element in universe", head.line, head.column
-                )
-            universe = Universe(names)
-            model = ModelFile(universe)
-        elif head.text == "graph":
-            m = need_model(head)
-            name = fresh_name(parser.name("graph name"))
-            m.graphs[name] = _parse_graph_block(parser, universe)
-        elif head.text == "digraph":
-            m = need_model(head)
-            name = fresh_name(parser.name("digraph name"))
-            m.digraphs[name] = _parse_digraph_block(parser, universe)
-        elif head.text == "jointree":
-            m = need_model(head)
-            name = fresh_name(parser.name("jointree name"))
-            m.jointrees[name] = _parse_jointree_block(parser, universe)
-        elif head.text == "stmt":
-            m = need_model(head)
-            name = fresh_name(parser.name("statement name"))
-            parser.expect(":")
-            x = parser.element_set(universe)
-            parser.expect("|")
-            z = parser.element_set(universe)
-            parser.expect("|")
-            y = parser.element_set(universe)
-            m.statements[name] = Statement(x, z, y)
+                raise p.error("universe needs at least one element", i)
+            members = frozenset(names)
+            if len(members) != len(names):
+                raise p.error("duplicate element in universe", i)
+            model = ModelFile(Universe(names))
+            i = end
+            continue
+        if head not in _DECLARATIONS:
+            raise p.error(f"unknown declaration {head!r}", i)
+        if model is None:
+            raise p.error("universe must be declared first", i)
+        name = toks[i + 1]
+        if not name.isidentifier():
+            raise p.expected(i + 1, _DECLARATIONS[head])
+        if name in names_taken:
+            line = p.position(i + 1)[0]
+            raise DuplicateName(f"name {name!r} already used (line {line})")
+        names_taken.add(name)
+        i += 2
+        if head == "digraph":
+            model.digraphs[name], i = _digraph_block(p, i, members)
+        elif head == "graph":
+            nodes, edges, i = _numbered_block(p, i, members, _GRAPH_WORDS)
+            model.graphs[name] = UGraph(nodes, edges)
+        elif head == "jointree":
+            clusters, links, i = _numbered_block(p, i, members, _TREE_WORDS)
+            model.jointrees[name] = JoinTree(clusters, links)
         else:
-            raise ModelSyntaxError(
-                f"unknown declaration {head.text!r}", head.line, head.column
-            )
+            sides = []
+            for mark in ":||":
+                if toks[i] != mark:
+                    raise p.expected(i, repr(mark))
+                side, i = p.element_set(i + 1, members)
+                sides.append(side)
+            model.statements[name] = Statement(*sides)
 
     if model is None:
         raise ModelSyntaxError("empty model: no universe declared", 1, 1)
     return model
 
 
-def _parse_graph_block(parser: _Parser, universe: Universe) -> UGraph:
-    parser.expect("{")
-    nodes: dict[int, frozenset] = {}
-    edges = []
-    while True:
-        tok = parser.next("'node', 'edge', or '}'")
-        if tok.text == "}":
-            break
-        if tok.text == "node":
-            nid, id_tok = parser.integer("node id")
-            if nid in nodes:
-                raise ModelSyntaxError(
-                    f"duplicate node id {nid}", id_tok.line, id_tok.column
-                )
-            parser.expect("=")
-            elements = parser.element_set(universe)
-            if not elements:
-                raise ModelSyntaxError(
-                    "node element set may not be empty", id_tok.line, id_tok.column
-                )
-            nodes[nid] = elements
-        elif tok.text == "edge":
-            a, a_tok = parser.integer("node id")
-            b, b_tok = parser.integer("node id")
-            for nid, t in ((a, a_tok), (b, b_tok)):
-                if nid not in nodes:
-                    raise ModelSyntaxError(f"unknown node {nid}", t.line, t.column)
-            if a == b:
-                raise ModelSyntaxError("self-loop", a_tok.line, a_tok.column)
-            edges.append((a, b))
-        else:
-            raise ModelSyntaxError(
-                f"expected 'node' or 'edge', found {tok.text!r}",
-                tok.line,
-                tok.column,
-            )
-        parser.expect(";")
-    return UGraph(nodes, edges)
-
-
-def _parse_digraph_block(parser: _Parser, universe: Universe) -> DiGraph:
-    parser.expect("{")
-    declared: list[str] = []
+def _digraph_block(p: _Tokens, i: int, members: frozenset) -> tuple[DiGraph, int]:
+    toks = p.toks
+    if toks[i] != "{":
+        raise p.expected(i, "'{'")
+    i += 1
+    declared: dict[str, None] = {}
     deterministic = []
     arcs = []
-
-    def declared_element(tok: _Token) -> str:
-        if tok.text not in universe:
-            raise UnknownElement(
-                f"element {tok.text!r} is not in the universe "
-                f"(line {tok.line}, column {tok.column})"
-            )
-        return tok.text
-
     while True:
-        tok = parser.next("'node', 'det', 'arc', or '}'")
-        if tok.text == "}":
-            break
-        if tok.text in ("node", "det"):
-            if tok.text == "det":
-                parser.expect("node")
-            el = parser.name("element name")
-            name = declared_element(el)
-            if name in declared:
-                raise ModelSyntaxError(
-                    f"node {name!r} declared twice", el.line, el.column
-                )
-            declared.append(name)
-            if tok.text == "det":
-                deterministic.append(name)
-        elif tok.text == "arc":
-            a = parser.name("element name")
-            b = parser.name("element name")
-            for t in (a, b):
-                declared_element(t)
-                if t.text not in declared:
-                    raise ModelSyntaxError(
-                        f"arc endpoint {t.text!r} is not a declared node",
-                        t.line,
-                        t.column,
-                    )
-            arcs.append((a.text, b.text))
+        head = toks[i]
+        if head == "arc":
+            a, b = toks[i + 1:i + 3]
+            if a not in declared or b not in declared:
+                for j in (i + 1, i + 2):
+                    if not toks[j].isidentifier():
+                        raise p.expected(j, "element name")
+                for j in (i + 1, i + 2):
+                    if toks[j] not in declared:
+                        if toks[j] not in members:
+                            raise p.outsider(j)
+                        raise p.error(
+                            f"arc endpoint {toks[j]!r} is not a declared node", j
+                        )
+            arcs.append((a, b))
+            i += 3
+        elif head == "node" or head == "det":
+            if head == "det":
+                i += 1
+                if toks[i] != "node":
+                    raise p.expected(i, "'node'")
+            el = toks[i + 1]
+            if el not in members:
+                raise p.outsider(i + 1)
+            if el in declared:
+                raise p.error(f"node {el!r} declared twice", i + 1)
+            declared[el] = None
+            if head == "det":
+                deterministic.append(el)
+            i += 2
+        elif head == "}":
+            return DiGraph(Universe(declared), arcs, deterministic), i + 1
         else:
-            raise ModelSyntaxError(
-                f"expected 'node', 'det', or 'arc', found {tok.text!r}",
-                tok.line,
-                tok.column,
+            raise p.expected(
+                i, "'node', 'det', or 'arc'", at_end="'node', 'det', 'arc', or '}'"
             )
-        parser.expect(";")
-    return DiGraph(Universe(declared), arcs, deterministic)
+        if toks[i] != ";":
+            raise p.expected(i, "';'")
+        i += 1
 
 
-def _parse_jointree_block(parser: _Parser, universe: Universe) -> JoinTree:
-    parser.expect("{")
-    clusters: dict[int, frozenset] = {}
-    links = []
+# Words of the two blocks of numbered element sets joined in pairs: item and
+# pair keywords, the id's name, and the texts of the errors they can raise.
+_GRAPH_WORDS = ("node", "edge", "node id", "duplicate node id",
+                "node element set may not be empty", "unknown node", "self-loop")
+_TREE_WORDS = ("cluster", "link", "cluster id", "duplicate cluster id",
+               "cluster may not be empty", "unknown cluster", "self-link")
+
+
+def _numbered_block(
+    p: _Tokens, i: int, members: frozenset, words: tuple[str, ...]
+) -> tuple[dict[int, frozenset], list[tuple[int, int]], int]:
+    item, pair, label, duplicate, empty, unknown, loop = words
+    toks = p.toks
+    if toks[i] != "{":
+        raise p.expected(i, "'{'")
+    i += 1
+    sets: dict[int, frozenset] = {}
+    pairs = []
     while True:
-        tok = parser.next("'cluster', 'link', or '}'")
-        if tok.text == "}":
-            break
-        if tok.text == "cluster":
-            cid, id_tok = parser.integer("cluster id")
-            if cid in clusters:
-                raise ModelSyntaxError(
-                    f"duplicate cluster id {cid}", id_tok.line, id_tok.column
-                )
-            parser.expect("=")
-            elements = parser.element_set(universe)
+        head = toks[i]
+        if head == item:
+            if not toks[i + 1].isdigit():
+                raise p.expected(i + 1, label)
+            key = int(toks[i + 1])
+            if key in sets:
+                raise p.error(f"{duplicate} {key}", i + 1)
+            if toks[i + 2] != "=":
+                raise p.expected(i + 2, "'='")
+            elements, end = p.element_set(i + 3, members)
             if not elements:
-                raise ModelSyntaxError(
-                    "cluster may not be empty", id_tok.line, id_tok.column
-                )
-            clusters[cid] = elements
-        elif tok.text == "link":
-            a, a_tok = parser.integer("cluster id")
-            b, b_tok = parser.integer("cluster id")
-            for cid, t in ((a, a_tok), (b, b_tok)):
-                if cid not in clusters:
-                    raise ModelSyntaxError(
-                        f"unknown cluster {cid}", t.line, t.column
-                    )
+                raise p.error(empty, i + 1)
+            sets[key] = elements
+            i = end
+        elif head == pair:
+            for j in (i + 1, i + 2):
+                if not toks[j].isdigit():
+                    raise p.expected(j, label)
+            a, b = int(toks[i + 1]), int(toks[i + 2])
+            for j, key in ((i + 1, a), (i + 2, b)):
+                if key not in sets:
+                    raise p.error(f"{unknown} {key}", j)
             if a == b:
-                raise ModelSyntaxError("self-link", a_tok.line, a_tok.column)
-            links.append((a, b))
+                raise p.error(loop, i + 1)
+            pairs.append((a, b))
+            i += 3
+        elif head == "}":
+            return sets, pairs, i + 1
         else:
-            raise ModelSyntaxError(
-                f"expected 'cluster' or 'link', found {tok.text!r}",
-                tok.line,
-                tok.column,
+            raise p.expected(
+                i, f"{item!r} or {pair!r}", at_end=f"{item!r}, {pair!r}, or '}}'"
             )
-        parser.expect(";")
-    return JoinTree(clusters, links)
+        if toks[i] != ";":
+            raise p.expected(i, "';'")
+        i += 1
 
 
 def format_ugraph(name: str, g: UGraph) -> str:

@@ -46,12 +46,15 @@ class DiscreteJoint:
             raise ValueError(f"table needs {size} entries")
         if any(p < 0 for p in self.probabilities):
             raise ValueError("probabilities must be nonnegative")
-        total = sum(self.probabilities)
+        probabilities = self.probabilities
         if self.exact:
-            if total != 1:
-                raise ValueError(f"probabilities sum to {total}, not 1")
-        elif abs(total - 1) > MASS_FLOAT_TOLERANCE:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+            # Integer numerators over the common denominator, as in ci_holds.
+            scale = lcm(*(p.denominator for p in probabilities))
+            numerators = (p.numerator * (scale // p.denominator) for p in probabilities)
+            if sum(numerators) != scale:
+                raise ValueError(f"probabilities sum to {sum(probabilities)}, not 1")
+        elif abs(sum(probabilities) - 1) > MASS_FLOAT_TOLERANCE:
+            raise ValueError(f"probabilities sum to {sum(probabilities)}, not 1")
 
     @property
     def exact(self) -> bool:

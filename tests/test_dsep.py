@@ -402,14 +402,21 @@ def reference_d_separated(d, x, z, y):
     keep = c.x | c.z | c.y
     kept = keep | reference_ancestors(d.arcs, keep)
     arcs = {(a, b) for a, b in d.arcs if a in kept and b in kept}
-    for v in reference_toposort(sorted(kept), arcs):
-        if v not in d.deterministic or v in c.z:
+    arcs = reference_det_propagate(sorted(kept), arcs, d.deterministic, c.z)
+    return reference_moralize(sorted(kept), arcs).separates(c.x, c.z, c.y)
+
+
+def reference_det_propagate(universe, arcs, deterministic, z):
+    """``DiGraph.det_propagate`` as it was: two arc scans per rerouted element."""
+    arcs = set(arcs)
+    for v in reference_toposort(universe, arcs):
+        if v not in deterministic or v in z:
             continue
         parents = sorted(a for a, b in arcs if b == v)
-        for child in sorted(b for a, b in arcs if a == v):
-            arcs.discard((v, child))
-            arcs.update((p, child) for p in parents)
-    return reference_moralize(sorted(kept), arcs).separates(c.x, c.z, c.y)
+        for c in sorted(b for a, b in arcs if a == v):
+            arcs.discard((v, c))
+            arcs.update((p, c) for p in parents)
+    return arcs
 
 
 def random_dag(rng, n, det_share):
@@ -448,6 +455,20 @@ def test_index_matches_arc_scans_on_random_dags():
             for _ in range(5):
                 x, z, y = random_query(rng, names)
                 assert d.d_separated(x, z, y) == reference_d_separated(d, x, z, y)
+
+
+def test_det_propagate_matches_arc_scans_on_random_dags():
+    rng = random.Random(43)
+    rerouted = 0
+    for _ in range(300):
+        d = random_dag(rng, rng.randint(1, 16), rng.choice((0.0, 0.3, 0.6)))
+        names = list(d.universe)
+        z = set(rng.sample(names, rng.randint(0, len(names) // 2)))
+        want = reference_det_propagate(names, d.arcs, d.deterministic, z)
+        got = d.det_propagate(z)
+        assert got == DiGraph(d.universe, want, d.deterministic)
+        rerouted += got.arcs != d.arcs
+    assert rerouted > 50  # the cascade changes many of the graphs
 
 
 # -- networkx as an outside oracle ------------------------------------------------

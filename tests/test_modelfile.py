@@ -1,17 +1,25 @@
+from __future__ import annotations
+
 import random
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mugci import Statement, modelfile, parse_model, serialize_model
+from mugci import Statement, parse_model, serialize_model
+from mugci.dsep import DiGraph, JoinTree
 from mugci.errors import (
     DuplicateName,
     ModelError,
     ModelSyntaxError,
     UnknownElement,
 )
+from mugci.model import Universe
+from mugci.modelfile import ModelFile
+from mugci.ugraph import UGraph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -122,56 +130,351 @@ def test_serialization_is_stable():
     assert serialize_model(parse_model(once)) == once
 
 
-# -- differential: one-pass tokenizer against the per-token regex check ------
+# -- differential: the parser against a frozen copy of its predecessor ------
 #
-# The reference below re-checks every token text with ``re.fullmatch`` and
-# every name with a second pattern; the one-pass tokenizer classifies tokens
-# by the group that matched.  Both must raise the same errors with the same
-# text, line and column, and parse the same models.
+# Everything from ``_TOKEN_RE`` to ``_parse_jointree_block`` below is a
+# verbatim copy of the token-at-a-time parser that ``modelfile`` used before
+# it parsed plain token strings (only ``parse_model`` is renamed).  Both must
+# build equal models, serialized alike, or raise the same error type with
+# the same text, line and column.
+
+# One pass classifies each token by its group: 1 a name, 2 any other valid
+# token (a digit run or punctuation), 3 a character no token can start with.
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|(\d+|[{}();:|=,])|(\S)")
 
 
-@dataclass(frozen=True)
-class _RefToken:
+class _Token(NamedTuple):
     text: str
     line: int
     column: int
+    is_name: bool = False
 
 
-def reference_tokenize(text):
+def _tokenize(text: str) -> list[_Token]:
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for match in modelfile._TOKEN_RE.finditer(body):
-            tok = _RefToken(match.group(), lineno, match.start() + 1)
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[{}();:|=,]", tok.text):
+        for match in _TOKEN_RE.finditer(line.split("#", 1)[0]):
+            kind = match.lastindex
+            if kind == 3:
                 raise ModelSyntaxError(
-                    f"unexpected character {tok.text!r}", tok.line, tok.column
+                    f"unexpected character {match.group()!r}",
+                    lineno,
+                    match.start() + 1,
                 )
-            tokens.append(tok)
+            tokens.append(_Token(match.group(), lineno, match.start() + 1, kind == 1))
     return tokens
 
 
-def reference_name(self, what):
-    tok = self.next(what)
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text):
-        raise ModelSyntaxError(
-            f"expected {what}, found {tok.text!r}", tok.line, tok.column
-        )
-    return tok
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> _Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self, expectation: str) -> _Token:
+        pos = self.pos
+        if pos == len(self.tokens):
+            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
+            raise ModelSyntaxError(f"expected {expectation} at end of input",
+                                   last.line, last.column)
+        self.pos = pos + 1
+        return self.tokens[pos]
+
+    def expect(self, text: str) -> _Token:
+        tok = self.next(repr(text))
+        if tok.text != text:
+            raise ModelSyntaxError(
+                f"expected {text!r}, found {tok.text!r}", tok.line, tok.column
+            )
+        return tok
+
+    def name(self, what: str) -> _Token:
+        tok = self.next(what)
+        if not tok.is_name:
+            raise ModelSyntaxError(
+                f"expected {what}, found {tok.text!r}", tok.line, tok.column
+            )
+        return tok
+
+    def integer(self, what: str) -> tuple[int, _Token]:
+        tok = self.next(what)
+        if not tok.text.isdigit():
+            raise ModelSyntaxError(
+                f"expected {what}, found {tok.text!r}", tok.line, tok.column
+            )
+        return int(tok.text), tok
+
+    def element_set(self, universe: Universe | None) -> frozenset:
+        """Parse ``{a,b,...}``; ``{}`` is the empty set."""
+        self.expect("{")
+        members = []
+        tok = self.peek()
+        if tok is not None and tok.text != "}":
+            while True:
+                el = self.name("element name")
+                if universe is not None and el.text not in universe:
+                    raise UnknownElement(
+                        f"element {el.text!r} is not in the universe "
+                        f"(line {el.line}, column {el.column})"
+                    )
+                members.append(el.text)
+                tok = self.peek()
+                if tok is not None and tok.text == ",":
+                    self.pos += 1
+                    continue
+                break
+        self.expect("}")
+        return frozenset(members)
+
+
+def reference_parse_model(text: str) -> ModelFile:
+    """Parse model text; syntax errors carry line and column."""
+    parser = _Parser(_tokenize(text))
+    universe: Universe | None = None
+    model: ModelFile | None = None
+    names_taken: set[str] = set()
+
+    def fresh_name(tok: _Token) -> str:
+        if tok.text in names_taken:
+            raise DuplicateName(f"name {tok.text!r} already used (line {tok.line})")
+        names_taken.add(tok.text)
+        return tok.text
+
+    def need_model(tok: _Token) -> ModelFile:
+        if model is None:
+            raise ModelSyntaxError(
+                "universe must be declared first", tok.line, tok.column
+            )
+        return model
+
+    while parser.peek() is not None:
+        head = parser.next("declaration")
+        if head.text == "universe":
+            if universe is not None:
+                raise ModelSyntaxError(
+                    "universe already declared", head.line, head.column
+                )
+            names = []
+            while (tok := parser.peek()) is not None and tok.line == head.line:
+                names.append(parser.name("element name").text)
+            if not names:
+                raise ModelSyntaxError(
+                    "universe needs at least one element", head.line, head.column
+                )
+            if len(set(names)) != len(names):
+                raise ModelSyntaxError(
+                    "duplicate element in universe", head.line, head.column
+                )
+            universe = Universe(names)
+            model = ModelFile(universe)
+        elif head.text == "graph":
+            m = need_model(head)
+            name = fresh_name(parser.name("graph name"))
+            m.graphs[name] = _parse_graph_block(parser, universe)
+        elif head.text == "digraph":
+            m = need_model(head)
+            name = fresh_name(parser.name("digraph name"))
+            m.digraphs[name] = _parse_digraph_block(parser, universe)
+        elif head.text == "jointree":
+            m = need_model(head)
+            name = fresh_name(parser.name("jointree name"))
+            m.jointrees[name] = _parse_jointree_block(parser, universe)
+        elif head.text == "stmt":
+            m = need_model(head)
+            name = fresh_name(parser.name("statement name"))
+            parser.expect(":")
+            x = parser.element_set(universe)
+            parser.expect("|")
+            z = parser.element_set(universe)
+            parser.expect("|")
+            y = parser.element_set(universe)
+            m.statements[name] = Statement(x, z, y)
+        else:
+            raise ModelSyntaxError(
+                f"unknown declaration {head.text!r}", head.line, head.column
+            )
+
+    if model is None:
+        raise ModelSyntaxError("empty model: no universe declared", 1, 1)
+    return model
+
+
+def _parse_graph_block(parser: _Parser, universe: Universe) -> UGraph:
+    parser.expect("{")
+    nodes: dict[int, frozenset] = {}
+    edges = []
+    while True:
+        tok = parser.next("'node', 'edge', or '}'")
+        if tok.text == "}":
+            break
+        if tok.text == "node":
+            nid, id_tok = parser.integer("node id")
+            if nid in nodes:
+                raise ModelSyntaxError(
+                    f"duplicate node id {nid}", id_tok.line, id_tok.column
+                )
+            parser.expect("=")
+            elements = parser.element_set(universe)
+            if not elements:
+                raise ModelSyntaxError(
+                    "node element set may not be empty", id_tok.line, id_tok.column
+                )
+            nodes[nid] = elements
+        elif tok.text == "edge":
+            a, a_tok = parser.integer("node id")
+            b, b_tok = parser.integer("node id")
+            for nid, t in ((a, a_tok), (b, b_tok)):
+                if nid not in nodes:
+                    raise ModelSyntaxError(f"unknown node {nid}", t.line, t.column)
+            if a == b:
+                raise ModelSyntaxError("self-loop", a_tok.line, a_tok.column)
+            edges.append((a, b))
+        else:
+            raise ModelSyntaxError(
+                f"expected 'node' or 'edge', found {tok.text!r}",
+                tok.line,
+                tok.column,
+            )
+        parser.expect(";")
+    return UGraph(nodes, edges)
+
+
+def _parse_digraph_block(parser: _Parser, universe: Universe) -> DiGraph:
+    parser.expect("{")
+    declared: list[str] = []
+    deterministic = []
+    arcs = []
+
+    def declared_element(tok: _Token) -> str:
+        if tok.text not in universe:
+            raise UnknownElement(
+                f"element {tok.text!r} is not in the universe "
+                f"(line {tok.line}, column {tok.column})"
+            )
+        return tok.text
+
+    while True:
+        tok = parser.next("'node', 'det', 'arc', or '}'")
+        if tok.text == "}":
+            break
+        if tok.text in ("node", "det"):
+            if tok.text == "det":
+                parser.expect("node")
+            el = parser.name("element name")
+            name = declared_element(el)
+            if name in declared:
+                raise ModelSyntaxError(
+                    f"node {name!r} declared twice", el.line, el.column
+                )
+            declared.append(name)
+            if tok.text == "det":
+                deterministic.append(name)
+        elif tok.text == "arc":
+            a = parser.name("element name")
+            b = parser.name("element name")
+            for t in (a, b):
+                declared_element(t)
+                if t.text not in declared:
+                    raise ModelSyntaxError(
+                        f"arc endpoint {t.text!r} is not a declared node",
+                        t.line,
+                        t.column,
+                    )
+            arcs.append((a.text, b.text))
+        else:
+            raise ModelSyntaxError(
+                f"expected 'node', 'det', or 'arc', found {tok.text!r}",
+                tok.line,
+                tok.column,
+            )
+        parser.expect(";")
+    return DiGraph(Universe(declared), arcs, deterministic)
+
+
+def _parse_jointree_block(parser: _Parser, universe: Universe) -> JoinTree:
+    parser.expect("{")
+    clusters: dict[int, frozenset] = {}
+    links = []
+    while True:
+        tok = parser.next("'cluster', 'link', or '}'")
+        if tok.text == "}":
+            break
+        if tok.text == "cluster":
+            cid, id_tok = parser.integer("cluster id")
+            if cid in clusters:
+                raise ModelSyntaxError(
+                    f"duplicate cluster id {cid}", id_tok.line, id_tok.column
+                )
+            parser.expect("=")
+            elements = parser.element_set(universe)
+            if not elements:
+                raise ModelSyntaxError(
+                    "cluster may not be empty", id_tok.line, id_tok.column
+                )
+            clusters[cid] = elements
+        elif tok.text == "link":
+            a, a_tok = parser.integer("cluster id")
+            b, b_tok = parser.integer("cluster id")
+            for cid, t in ((a, a_tok), (b, b_tok)):
+                if cid not in clusters:
+                    raise ModelSyntaxError(
+                        f"unknown cluster {cid}", t.line, t.column
+                    )
+            if a == b:
+                raise ModelSyntaxError("self-link", a_tok.line, a_tok.column)
+            links.append((a, b))
+        else:
+            raise ModelSyntaxError(
+                f"expected 'cluster' or 'link', found {tok.text!r}",
+                tok.line,
+                tok.column,
+            )
+        parser.expect(";")
+    return JoinTree(clusters, links)
 
 
 def outcome(parse, text):
     try:
-        return "ok", parse(text)
+        model = parse(text)
     except ModelError as exc:
-        return type(exc), str(exc)
+        position = getattr(exc, "line", None), getattr(exc, "column", None)
+        return type(exc), str(exc), position
+    return "ok", model, serialize_model(model)
 
 
 def reference_outcome(text):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modelfile, "_tokenize", reference_tokenize)
-        mp.setattr(modelfile._Parser, "name", reference_name)
-        return outcome(parse_model, text)
+    return outcome(reference_parse_model, text)
+
+
+def dag_text(rng, n):
+    """A DAG model like those of ``perfbench/gen.py``, but with several
+    clauses on some lines, comments inside the block and CRLF line ends."""
+    names = [f"v{i}" for i in range(n)]
+    lines = [f"universe {' '.join(names)}", "digraph D {  # the DAG"]
+    clauses = [
+        f"{'det node' if rng.random() < 0.2 else 'node'} {e};" for e in names
+    ]
+    for j in range(1, n):
+        for i in rng.sample(range(j), min(j, rng.randint(0, 3))):
+            clauses.append(f"arc {names[i]} {names[j]};")
+    while clauses:
+        take = rng.choice((1, 1, 2, 3))
+        lines.append("  " + " ".join(clauses[:take]))
+        clauses = clauses[take:]
+        if rng.random() < 0.1:
+            lines.append("  # a comment inside the block")
+    lines.append("}")
+    lines.append("stmt S: {v0} | {v1,v2} | {v3}")
+    return "\r\n".join(lines) + "\r\n"
+
+
+def mutation_corpus():
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.mug"))]
+    texts.append("universe a b c\nstmt S: {a} | {} | {b,c}\n")
+    texts.append(dag_text(random.Random(7), 18))
+    return texts
 
 
 # Characters a mutation inserts: name and digit characters, punctuation,
@@ -193,18 +496,9 @@ def mutate(rng, text):
     return text
 
 
-def test_tokenizer_matches_reference_tokens():
-    for path in sorted(FIXTURES.glob("*.mug")):
-        text = path.read_text()
-        got = [(t.text, t.line, t.column) for t in modelfile._tokenize(text)]
-        want = [(t.text, t.line, t.column) for t in reference_tokenize(text)]
-        assert got == want
-
-
 def test_parse_errors_match_reference_on_mutated_models():
     rng = random.Random(2024)
-    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.mug"))]
-    texts.append("universe a b c\nstmt S: {a} | {} | {b,c}\n")
+    texts = mutation_corpus()
     kinds = set()
     for _ in range(3000):
         text = mutate(rng, rng.choice(texts))
@@ -231,3 +525,70 @@ def test_parse_errors_match_reference_on_mutated_models():
 )
 def test_parse_errors_match_reference_on_edge_cases(text):
     assert outcome(parse_model, text) == reference_outcome(text)
+
+
+# One text per error the clauses can raise, each placed after other clauses
+# on its line, so that a wrong token index shows in the column.
+CLAUSE_ERRORS = [
+    "graph G { node 0 = {a}; node 1 = {b}; edge 1 1; }",
+    "graph G { node 0 = {a}; node 0 = {b}; }",
+    "graph G { node 0 = {a}; node 1 = {}; }",
+    "graph G { node 0 = {a}; edge 0 2; }",
+    "graph G { node 0 = {a}; edge 0 1 }",
+    "graph G { node 0 = {a} arc 0 1; }",
+    "jointree J { cluster 0 = {a}; cluster 1 = {b}; link 1 1; }",
+    "jointree J { cluster 0 = {a}; cluster 0 = {b}; }",
+    "jointree J { cluster 0 = {a}; cluster 1 = {}; }",
+    "jointree J { cluster 0 = {a}; link 2 0; }",
+    "jointree J { cluster 0 = {a}; link a 0; }",
+    "digraph D { node a; node b; node a; }",
+    "digraph D { node a; arc a b; }",
+    "digraph D { node a; arc a q; }",
+    "digraph D { node a; arc a 1; }",
+    "digraph D { node a; det b; }",
+    "digraph D { node a; det node q; }",
+    "digraph D { node a; node b; arc a b; arc b a; }",
+    "digraph D { node a; arc a a; }",
+    "digraph D { node a; edge a a; }",
+    "digraph D { node a; node b",
+    "stmt S: {a} | {b} | {a,}",
+    "stmt S: {a} | {b} {a}",
+    "stmt S: {a} | {b} | {a}; stmt S: {b} | {} | {a}",
+    "stmt S: {a} | {b} | {a} universe a",
+    "stmt S: {a} | {b} | {a} S",
+    "stmt 1: {a} | {} | {b}",
+    "stmt S: {a} | {} | {b} graph",
+]
+
+
+@pytest.mark.parametrize("clause", CLAUSE_ERRORS)
+def test_clause_errors_match_reference(clause):
+    text = "universe a b c\n# clauses\n  " + clause + "\n"
+    got = outcome(parse_model, text)
+    assert got[0] != "ok"
+    assert got == reference_outcome(text)
+
+
+# -- fuzz: hostile text raises only model errors --------------------------------
+
+# Keywords, names, numbers and punctuation, and characters and line breaks
+# that no token may hold, among them non-ASCII letters and digits.
+FUZZ_PIECES = [
+    "universe", "graph", "digraph", "jointree", "stmt", "node", "det", "arc",
+    "edge", "cluster", "link", "a", "b", "c", "_x", "0", "1", "12", "٣",
+    "{", "}", "(", ")", ";", ":", "|", "=", ",", " ", "\t", "\n", "\r\n",
+    "\r", "\x0c", "\u2028", "#", "é", "\x00", "-", "$", "\\", "'", "😀",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["", "universe a b c\n", "universe a b c\ndigraph D {"]),
+    st.lists(st.one_of(st.sampled_from(FUZZ_PIECES), st.text(max_size=3)), max_size=40),
+)
+def test_fuzzed_text_parses_or_raises_model_error(prefix, pieces):
+    text = prefix + "".join(pieces)
+    got = outcome(parse_model, text)  # any other exception fails the test
+    if got[0] == "ok":
+        assert isinstance(got[1], ModelFile)
+    assert got == reference_outcome(text)

@@ -83,6 +83,33 @@ def test_table_validation():
         ci_holds(product_bits(), {"a"}, {"a"}, {"b"})
 
 
+def test_table_total_check_matches_fraction_sum():
+    # The exact total is checked on integer numerators; it must accept and
+    # reject the same tables as summing the fractions, with the same text.
+    rng = random.Random(5)
+    rejected = 0
+    for _ in range(300):
+        size = rng.choice((1, 2, 4, 6))
+        weights = [rng.choice((0, 1, 2, 3)) for _ in range(size)]
+        total = sum(weights) or 1
+        table = [Fraction(w, total) for w in weights]
+        if rng.random() < 0.4:
+            i = rng.randrange(size)
+            table[i] += Fraction(rng.choice((-1, 1)), rng.randint(2, 30))
+            table[i] = max(table[i], Fraction(0))
+        if rng.random() < 0.3:
+            table = [int(pr) if pr.denominator == 1 else pr for pr in table]
+        want = sum(table)
+        try:
+            DiscreteJoint(("v",), (size,), tuple(table))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == (None if want == 1 else f"probabilities sum to {want}, not 1")
+        rejected += got is not None
+    assert 50 < rejected < 250
+
+
 def test_all_ci_factorized_joint_holds_everything():
     p = DiscreteJoint(("a", "b", "c"), (2, 2, 2), (Fraction(1, 8),) * 8)
     universe = Universe(("a", "b", "c"))
