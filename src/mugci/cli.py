@@ -29,7 +29,6 @@ from .model import (
     Statement,
     canonicalize,
     format_set,
-    statement_key,
 )
 from .modelfile import (
     ModelFile,
@@ -132,11 +131,20 @@ def _print_script(script: MoveScript, out) -> None:
     print(f"script-verified: {str(verify_script(script)).lower()}", file=out)
 
 
+def _verified(chain: tuple[AxiomStep, ...]) -> tuple[AxiomStep, ...]:
+    """The chain, once it re-verifies from its own given steps."""
+    givens = {st.conclusion for st in chain if st.rule == "given"}
+    if not verify_chain(chain, givens):
+        raise AssertionError(
+            f"emitted chain for {chain[-1].conclusion} failed verification"
+        )
+    return chain
+
+
 def _cmd_closure(args, out) -> int:
     model = _load_model(args.file)
-    init = _closure_init(model)
-    result = closure(init, model.universe)
-    ordered = sorted(result.statements, key=statement_key)
+    result = closure(_closure_init(model), model.universe)
+    ordered = list(result)
     if args.json:
         payload = {
             "universe": list(model.universe),
@@ -157,7 +165,7 @@ def _cmd_closure(args, out) -> int:
                         "premises": [p + 1 for p in step.premises],
                         "conclusion": str(step.conclusion),
                     }
-                    for step in result.chain(s)
+                    for step in _verified(result.chain(s))
                 ]
             payload["statements"].append(record)
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
@@ -167,11 +175,7 @@ def _cmd_closure(args, out) -> int:
     for s in ordered:
         print(str(s), file=out)
         if args.emit_chains:
-            chain = result.chain(s)
-            givens = {st.conclusion for st in chain if st.rule == "given"}
-            if not verify_chain(chain, givens):
-                raise AssertionError(f"emitted chain for {s} failed verification")
-            for line in _format_chain(chain):
+            for line in _format_chain(_verified(result.chain(s))):
                 print(line, file=out)
     return 0
 
@@ -203,12 +207,10 @@ def _cmd_query(args, out) -> int:
         print("result: not-derivable", file=out)
         return 1
     if args.mode == "axioms":
-        givens = {st.conclusion for st in chain if st.rule == "given"}
-        if not verify_chain(chain, givens):
-            raise AssertionError("emitted chain failed verification")
+        lines = _format_chain(_verified(chain))
         print("result: proven", file=out)
         print("chain:", file=out)
-        for line in _format_chain(chain):
+        for line in lines:
             print(line, file=out)
         print("chain-verified: true", file=out)
         return 0

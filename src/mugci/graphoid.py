@@ -11,16 +11,18 @@ so each statement meets only the statements it can contract with, not every
 known one.  Each derived statement remembers one derivation, replayable as
 a chain.
 
-The rules run on statements packed into ints by ``model.Encoding``: the
-closure packs over its universe, and the single-step checks pack over the
-sorted union of the elements their statements use.
+Statements are packed into ints by ``model.Encoding`` on the way in and
+stay packed inside: the closure runs and keeps its derivation over the
+universe's encoding, and a chain check packs over the sorted union of the
+elements its steps use.  Statement objects appear only at the boundary,
+when a caller asks ``Closure`` for its statements or a chain.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import (
     ENUMERATION_GUARD,
@@ -28,7 +30,6 @@ from .model import (
     CanonicalStatement,
     Encoding,
     Statement,
-    TriviallyTrue,
     Universe,
     canonicalize,
     check_size,
@@ -120,18 +121,20 @@ def contraction_parts(
 class Closure:
     """Least fixpoint of an initial statement set under the axioms.
 
-    ``stats`` holds the deterministic work counters of the run that built
-    it: ``admitted_<rule>`` for each rule that added statements,
-    ``pairs_tried`` and ``pairs_productive`` for contraction applications
-    (productive ones admitted at least one new statement), and
+    ``parents`` maps each statement, packed by the universe's encoding, to
+    its ``(rule, packed premises)``; statement objects are made only when a
+    caller asks for them.  ``stats`` holds the deterministic work counters
+    of the run that built it: ``admitted_<rule>`` for each rule that added
+    statements, ``pairs_tried`` and ``pairs_productive`` for contraction
+    applications (productive ones admitted at least one new statement), and
     ``peak_queue`` for the longest the worklist grew.
     """
 
     __slots__ = ("_universe", "_statements", "_parents", "_stats")
 
-    def __init__(self, universe, parents, stats):
+    def __init__(self, universe: Universe, parents: dict, stats: dict):
         self._universe = universe
-        self._statements = frozenset(parents)
+        self._statements: frozenset | None = None
         self._parents = parents
         self._stats = stats
 
@@ -141,51 +144,67 @@ class Closure:
 
     @property
     def statements(self) -> frozenset:
+        """Every closure statement, decoded on first use."""
+        if self._statements is None:
+            self._statements = frozenset(self)
         return self._statements
 
     @property
     def stats(self) -> dict[str, int]:
         return dict(self._stats)
 
+    def _packed(self, s: object) -> int | None:
+        """s packed, or None unless it is a canonical closure statement."""
+        if not isinstance(s, CanonicalStatement):
+            return None
+        try:
+            p = self._universe.encoding.encode(s)
+        except KeyError:
+            return None
+        return p if p in self._parents else None
+
     def __contains__(self, s: object) -> bool:
-        return s in self._statements
+        return self._packed(s) is not None
 
     def __len__(self) -> int:
-        return len(self._statements)
+        return len(self._parents)
+
+    def __iter__(self) -> Iterator[CanonicalStatement]:
+        """The statements in ``statement_key`` order, each decoded as it comes."""
+        enc = self._universe.encoding
+        return map(enc.decode, sorted(self._parents, key=enc.key))
 
     def chain(self, s: CanonicalStatement) -> tuple[AxiomStep, ...]:
         """A verifiable derivation chain ending at s."""
-        if s not in self._statements:
+        p = self._packed(s)
+        if p is None:
             raise KeyError(f"{s} is not in the closure")
+        decode = self._universe.encoding.decode
         steps: list[AxiomStep] = []
-        position: dict[CanonicalStatement, int] = {}
+        position: dict[int, int] = {}
 
-        def emit(t: CanonicalStatement) -> int:
+        def emit(t: int) -> int:
             if t in position:
                 return position[t]
             rule, premises = self._parents[t]
-            indices = tuple(emit(p) for p in premises)
+            indices = tuple(emit(q) for q in premises)
             position[t] = len(steps)
-            steps.append(AxiomStep(rule, indices, t))
+            steps.append(AxiomStep(rule, indices, decode(t)))
             return position[t]
 
-        emit(s)
+        emit(p)
         return tuple(steps)
 
     def query(
         self, s: Statement | CanonicalStatement
     ) -> tuple[AxiomStep, ...] | None:
         """Chain proving s, () if trivially true, or None if not derivable."""
-        if isinstance(s, CanonicalStatement):
-            c: CanonicalStatement | TriviallyTrue = s
-        else:
+        if not isinstance(s, CanonicalStatement):
             self._universe.require(s.x | s.z | s.y)
-            c = canonicalize(s)
-        if c is TRIVIALLY_TRUE:
-            return ()
-        if c not in self._statements:
-            return None
-        return self.chain(c)
+            s = canonicalize(s)
+            if s is TRIVIALLY_TRUE:
+                return ()
+        return self.chain(s) if s in self else None
 
 
 def closure(
@@ -196,26 +215,24 @@ def closure(
     """Saturate the initial statements under the axioms.
 
     The worklist starts from the initial statements in lexicographic order
-    and runs FIFO, so the discovered chains are deterministic.  The work
-    runs on statements packed by the universe's encoding; statement
-    objects are made once per closure statement, at the end.
+    and runs FIFO, so the discovered chains are deterministic.  The initial
+    statements are packed by the universe's encoding and the run makes no
+    statement object; ``Closure`` decodes on demand.
     """
     check_size(universe, max_elements)
     enc = universe.encoding
-    objects: dict[int, CanonicalStatement] = {}
+    seeds: set[int] = set()
     for s in init:
         if not isinstance(s, CanonicalStatement):
             universe.require(s.x | s.z | s.y)
-            c = canonicalize(s)
-            if c is TRIVIALLY_TRUE:
+            s = canonicalize(s)
+            if s is TRIVIALLY_TRUE:
                 continue
-            s = c
         try:
-            p = enc.encode(s)
+            seeds.add(enc.encode(s))
         except KeyError:
             universe.require(s.elements)
             raise
-        objects.setdefault(p, s)
 
     unpack, key = enc.unpack, enc.key
     parents: dict[int, tuple[str, tuple[int, ...]]] = {}
@@ -242,7 +259,7 @@ def closure(
         admitted[rule] += 1
         peak_queue = max(peak_queue, len(queue))
 
-    for p in sorted(objects, key=key):
+    for p in sorted(seeds, key=key):
         admit(p, "given", ())
 
     pairs_tried = pairs_productive = 0
@@ -269,54 +286,44 @@ def closure(
                 admit(c, "contraction", premises)
                 pairs_productive += 1
 
-    for p in parents:
-        if p not in objects:
-            objects[p] = enc.decode(p)
-    named = {
-        objects[p]: (rule, tuple(objects[q] for q in premises))
-        for p, (rule, premises) in parents.items()
-    }
     stats = {f"admitted_{rule}": count for rule, count in admitted.items()}
     stats.update(
         pairs_tried=pairs_tried, pairs_productive=pairs_productive, peak_queue=peak_queue
     )
-    return Closure(universe, named, stats)
+    return Closure(universe, parents, stats)
 
 
 def first_invalid_step(
     chain: Iterable[AxiomStep], init: Iterable[CanonicalStatement]
 ) -> int | None:
-    """Index of the first step that does not follow, or None when all do."""
+    """Index of the first step that does not follow, or None when all do.
+
+    Every conclusion is packed once, over the sorted union of the elements
+    the chain uses, and the rules run on the packed statements.
+    """
     given = set(init)
     steps = list(chain)
+    enc = _encoding_of(*(step.conclusion for step in steps))
+    packed = [enc.encode(step.conclusion) for step in steps]
     for i, step in enumerate(steps):
-        if any(not 0 <= p < i for p in step.premises):
+        premises = [packed[q] for q in step.premises if 0 <= q < i]
+        if len(premises) != len(step.premises):
             return i
         if step.rule == "given":
-            if step.premises or step.conclusion not in given:
+            if premises or step.conclusion not in given:
                 return i
         elif step.rule == "symmetry":
             # Canonical form absorbs symmetry: premise and conclusion coincide.
-            if len(step.premises) != 1:
-                return i
-            if steps[step.premises[0]].conclusion != step.conclusion:
+            if premises != [packed[i]]:
                 return i
         elif step.rule in ("decomposition", "weak_union"):
-            if len(step.premises) != 1:
+            if len(premises) != 1:
                 return i
-            premise = steps[step.premises[0]].conclusion
-            enc = _encoding_of(premise, step.conclusion)
-            wanted = (step.rule, enc.encode(step.conclusion))
-            if wanted not in _unary(enc, enc.encode(premise)):
+            if (step.rule, packed[i]) not in _unary(enc, premises[0]):
                 return i
         elif step.rule == "contraction":
-            if len(step.premises) != 2:
-                return i
-            s1 = steps[step.premises[0]].conclusion
-            s2 = steps[step.premises[1]].conclusion
-            enc = _encoding_of(s1, s2, step.conclusion)
-            parts = _contraction(enc, enc.encode(s1), enc.encode(s2))
-            if parts is None or _contracted(enc, *parts) != enc.encode(step.conclusion):
+            parts = _contraction(enc, *premises) if len(premises) == 2 else None
+            if parts is None or _contracted(enc, *parts) != packed[i]:
                 return i
         else:
             return i

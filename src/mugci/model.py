@@ -7,6 +7,11 @@ z-elements are removed from both sides (overlap absorption), the two sides
 are ordered lexicographically (symmetry absorption), and statements with an
 empty side are represented by the ``TRIVIALLY_TRUE`` marker instead of a
 statement object.
+
+Statement objects are the boundary form.  Inside, the engines work on
+``Encoding``: element sets as int bitmasks and canonical statements packed
+into single ints, encoded when a statement comes in and decoded only when a
+caller asks for an object.
 """
 
 from __future__ import annotations
@@ -88,8 +93,8 @@ def format_set(elements: Iterable[str]) -> str:
 
 
 @dataclass(frozen=True)
-class Statement:
-    """Raw independence triple I(x, z, y); sides may overlap with z."""
+class _Triple:
+    """The body both statement forms share: three frozen element sets."""
 
     x: frozenset
     z: frozenset
@@ -105,17 +110,16 @@ class Statement:
 
 
 @dataclass(frozen=True)
-class CanonicalStatement:
+class Statement(_Triple):
+    """Raw independence triple I(x, z, y); sides may overlap with z."""
+
+
+@dataclass(frozen=True)
+class CanonicalStatement(_Triple):
     """Normalized statement: sides disjoint from z and each other, x <= y."""
 
-    x: frozenset
-    z: frozenset
-    y: frozenset
-
     def __post_init__(self):
-        object.__setattr__(self, "x", frozenset(self.x))
-        object.__setattr__(self, "z", frozenset(self.z))
-        object.__setattr__(self, "y", frozenset(self.y))
+        super().__post_init__()
         if not self.x or not self.y:
             raise ValueError("canonical statements have non-empty sides")
         if self.x & self.z or self.y & self.z or self.x & self.y:
@@ -128,23 +132,16 @@ class CanonicalStatement:
     def elements(self) -> frozenset:
         return self.x | self.z | self.y
 
-    def __str__(self) -> str:
-        return f"{format_set(self.x)} | {format_set(self.z)} | {format_set(self.y)}"
-
 
 def statement_key(s: CanonicalStatement) -> tuple:
     return (set_key(s.x), set_key(s.z), set_key(s.y))
 
 
 class TriviallyTrue:
-    """Marker for statements that hold by convention (an empty side)."""
+    """Marker for statements that hold by convention (an empty side).
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    ``TRIVIALLY_TRUE`` is its one instance; compare with ``is``.
+    """
 
     def __repr__(self) -> str:
         return "TriviallyTrue"

@@ -55,10 +55,6 @@ class Mug:
     def graphs(self) -> tuple[UGraph, ...]:
         return self._graphs
 
-    def state_key(self) -> tuple:
-        """Order-insensitive identity of the graph multiset (for search dedup)."""
-        return tuple(sorted(self._index))
-
     def witness(self, s: CanonicalStatement) -> int | None:
         """Index of the first graph satisfying s, or None.
 
@@ -119,20 +115,6 @@ class Mug:
         if self.witness(s) is None:
             raise StatementNotSatisfied(f"model does not satisfy {s}")
         return self.with_graph(combination_graph(base, s))
-
-    def with_arcs_added(self, gi: int, arcs: Iterable) -> tuple["Mug", int]:
-        return self.with_graph(self._graph_at(gi).add_arcs(arcs))
-
-    def with_node_deleted(self, gi: int, n: int) -> tuple["Mug", int]:
-        return self.with_graph(self._graph_at(gi).delete_node(n))
-
-    def with_nodes_merged(self, gi: int, n1: int, n2: int) -> tuple["Mug", int]:
-        return self.with_graph(self._graph_at(gi).merge_nodes(n1, n2))
-
-    def with_node_split(
-        self, gi: int, n: int, part1: Iterable[str], part2: Iterable[str]
-    ) -> tuple["Mug", int]:
-        return self.with_graph(self._graph_at(gi).split_node(n, part1, part2))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mug):
@@ -263,14 +245,16 @@ Move = Union[Delete, AddArcs, Merge, Split, Combine]
 
 def append_transformed(m: Mug, move: Move) -> tuple[Mug, int]:
     """Apply a transformation descriptor; returns (new mug, result graph index)."""
-    if isinstance(move, Delete):
-        return m.with_node_deleted(move.graph, move.node)
-    if isinstance(move, AddArcs):
-        return m.with_arcs_added(move.graph, move.arcs)
-    if isinstance(move, Merge):
-        return m.with_nodes_merged(move.graph, move.node1, move.node2)
-    if isinstance(move, Split):
-        return m.with_node_split(move.graph, move.node, move.part1, move.part2)
     if isinstance(move, Combine):
         return m.combined(move.statement, move.graph)
-    raise TypeError(f"not a transformation descriptor: {move!r}")
+    if isinstance(move, Delete):
+        g = m._graph_at(move.graph).delete_node(move.node)
+    elif isinstance(move, AddArcs):
+        g = m._graph_at(move.graph).add_arcs(move.arcs)
+    elif isinstance(move, Merge):
+        g = m._graph_at(move.graph).merge_nodes(move.node1, move.node2)
+    elif isinstance(move, Split):
+        g = m._graph_at(move.graph).split_node(move.node, move.part1, move.part2)
+    else:
+        raise TypeError(f"not a transformation descriptor: {move!r}")
+    return m.with_graph(g)

@@ -11,7 +11,7 @@ configurations; float tables fall back to a tolerance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -33,6 +33,12 @@ class DiscreteJoint:
     variables: tuple[str, ...]
     cardinalities: tuple[int, ...]
     probabilities: tuple
+    # Exact tables only: the probabilities as integer numerators over the
+    # LCM of their denominators.  Cross-multiplication is homogeneous, so
+    # ci_holds gets the same answers from these as from the fractions.
+    _numerators: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.variables) != len(self.cardinalities):
@@ -48,11 +54,13 @@ class DiscreteJoint:
             raise ValueError("probabilities must be nonnegative")
         probabilities = self.probabilities
         if self.exact:
-            # Integer numerators over the common denominator, as in ci_holds.
             scale = lcm(*(p.denominator for p in probabilities))
-            numerators = (p.numerator * (scale // p.denominator) for p in probabilities)
+            numerators = tuple(
+                p.numerator * (scale // p.denominator) for p in probabilities
+            )
             if sum(numerators) != scale:
                 raise ValueError(f"probabilities sum to {sum(probabilities)}, not 1")
+            object.__setattr__(self, "_numerators", numerators)
         elif abs(sum(probabilities) - 1) > MASS_FLOAT_TOLERANCE:
             raise ValueError(f"probabilities sum to {sum(probabilities)}, not 1")
 
@@ -97,15 +105,8 @@ def ci_holds(
     if len(set(xs) | set(zs) | set(ys)) != len(xs) + len(zs) + len(ys):
         raise ValueError("ci_holds takes pairwise disjoint variable sets")
 
-    exact = p.exact
-    probabilities = p.probabilities
-    if exact:
-        # Cross-multiplication is homogeneous, so integer numerators over
-        # one common denominator give the same answers as the fractions.
-        scale = lcm(*(pr.denominator for pr in probabilities))
-        probabilities = [
-            pr.numerator * (scale // pr.denominator) for pr in probabilities
-        ]
+    exact = p._numerators is not None
+    probabilities = p._numerators if exact else p.probabilities
 
     pz: dict = {}
     pzy: dict = {}

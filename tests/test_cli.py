@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from mugci import ENUMERATION_GUARD
+from mugci import ENUMERATION_GUARD, AxiomStep, Closure
 from mugci.cli import _build_parser, main
 
 FIXTURES = "tests/fixtures"
@@ -48,6 +48,43 @@ def test_closure_json_mode():
     payload = json.loads(text)
     assert payload["count"] == 9
     assert payload["universe"] == ["w", "x", "y", "z"]
+
+
+def test_closure_json_emit_chains_carries_verified_chains():
+    import json
+
+    code, text = run("closure", f"{FIXTURES}/mixing.mug", "--json", "--emit-chains")
+    assert code == 0
+    records = json.loads(text)["statements"]
+    assert len(records) == 9
+    for record in records:
+        chain = record["chain"]
+        assert chain[-1]["conclusion"] == record["statement"]
+        for i, step in enumerate(chain, 1):
+            assert all(1 <= p < i for p in step["premises"])
+            assert (step["rule"] == "given") == (step["premises"] == [])
+    wu = next(r for r in records if r["statement"] == "{w} | {x,z} | {y}")
+    assert wu["chain"] == [
+        {"rule": "given", "premises": [], "conclusion": "{w} | {z} | {x,y}"},
+        {"rule": "weak_union", "premises": [1], "conclusion": "{w} | {x,z} | {y}"},
+    ]
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_closure_refuses_a_chain_that_does_not_verify(monkeypatch, extra):
+    real_chain = Closure.chain
+
+    def corrupt_chain(self, s):
+        # Replace the last step by a contraction without premises.
+        steps = real_chain(self, s)
+        return steps[:-1] + (AxiomStep("contraction", (), s),)
+
+    monkeypatch.setattr(Closure, "chain", corrupt_chain)
+    out = io.StringIO()
+    with pytest.raises(AssertionError, match="failed verification"):
+        main(["closure", f"{FIXTURES}/mixing.mug", "--emit-chains", *extra], out=out)
+    # Nothing of the refused chain is printed.
+    assert "[1]" not in out.getvalue() and '"chain"' not in out.getvalue()
 
 
 def test_closure_includes_graph_satisfied_statements():

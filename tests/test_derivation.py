@@ -296,7 +296,7 @@ def reference_search(
         raise ValueError("search bounds must be positive")
     if m0.witness(target) is not None:
         return MoveScript(m0, (), target)
-    visited = {m0.state_key()}
+    visited = {tuple(sorted(g.key() for g in m0.graphs))}
     queue: deque[tuple[Mug, tuple[Move, ...]]] = deque([(m0, ())])
     explored = 0
     depth_reached = 0
@@ -312,7 +312,7 @@ def reference_search(
                 continue
             if len(m2.graphs) > max_graphs:
                 continue
-            key = m2.state_key()
+            key = tuple(sorted(g.key() for g in m2.graphs))
             if key in visited:
                 continue
             visited.add(key)

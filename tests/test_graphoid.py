@@ -22,6 +22,7 @@ from mugci import (
 )
 from mugci.errors import InvalidOverlap, UniverseTooLarge, UnknownElement
 from mugci.graphoid import first_invalid_step
+from mugci.model import Encoding
 
 U4 = Universe(["w", "x", "y", "z"])
 
@@ -179,6 +180,48 @@ def test_forward_premise_reference_rejected():
     assert first_invalid_step(chain, [cs("x", "z", "yw")]) == 0
 
 
+def test_closure_decodes_only_the_statements_a_chain_returns(monkeypatch):
+    # Mutual independence of 7 elements: 6 premises, 6069 closure statements.
+    names = [f"e{i}" for i in range(7)]
+    u = Universe(names)
+    init = [cs([a], [], names[i + 1:]) for i, a in enumerate(names[:-1])]
+    decoded = []
+    real_decode = Encoding.decode
+
+    def counting_decode(self, p):
+        decoded.append(p)
+        return real_decode(self, p)
+
+    monkeypatch.setattr(Encoding, "decode", counting_decode)
+    cl = closure(init, u)
+    target = cs(names[:2], names[2:4], names[4:])
+    assert decoded == [] and len(cl) == 6069 and target in cl
+    chain = cl.chain(target)
+    assert [st.rule for st in chain] == [
+        "given", "weak_union", "given", "weak_union", "contraction"
+    ]
+    assert decoded == [u.encoding.encode(st.conclusion) for st in chain]
+    assert verify_chain(chain, init)
+
+
+def test_iteration_is_in_statement_order():
+    cl = closure([cs("xy", "z", "w"), cs("x", "z", "y")], U4)
+    assert list(cl) == sorted(cl.statements, key=statement_key)
+    assert len(list(cl)) == len(cl) == 9
+
+
+def test_membership_is_false_for_foreign_and_raw_statements():
+    cl = closure([cs("x", "z", "y")], U4)
+    assert cs("x", "z", "y") in cl
+    assert cs("x", "", "y") not in cl
+    assert cs("q", "z", "y") not in cl
+    assert Statement(frozenset("x"), frozenset("z"), frozenset("y")) not in cl
+    assert "x" not in cl
+    with pytest.raises(KeyError):
+        cl.chain(cs("q", "z", "y"))
+    assert cl.query(cs("q", "z", "y")) is None
+
+
 # -- algebraic properties -----------------------------------------------------
 
 
@@ -269,7 +312,13 @@ def all_pairs_closure(init, universe):
                 admit(c, "contraction", (s, t))
             for c in _contraction_consequences(t, s):
                 admit(c, "contraction", (t, s))
-    return Closure(universe, parents, {})
+    # Closure keeps its derivation packed: encode at the boundary only.
+    encode = universe.encoding.encode
+    packed = {
+        encode(c): (rule, tuple(map(encode, premises)))
+        for c, (rule, premises) in parents.items()
+    }
+    return Closure(universe, packed, {})
 
 
 def chain_text(cl, s):
