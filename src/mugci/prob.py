@@ -5,7 +5,9 @@ I(x, z, y) holds in a joint distribution iff conditioning on y never changes
 the distribution of x once z is given, for every configuration of positive
 probability.  Tables of ``fractions.Fraction`` give exact answers, which
 matters because the interesting counterexamples live on zero-probability
-configurations; float tables fall back to a tolerance.
+configurations; float tables fall back to a tolerance.  Inside, exact tables
+are integer numerators over one denominator, addressed by integer
+configuration indices; ``Fraction`` appears only at the boundary.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
+from operator import mul
 from typing import Iterable
 
 from .dsep import DiGraph
@@ -23,7 +26,7 @@ from .model import CanonicalStatement, Universe, enumerate_canonical
 
 CI_FLOAT_TOLERANCE = 1e-9
 MASS_FLOAT_TOLERANCE = 1e-12
-ALL_CI_GUARD = 6
+ALL_CI_GUARD = 7
 
 
 @dataclass(frozen=True)
@@ -45,22 +48,22 @@ class DiscreteJoint:
             raise ValueError("one cardinality per variable")
         if any(c <= 0 for c in self.cardinalities):
             raise ValueError("cardinalities must be positive")
-        size = 1
-        for c in self.cardinalities:
-            size *= c
+        size = prod(self.cardinalities)
         if len(self.probabilities) != size:
             raise ValueError(f"table needs {size} entries")
-        if any(p < 0 for p in self.probabilities):
-            raise ValueError("probabilities must be nonnegative")
         probabilities = self.probabilities
         if self.exact:
             scale = lcm(*(p.denominator for p in probabilities))
             numerators = tuple(
                 p.numerator * (scale // p.denominator) for p in probabilities
             )
+            if any(n < 0 for n in numerators):
+                raise ValueError("probabilities must be nonnegative")
             if sum(numerators) != scale:
                 raise ValueError(f"probabilities sum to {sum(probabilities)}, not 1")
             object.__setattr__(self, "_numerators", numerators)
+        elif any(p < 0 for p in probabilities):
+            raise ValueError("probabilities must be nonnegative")
         elif abs(sum(probabilities) - 1) > MASS_FLOAT_TOLERANCE:
             raise ValueError(f"probabilities sum to {sum(probabilities)}, not 1")
 
@@ -107,40 +110,50 @@ def ci_holds(
 
     exact = p._numerators is not None
     probabilities = p._numerators if exact else p.probabilities
+    cards = p.cardinalities
 
-    pz: dict = {}
-    pzy: dict = {}
-    pxz: dict = {}
-    pxzy: dict = {}
-    configurations = product(*(range(c) for c in p.cardinalities))
-    for cfg, pr in zip(configurations, probabilities):
-        if pr == 0:
-            continue
-        xc = tuple(cfg[i] for i in xs)
-        zc = tuple(cfg[i] for i in zs)
-        yc = tuple(cfg[i] for i in ys)
-        pz[zc] = pz.get(zc, 0) + pr
-        pzy[(zc, yc)] = pzy.get((zc, yc), 0) + pr
-        pxz[(xc, zc)] = pxz.get((xc, zc), 0) + pr
-        pxzy[(xc, zc, yc)] = pxzy.get((xc, zc, yc), 0) + pr
+    # Key every configuration by its mixed-radix index over x, z, y (x most
+    # significant), built variable by variable in table order.
+    place = {}
+    size = 1
+    for i in reversed(xs + zs + ys):
+        place[i] = size
+        size *= cards[i]
+    keys = [0]
+    for i, c in enumerate(cards):
+        if i in place:
+            digits = [d * place[i] for d in range(c)]
+            keys = [k + d for k in keys for d in digits]
+        else:
+            keys = [k for k in keys for _ in range(c)]
 
-    x_configs = list(product(*(range(p.cardinalities[i]) for i in xs)))
-    for zc in product(*(range(p.cardinalities[i]) for i in zs)):
-        mass_z = pz.get(zc, 0)
-        if mass_z == 0:
+    pxzy = [0] * size
+    for k, pr in zip(keys, probabilities):
+        pxzy[k] += pr
+    y_size = prod(cards[i] for i in ys)
+    zy_size = y_size * prod(cards[i] for i in zs)
+    pxz = [0] * (size // y_size)
+    pzy = [0] * zy_size
+    for k, pr in enumerate(pxzy):
+        if pr:
+            pxz[k // y_size] += pr
+            pzy[k % zy_size] += pr
+    pz = [0] * (zy_size // y_size)
+    for zy, pr in enumerate(pzy):
+        pz[zy // y_size] += pr
+
+    for k, joint in enumerate(pxzy):
+        zy = k % zy_size
+        mass_zy = pzy[zy]
+        if not mass_zy:
             continue
-        for yc in product(*(range(p.cardinalities[i]) for i in ys)):
-            mass_zy = pzy.get((zc, yc), 0)
-            if mass_zy == 0:
-                continue
-            for xc in x_configs:
-                joint = pxzy.get((xc, zc, yc), 0)
-                marginal = pxz.get((xc, zc), 0)
-                if exact:
-                    if joint * mass_z != marginal * mass_zy:
-                        return False
-                elif abs(joint / mass_zy - marginal / mass_z) > tol:
-                    return False
+        mass_z = pz[zy // y_size]
+        marginal = pxz[k // y_size]
+        if exact:
+            if joint * mass_z != marginal * mass_zy:
+                return False
+        elif abs(joint / mass_zy - marginal / mass_z) > tol:
+            return False
     return True
 
 
@@ -172,32 +185,42 @@ def sample_dag_joint(d: DiGraph, seed: int) -> DiscreteJoint:
     """
     rng = random.Random(seed)
     variables = tuple(d.universe)
-    position = {v: i for i, v in enumerate(variables)}
+    n = len(variables)
+    size = 1 << n
+    # Row-major: the first variable is the most significant bit of a
+    # configuration's index.
+    bit = {v: 1 << (n - 1 - i) for i, v in enumerate(variables)}
+    indices = range(size)
     # Each factor is weight/10 (weight/1 for a deterministic element): keep
-    # the integer weights of value 0 and value 1 and divide once at the end.
-    factors = []
+    # integer weights, one factor at a time, and divide once at the end.
+    weights = [1] * size
     scale = 1
     for v in variables:
-        parents = tuple(sorted(d.parents(v)))
+        # Parent configurations in product((0, 1), ...) order over the sorted
+        # parents, as index bits; each draws its row of v's factor.
+        rows = [0]
+        for q in sorted(d.parents(v)):
+            rows = [r | b for r in rows for b in (0, bit[q])]
         deterministic = v in d.deterministic
-        rows = {}
-        for cfg in product((0, 1), repeat=len(parents)):
+        lookup = {}
+        for row in rows:
             if deterministic:
                 one = rng.randrange(2)
-                rows[cfg] = (1 - one, one)
+                lookup[row] = 1 - one
             else:
                 one = rng.randint(1, 9)
-                rows[cfg] = (10 - one, one)
+                lookup[row] = 10 - one
+            lookup[row | bit[v]] = one
         if not deterministic:
             scale *= 10
-        factors.append((tuple(position[q] for q in parents), rows))
-    probabilities = []
-    for cfg in product((0, 1), repeat=len(variables)):
-        weight = 1
-        for value, (parents, rows) in zip(cfg, factors):
-            weight *= rows[tuple(cfg[i] for i in parents)][value]
-        probabilities.append(Fraction(weight, scale))
-    return DiscreteJoint(variables, (2,) * len(variables), tuple(probabilities))
+        mask = bit[v] | rows[-1]  # the last row has every parent bit set
+        weights = list(
+            map(mul, weights, map(lookup.__getitem__, map(mask.__and__, indices)))
+        )
+    # Weights repeat across the table: build each distinct Fraction once.
+    fractions = {w: Fraction(w, scale) for w in set(weights)}
+    probabilities = tuple(map(fractions.__getitem__, weights))
+    return DiscreteJoint(variables, (2,) * n, probabilities)
 
 
 def as_floats(p: DiscreteJoint) -> DiscreteJoint:

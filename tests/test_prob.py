@@ -77,6 +77,15 @@ def test_table_validation():
         DiscreteJoint(("a",), (2,), (HALF, QUARTER))
     with pytest.raises(ValueError):
         DiscreteJoint(("a",), (0,), ())
+    with pytest.raises(ValueError, match="probabilities must be nonnegative"):
+        DiscreteJoint(("a",), (2,), (Fraction(3, 2), -HALF))
+    with pytest.raises(ValueError, match="probabilities must be nonnegative"):
+        DiscreteJoint(("a",), (2,), (1.5, -0.5))
+    # A negative entry is reported before a wrong total, exact or float.
+    with pytest.raises(ValueError, match="probabilities must be nonnegative"):
+        DiscreteJoint(("a",), (2,), (-HALF, QUARTER))
+    with pytest.raises(ValueError, match="probabilities must be nonnegative"):
+        DiscreteJoint(("a",), (2,), (-0.5, 0.25))
     with pytest.raises(UnknownVariable):
         ci_holds(product_bits(), {"q"}, set(), {"b"})
     with pytest.raises(ValueError):
@@ -140,7 +149,7 @@ def test_all_ci_copy_chain():
 
 def test_all_ci_guard():
     p = DiscreteJoint(
-        tuple(f"v{i}" for i in range(7)), (2,) * 7, (Fraction(1, 128),) * 128
+        tuple(f"v{i}" for i in range(8)), (2,) * 8, (Fraction(1, 256),) * 256
     )
     with pytest.raises(UniverseTooLarge):
         all_ci(p)
@@ -314,30 +323,42 @@ def reference_ci_holds(p, x, z, y):
     return True
 
 
-def random_dag(rng, n):
+def random_dag(rng, n, shuffled=False, det_share=0.3):
+    """Arcs only from earlier to later in a topological order, which is the
+    universe order unless ``shuffled``: then arcs also run from later names
+    to earlier ones."""
     names = [f"v{i}" for i in range(n)]
+    order = list(names)
+    if shuffled:
+        rng.shuffle(order)
     arcs = [
-        (names[i], names[j])
+        (order[i], order[j])
         for j in range(n)
         for i in range(j)
         if rng.random() < 0.4
     ]
-    det = {v for v in names if rng.random() < 0.3}
+    det = {v for v in names if rng.random() < det_share}
     return DiGraph(Universe(names), arcs, det)
 
 
 def test_sample_dag_joint_matches_fraction_reference():
     rng = random.Random(5)
     saw_deterministic = False
+    saw_backward_arc = False
     for seed in range(100):
-        d = random_dag(rng, rng.randint(1, 8))
+        if seed % 2:
+            d = random_dag(rng, rng.randint(1, 10), shuffled=True)
+        else:
+            d = random_dag(rng, rng.randint(1, 8))
         saw_deterministic |= bool(d.deterministic)
+        saw_backward_arc |= any(a > b for a, b in d.arcs)
         got = sample_dag_joint(d, seed)
         want = reference_sample_dag_joint(d, seed)
         assert got.variables == want.variables
         assert got.probabilities == want.probabilities
         assert all(type(pr) is Fraction for pr in got.probabilities)
     assert saw_deterministic
+    assert saw_backward_arc
 
 
 def random_exact_joint(rng):
@@ -385,9 +406,31 @@ def test_ci_holds_matches_fraction_reference():
     for p in joints:
         denominators = {Fraction(pr).denominator for pr in p.probabilities}
         mixed += len(denominators) > 1 and 0 in p.probabilities
+        q = as_floats(p)
         for s in enumerate_canonical(Universe(p.variables)):
             got = ci_holds(p, s.x, s.z, s.y)
             assert got == reference_ci_holds(p, s.x, s.z, s.y)
+            assert ci_holds(q, s.x, s.z, s.y) == got
             answers.add(got)
     assert answers == {True, False}
     assert mixed > 50  # zeros beside entries over several denominators
+
+
+def test_d_connected_statements_are_dependent_on_some_seed():
+    # Completeness of d-separation (Meek 1995): with no deterministic
+    # element, a statement the graph does not d-separate fails in almost
+    # every joint that factorizes along it.  One sampled joint can still
+    # hold it by coincidence, so each must fail on one of three seeds.
+    rng = random.Random(23)
+    statements = {n: list(enumerate_canonical(Universe(f"v{i}" for i in range(n))))
+                  for n in (3, 4, 5)}
+    connected = 0
+    for index in range(100):
+        d = random_dag(rng, rng.choice((3, 4, 5, 5)), shuffled=True, det_share=0)
+        joints = [sample_dag_joint(d, 3 * index + k) for k in range(3)]
+        for s in statements[len(d.universe)]:
+            if d.d_separated(s.x, s.z, s.y):
+                continue
+            connected += 1
+            assert not all(ci_holds(p, s.x, s.z, s.y) for p in joints), s
+    assert connected > 10000
