@@ -33,6 +33,7 @@ from .mug import (
     append_transformed,
     combination_graph,
     neighbour_masks,
+    reach,
 )
 from .ugraph import UGraph
 
@@ -86,8 +87,10 @@ def witness_graph(s: CanonicalStatement) -> UGraph:
 
 def singletonize(g: UGraph) -> UGraph:
     """Rebuild a graph with one node per element, preserving separations."""
-    eg = g.expand()
-    return UGraph.from_singletons(eg.vertices, (tuple(sorted(e)) for e in eg.edges))
+    return UGraph.from_singletons(
+        g.elements,
+        ((a, b) for a, nbrs in g.element_adjacency().items() for b in nbrs if a < b),
+    )
 
 
 def initial_mug(
@@ -180,8 +183,8 @@ def search(
 
     States are deduplicated by their set of graph keys; successor moves are
     ordered by graph index, deletions before combinations (in
-    ``statement_key`` order), so the result is the deterministic shortest
-    script within the bounds.
+    ``Encoding.key`` order, which is ``statement_key`` order), so the result
+    is the deterministic shortest script within the bounds.
 
     Element sets are masks and statements packed ints of the universe's
     encoding; every table is sized by what the graphs hold, never by the
@@ -239,62 +242,54 @@ def search(
                 nbrs = neighbours[mem.gid]
                 if nbrs is None:
                     nbrs = neighbours[mem.gid] = neighbour_masks(enc, mem.graph)
-                # Flood from x through the element graph minus z.
                 x, z, y = enc.unpack(p)
-                reached = frontier = x
-                while frontier and not reached & y:
-                    bit = frontier & -frontier
-                    frontier ^= bit
-                    new = nbrs[bit] & ~(z | reached)
-                    reached |= new
-                    frontier |= new
-                answer = mem.answers[p] = not reached & y
+                answer = mem.answers[p] = not reach(nbrs, x, z) & y
             else:
                 stats["answer_hits"] += 1
             if answer:
                 return True
         return False
 
-    def combinable(inside: int, reach: int) -> list:
+    def combinable(inside: int, extra: int) -> list:
         """Candidates for a graph over ``inside``, as (packed, elements) pairs.
 
-        One side plus z is exactly ``inside``, the other lies in ``reach``;
-        the list is in ``statement_key`` order.
+        One side plus z is exactly ``inside``, the other lies in ``extra``;
+        the list is in ``Encoding.key`` order.
         """
-        if (inside, reach) not in candidates:
-            found = []
+        if (inside, extra) not in candidates:
+            found = {}
             x = inside
             while x:
-                y = reach
+                y = extra
                 while y:
-                    found.append((enc.pack(x, inside ^ x, y), inside | y))
-                    y = (y - 1) & reach
+                    found[enc.pack(x, inside ^ x, y)] = inside | y
+                    y = (y - 1) & extra
                 x = (x - 1) & inside
-            found.sort(key=lambda c: [sorted(enc.names(m)) for m in enc.unpack(c[0])])
-            candidates[inside, reach] = found
-        return candidates[inside, reach]
+            ordered = sorted(found, key=enc.key)
+            candidates[inside, extra] = [(p, found[p]) for p in ordered]
+        return candidates[inside, extra]
 
     def listing(mem: _Member, members) -> tuple[int, list]:
-        """A member's reach and holding candidates among a state's members."""
+        """A member's extra elements and holding candidates in a state."""
         # Only a graph with more elements can witness a candidate, so its
         # other side lies among those graphs' extra elements.
         inside = mem.mask
         covering = [o for o in members if o.mask != inside and not inside & ~o.mask]
-        reach = 0
+        extra = 0
         for other in covering:
-            reach |= other.mask & ~inside
-        return reach, [c for c in combinable(inside, reach) if holds(covering, c)]
+            extra |= other.mask & ~inside
+        return extra, [c for c in combinable(inside, extra) if holds(covering, c)]
 
     def extended(mem: _Member, listed: tuple, new: _Member) -> tuple[int, list]:
         """A member's listing once ``new``, which strictly covers it, joins.
 
         The older covering graphs' answers stand, so only ``new`` is asked.
         """
-        reach, before = listed
-        reach |= new.mask & ~mem.mask
+        extra, before = listed
+        extra |= new.mask & ~mem.mask
         known = {p for p, _ in before}
-        return reach, [
-            c for c in combinable(mem.mask, reach) if c[0] in known or holds((new,), c)
+        return extra, [
+            c for c in combinable(mem.mask, extra) if c[0] in known or holds((new,), c)
         ]
 
     def grown(build, *args) -> _Member | None:

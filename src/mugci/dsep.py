@@ -325,11 +325,7 @@ def build_join_tree(
     if sorted(order) != sorted(node_of):
         raise InvalidOrder("order must be a permutation of the graph's elements")
 
-    adjacency = {e: set() for e in node_of}
-    for edge in g.expand().edges:
-        a, b = tuple(edge)
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+    adjacency = {e: set(nbrs) for e, nbrs in g.element_adjacency().items()}
 
     fill = []
     cliques = []

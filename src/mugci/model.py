@@ -205,7 +205,7 @@ class Encoding:
         self.full = (1 << self._n) - 1
         self._bits = {e: 1 << i for i, e in enumerate(self.elements)}
         self._sets: dict[int, frozenset] = {}
-        self._rank: list[int] | None = None
+        self._rank = _MaskRanks(self._n)
 
     def mask(self, names: Iterable[str]) -> int:
         """Mask of a set of names; KeyError for a name not encoded."""
@@ -243,20 +243,34 @@ class Encoding:
         """Sort key of a packed statement, in ``statement_key`` order.
 
         Masks are ranked by their ascending index tuples, which is how
-        ``set_key`` orders the sets they stand for.
+        ``set_key`` orders the sets they stand for.  Each mask's rank is
+        worked out when it first occurs; no table over all 2^n masks is built.
         """
-        rank = self._rank
-        if rank is None:
-            rank = self._rank = [0] * (self.full + 1)
-            order = sorted(
-                range(self.full + 1),
-                key=lambda m: [i for i in range(self._n) if m >> i & 1],
-            )
-            for r, m in enumerate(order):
-                rank[m] = r
         n = self._n
         full = self.full
+        rank = self._rank
         return (rank[p >> n >> n] << n | rank[p >> n & full]) << n | rank[p & full]
+
+
+class _MaskRanks(dict):
+    """Each n-bit mask's rank in ascending-index-tuple order, kept once asked."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, m: int) -> int:
+        # After the previous member prev (-1 at the first), member i follows
+        # the 2^(n-1-prev) - 2^(n-i) sets holding some c with prev < c < i,
+        # and the one set that stops before i.
+        r, prev, rest = 0, -1, m
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            r += (1 << (self.n - 1 - prev)) - (1 << (self.n - i)) + 1
+            prev = i
+            rest &= rest - 1
+        self[m] = r
+        return r
 
 
 def enumerate_canonical(

@@ -135,6 +135,18 @@ def neighbour_masks(enc: Encoding, g: UGraph) -> dict[int, int]:
     }
 
 
+def reach(neighbours: dict[int, int], start: int, blocked: int) -> int:
+    """Mask of what ``neighbour_masks`` connects to ``start`` outside ``blocked``."""
+    reached = frontier = start
+    while frontier:
+        bit = frontier & -frontier
+        frontier ^= bit
+        new = neighbours[bit] & ~(blocked | reached)
+        reached |= new
+        frontier |= new
+    return reached
+
+
 def _separations(enc: Encoding, g: UGraph) -> list[int]:
     """Every statement the graph witnesses, packed.
 
@@ -152,13 +164,7 @@ def _separations(enc: Encoding, g: UGraph) -> list[int]:
         rest = members & ~z
         pairs = [(0, 0)]
         while rest:
-            component = frontier = rest & -rest
-            while frontier:
-                bit = frontier & -frontier
-                frontier ^= bit
-                new = neighbours[bit] & rest & ~component
-                component |= new
-                frontier |= new
+            component = reach(neighbours, rest & -rest, z)
             rest &= ~component
             parts = []
             part = component

@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .dsep import DiGraph
 from .errors import UniverseTooLarge, UnknownVariable
-from .model import CanonicalStatement, Universe, enumerate_canonical
+from .model import Universe, enumerate_canonical
 
 CI_FLOAT_TOLERANCE = 1e-9
 MASS_FLOAT_TOLERANCE = 1e-12
@@ -169,10 +169,6 @@ def all_ci(p: DiscreteJoint, max_variables: int = ALL_CI_GUARD) -> frozenset:
         for s in enumerate_canonical(universe, max_variables)
         if ci_holds(p, s.x, s.z, s.y)
     )
-
-
-def holds(p: DiscreteJoint, s: CanonicalStatement) -> bool:
-    return ci_holds(p, s.x, s.z, s.y)
 
 
 def sample_dag_joint(d: DiGraph, seed: int) -> DiscreteJoint:

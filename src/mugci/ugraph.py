@@ -1,10 +1,11 @@
 """Undirected graphs whose nodes carry sets of elements.
 
-Separation is always evaluated on the element graph: multi-element nodes are
-expanded so that two elements are adjacent iff they share a node or sit in
-adjacent nodes.  This single rule covers plain graphs, multi-element nodes,
-and repeated elements uniformly.  All transformations are pure and return
-new graphs.
+Separation is always evaluated on the element graph: two elements are
+adjacent iff they share a node or sit in adjacent nodes.  This single rule
+covers plain graphs, multi-element nodes, and repeated elements uniformly.
+Each graph builds its element adjacency once, from its nodes and edges, and
+everything else reads it (``UGraph.element_adjacency``).  All
+transformations are pure and return new graphs.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ class ElementGraph:
 
     vertices: frozenset
     edges: frozenset
-
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for edge in self.edges:
-            a, b = tuple(edge)
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
 
 
 def _separated(adj: Mapping[str, set], x, z, y) -> bool:
@@ -127,22 +120,10 @@ class UGraph:
         return max(self._nodes, default=-1) + 1
 
     def expand(self) -> ElementGraph:
-        """Collapse to one vertex per element.
-
-        Elements are adjacent iff they co-occur in a node or occur in
-        adjacent nodes; repeated elements merge their neighborhoods.
-        """
-        edges = set()
-        for es in self._nodes.values():
-            for a, b in combinations(sorted(es), 2):
-                edges.add(frozenset((a, b)))
-        for edge in self._edges:
-            n1, n2 = tuple(edge)
-            for a in self._nodes[n1]:
-                for b in self._nodes[n2]:
-                    if a != b:
-                        edges.add(frozenset((a, b)))
-        return ElementGraph(self.elements, frozenset(edges))
+        """Collapse to one vertex per element, edges from the element adjacency."""
+        adj = self._element_adjacency()
+        edges = frozenset(frozenset((a, b)) for a in adj for b in adj[a])
+        return ElementGraph(self.elements, edges)
 
     def separates(self, x: Iterable[str], z: Iterable[str], y: Iterable[str]) -> bool:
         """Whether z blocks every element-graph path between x and y.
@@ -162,10 +143,19 @@ class UGraph:
         return MappingProxyType(self._element_adjacency())
 
     def _element_adjacency(self) -> dict[str, frozenset]:
+        # A repeated element merges the neighbourhoods of its nodes.
         if self._adjacency is None:
-            self._adjacency = {
-                v: frozenset(nbrs) for v, nbrs in self.expand().adjacency().items()
-            }
+            nodes = self._nodes
+            adj = {e: set() for e in self.elements}
+            for es in nodes.values():
+                for e in es:
+                    adj[e] |= es
+            for n1, n2 in self._edges:
+                for a in nodes[n1]:
+                    adj[a] |= nodes[n2]
+                for b in nodes[n2]:
+                    adj[b] |= nodes[n1]
+            self._adjacency = {e: frozenset(nbrs - {e}) for e, nbrs in adj.items()}
         return self._adjacency
 
     def add_arcs(self, arcs: Iterable) -> "UGraph":

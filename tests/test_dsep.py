@@ -493,3 +493,23 @@ def test_d_separation_and_moral_graph_match_networkx():
             assert d.d_separated(y, z, x) == want
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_join_tree_of_random_orders_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(61)
+    filled = 0
+    for _ in range(60):
+        moral = random_dag(rng, rng.randint(2, 24), 0.0).moralize()
+        order = sorted(moral.elements)
+        rng.shuffle(order)
+        chordal, tree = build_join_tree(moral, order)
+        g = nx.Graph()
+        g.add_nodes_from(chordal.elements)
+        g.add_edges_from(chordal.expand().edges)
+        assert nx.is_chordal(g)
+        assert set(tree.clusters.values()) == set(nx.chordal_graph_cliques(g))
+        assert len(tree.clusters) == len(set(tree.clusters.values()))
+        assert tree.validate() == []
+        filled += chordal != moral
+    assert filled > 30

@@ -376,6 +376,56 @@ def test_indexed_closure_matches_all_pairs_on_seven_element_path():
     assert_same_closure(*path_init(7))
 
 
+# -- networkx as an outside oracle ------------------------------------------
+
+
+def random_node_graph(rng, names):
+    """A graph over all or all but one of names, in nodes of one to three."""
+    members = rng.sample(names, rng.randint(len(names) - 1, len(names)))
+    nodes = {}
+    while members:
+        k = rng.choice((1, 1, 1, 2, 3))
+        nodes[len(nodes)], members = set(members[:k]), members[k:]
+    share = rng.choice((0.2, 0.4, 0.6))
+    edges = [(a, b) for a in nodes for b in nodes if a < b and rng.random() < share]
+    return UGraph(nodes, edges)
+
+
+def test_one_graph_closure_is_networkx_separation():
+    # Graph separation is a graphoid (Pearl & Paz 1987): closing one graph's
+    # separations adds nothing, and nothing the graph witnesses is missed.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1987_7)
+    sizes = [4, 5, 6, 7] * 6 + [8] * 3
+    multi = 0
+    for n in sizes:
+        names = [f"e{i}" for i in range(n)]
+        g = random_node_graph(rng, names)
+        nodes = g.nodes
+        multi += any(len(es) > 1 for es in nodes.values())
+        eg = nx.Graph()
+        eg.add_nodes_from(g.elements)
+        for es in nodes.values():
+            eg.add_edges_from((a, b) for a in es for b in es if a < b)
+        for n1, n2 in g.edges:
+            eg.add_edges_from((a, b) for a in nodes[n1] for b in nodes[n2] if a != b)
+        u = Universe(names)
+        component = {}
+        want = set()
+        for s in enumerate_canonical(u):
+            if not s.elements <= g.elements:
+                continue
+            if s.z not in component:
+                parts = nx.connected_components(eg.subgraph(g.elements - s.z))
+                component[s.z] = {e: i for i, part in enumerate(parts) for e in part}
+            label = component[s.z]
+            if not {label[e] for e in s.x} & {label[e] for e in s.y}:
+                want.add(s)
+        got = closure(Mug(u, [g]).enumerate_satisfied(), u)
+        assert got.statements == want, g
+    assert multi > len(sizes) // 2
+
+
 # -- work counters ------------------------------------------------------------
 
 

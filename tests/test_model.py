@@ -1,3 +1,5 @@
+import random
+import time
 from itertools import product
 
 import pytest
@@ -174,6 +176,20 @@ def test_encoding_round_trip_and_key_order():
         x, z, y = enc.unpack(p)
         assert (enc.names(x), enc.names(z), enc.names(y)) == (s.x, s.z, s.y)
         assert enc.pack(y, z, x) == enc.pack(x, z, y) == p
+    # Far beyond the enumeration guard: no 2^n-sized work per universe.
+    names = [f"v{i}" for i in range(40)]
+    rng = random.Random(40)
+    seeded = set()
+    while len(seeded) < 300:
+        pool = rng.sample(names, rng.randint(2, 12))
+        cut1 = rng.randint(1, len(pool) - 1)
+        cut2 = rng.randint(cut1 + 1, len(pool))
+        seeded.add(canonical_triple(pool[:cut1], pool[cut2:], pool[cut1:cut2]))
+    big = Universe(names).encoding
+    start = time.perf_counter()
+    ordered = sorted(map(big.encode, seeded), key=big.key)
+    assert time.perf_counter() - start < 1.0
+    assert [big.decode(p) for p in ordered] == sorted(seeded, key=statement_key)
 
 
 def test_encoding_bits_follow_the_element_order():

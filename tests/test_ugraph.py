@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mugci import UGraph, canonical_triple
+from mugci import ElementGraph, UGraph, canonical_triple, singletonize
 from mugci.errors import (
     CoverageGap,
     EmptyPart,
@@ -13,7 +15,7 @@ from mugci.errors import (
     UnknownNode,
 )
 
-from oracle import all_triples, as_plain, separates_oracle
+from oracle import all_triples, as_plain, element_adjacency, separates_oracle
 
 
 def chain_xzy():
@@ -57,6 +59,42 @@ def test_expand_merges_repeated_element_neighborhoods():
     assert eg.edges == frozenset({frozenset("ea"), frozenset("eb")})
     nodes, edges = as_plain(g)
     assert not separates_oracle(nodes, edges, {"a"}, set(), {"b"})
+
+
+def random_multi_graph(rng, n):
+    """n elements in nodes of one to three, some elements repeated across
+    nodes; edgeless, sparse or denser, so some nodes are isolated."""
+    names = [f"e{i}" for i in range(n)]
+    nodes = {}
+    for i, e in enumerate(names):
+        nodes[i] = {e, *rng.sample(names, rng.choice((0, 0, 1, 2)))}
+    for i in range(n, n + rng.randint(0, 2)):
+        nodes[i] = {rng.choice(names)}
+    ids = list(nodes)
+    share = rng.choice((0.0, 0.2, 0.5))
+    edges = [
+        (a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < share
+    ]
+    return UGraph(nodes, edges)
+
+
+def test_element_graph_matches_the_oracle_on_random_graphs():
+    rng = random.Random(8191)
+    seen = {"multi": 0, "repeated": 0, "isolated": 0}
+    for _ in range(300):
+        g = random_multi_graph(rng, rng.randint(3, 8))
+        nodes, edges = as_plain(g)
+        want = element_adjacency(nodes, edges)
+        assert g.element_adjacency() == want
+        assert g.expand() == ElementGraph(
+            frozenset(want),
+            frozenset(frozenset((a, b)) for a, nbrs in want.items() for b in nbrs),
+        )
+        assert singletonize(g).element_adjacency() == want
+        seen["multi"] += any(len(es) > 1 for es in nodes.values())
+        seen["repeated"] += sum(map(len, nodes.values())) > len(g.elements)
+        seen["isolated"] += any(g.neighbors(n) == frozenset() for n in nodes)
+    assert min(seen.values()) > 50, seen
 
 
 # -- separates --------------------------------------------------------------
@@ -338,7 +376,7 @@ def test_cached_key_of_transformed_graph_matches_fresh_build(transform):
 def test_element_adjacency_is_a_read_only_view_of_the_expansion():
     g = UGraph({0: {"a", "b"}, 1: {"b", "c"}, 2: {"d"}}, [(1, 2)])
     adjacency = g.element_adjacency()
-    assert adjacency == g.expand().adjacency()
+    assert adjacency == element_adjacency(*as_plain(g))
     assert adjacency["a"] == frozenset({"b"})
     assert adjacency["b"] == frozenset({"a", "c", "d"})
     with pytest.raises(TypeError):
