@@ -270,6 +270,11 @@ def _cmd_build_jointree(args, out) -> int:
                 f"graph {args.graph!r} has multi-element nodes; "
                 f"build-jointree needs one element per node"
             )
+        if len(base.elements) != len(base.nodes):
+            raise ModelError(
+                f"graph {args.graph!r} repeats an element; "
+                f"build-jointree needs one node per element"
+            )
     elif args.graph in model.digraphs:
         base = model.digraphs[args.graph].moralize()
     else:

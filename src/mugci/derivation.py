@@ -24,15 +24,13 @@ from .errors import (
     ReducedGraphLosesSeparation,
 )
 from .graphoid import AxiomStep, contraction_parts, first_invalid_step
-from .model import CanonicalStatement, Universe
+from .model import CanonicalStatement, Encoding, Universe
 from .mug import (
     Combine,
     Delete,
     Move,
     Mug,
     append_transformed,
-    combination_graph,
-    neighbour_masks,
     reach,
 )
 from .ugraph import UGraph
@@ -40,11 +38,17 @@ from .ugraph import UGraph
 
 @dataclass(frozen=True)
 class MoveScript:
-    """A replayable transformation sequence ending in satisfaction of target."""
+    """A replayable transformation sequence ending in satisfaction of target.
+
+    ``stats`` holds, for a script ``search`` found, the same work counters
+    as ``Exhausted.stats``; ``replay_chain`` leaves it empty.  It takes no
+    part in equality.
+    """
 
     initial: Mug
     moves: tuple[Move, ...]
     target: CanonicalStatement
+    stats: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,7 @@ class Exhausted:
 
     ``stats`` holds the search's deterministic work counters: states
     explored at each depth (``states_depth_<d>``), successors dropped as
-    already visited (``dedup_hits``), by a ``ModelError``
-    (``rejected_model_error``) or by the graph cap
+    already visited (``dedup_hits``) or by the graph cap
     (``rejected_graph_cap``), and separation questions answered from a
     graph key's table or computed (``answer_hits``, ``answer_misses``).  A
     hit is a question that key was asked before, through another graph or
@@ -160,20 +163,132 @@ def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
     return MoveScript(m0, tuple(moves), steps[-1].conclusion)
 
 
+def _packed_graph(enc: Encoding, g: UGraph) -> tuple[tuple, tuple]:
+    """A graph as search holds it: ``(nodes, adj)``.
+
+    ``nodes`` is a tuple of (node id, element mask) in id order; ``adj``
+    gives each node's neighbours as a mask over those positions, so any
+    node ids, negative or sparse, pack alike.  Two graphs are equal
+    exactly when their packed forms are.
+    """
+    labels = g.nodes
+    ids = sorted(labels)
+    position = {n: i for i, n in enumerate(ids)}
+    adj = [0] * len(ids)
+    for a, b in map(tuple, g.edges):
+        adj[position[a]] |= 1 << position[b]
+        adj[position[b]] |= 1 << position[a]
+    return tuple((n, enc.mask(labels[n])) for n in ids), tuple(adj)
+
+
+def _packed_key(nodes: tuple, adj: tuple) -> tuple:
+    """The multiset of node masks and of the mask pairs along edges.
+
+    Masks stand for element sets one to one, so two graphs over the same
+    encoding have equal packed keys exactly when ``UGraph.key`` is equal.
+    """
+    masks = [m for _, m in nodes]
+    pairs = []
+    for i, nbrs in enumerate(adj):
+        a = masks[i]
+        later = nbrs >> i + 1 << i + 1  # each edge once, from its lower end
+        while later:
+            low = later & -later
+            later ^= low
+            b = masks[low.bit_length() - 1]
+            pairs.append((a, b) if a <= b else (b, a))
+    masks.sort()
+    pairs.sort()
+    return tuple(masks), tuple(pairs)
+
+
+def _packed_deletion(nodes: tuple, adj: tuple, i: int) -> tuple[tuple, tuple]:
+    """``UGraph.delete_node`` of the node at position i, packed.
+
+    Its neighbours are pairwise connected, then the position is dropped:
+    the positions above it move down by one.
+    """
+    bit = 1 << i
+    below = bit - 1
+    filled = adj[i]
+    out = []
+    for j, nbrs in enumerate(adj):
+        if j != i:
+            if nbrs & bit:
+                nbrs = (nbrs | filled) & ~(1 << j)
+            out.append(nbrs & below | nbrs >> 1 & ~below)
+    return nodes[:i] + nodes[i + 1 :], tuple(out)
+
+
+def _packed_combination(
+    nodes: tuple, adj: tuple, z: int, added: int
+) -> tuple[tuple, tuple]:
+    """``combination_graph`` packed: ``added`` is the side the graph lacks.
+
+    One single-element node per added element, with ids from the largest
+    id plus one in element order, cliqued together with every node that
+    carries an element of z.
+    """
+    clique = 0
+    for i, (_, m) in enumerate(nodes):
+        if m & z:
+            clique |= 1 << i
+    grown = list(nodes)
+    next_id = nodes[-1][0] + 1
+    while added:
+        bit = added & -added
+        added ^= bit
+        clique |= 1 << len(grown)
+        grown.append((next_id, bit))
+        next_id += 1
+    out = list(adj) + [0] * (len(grown) - len(adj))
+    rest = clique
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        j = bit.bit_length() - 1
+        out[j] |= clique ^ bit
+    return tuple(grown), tuple(out)
+
+
+def _element_neighbours(nodes: tuple, adj: tuple) -> dict[int, int]:
+    """``neighbour_masks`` of a packed graph, each element's bit included.
+
+    ``reach`` never returns to what it has reached, so the extra bit is
+    harmless.
+    """
+    out: dict[int, int] = {}
+    for (_, m), nbrs in zip(nodes, adj):
+        near = m
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            near |= nodes[low.bit_length() - 1][1]
+        while m:
+            bit = m & -m
+            m ^= bit
+            out[bit] = out.get(bit, 0) | near
+    return out
+
+
 class _Member:
-    """One distinct graph in a search.
+    """One distinct graph in a search, packed as by ``_packed_graph``.
 
     ``mask`` is its element set; ``answers`` holds its key's separation
     answers (shared by every member with that key) by packed statement.
     """
 
-    __slots__ = ("graph", "gid", "mask", "answers")
+    __slots__ = ("nodes", "adj", "gid", "mask", "answers")
 
-    def __init__(self, graph: UGraph, gid: int, mask: int, answers: dict):
-        self.graph = graph
+    def __init__(self, nodes: tuple, adj: tuple, gid: int, answers: dict):
+        self.nodes = nodes
+        self.adj = adj
         self.gid = gid
-        self.mask = mask
         self.answers = answers
+        mask = 0
+        for _, m in nodes:
+            mask |= m
+        self.mask = mask
 
 
 def search(
@@ -186,6 +301,9 @@ def search(
     ``Encoding.key`` order, which is ``statement_key`` order), so the result
     is the deterministic shortest script within the bounds.
 
+    Graphs are packed (``_packed_graph``): the model's graphs are packed once
+    and every move is made on the packed form, so no ``UGraph`` is built;
+    a returned script is checked through ``UGraph`` by ``verify_script``.
     Element sets are masks and statements packed ints of the universe's
     encoding; every table is sized by what the graphs hold, never by the
     universe.  Each distinct graph is keyed, and each question put to a
@@ -197,17 +315,10 @@ def search(
     if max_moves <= 0 or max_graphs <= 0:
         raise ValueError("search bounds must be positive")
     stats = dict.fromkeys(
-        (
-            "dedup_hits",
-            "rejected_model_error",
-            "rejected_graph_cap",
-            "answer_hits",
-            "answer_misses",
-        ),
-        0,
+        ("dedup_hits", "rejected_graph_cap", "answer_hits", "answer_misses"), 0
     )
     enc = m0.universe.encoding
-    held: dict[UGraph, _Member] = {}
+    held: dict[tuple, _Member] = {}
     gids: dict[tuple, int] = {}
     answers: list[dict] = []
     neighbours: list[dict | None] = []
@@ -220,14 +331,14 @@ def search(
     deletions: dict[_Member, list] = {}
     combinations: dict[_Member, dict] = {}
 
-    def member(g: UGraph) -> _Member:
-        mem = held.get(g)
+    def member(graph: tuple[tuple, tuple]) -> _Member:
+        mem = held.get(graph)
         if mem is None:
-            gid = gids.setdefault(g.key(), len(gids))
+            gid = gids.setdefault(_packed_key(*graph), len(gids))
             if gid == len(answers):
                 answers.append({})
                 neighbours.append(None)
-            mem = held[g] = _Member(g, gid, enc.mask(g.elements), answers[gid])
+            mem = held[graph] = _Member(*graph, gid, answers[gid])
         return mem
 
     def holds(members, c: tuple) -> bool:
@@ -241,7 +352,7 @@ def search(
                 stats["answer_misses"] += 1
                 nbrs = neighbours[mem.gid]
                 if nbrs is None:
-                    nbrs = neighbours[mem.gid] = neighbour_masks(enc, mem.graph)
+                    nbrs = neighbours[mem.gid] = _element_neighbours(mem.nodes, mem.adj)
                 x, z, y = enc.unpack(p)
                 answer = mem.answers[p] = not reach(nbrs, x, z) & y
             else:
@@ -292,36 +403,34 @@ def search(
             c for c in combinable(mem.mask, extra) if c[0] in known or holds((new,), c)
         ]
 
-    def grown(build, *args) -> _Member | None:
-        """The member of a transformed graph; None if the move is invalid."""
-        try:
-            return member(build(*args))
-        except ModelError:
-            return None
-
     def successors(members, lists) -> Iterator[tuple]:
-        """(move kind, its two arguments, child member or None) in move order."""
+        """(move kind, its two arguments, child member) in move order."""
         for gi, mem in enumerate(members):
-            g = mem.graph
             if mem not in deletions:
-                deletions[mem] = [(n, grown(g.delete_node, n)) for n in g.node_ids()]
+                deletions[mem] = [
+                    (n, member(_packed_deletion(mem.nodes, mem.adj, i)))
+                    for i, (n, _) in enumerate(mem.nodes)
+                ]
             for n, child in deletions[mem]:
                 yield Delete, gi, n, child
             combined = combinations.setdefault(mem, {})
             for p, _ in lists[gi][1]:
                 if p not in combined:
                     s = statements[p] = statements.get(p) or enc.decode(p)
-                    combined[p] = s, grown(combination_graph, g, s)
+                    x, z, y = enc.unpack(p)
+                    added = y if x | z == mem.mask else x
+                    graph = _packed_combination(mem.nodes, mem.adj, z, added)
+                    combined[p] = s, member(graph)
                 s, child = combined[p]
                 yield Combine, s, gi, child
 
-    members0 = tuple(member(g) for g in m0.graphs)
+    members0 = tuple(member(_packed_graph(enc, g)) for g in m0.graphs)
     try:
         goal = enc.encode(target), enc.mask(target.elements)
     except KeyError:  # an element outside the universe, so no graph holds it
         goal = None, -1
     if holds(members0, goal):
-        return MoveScript(m0, (), target)
+        return MoveScript(m0, (), target, stats)
     ids0 = frozenset(mem.gid for mem in members0)
     visited = {ids0}
     # Members, their key numbers, moves and the parent's listings (None at first).
@@ -345,9 +454,6 @@ def search(
             ]
             lists.append(listing(new, members))
         for kind, a, b, child in successors(members, lists):
-            if child is None:
-                stats["rejected_model_error"] += 1
-                continue
             is_new = child.gid not in ids
             if len(members) + is_new > max_graphs:
                 stats["rejected_graph_cap"] += 1
@@ -361,7 +467,7 @@ def search(
             depth_reached = max(depth_reached, len(path2))
             # The parent's graphs already fail the target; ask the new one.
             if holds((child,), goal):
-                return MoveScript(m0, path2, target)
+                return MoveScript(m0, path2, target, stats)
             if len(path2) < max_moves:
                 queue.append((members + (child,), ids2, path2, lists))
             else:

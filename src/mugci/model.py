@@ -236,8 +236,20 @@ class Encoding:
         return (self.mask(s.x) << n | self.mask(s.z)) << n | self.mask(s.y)
 
     def decode(self, p: int) -> CanonicalStatement:
+        """The statement a packed int from ``pack`` or ``encode`` stands for.
+
+        Such an int is canonical by construction, so the object is built
+        without ``CanonicalStatement``'s checks, which every other
+        construction runs.
+        """
         x, z, y = self.unpack(p)
-        return CanonicalStatement(self.names(x), self.names(z), self.names(y))
+        names = self.names
+        s = object.__new__(CanonicalStatement)
+        fields = s.__dict__
+        fields["x"] = names(x)
+        fields["z"] = names(z)
+        fields["y"] = names(y)
+        return s
 
     def key(self, p: int) -> int:
         """Sort key of a packed statement, in ``statement_key`` order.

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -25,12 +26,18 @@ from mugci import (
     verify_script,
     witness_graph,
 )
-from mugci.derivation import first_failing_move
+from mugci.derivation import (
+    _packed_combination,
+    _packed_deletion,
+    _packed_graph,
+    _packed_key,
+    first_failing_move,
+)
 from mugci.errors import ModelError, PremiseNotSatisfied
 from mugci.graphoid import AxiomStep
 from mugci.model import CanonicalStatement, Statement, TriviallyTrue, canonicalize
 from mugci.modelfile import parse_model
-from mugci.mug import append_transformed
+from mugci.mug import append_transformed, combination_graph
 
 U4 = Universe(["w", "x", "y", "z"])
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -247,6 +254,95 @@ def test_search_scripts_stay_inside_the_closure():
         assert replay_final(outcome).enumerate_satisfied() <= allowed
 
 
+# -- packed graphs ----------------------------------------------------------------
+#
+# ``search`` moves on packed graphs; each packed move must unpack to exactly
+# what the ``UGraph`` move builds, and packed keys must group graphs exactly
+# as ``UGraph.key`` does.
+
+U6 = Universe("abcdef")
+
+
+def _unpacked(enc, nodes, adj) -> UGraph:
+    edges = [
+        (nodes[i][0], nodes[j][0])
+        for i, j in combinations(range(len(nodes)), 2)
+        if adj[i] >> j & 1
+    ]
+    return UGraph({n: enc.names(m) for n, m in nodes}, edges)
+
+
+def _packed_test_graphs(count):
+    rng = random.Random(23)
+    for _ in range(count):
+        names = rng.sample(U6.elements, rng.randint(2, 6))
+        yield _odd_id_graph(rng, names)
+
+
+def test_packed_graph_round_trips():
+    enc = U6.encoding
+    for g in _packed_test_graphs(200):
+        nodes, adj = _packed_graph(enc, g)
+        assert [n for n, _ in nodes] == sorted(g.nodes)
+        assert _unpacked(enc, nodes, adj) == g
+
+
+def test_packed_deletion_is_delete_node():
+    enc = U6.encoding
+    for g in _packed_test_graphs(200):
+        packed = _packed_graph(enc, g)
+        for i, (n, _) in enumerate(packed[0]):
+            got = _packed_deletion(*packed, i)
+            assert _unpacked(enc, *got) == g.delete_node(n), (g, n)
+
+
+def test_packed_combination_is_combination_graph():
+    enc = U6.encoding
+    rng = random.Random(24)
+    checked = 0
+    for g in _packed_test_graphs(200):
+        inside = sorted(g.elements)
+        outside = sorted(set(U6) - g.elements)
+        if not outside:
+            continue
+        packed = _packed_graph(enc, g)
+        for _ in range(5):
+            x = set(rng.sample(inside, rng.randint(1, len(inside))))
+            y = set(rng.sample(outside, rng.randint(1, len(outside))))
+            statement = cs(x, set(inside) - x, y)
+            got = _packed_combination(*packed, enc.mask(statement.z), enc.mask(y))
+            assert _unpacked(enc, *got) == combination_graph(g, statement)
+            checked += 1
+    assert checked > 500
+
+
+def test_packed_key_groups_graphs_as_ugraph_key_does():
+    enc = U4.encoding
+    rng = random.Random(25)
+    graphs = []
+    for _ in range(120):
+        # few elements and nodes, so that unequal graphs share keys often
+        names = rng.sample(U4.elements, rng.randint(2, 3))
+        g = _odd_id_graph(rng, names)
+        # the same graph under other ids has the same key
+        ids = sorted(g.nodes)
+        moved = dict(zip(ids, rng.sample([-5, 2, 3, 11, 40], len(ids))))
+        graphs.append(g)
+        graphs.append(
+            UGraph(
+                {moved[n]: es for n, es in g.nodes.items()},
+                [tuple(moved[n] for n in e) for e in g.edges],
+            )
+        )
+    keys = [_packed_key(*_packed_graph(enc, g)) for g in graphs]
+    equal_keys = 0
+    for (g, k), (h, l) in combinations(zip(graphs, keys), 2):
+        assert (k == l) == (g.key() == h.key()), (g, h)
+        equal_keys += k == l
+    # beyond the relabelled pairs, some independently drawn graphs agree
+    assert equal_keys > len(graphs) // 2
+
+
 # -- search against a reference search -----------------------------------------
 #
 # The reference below builds a whole model for every successor and asks every
@@ -380,6 +476,36 @@ def _declared_graph_cases(count):
         yield m0, rng.choice(derivable if i % 2 and derivable else pool)
 
 
+def _odd_id_graph(rng, names):
+    """2-4 nodes with odd ids (negative, sparse, huge), 1-2 elements each.
+
+    An element may sit on two nodes; every name sits on at least one.
+    """
+    # ids in drawn order, so the graph's node mapping is not in id order
+    ids = rng.sample([-7, -3, -1, 0, 5, 7, 10**9, 10**9 + 2], rng.randint(2, 4))
+    nodes = {n: set(rng.sample(names, rng.randint(1, 2))) for n in ids}
+    for e in names:
+        if not any(e in es for es in nodes.values()):
+            nodes[rng.choice(ids)].add(e)
+    edges = [(a, b) for a, b in combinations(ids, 2) if rng.random() < 0.5]
+    return UGraph(nodes, edges)
+
+
+def _odd_id_cases(count):
+    """Models built as ``Mug``s directly, so their graphs keep odd node ids
+    and multi-element nodes (``initial_mug`` would renumber them)."""
+    rng = random.Random(22)
+    for i in range(count):
+        u = Universe("abcde"[: rng.randint(4, 5)])
+        pool = sorted(enumerate_canonical(u), key=statement_key)
+        graphs = [_odd_id_graph(rng, rng.sample(u.elements, rng.randint(3, len(u))))]
+        graphs += [witness_graph(s) for s in rng.sample(pool, 2)]
+        m0 = Mug(u, graphs)
+        held = m0.enumerate_satisfied()
+        derivable = sorted(closure(held, u).statements - held, key=statement_key)
+        yield m0, rng.choice(derivable if i % 2 and derivable else pool)
+
+
 def test_search_matches_reference_on_random_models():
     # Equality covers a script's initial model, moves and target, and an
     # exhaustion's states explored and depth reached.
@@ -387,6 +513,7 @@ def test_search_matches_reference_on_random_models():
     cases = [
         *_random_search_cases(100),
         *_declared_graph_cases(40),
+        *_odd_id_cases(30),
         _intersection_model(),
     ]
     for m0, target in cases:
@@ -414,7 +541,6 @@ def test_search_matches_reference_on_random_models():
                 "states_depth_2": 18,
                 "states_depth_3": 70,
                 "dedup_hits": 228,
-                "rejected_model_error": 0,
                 "rejected_graph_cap": 0,
                 # A state takes over its parent's holding candidates
                 # instead of asking their graphs again; the questions
@@ -429,7 +555,6 @@ def test_search_matches_reference_on_random_models():
                 "states_depth_0": 1,
                 "states_depth_1": 4,
                 "dedup_hits": 16,
-                "rejected_model_error": 0,
                 "rejected_graph_cap": 36,
                 "answer_hits": 13,
                 "answer_misses": 43,
@@ -446,6 +571,41 @@ def test_search_stats_on_intersection_fixture(max_graphs, expected):
     assert outcome.stats == expected
     depths = [v for k, v in outcome.stats.items() if k.startswith("states_depth_")]
     assert sum(depths) == outcome.states_explored
+
+
+def test_search_stats_on_a_proven_contraction():
+    premises = [cs("x", "zy", "w"), cs("x", "z", "y")]
+    m0 = initial_mug(U4, statements=premises)
+    target = cs("x", "z", "yw")
+    script = search(m0, target, max_moves=3, max_graphs=8)
+    assert script.moves == (Combine(cs("x", "zy", "w"), 1),)
+    # the counters take no part in equality
+    assert script == MoveScript(m0, script.moves, target)
+    assert script.stats == {
+        "states_depth_0": 1,
+        "dedup_hits": 0,
+        "rejected_graph_cap": 0,
+        "answer_hits": 0,
+        "answer_misses": 9,
+    }
+    # a replayed script carries no search counters
+    assert replay_chain(m0, closure(premises, U4).chain(target)).stats == {}
+
+
+@pytest.mark.parametrize("max_graphs", [3, 8])
+def test_search_builds_no_ugraph(monkeypatch, max_graphs):
+    m0, target = _intersection_model()
+    built = []
+    real_init = UGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(UGraph, "__init__", counting_init)
+    outcome = search(m0, target, max_moves=3, max_graphs=max_graphs)
+    assert isinstance(outcome, Exhausted) and outcome.states_explored > 1
+    assert built == []
 
 
 def test_search_work_ignores_elements_no_graph_holds():

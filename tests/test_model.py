@@ -192,6 +192,27 @@ def test_encoding_round_trip_and_key_order():
     assert [big.decode(p) for p in ordered] == sorted(seeded, key=statement_key)
 
 
+def test_decode_builds_the_object_the_checked_constructor_builds():
+    # decode skips CanonicalStatement's checks; over every packed statement
+    # at n = 5 its objects must be indistinguishable from checked ones.
+    enc = Universe("abcde").encoding
+    seen = 0
+    for x, z, y in product(range(32), repeat=3):
+        if not x or not y or x & y or x & z or y & z:
+            continue
+        p = enc.pack(x, z, y)
+        got = enc.decode(p)
+        a, zz, b = enc.unpack(p)
+        want = CanonicalStatement(enc.names(a), enc.names(zz), enc.names(b))
+        assert type(got) is CanonicalStatement
+        assert got == want and hash(got) == hash(want) and str(got) == str(want)
+        assert (got.x, got.z, got.y) == (want.x, want.z, want.y)
+        seen += 1
+    assert seen == 2 * 285  # each of the 285 statements from either side
+    with pytest.raises(AttributeError):
+        got.x = frozenset()
+
+
 def test_encoding_bits_follow_the_element_order():
     u = Universe(["c", "a", "b"])
     enc = u.encoding
