@@ -41,20 +41,16 @@ from .model import (
 )
 from .modelfile import ModelFile, parse_model, serialize_model
 from .mug import (
-    AddArcs,
     Combine,
     Delete,
-    Merge,
     Move,
     Mug,
-    Split,
     append_transformed,
 )
 from .prob import DiscreteJoint, all_ci, ci_holds, sample_dag_joint
 from .ugraph import ElementGraph, UGraph
 
 __all__ = [
-    "AddArcs",
     "AxiomStep",
     "CanonicalStatement",
     "Closure",
@@ -66,12 +62,10 @@ __all__ = [
     "ElementGraph",
     "Exhausted",
     "JoinTree",
-    "Merge",
     "ModelFile",
     "Move",
     "MoveScript",
     "Mug",
-    "Split",
     "Statement",
     "TRIVIALLY_TRUE",
     "TriviallyTrue",

@@ -8,7 +8,8 @@ deletions) and then applying graph combination with the first premise.
 Replay therefore yields, for every statement in the closure, a script of
 deletions and combinations ending in a model that satisfies it.  A bounded
 breadth-first search over the same two move kinds is available when no
-chain is supplied.
+chain is supplied.  This module chooses moves and checks scripts; ``mug``
+makes the moves, on ``UGraph`` objects and on packed graphs.
 """
 
 from __future__ import annotations
@@ -24,13 +25,18 @@ from .errors import (
     ReducedGraphLosesSeparation,
 )
 from .graphoid import AxiomStep, contraction_parts, first_invalid_step
-from .model import CanonicalStatement, Encoding, Universe
+from .model import CanonicalStatement, Universe
 from .mug import (
     Combine,
     Delete,
     Move,
     Mug,
     append_transformed,
+    element_neighbours,
+    packed_combination,
+    packed_deletion,
+    packed_graph,
+    packed_key,
     reach,
 )
 from .ugraph import UGraph
@@ -163,116 +169,8 @@ def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
     return MoveScript(m0, tuple(moves), steps[-1].conclusion)
 
 
-def _packed_graph(enc: Encoding, g: UGraph) -> tuple[tuple, tuple]:
-    """A graph as search holds it: ``(nodes, adj)``.
-
-    ``nodes`` is a tuple of (node id, element mask) in id order; ``adj``
-    gives each node's neighbours as a mask over those positions, so any
-    node ids, negative or sparse, pack alike.  Two graphs are equal
-    exactly when their packed forms are.
-    """
-    labels = g.nodes
-    ids = sorted(labels)
-    position = {n: i for i, n in enumerate(ids)}
-    adj = [0] * len(ids)
-    for a, b in map(tuple, g.edges):
-        adj[position[a]] |= 1 << position[b]
-        adj[position[b]] |= 1 << position[a]
-    return tuple((n, enc.mask(labels[n])) for n in ids), tuple(adj)
-
-
-def _packed_key(nodes: tuple, adj: tuple) -> tuple:
-    """The multiset of node masks and of the mask pairs along edges.
-
-    Masks stand for element sets one to one, so two graphs over the same
-    encoding have equal packed keys exactly when ``UGraph.key`` is equal.
-    """
-    masks = [m for _, m in nodes]
-    pairs = []
-    for i, nbrs in enumerate(adj):
-        a = masks[i]
-        later = nbrs >> i + 1 << i + 1  # each edge once, from its lower end
-        while later:
-            low = later & -later
-            later ^= low
-            b = masks[low.bit_length() - 1]
-            pairs.append((a, b) if a <= b else (b, a))
-    masks.sort()
-    pairs.sort()
-    return tuple(masks), tuple(pairs)
-
-
-def _packed_deletion(nodes: tuple, adj: tuple, i: int) -> tuple[tuple, tuple]:
-    """``UGraph.delete_node`` of the node at position i, packed.
-
-    Its neighbours are pairwise connected, then the position is dropped:
-    the positions above it move down by one.
-    """
-    bit = 1 << i
-    below = bit - 1
-    filled = adj[i]
-    out = []
-    for j, nbrs in enumerate(adj):
-        if j != i:
-            if nbrs & bit:
-                nbrs = (nbrs | filled) & ~(1 << j)
-            out.append(nbrs & below | nbrs >> 1 & ~below)
-    return nodes[:i] + nodes[i + 1 :], tuple(out)
-
-
-def _packed_combination(
-    nodes: tuple, adj: tuple, z: int, added: int
-) -> tuple[tuple, tuple]:
-    """``combination_graph`` packed: ``added`` is the side the graph lacks.
-
-    One single-element node per added element, with ids from the largest
-    id plus one in element order, cliqued together with every node that
-    carries an element of z.
-    """
-    clique = 0
-    for i, (_, m) in enumerate(nodes):
-        if m & z:
-            clique |= 1 << i
-    grown = list(nodes)
-    next_id = nodes[-1][0] + 1
-    while added:
-        bit = added & -added
-        added ^= bit
-        clique |= 1 << len(grown)
-        grown.append((next_id, bit))
-        next_id += 1
-    out = list(adj) + [0] * (len(grown) - len(adj))
-    rest = clique
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        j = bit.bit_length() - 1
-        out[j] |= clique ^ bit
-    return tuple(grown), tuple(out)
-
-
-def _element_neighbours(nodes: tuple, adj: tuple) -> dict[int, int]:
-    """``neighbour_masks`` of a packed graph, each element's bit included.
-
-    ``reach`` never returns to what it has reached, so the extra bit is
-    harmless.
-    """
-    out: dict[int, int] = {}
-    for (_, m), nbrs in zip(nodes, adj):
-        near = m
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            near |= nodes[low.bit_length() - 1][1]
-        while m:
-            bit = m & -m
-            m ^= bit
-            out[bit] = out.get(bit, 0) | near
-    return out
-
-
 class _Member:
-    """One distinct graph in a search, packed as by ``_packed_graph``.
+    """One distinct graph in a search, packed as by ``packed_graph``.
 
     ``mask`` is its element set; ``answers`` holds its key's separation
     answers (shared by every member with that key) by packed statement.
@@ -301,7 +199,7 @@ def search(
     ``Encoding.key`` order, which is ``statement_key`` order), so the result
     is the deterministic shortest script within the bounds.
 
-    Graphs are packed (``_packed_graph``): the model's graphs are packed once
+    Graphs are packed (``packed_graph``): the model's graphs are packed once
     and every move is made on the packed form, so no ``UGraph`` is built;
     a returned script is checked through ``UGraph`` by ``verify_script``.
     Element sets are masks and statements packed ints of the universe's
@@ -334,7 +232,7 @@ def search(
     def member(graph: tuple[tuple, tuple]) -> _Member:
         mem = held.get(graph)
         if mem is None:
-            gid = gids.setdefault(_packed_key(*graph), len(gids))
+            gid = gids.setdefault(packed_key(*graph), len(gids))
             if gid == len(answers):
                 answers.append({})
                 neighbours.append(None)
@@ -352,7 +250,7 @@ def search(
                 stats["answer_misses"] += 1
                 nbrs = neighbours[mem.gid]
                 if nbrs is None:
-                    nbrs = neighbours[mem.gid] = _element_neighbours(mem.nodes, mem.adj)
+                    nbrs = neighbours[mem.gid] = element_neighbours(mem.nodes, mem.adj)
                 x, z, y = enc.unpack(p)
                 answer = mem.answers[p] = not reach(nbrs, x, z) & y
             else:
@@ -408,7 +306,7 @@ def search(
         for gi, mem in enumerate(members):
             if mem not in deletions:
                 deletions[mem] = [
-                    (n, member(_packed_deletion(mem.nodes, mem.adj, i)))
+                    (n, member(packed_deletion(mem.nodes, mem.adj, i)))
                     for i, (n, _) in enumerate(mem.nodes)
                 ]
             for n, child in deletions[mem]:
@@ -419,12 +317,12 @@ def search(
                     s = statements[p] = statements.get(p) or enc.decode(p)
                     x, z, y = enc.unpack(p)
                     added = y if x | z == mem.mask else x
-                    graph = _packed_combination(mem.nodes, mem.adj, z, added)
+                    graph = packed_combination(mem.nodes, mem.adj, z, added)
                     combined[p] = s, member(graph)
                 s, child = combined[p]
                 yield Combine, s, gi, child
 
-    members0 = tuple(member(_packed_graph(enc, g)) for g in m0.graphs)
+    members0 = tuple(member(packed_graph(enc, g)) for g in m0.graphs)
     try:
         goal = enc.encode(target), enc.mask(target.elements)
     except KeyError:  # an element outside the universe, so no graph holds it

@@ -12,7 +12,7 @@ import heapq
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .errors import CyclicGraph, InvalidOrder
+from .errors import CyclicGraph, InvalidOrder, ModelError
 from .model import (
     TRIVIALLY_TRUE,
     Statement,
@@ -316,10 +316,10 @@ def build_join_tree(
     node_of = {}
     for n, es in g.nodes.items():
         if len(es) != 1:
-            raise ValueError("join-tree construction needs single-element nodes")
+            raise ModelError("join-tree construction needs single-element nodes")
         (e,) = es
         if e in node_of:
-            raise ValueError(f"element {e} appears in more than one node")
+            raise ModelError(f"element {e} appears in more than one node")
         node_of[e] = n
     order = tuple(order)
     if sorted(order) != sorted(node_of):

@@ -34,11 +34,11 @@ class SameNode(ModelError):
 
 
 class EmptyPart(ModelError):
-    """Split parts must be non-empty."""
+    """The parts a node is split into must be non-empty."""
 
 
 class CoverageGap(ModelError):
-    """Split parts must jointly cover the node's elements."""
+    """The parts a node is split into must jointly cover its elements."""
 
 
 class CyclicGraph(ModelError):

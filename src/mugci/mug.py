@@ -4,6 +4,11 @@ A statement is satisfied when some member graph contains all of its elements
 and witnesses the separation.  Transformations never mutate: they append the
 transformed graph (deduplicated by canonical key), so the satisfied set can
 only grow along a derivation.
+
+The graph moves, node deletion and graph combination, live here in both
+forms: on ``UGraph`` objects for replay and script checks, and packed
+(``packed_graph``) for search.  Search and ``enumerate_satisfied`` share
+one element-neighbour-mask builder and one mask flood (``reach``).
 """
 
 from __future__ import annotations
@@ -128,15 +133,116 @@ class Mug:
         return f"Mug({len(self._graphs)} graphs over {self._universe!r})"
 
 
-def neighbour_masks(enc: Encoding, g: UGraph) -> dict[int, int]:
-    """Each element's bit mapped to the mask of its element-graph neighbours."""
-    return {
-        enc.mask((e,)): enc.mask(nbrs) for e, nbrs in g.element_adjacency().items()
-    }
+def packed_graph(enc: Encoding, g: UGraph) -> tuple[tuple, tuple]:
+    """A graph in packed form: ``(nodes, adj)``.
+
+    ``nodes`` is a tuple of (node id, element mask) in id order; ``adj``
+    gives each node's neighbours as a mask over those positions, so any
+    node ids, negative or sparse, pack alike.  Two graphs are equal
+    exactly when their packed forms are.
+    """
+    labels = g.nodes
+    ids = sorted(labels)
+    position = {n: i for i, n in enumerate(ids)}
+    adj = [0] * len(ids)
+    for a, b in map(tuple, g.edges):
+        adj[position[a]] |= 1 << position[b]
+        adj[position[b]] |= 1 << position[a]
+    return tuple((n, enc.mask(labels[n])) for n in ids), tuple(adj)
+
+
+def packed_key(nodes: tuple, adj: tuple) -> tuple:
+    """The multiset of node masks and of the mask pairs along edges.
+
+    Masks stand for element sets one to one, so two graphs over the same
+    encoding have equal packed keys exactly when ``UGraph.key`` is equal.
+    """
+    masks = [m for _, m in nodes]
+    pairs = []
+    for i, nbrs in enumerate(adj):
+        a = masks[i]
+        later = nbrs >> i + 1 << i + 1  # each edge once, from its lower end
+        while later:
+            low = later & -later
+            later ^= low
+            b = masks[low.bit_length() - 1]
+            pairs.append((a, b) if a <= b else (b, a))
+    masks.sort()
+    pairs.sort()
+    return tuple(masks), tuple(pairs)
+
+
+def packed_deletion(nodes: tuple, adj: tuple, i: int) -> tuple[tuple, tuple]:
+    """``UGraph.delete_node`` of the node at position i, packed.
+
+    Its neighbours are pairwise connected, then the position is dropped:
+    the positions above it move down by one.
+    """
+    bit = 1 << i
+    below = bit - 1
+    filled = adj[i]
+    out = []
+    for j, nbrs in enumerate(adj):
+        if j != i:
+            if nbrs & bit:
+                nbrs = (nbrs | filled) & ~(1 << j)
+            out.append(nbrs & below | nbrs >> 1 & ~below)
+    return nodes[:i] + nodes[i + 1 :], tuple(out)
+
+
+def packed_combination(
+    nodes: tuple, adj: tuple, z: int, added: int
+) -> tuple[tuple, tuple]:
+    """``combination_graph`` packed: ``added`` is the side the graph lacks.
+
+    One single-element node per added element, with ids from the largest
+    id plus one in element order, cliqued together with every node that
+    carries an element of z.
+    """
+    clique = 0
+    for i, (_, m) in enumerate(nodes):
+        if m & z:
+            clique |= 1 << i
+    grown = list(nodes)
+    next_id = nodes[-1][0] + 1
+    while added:
+        bit = added & -added
+        added ^= bit
+        clique |= 1 << len(grown)
+        grown.append((next_id, bit))
+        next_id += 1
+    out = list(adj) + [0] * (len(grown) - len(adj))
+    rest = clique
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        j = bit.bit_length() - 1
+        out[j] |= clique ^ bit
+    return tuple(grown), tuple(out)
+
+
+def element_neighbours(nodes: tuple, adj: tuple) -> dict[int, int]:
+    """Each element's bit mapped to the mask of its element-graph neighbours.
+
+    Each element's own bit is included: ``reach`` never returns to what it
+    has reached, so the extra bit is harmless.
+    """
+    out: dict[int, int] = {}
+    for (_, m), nbrs in zip(nodes, adj):
+        near = m
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            near |= nodes[low.bit_length() - 1][1]
+        while m:
+            bit = m & -m
+            m ^= bit
+            out[bit] = out.get(bit, 0) | near
+    return out
 
 
 def reach(neighbours: dict[int, int], start: int, blocked: int) -> int:
-    """Mask of what ``neighbour_masks`` connects to ``start`` outside ``blocked``."""
+    """Mask of what ``element_neighbours`` connects to ``start`` outside ``blocked``."""
     reached = frontier = start
     while frontier:
         bit = frontier & -frontier
@@ -157,7 +263,7 @@ def _separations(enc: Encoding, g: UGraph) -> list[int]:
     is x.
     """
     members = enc.mask(g.elements)
-    neighbours = neighbour_masks(enc, g)
+    neighbours = element_neighbours(*packed_graph(enc, g))
     out = []
     z = 0
     while True:
@@ -220,33 +326,12 @@ class Delete:
 
 
 @dataclass(frozen=True)
-class AddArcs:
-    graph: int
-    arcs: tuple
-
-
-@dataclass(frozen=True)
-class Merge:
-    graph: int
-    node1: int
-    node2: int
-
-
-@dataclass(frozen=True)
-class Split:
-    graph: int
-    node: int
-    part1: frozenset
-    part2: frozenset
-
-
-@dataclass(frozen=True)
 class Combine:
     statement: CanonicalStatement
     graph: int
 
 
-Move = Union[Delete, AddArcs, Merge, Split, Combine]
+Move = Union[Delete, Combine]
 
 
 def append_transformed(m: Mug, move: Move) -> tuple[Mug, int]:
@@ -254,13 +339,5 @@ def append_transformed(m: Mug, move: Move) -> tuple[Mug, int]:
     if isinstance(move, Combine):
         return m.combined(move.statement, move.graph)
     if isinstance(move, Delete):
-        g = m._graph_at(move.graph).delete_node(move.node)
-    elif isinstance(move, AddArcs):
-        g = m._graph_at(move.graph).add_arcs(move.arcs)
-    elif isinstance(move, Merge):
-        g = m._graph_at(move.graph).merge_nodes(move.node1, move.node2)
-    elif isinstance(move, Split):
-        g = m._graph_at(move.graph).split_node(move.node, move.part1, move.part2)
-    else:
-        raise TypeError(f"not a transformation descriptor: {move!r}")
-    return m.with_graph(g)
+        return m.with_graph(m._graph_at(move.graph).delete_node(move.node))
+    raise TypeError(f"not a transformation descriptor: {move!r}")

@@ -1,13 +1,14 @@
 import contextlib
 import io
 import random
+import signal
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mugci import ENUMERATION_GUARD, AxiomStep, Closure
+from mugci import ENUMERATION_GUARD, AxiomStep, Closure, cli
 from mugci.cli import _build_parser, main
 
 FIXTURES = "tests/fixtures"
@@ -152,6 +153,26 @@ def test_query_search_finds_and_exhausts():
     assert code == 1
     assert "result: exhausted" in text
     assert "states-explored:" in text
+
+
+def test_query_verifies_each_emitted_script_once(monkeypatch):
+    calls = []
+    verify = cli.verify_script
+
+    def counted(script):
+        calls.append(script)
+        return verify(script)
+
+    monkeypatch.setattr(cli, "verify_script", counted)
+    for mode in ("replay", "search"):
+        calls.clear()
+        code, text = run(
+            "query", f"{FIXTURES}/mixing.mug", "--stmt", "{x}|{z}|{y,w}",
+            "--mode", mode, "--max-moves", "3", "--max-graphs", "8",
+        )
+        assert code == 0 and "result: proven" in text
+        assert "script-verified: true" in text
+        assert len(calls) == 1, mode
 
 
 def test_dsep_exit_codes():
@@ -395,6 +416,18 @@ def _cli_call(rng):
     return text, argv
 
 
+class CallTimedOut(Exception):
+    """A CLI call outran its time bound.
+
+    Not a ``ModelError`` or ``OSError`` (as ``TimeoutError`` is), so ``main``
+    does not turn it into exit 2 and the test fails.
+    """
+
+
+def _time_out(signum, frame):
+    raise CallTimedOut("a CLI call ran for more than 5 s")
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_cli_exits_0_1_or_2_without_a_traceback(tmp_path_factory, seed):
@@ -402,7 +435,13 @@ def test_cli_exits_0_1_or_2_without_a_traceback(tmp_path_factory, seed):
     path = tmp_path_factory.mktemp("fuzz") / "model.mug"
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main([str(path) if a == "{file}" else a for a in argv], out=out)
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([str(path) if a == "{file}" else a for a in argv], out=out)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2), (text, argv)
     assert "Traceback" not in err.getvalue(), (text, argv)

@@ -26,18 +26,19 @@ from mugci import (
     verify_script,
     witness_graph,
 )
-from mugci.derivation import (
-    _packed_combination,
-    _packed_deletion,
-    _packed_graph,
-    _packed_key,
-    first_failing_move,
-)
+from mugci.derivation import first_failing_move
 from mugci.errors import ModelError, PremiseNotSatisfied
 from mugci.graphoid import AxiomStep
 from mugci.model import CanonicalStatement, Statement, TriviallyTrue, canonicalize
 from mugci.modelfile import parse_model
-from mugci.mug import append_transformed, combination_graph
+from mugci.mug import (
+    append_transformed,
+    combination_graph,
+    packed_combination,
+    packed_deletion,
+    packed_graph,
+    packed_key,
+)
 
 U4 = Universe(["w", "x", "y", "z"])
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -282,7 +283,7 @@ def _packed_test_graphs(count):
 def test_packed_graph_round_trips():
     enc = U6.encoding
     for g in _packed_test_graphs(200):
-        nodes, adj = _packed_graph(enc, g)
+        nodes, adj = packed_graph(enc, g)
         assert [n for n, _ in nodes] == sorted(g.nodes)
         assert _unpacked(enc, nodes, adj) == g
 
@@ -290,9 +291,9 @@ def test_packed_graph_round_trips():
 def test_packed_deletion_is_delete_node():
     enc = U6.encoding
     for g in _packed_test_graphs(200):
-        packed = _packed_graph(enc, g)
+        packed = packed_graph(enc, g)
         for i, (n, _) in enumerate(packed[0]):
-            got = _packed_deletion(*packed, i)
+            got = packed_deletion(*packed, i)
             assert _unpacked(enc, *got) == g.delete_node(n), (g, n)
 
 
@@ -305,12 +306,12 @@ def test_packed_combination_is_combination_graph():
         outside = sorted(set(U6) - g.elements)
         if not outside:
             continue
-        packed = _packed_graph(enc, g)
+        packed = packed_graph(enc, g)
         for _ in range(5):
             x = set(rng.sample(inside, rng.randint(1, len(inside))))
             y = set(rng.sample(outside, rng.randint(1, len(outside))))
             statement = cs(x, set(inside) - x, y)
-            got = _packed_combination(*packed, enc.mask(statement.z), enc.mask(y))
+            got = packed_combination(*packed, enc.mask(statement.z), enc.mask(y))
             assert _unpacked(enc, *got) == combination_graph(g, statement)
             checked += 1
     assert checked > 500
@@ -334,7 +335,7 @@ def test_packed_key_groups_graphs_as_ugraph_key_does():
                 [tuple(moved[n] for n in e) for e in g.edges],
             )
         )
-    keys = [_packed_key(*_packed_graph(enc, g)) for g in graphs]
+    keys = [packed_key(*packed_graph(enc, g)) for g in graphs]
     equal_keys = 0
     for (g, k), (h, l) in combinations(zip(graphs, keys), 2):
         assert (k == l) == (g.key() == h.key()), (g, h)

@@ -15,7 +15,7 @@ from mugci import (
     canonicalize,
     validate_join_tree,
 )
-from mugci.errors import CyclicGraph, InvalidOrder, UnknownElement
+from mugci.errors import CyclicGraph, InvalidOrder, ModelError, UnknownElement
 
 
 def double_det_cascade():
@@ -334,8 +334,10 @@ def test_build_join_tree_validates_order():
         build_join_tree(g, ("a",))
     with pytest.raises(InvalidOrder):
         build_join_tree(g, ("a", "a"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelError, match="single-element nodes"):
         build_join_tree(UGraph({0: {"a", "b"}}), ("a", "b"))
+    with pytest.raises(ModelError, match="element a appears in more than one node"):
+        build_join_tree(UGraph({0: {"a"}, 1: {"a"}}), ("a",))
 
 
 def test_disconnected_graph_still_yields_a_tree():

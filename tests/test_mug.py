@@ -5,12 +5,9 @@ import pytest
 
 from mugci import (
     ENUMERATION_GUARD,
-    AddArcs,
     Combine,
     Delete,
-    Merge,
     Mug,
-    Split,
     UGraph,
     Universe,
     append_transformed,
@@ -187,7 +184,7 @@ def test_delete_keeps_satisfied_set():
 
 def test_add_arcs_empty_is_dedup_noop():
     m = Mug(U3, [chain_graph()])
-    m2, idx = append_transformed(m, AddArcs(0, ()))
+    m2, idx = m.with_graph(m.graphs[0].add_arcs(()))
     assert m2 is m and idx == 0
 
 
@@ -197,10 +194,10 @@ def test_merge_then_split_keeps_satisfied_set():
     m = Mug(u, [g])
     zid = g.nodes_with_element("z")[0]
     yid = g.nodes_with_element("y")[0]
-    m2, gi = append_transformed(m, Merge(0, zid, yid))
+    m2, gi = m.with_graph(g.merge_nodes(zid, yid))
     (zy,) = [n for n, es in m2.graphs[gi].nodes.items() if es == frozenset("zy")]
-    m3, _ = append_transformed(
-        m2, Split(gi, zy, frozenset("z"), frozenset("y"))
+    m3, _ = m2.with_graph(
+        m2.graphs[gi].split_node(zy, frozenset("z"), frozenset("y"))
     )
     assert m3.enumerate_satisfied() == m.enumerate_satisfied()
 
@@ -220,7 +217,7 @@ def test_transformations_never_shrink_satisfaction():
     m = Mug(u, [g])
     base = m.enumerate_satisfied()
     m2, _ = append_transformed(m, Delete(0, g.nodes_with_element("w")[0]))
-    m3, _ = append_transformed(m2, Merge(0, 1, 2))
+    m3, _ = m2.with_graph(m2.graphs[0].merge_nodes(1, 2))
     assert base <= m2.enumerate_satisfied() <= m3.enumerate_satisfied()
 
 
