@@ -231,12 +231,10 @@ def _cmd_dsep(args, out) -> int:
     x = _parse_elements(args.x)
     z = _parse_elements(args.z)
     y = _parse_elements(args.y)
+    separated = d.d_separated(x, z, y)
     print(f"query: {format_set(x)} | {format_set(z)} | {format_set(y)}", file=out)
-    if d.d_separated(x, z, y):
-        print("result: separated", file=out)
-        return 0
-    print("result: not-separated", file=out)
-    return 1
+    print(f"result: {'separated' if separated else 'not-separated'}", file=out)
+    return 0 if separated else 1
 
 
 def _cmd_moralize(args, out) -> int:

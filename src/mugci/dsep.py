@@ -3,7 +3,9 @@
 The separation test for a directed graph runs in four stages: prune to the
 query elements and their ancestors, reroute the children of unobserved
 deterministic elements to draw from their parents instead, moralize, and
-test plain separation in the resulting undirected graph.
+test plain separation in the resulting undirected graph.  All four run on
+the parent index with plain sets and dicts: ``d_separated`` builds no
+intermediate graph.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .model import (
     canonicalize,
     format_set,
 )
-from .ugraph import UGraph
+from .ugraph import UGraph, _separated
 
 
 class DiGraph:
@@ -102,54 +104,34 @@ class DiGraph:
         """All elements with a directed path into the seed set (seed excluded)."""
         seed = frozenset(seed)
         self._universe.require(seed)
-        reached: set[str] = set()
-        frontier = list(seed)
-        while frontier:
-            v = frontier.pop()
-            for p in self._parents[v]:
-                if p not in reached and p not in seed:
-                    reached.add(p)
-                    frontier.append(p)
-        return frozenset(reached)
+        return frozenset(self._ancestral(seed).keys() - seed)
 
     def ancestral_prune(self, keep: Iterable[str]) -> "DiGraph":
         """Induced subgraph on keep plus all of its ancestors."""
         keep = frozenset(keep)
         self._universe.require(keep)
-        kept = keep | self.ancestors(keep)
-        arcs = [(a, b) for a, b in self._arcs if a in kept and b in kept]
-        return DiGraph(Universe(kept), arcs, self._deterministic & kept)
+        kept = self._ancestral(keep)
+        arcs = [(p, v) for v, ps in kept.items() for p in ps]
+        return DiGraph(Universe(kept), arcs, self._deterministic.intersection(kept))
 
     def det_propagate(self, z: Iterable[str]) -> "DiGraph":
         """Reroute children of unobserved deterministic elements.
 
-        Visits elements in graph order; each deterministic element outside z
-        has every outgoing arc replaced by arcs from its current parents, so
-        earlier propagations cascade into later ones.  Observed deterministic
-        elements (members of z) are left untouched; a graph with nothing to
-        reroute is returned as it is.
+        Each deterministic element outside z has every outgoing arc replaced
+        by arcs from its current parents, so earlier propagations cascade
+        into later ones.  Observed deterministic elements (members of z) are
+        left untouched; a graph with nothing to reroute is returned as it is.
         """
         z = frozenset(z)
-        rerouted = [v for v in self._order if v in self._deterministic and v not in z]
-        if not rerouted:
+        if self._deterministic <= z:
             return self
-        parents = {v: set(ps) for v, ps in self._parents.items()}
-        # Rerouting v gives new children only to v's parents, which come
-        # before v in graph order, so each element's children are still its
-        # original ones when it is visited.
-        for v in rerouted:
-            for c in self._children[v]:
-                parents[c].discard(v)
-                parents[c] |= parents[v]
+        parents = self._rerouted(dict(self._parents), z)
         arcs = [(p, c) for c, ps in parents.items() for p in ps]
         return DiGraph(self._universe, arcs, self._deterministic)
 
     def moralize(self) -> UGraph:
         """Drop arc directions and marry every pair of co-parents."""
-        edges = {tuple(sorted(arc)) for arc in self._arcs}
-        for v in self._universe:
-            for a, b in combinations(sorted(self._parents[v]), 2):
-                edges.add((a, b))
+        edges = [(a, b) for a, ns in _moral(self._parents).items() for b in ns if a < b]
         return UGraph.from_singletons(self._universe, edges)
 
     def d_separated(
@@ -165,9 +147,30 @@ class DiGraph:
         c = canonicalize(Statement(x, z, y))
         if c is TRIVIALLY_TRUE:
             return True
-        pruned = self.ancestral_prune(c.x | c.z | c.y)
-        propagated = pruned.det_propagate(c.z)
-        return propagated.moralize().separates(c.x, c.z, c.y)
+        parents = self._rerouted(self._ancestral(c.x | c.z | c.y), c.z)
+        return _separated(_moral(parents), c.x, c.z, c.y)
+
+    def _ancestral(self, seed: frozenset) -> dict:
+        """Parents of the seed and of every element with a path into it."""
+        kept = {}
+        frontier = list(seed)
+        while frontier:
+            v = frontier.pop()
+            if v not in kept:
+                kept[v] = self._parents[v]
+                frontier += kept[v]
+        return kept
+
+    def _rerouted(self, parents: dict, z: frozenset) -> dict:
+        """Reroute past unobserved deterministic elements, in place and in graph
+        order: rerouting v gives new children only to v's parents, which come
+        before v, so v's children are still its own when v is visited."""
+        rerouted = (self._deterministic - z).intersection(parents)
+        for v in filter(rerouted.__contains__, self._order):
+            for c in self._children[v]:
+                if c in parents:
+                    parents[c] = (parents[c] - {v}) | parents[v]
+        return parents
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiGraph):
@@ -184,6 +187,15 @@ class DiGraph:
     def __repr__(self) -> str:
         arcs = ", ".join(f"{a}->{b}" for a, b in sorted(self._arcs))
         return f"DiGraph({arcs}; det={format_set(self._deterministic)})"
+
+
+def _moral(parents: Mapping[str, frozenset]) -> dict[str, set]:
+    """Each element's parents, children and co-parents, and maybe itself."""
+    adj = {v: set(ps) for v, ps in parents.items()}
+    for v, ps in parents.items():
+        for p in ps:
+            adj[p].update(ps, (v,))
+    return adj
 
 
 class JoinTree:
@@ -234,36 +246,13 @@ class JoinTree:
             well_formed += 1
 
         if self._clusters:
-            start = min(self._clusters)
-            seen = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for nb in adjacency[v]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            is_tree = (
-                len(seen) == len(self._clusters)
-                and well_formed == len(self._clusters) - 1
-            )
-            if not is_tree:
+            seen = _reach(adjacency, min(self._clusters), adjacency)
+            if len(seen) != len(self._clusters) or well_formed != len(seen) - 1:
                 violations.append("links do not form a tree over the clusters")
 
-        every_element = sorted(set().union(*self._clusters.values())) if self._clusters else []
-        for e in every_element:
-            holders = [c for c in sorted(self._clusters) if e in self._clusters[c]]
-            if len(holders) < 2:
-                continue
-            seen = {holders[0]}
-            stack = [holders[0]]
-            while stack:
-                v = stack.pop()
-                for nb in adjacency[v]:
-                    if nb not in seen and e in self._clusters[nb]:
-                        seen.add(nb)
-                        stack.append(nb)
-            if not set(holders) <= seen:
+        for e in sorted(set().union(*self._clusters.values())):
+            holders = {c for c, es in self._clusters.items() if e in es}
+            if _reach(adjacency, min(holders), holders) != holders:
                 violations.append(
                     f"element {e} appears in clusters not connected through "
                     f"clusters containing it"
@@ -280,6 +269,17 @@ class JoinTree:
             f"{c}={format_set(es)}" for c, es in sorted(self._clusters.items())
         )
         return f"JoinTree({parts})"
+
+
+def _reach(adjacency: Mapping[int, set], start: int, inside) -> set:
+    """Clusters reachable from start along links between clusters inside."""
+    seen, stack = {start}, [start]
+    while stack:
+        for nb in adjacency[stack.pop()]:
+            if nb in inside and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
 
 
 def validate_join_tree(tree: JoinTree) -> list[str]:

@@ -20,8 +20,8 @@ computed, never declared.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .dsep import DiGraph, JoinTree
 from .errors import DuplicateName, ModelError, ModelSyntaxError, UnknownElement
@@ -33,6 +33,10 @@ from .ugraph import UGraph
 # character is an error; ``\d`` and ``\s`` are Unicode classes.
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[{}();:|=,]")
 _BAD_RE = re.compile(r"[^A-Za-z_\d\s{}();:|=,]")
+# The line breaks of ``str.splitlines`` ("\r\n" is one), and a comment up
+# to the next one.
+_BREAK_RE = re.compile(r"[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+_COMMENT_RE = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 # Clauses read fixed windows of up to four tokens; the padding after the
 # last token matches no name, number or punctuation mark.
 _PAD = ["\n"] * 4
@@ -57,39 +61,37 @@ class ModelFile:
 
 
 class _Tokens:
-    """Token strings of a model text, with each line's first token index.
+    """Token strings of a model text, read from the whole text at once.
 
-    A token's line and column are worked out only when an error names them.
+    Lines are found only for ``universe``, which reads the first line that
+    holds a token, and for the line and column of an error.
     """
 
     def __init__(self, text: str):
-        lines = text.splitlines()
-        if "#" in text:
-            lines = [line.split("#", 1)[0] for line in lines]
-        self.lines = lines
-        self.firsts: list[int] = []
-        toks: list[str] = []
-        search, findall, first = _BAD_RE.search, _TOKEN_RE.findall, self.firsts.append
-        for body in lines:
-            if bad := search(body):
-                lineno = len(self.firsts) + 1
-                raise ModelSyntaxError(
-                    f"unexpected character {bad.group()!r}", lineno, bad.start() + 1
-                )
-            first(len(toks))
-            toks += findall(body)
+        # A comment becomes a space, so that no "\r" before it and "\n"
+        # after it can join into one line break.
+        body = _COMMENT_RE.sub(" ", text) if "#" in text else text
+        self.body = body
+        if bad := _BAD_RE.search(body):
+            line, column = self._line_column(bad.start())
+            raise ModelSyntaxError(f"unexpected character {bad.group()!r}", line, column)
+        first = _TOKEN_RE.search(body)
+        brk = _BREAK_RE.search(body, first.end()) if first else None
+        cut = brk.start() if brk else len(body)
+        toks = _TOKEN_RE.findall(body, 0, cut)
+        self.first_line_end = len(toks)
+        toks += _TOKEN_RE.findall(body, cut)
         self.n = len(toks)
         self.toks = toks + _PAD
 
-    def position(self, j: int) -> tuple[int, int]:
-        line = bisect_right(self.firsts, j) - 1
-        match = list(_TOKEN_RE.finditer(self.lines[line]))[j - self.firsts[line]]
-        return line + 1, match.start() + 1
+    def _line_column(self, offset: int) -> tuple[int, int]:
+        breaks = list(_BREAK_RE.finditer(self.body, 0, offset))
+        line = len(breaks) + 1 - self.body.count("\r\n", 0, offset)
+        return line, offset - (breaks[-1].end() if breaks else 0) + 1
 
-    def line_end(self, j: int) -> int:
-        """Index just past the last token on token j's line."""
-        line = bisect_right(self.firsts, j)
-        return self.firsts[line] if line < len(self.firsts) else self.n
+    def position(self, j: int) -> tuple[int, int]:
+        match = next(islice(_TOKEN_RE.finditer(self.body), j, None))
+        return self._line_column(match.start())
 
     def error(self, message: str, j: int) -> ModelSyntaxError:
         return ModelSyntaxError(message, *self.position(j))
@@ -146,7 +148,7 @@ def parse_model(text: str) -> ModelFile:
         if head == "universe":
             if model is not None:
                 raise p.error("universe already declared", i)
-            end = p.line_end(i)
+            end = p.first_line_end  # i is 0: any other first token raises
             for j in range(i + 1, end):
                 if not toks[j].isidentifier():
                     raise p.expected(j, "element name")

@@ -186,6 +186,13 @@ def test_dsep_exit_codes():
         "--x", "x", "--z", "z", "--y", "y",
     )
     assert code == 1 and "result: not-separated" in text
+    # A query that fails validation prints nothing, not a query line.
+    for x, z, y in (("x", "z", "q"), ("x,w", "z", "w,y")):
+        code, text = run(
+            "dsep", f"{FIXTURES}/directed.mug", "--graph", "Observed",
+            "--x", x, "--z", z, "--y", y,
+        )
+        assert code == 2 and text == ""
 
 
 def test_moralize_output():

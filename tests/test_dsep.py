@@ -442,8 +442,13 @@ def random_query(rng, names):
 
 def test_index_matches_arc_scans_on_random_dags():
     rng = random.Random(31)
-    for _ in range(200):
-        d = random_dag(rng, rng.randint(1, 14), 0.2)
+    # small DAGs, then DAGs of the benchmark's sizes with many more
+    # deterministic elements, so that rerouting cascades and the
+    # conditioning set often holds a deterministic element
+    shapes = [(1, 14, 0.2)] * 200 + [(16, 64, 0.3)] * 30 + [(16, 64, 0.6)] * 30
+    observed_det = set()
+    for low, high, det_share in shapes:
+        d = random_dag(rng, rng.randint(low, high), det_share)
         names = list(d.universe)
         assert d.topological_order() == reference_toposort(names, d.arcs)
         for v in names:
@@ -456,7 +461,11 @@ def test_index_matches_arc_scans_on_random_dags():
         if len(names) >= 2:
             for _ in range(5):
                 x, z, y = random_query(rng, names)
-                assert d.d_separated(x, z, y) == reference_d_separated(d, x, z, y)
+                want = reference_d_separated(d, x, z, y)
+                assert d.d_separated(x, z, y) == want
+                if high == 64 and z & d.deterministic:
+                    observed_det.add(want)
+    assert observed_det == {True, False}
 
 
 def test_det_propagate_matches_arc_scans_on_random_dags():
@@ -471,6 +480,28 @@ def test_det_propagate_matches_arc_scans_on_random_dags():
         assert got == DiGraph(d.universe, want, d.deterministic)
         rerouted += got.arcs != d.arcs
     assert rerouted > 50  # the cascade changes many of the graphs
+
+
+def test_d_separated_builds_no_graph(monkeypatch):
+    rng = random.Random(47)
+    dags = [double_det_cascade()]
+    dags += [random_dag(rng, rng.randint(16, 64), 0.6) for _ in range(10)]
+    built = []
+    for cls in (DiGraph, Universe, UGraph):
+        real_init = cls.__init__
+
+        def counting_init(self, *args, _real_init=real_init, **kwargs):
+            built.append(type(self).__name__)
+            _real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    verdicts = set()
+    for d in dags:
+        names = list(d.universe)
+        for _ in range(10):
+            verdicts.add(d.d_separated(*random_query(rng, names)))
+    assert verdicts == {True, False}
+    assert built == []
 
 
 # -- networkx as an outside oracle ------------------------------------------------

@@ -527,6 +527,26 @@ def test_parse_errors_match_reference_on_edge_cases(text):
     assert outcome(parse_model, text) == reference_outcome(text)
 
 
+# Every line break of ``str.splitlines`` next to comments: a comment between
+# "\r" and "\n" must not join them into one break, and a break a comment
+# does not end must still end the universe line.
+@pytest.mark.parametrize(
+    "text",
+    [
+        "universe a b\r# c\nstmt S: {a} | {} | {q}\n",
+        "\r# lead\nuniverse a b\ngraph G { node 0 = {a}; node x = {b}; }\n",
+        "universe a b # c\r\nstmt S: {a} | {} | {b} $\n",
+        *(f"universe a b #{c}x{c}stmt S: {{a}} | {{}} | {{c}}\n"
+          for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029\r"),
+        "universe a\x1fb\nstmt S: {a} | {} | {b} é\n",
+    ],
+)
+def test_line_breaks_around_comments_match_reference(text):
+    got = outcome(parse_model, text)
+    assert got[0] != "ok"
+    assert got == reference_outcome(text)
+
+
 # One text per error the clauses can raise, each placed after other clauses
 # on its line, so that a wrong token index shows in the column.
 CLAUSE_ERRORS = [
