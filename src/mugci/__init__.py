@@ -23,7 +23,6 @@ from .dsep import DiGraph, JoinTree, build_join_tree, validate_join_tree
 from .graphoid import (
     AxiomStep,
     Closure,
-    axiom_consequences,
     closure,
     verify_chain,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "Universe",
     "all_ci",
     "append_transformed",
-    "axiom_consequences",
     "build_join_tree",
     "canonical_triple",
     "canonicalize",

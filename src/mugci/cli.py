@@ -70,8 +70,15 @@ def _parse_statement_arg(text: str) -> Statement:
 
 
 def _load_model(path: str) -> ModelFile:
-    with open(path, encoding="utf-8") as handle:
-        return parse_model(handle.read())
+    # Decoded whole, so that an error gives the offset in the file; the
+    # parser reads "\r\n" and "\r" as line breaks, as text mode would.
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path} is not UTF-8: bad byte at offset {exc.start}") from None
+    return parse_model(text)
 
 
 def _declared_canonical(model: ModelFile):
@@ -188,38 +195,38 @@ def _cmd_query(args, out) -> int:
     if target is TRIVIALLY_TRUE:
         print("result: trivially-true", file=out)
         return 0
-    print(f"statement: {target}", file=out)
+    # Every check runs before the first line is printed, so an error leaves
+    # stdout empty.
     if args.mode == "search":
         # Search needs no chain, so it neither pays for the axiom closure
         # nor is bound by the closure's size guard.
         outcome = search(_seed_mug(model), target, args.max_moves, args.max_graphs)
-        if isinstance(outcome, Exhausted):
-            print("result: exhausted", file=out)
-            print(f"states-explored: {outcome.states_explored}", file=out)
-            print(f"depth-reached: {outcome.depth_reached}", file=out)
-            return 1
-        print("result: proven", file=out)
-        _print_script(outcome, verify_script(outcome), out)
-        return 0
-
-    chain = closure(_closure_init(model), model.universe).query(target)
-    if chain is None:
+    else:
+        outcome = closure(_closure_init(model), model.universe).query(target)
+        if outcome is not None and args.mode == "replay":
+            outcome = replay_chain(_seed_mug(model), outcome)
+    print(f"statement: {target}", file=out)
+    if outcome is None:
         print("result: not-derivable", file=out)
         return 1
-    if args.mode == "axioms":
-        lines = _format_chain(_verified(chain))
+    if isinstance(outcome, Exhausted):
+        print("result: exhausted", file=out)
+        print(f"states-explored: {outcome.states_explored}", file=out)
+        print(f"depth-reached: {outcome.depth_reached}", file=out)
+        return 1
+    if isinstance(outcome, MoveScript):
+        verified = verify_script(outcome)
+        if args.mode == "replay" and not verified:
+            raise AssertionError("emitted script failed verification")
         print("result: proven", file=out)
-        print("chain:", file=out)
-        for line in lines:
-            print(line, file=out)
-        print("chain-verified: true", file=out)
+        _print_script(outcome, verified, out)
         return 0
-
-    script = replay_chain(_seed_mug(model), chain)
-    if not verify_script(script):
-        raise AssertionError("emitted script failed verification")
+    lines = _format_chain(_verified(outcome))
     print("result: proven", file=out)
-    _print_script(script, True, out)
+    print("chain:", file=out)
+    for line in lines:
+        print(line, file=out)
+    print("chain-verified: true", file=out)
     return 0
 
 

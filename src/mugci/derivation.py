@@ -24,7 +24,7 @@ from .errors import (
     PremiseNotSatisfied,
     ReducedGraphLosesSeparation,
 )
-from .graphoid import AxiomStep, contraction_parts, first_invalid_step
+from .graphoid import AxiomStep, contraction, first_invalid_step
 from .model import CanonicalStatement, Universe
 from .mug import (
     Combine,
@@ -132,6 +132,7 @@ def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
     if bad is not None:
         raise ValueError(f"chain does not verify at step {bad}")
 
+    enc = m0.universe.encoding
     m = m0
     moves: list[Move] = []
     for step in steps:
@@ -145,7 +146,8 @@ def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
         s1 = steps[step.premises[0]].conclusion
         s2 = steps[step.premises[1]].conclusion
         # The chain verified, so the premises pair up as contraction's.
-        x, z, y, _w = contraction_parts(s1, s2)
+        parts = contraction(enc, enc.encode(s1), enc.encode(s2))
+        x, z, y, _w = map(enc.names, parts)
         kept = x | z | y
         gi = m.witness(s2)
         if gi is None:

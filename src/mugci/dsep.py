@@ -10,7 +10,6 @@ intermediate graph.
 
 from __future__ import annotations
 
-import heapq
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -62,16 +61,12 @@ class DiGraph:
 
     def _toposort(self) -> tuple[str, ...]:
         indegree = {v: len(ps) for v, ps in self._parents.items()}
-        ready = [v for v, n in indegree.items() if n == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
+        order = [v for v, n in indegree.items() if n == 0]
+        for v in order:  # grows as elements become ready
             for c in self._children[v]:
                 indegree[c] -= 1
                 if indegree[c] == 0:
-                    heapq.heappush(ready, c)
+                    order.append(c)
         if len(order) != len(self._universe):
             raise CyclicGraph("arcs contain a directed cycle")
         return tuple(order)
@@ -91,20 +86,6 @@ class DiGraph:
     def parents(self, v: str) -> frozenset:
         self._universe.require((v,))
         return self._parents[v]
-
-    def children(self, v: str) -> frozenset:
-        self._universe.require((v,))
-        return self._children[v]
-
-    def topological_order(self) -> tuple[str, ...]:
-        """Parents before children; ties broken lexicographically."""
-        return self._order
-
-    def ancestors(self, seed: Iterable[str]) -> frozenset:
-        """All elements with a directed path into the seed set (seed excluded)."""
-        seed = frozenset(seed)
-        self._universe.require(seed)
-        return frozenset(self._ancestral(seed).keys() - seed)
 
     def ancestral_prune(self, keep: Iterable[str]) -> "DiGraph":
         """Induced subgraph on keep plus all of its ancestors."""
@@ -162,9 +143,10 @@ class DiGraph:
         return kept
 
     def _rerouted(self, parents: dict, z: frozenset) -> dict:
-        """Reroute past unobserved deterministic elements, in place and in graph
-        order: rerouting v gives new children only to v's parents, which come
-        before v, so v's children are still its own when v is visited."""
+        """Reroute past unobserved deterministic elements, in place and in a
+        topological order: rerouting v gives new children only to v's parents,
+        which come before v, so v's children are still its own when v is
+        visited, and any topological order gives the same parent sets."""
         rerouted = (self._deterministic - z).intersection(parents)
         for v in filter(rerouted.__contains__, self._order):
             for c in self._children[v]:
@@ -349,13 +331,11 @@ def build_join_tree(
     )
     clusters = {i: c for i, c in enumerate(maximal)}
 
+    # maximal is in name order, so the stable sort keeps links of equal
+    # weight in name order too.
     candidates = sorted(
         combinations(range(len(maximal)), 2),
-        key=lambda ij: (
-            -len(maximal[ij[0]] & maximal[ij[1]]),
-            tuple(sorted(maximal[ij[0]])),
-            tuple(sorted(maximal[ij[1]])),
-        ),
+        key=lambda ij: -len(maximal[ij[0]] & maximal[ij[1]]),
     )
     uf = _UnionFind(range(len(maximal)))
     links = [(i, j) for i, j in candidates if uf.union(i, j)]

@@ -35,8 +35,6 @@ from .model import (
     check_size,
 )
 
-RULES = ("given", "symmetry", "decomposition", "weak_union", "contraction")
-
 
 @dataclass(frozen=True)
 class AxiomStep:
@@ -70,11 +68,11 @@ def _unary(enc: Encoding, p: int) -> list[tuple[str, int]]:
     return out
 
 
-def _contraction(enc: Encoding, p1: int, p2: int) -> tuple[int, int, int, int] | None:
+def contraction(enc: Encoding, p1: int, p2: int) -> tuple[int, int, int, int] | None:
     """Masks (x, z, y, w) with p1 = I(x, z+y, w) and p2 = I(x, z, y), or None.
 
     Sides are disjoint from each other and from z, so at most one pairing
-    of the sides matches; the conclusion is ``_contracted(enc, x, z, y, w)``.
+    of the sides matches; the conclusion is ``enc.pack(x, z, y | w)``.
     """
     x1, z1, y1 = enc.unpack(p1)
     x2, z2, y2 = enc.unpack(p2)
@@ -83,39 +81,6 @@ def _contraction(enc: Encoding, p1: int, p2: int) -> tuple[int, int, int, int] |
             if a == b and z1 == z2 | y:
                 return a, z2, y, w
     return None
-
-
-def _contracted(enc: Encoding, x: int, z: int, y: int, w: int) -> int:
-    """Contraction's conclusion I(x, z, y+w)."""
-    return enc.pack(x, z, y | w)
-
-
-def _encoding_of(*statements: CanonicalStatement) -> Encoding:
-    """Encoding over the sorted union of the statements' elements."""
-    return Encoding(sorted(frozenset().union(*(s.elements for s in statements))))
-
-
-def axiom_consequences(
-    s1: CanonicalStatement, s2: CanonicalStatement | None = None
-) -> list[tuple[str, CanonicalStatement]]:
-    """Single-application consequences; pass s2 only for contraction."""
-    if s2 is None:
-        enc = _encoding_of(s1)
-        return [(rule, enc.decode(c)) for rule, c in _unary(enc, enc.encode(s1))]
-    enc = _encoding_of(s1, s2)
-    parts = _contraction(enc, enc.encode(s1), enc.encode(s2))
-    if parts is None:
-        return []
-    return [("contraction", enc.decode(_contracted(enc, *parts)))]
-
-
-def contraction_parts(
-    s1: CanonicalStatement, s2: CanonicalStatement
-) -> tuple[frozenset, frozenset, frozenset, frozenset] | None:
-    """(x, z, y, w) with s1 = I(x, z+y, w) and s2 = I(x, z, y), or None."""
-    enc = _encoding_of(s1, s2)
-    parts = _contraction(enc, enc.encode(s1), enc.encode(s2))
-    return None if parts is None else tuple(map(enc.names, parts))
 
 
 class Closure:
@@ -210,7 +175,6 @@ class Closure:
 def closure(
     init: Iterable[CanonicalStatement | Statement],
     universe: Universe,
-    max_elements: int = ENUMERATION_GUARD,
 ) -> Closure:
     """Saturate the initial statements under the axioms.
 
@@ -219,7 +183,7 @@ def closure(
     statements are packed by the universe's encoding and the run makes no
     statement object; ``Closure`` decodes on demand.
     """
-    check_size(universe, max_elements)
+    check_size(universe, ENUMERATION_GUARD)
     enc = universe.encoding
     seeds: set[int] = set()
     for s in init:
@@ -273,9 +237,9 @@ def closure(
         found = []
         for side, other in ((x, y), (y, x)):
             for k, t, tz, ty in by_zy.get((side, z), ()):
-                found.append((k, _contracted(enc, side, tz, ty, other), (s, t)))
+                found.append((k, enc.pack(side, tz, ty | other), (s, t)))
             for k, t, tw in by_z.get((side, z | other), ()):
-                found.append((k, _contracted(enc, side, z, other, tw), (t, s)))
+                found.append((k, enc.pack(side, z, other | tw), (t, s)))
         found.sort()
         for rule, c in _unary(enc, s):
             if c not in parents:
@@ -303,7 +267,8 @@ def first_invalid_step(
     """
     given = set(init)
     steps = list(chain)
-    enc = _encoding_of(*(step.conclusion for step in steps))
+    elements = frozenset().union(*(step.conclusion.elements for step in steps))
+    enc = Encoding(sorted(elements))
     packed = [enc.encode(step.conclusion) for step in steps]
     for i, step in enumerate(steps):
         premises = [packed[q] for q in step.premises if 0 <= q < i]
@@ -322,8 +287,11 @@ def first_invalid_step(
             if (step.rule, packed[i]) not in _unary(enc, premises[0]):
                 return i
         elif step.rule == "contraction":
-            parts = _contraction(enc, *premises) if len(premises) == 2 else None
-            if parts is None or _contracted(enc, *parts) != packed[i]:
+            parts = contraction(enc, *premises) if len(premises) == 2 else None
+            if parts is None:
+                return i
+            x, z, y, w = parts
+            if enc.pack(x, z, y | w) != packed[i]:
                 return i
         else:
             return i

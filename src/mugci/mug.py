@@ -72,17 +72,12 @@ class Mug:
                 return i
         return None
 
-    def satisfies(self, s: CanonicalStatement) -> bool:
-        return self.witness(s) is not None
-
-    def enumerate_satisfied(
-        self, max_elements: int = ENUMERATION_GUARD
-    ) -> frozenset:
+    def enumerate_satisfied(self) -> frozenset:
         """All canonical statements over the universe satisfied by some graph.
 
         Generated graph by graph, not tested one by one: see ``_separations``.
         """
-        check_size(self._universe, max_elements)
+        check_size(self._universe, ENUMERATION_GUARD)
         enc = self._universe.encoding
         found: set[int] = set()
         for g in self._graphs:

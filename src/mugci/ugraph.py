@@ -59,11 +59,12 @@ def _as_edge(pair) -> frozenset:
 class UGraph:
     """Undirected graph over integer node ids, each holding an element set.
 
-    Immutable: the element set, the element-graph adjacency and the
-    canonical key are computed on first use and kept for every later query.
+    Immutable: the element set and the element-graph adjacency are computed
+    on first use and kept for every later query; the canonical key is
+    computed on every call.
     """
 
-    __slots__ = ("_nodes", "_edges", "_elements", "_adjacency", "_key")
+    __slots__ = ("_nodes", "_edges", "_elements", "_adjacency")
 
     def __init__(self, nodes: Mapping[int, Iterable[str]], edges: Iterable = ()):
         node_map = {int(n): frozenset(es) for n, es in nodes.items()}
@@ -81,7 +82,6 @@ class UGraph:
         self._edges = frozenset(edge_set)
         self._elements = None
         self._adjacency = None
-        self._key = None
 
     @classmethod
     def from_singletons(cls, elements: Iterable[str], element_edges: Iterable = ()):
@@ -226,14 +226,12 @@ class UGraph:
 
     def key(self) -> tuple:
         """Canonical serialization; equal keys mean element-wise identical graphs."""
-        if self._key is None:
-            labels = {n: tuple(sorted(es)) for n, es in self._nodes.items()}
-            nodes_part = tuple(sorted(labels.values()))
-            edges_part = tuple(
-                sorted(tuple(sorted((labels[a], labels[b]))) for a, b in map(tuple, self._edges))
-            )
-            self._key = (nodes_part, edges_part)
-        return self._key
+        labels = {n: tuple(sorted(es)) for n, es in self._nodes.items()}
+        nodes_part = tuple(sorted(labels.values()))
+        edges_part = tuple(
+            sorted(tuple(sorted((labels[a], labels[b]))) for a, b in map(tuple, self._edges))
+        )
+        return nodes_part, edges_part
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UGraph):

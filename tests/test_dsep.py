@@ -112,12 +112,6 @@ def test_arc_check_matches_arc_by_arc_reference():
             assert got == want, arcs
 
 
-def test_topological_order_breaks_ties_lexicographically():
-    u = Universe(["a", "b", "c"])
-    d = DiGraph(u, [("c", "a")])
-    assert d.topological_order() == ("b", "c", "a")
-
-
 # -- ancestral pruning ------------------------------------------------------------
 
 
@@ -350,7 +344,7 @@ def test_disconnected_graph_still_yields_a_tree():
 # -- differential: the parents and children index against arc scans ---------
 #
 # The references below scan every arc for each element, as ``DiGraph`` did
-# before it indexed parents and children once.  Orders, parents, ancestors,
+# before it indexed parents and children once.  Parents, ancestral sets,
 # moral graphs and separation verdicts must all be the same.
 
 
@@ -450,12 +444,11 @@ def test_index_matches_arc_scans_on_random_dags():
     for low, high, det_share in shapes:
         d = random_dag(rng, rng.randint(low, high), det_share)
         names = list(d.universe)
-        assert d.topological_order() == reference_toposort(names, d.arcs)
         for v in names:
             assert d.parents(v) == reference_parents(d.arcs, v)
-            assert d.children(v) == frozenset(b for a, b in d.arcs if a == v)
         seed = rng.sample(names, rng.randint(0, len(names)))
-        assert d.ancestors(seed) == reference_ancestors(d.arcs, seed)
+        kept = d.ancestral_prune(seed).universe
+        assert set(kept) == set(seed) | reference_ancestors(d.arcs, seed)
         want = reference_moralize(names, d.arcs).expand().edges
         assert d.moralize().expand().edges == want
         if len(names) >= 2:

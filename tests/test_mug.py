@@ -140,7 +140,7 @@ def test_combination_contraction_pattern():
     small = chain_graph()
     m = Mug(u, [premise_graph, small])
     s = canonical_triple({"x"}, {"z", "y"}, {"w"})
-    assert m.satisfies(s)
+    assert m.witness(s) is not None
     m2, gi = m.combined(s, 1)
     assert m2.graphs[gi].separates({"x"}, {"z"}, {"y", "w"})
 
@@ -290,5 +290,3 @@ def test_enumerate_satisfied_guard_comes_before_any_work(monkeypatch):
         UniverseTooLarge, match=f"^universe has {n} elements, guard is {ENUMERATION_GUARD}$"
     ):
         m.enumerate_satisfied()
-    with pytest.raises(UniverseTooLarge, match=f"^universe has {n} elements, guard is 5$"):
-        m.enumerate_satisfied(max_elements=5)
