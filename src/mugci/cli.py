@@ -27,7 +27,6 @@ from .graphoid import AxiomStep, closure, verify_chain
 from .model import (
     TRIVIALLY_TRUE,
     Statement,
-    canonicalize,
     format_set,
 )
 from .modelfile import (
@@ -81,33 +80,9 @@ def _load_model(path: str) -> ModelFile:
     return parse_model(text)
 
 
-def _declared_canonical(model: ModelFile):
-    """Canonical forms of the declared statements; trivials drop out."""
-    out = []
-    for s in model.statements.values():
-        model.universe.require(s.x | s.z | s.y)
-        c = canonicalize(s)
-        if c is not TRIVIALLY_TRUE:
-            out.append(c)
-    return out
-
-
-def _closure_init(model: ModelFile) -> set:
-    """Declared statements plus everything the declared graphs satisfy."""
-    init = set(_declared_canonical(model))
-    if model.graphs:
-        mug = Mug(model.universe, list(model.graphs.values()))
-        init |= mug.enumerate_satisfied()
-    return init
-
-
 def _seed_mug(model: ModelFile) -> Mug:
     """The graphical modes' starting model: declared graphs and statements."""
-    return initial_mug(
-        model.universe,
-        statements=_declared_canonical(model),
-        graphs=list(model.graphs.values()),
-    )
+    return initial_mug(model.universe, model.statements.values(), model.graphs.values())
 
 
 def _format_chain(chain: tuple[AxiomStep, ...]) -> list[str]:
@@ -150,7 +125,7 @@ def _verified(chain: tuple[AxiomStep, ...]) -> tuple[AxiomStep, ...]:
 
 def _cmd_closure(args, out) -> int:
     model = _load_model(args.file)
-    result = closure(_closure_init(model), model.universe)
+    result = closure(model.statements.values(), model.universe, model.graphs.values())
     ordered = list(result)
     if args.json:
         payload = {
@@ -189,9 +164,7 @@ def _cmd_closure(args, out) -> int:
 
 def _cmd_query(args, out) -> int:
     model = _load_model(args.file)
-    raw = _parse_statement_arg(args.stmt)
-    model.universe.require(raw.x | raw.z | raw.y)
-    target = canonicalize(raw)
+    target = model.universe.canonical(_parse_statement_arg(args.stmt))
     if target is TRIVIALLY_TRUE:
         print("result: trivially-true", file=out)
         return 0
@@ -202,7 +175,9 @@ def _cmd_query(args, out) -> int:
         # nor is bound by the closure's size guard.
         outcome = search(_seed_mug(model), target, args.max_moves, args.max_graphs)
     else:
-        outcome = closure(_closure_init(model), model.universe).query(target)
+        outcome = closure(
+            model.statements.values(), model.universe, model.graphs.values()
+        ).query(target)
         if outcome is not None and args.mode == "replay":
             outcome = replay_chain(_seed_mug(model), outcome)
     print(f"statement: {target}", file=out)

@@ -25,7 +25,7 @@ from .errors import (
     ReducedGraphLosesSeparation,
 )
 from .graphoid import AxiomStep, contraction, first_invalid_step
-from .model import CanonicalStatement, Universe
+from .model import TRIVIALLY_TRUE, CanonicalStatement, Statement, Universe
 from .mug import (
     Combine,
     Delete,
@@ -104,12 +104,17 @@ def singletonize(g: UGraph) -> UGraph:
 
 def initial_mug(
     universe: Universe,
-    statements: Iterable[CanonicalStatement] = (),
+    statements: Iterable[CanonicalStatement | Statement] = (),
     graphs: Iterable[UGraph] = (),
 ) -> Mug:
-    """Model seeding: declared graphs (singletonized) then statement witnesses."""
+    """Model seeding: declared graphs (singletonized) then statement witnesses.
+
+    The statements may be raw: each is checked against the universe and
+    canonicalized first, and trivial ones get no witness graph.
+    """
+    canonical = [universe.canonical(s) for s in statements]
     members = [singletonize(g) for g in graphs]
-    members += [witness_graph(s) for s in statements]
+    members += [witness_graph(s) for s in canonical if s is not TRIVIALLY_TRUE]
     return Mug(universe, members)
 
 
@@ -379,31 +384,18 @@ def search(
     )
 
 
-def first_failing_move(script: MoveScript) -> int | None:
-    """None if the script replays cleanly and satisfies its target.
-
-    Otherwise the index of the failing move, or ``len(moves)`` when replay
-    succeeds but the target is not satisfied at the end.
-    """
-    m = script.initial
-    for i, move in enumerate(script.moves):
-        try:
-            m, _ = append_transformed(m, move)
-        except (ModelError, IndexError, ValueError):
-            return i
-    if m.witness(script.target) is None:
-        return len(script.moves)
-    return None
-
-
-def verify_script(script: MoveScript) -> bool:
-    """Replay the script through the model layer and check final satisfaction."""
-    return first_failing_move(script) is None
-
-
 def replay_final(script: MoveScript) -> Mug:
     """The model obtained after applying every move of a valid script."""
     m = script.initial
     for move in script.moves:
         m, _ = append_transformed(m, move)
     return m
+
+
+def verify_script(script: MoveScript) -> bool:
+    """Replay the script through the model layer and check final satisfaction."""
+    try:
+        final = replay_final(script)
+    except (ModelError, IndexError, ValueError):
+        return False
+    return final.witness(script.target) is not None

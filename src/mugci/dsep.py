@@ -18,7 +18,6 @@ from .model import (
     TRIVIALLY_TRUE,
     Statement,
     Universe,
-    canonicalize,
     format_set,
 )
 from .ugraph import UGraph, _separated
@@ -123,9 +122,7 @@ class DiGraph:
         Raises for elements outside the universe or sides overlapping
         outside z; trivial queries (an empty side) hold vacuously.
         """
-        x, z, y = frozenset(x), frozenset(z), frozenset(y)
-        self._universe.require(x | z | y)
-        c = canonicalize(Statement(x, z, y))
+        c = self._universe.canonical(Statement(x, z, y))
         if c is TRIVIALLY_TRUE:
             return True
         parents = self._rerouted(self._ancestral(c.x | c.z | c.y), c.z)

@@ -14,8 +14,10 @@ a chain.
 Statements are packed into ints by ``model.Encoding`` on the way in and
 stay packed inside: the closure runs and keeps its derivation over the
 universe's encoding, and a chain check packs over the sorted union of the
-elements its steps use.  Statement objects appear only at the boundary,
-when a caller asks ``Closure`` for its statements or a chain.
+elements its steps use.  A model's graphs come in as graphs: the closure
+packs each one's separations at intake (``mug.separations``), so no
+statement object is made for them.  Statement objects appear only at the
+boundary, when a caller asks ``Closure`` for its statements or a chain.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from .model import (
     Encoding,
     Statement,
     Universe,
-    canonicalize,
     check_size,
 )
+from .mug import separations
+from .ugraph import UGraph
 
 
 @dataclass(frozen=True)
@@ -165,8 +168,7 @@ class Closure:
     ) -> tuple[AxiomStep, ...] | None:
         """Chain proving s, () if trivially true, or None if not derivable."""
         if not isinstance(s, CanonicalStatement):
-            self._universe.require(s.x | s.z | s.y)
-            s = canonicalize(s)
+            s = self._universe.canonical(s)
             if s is TRIVIALLY_TRUE:
                 return ()
         return self.chain(s) if s in self else None
@@ -175,28 +177,25 @@ class Closure:
 def closure(
     init: Iterable[CanonicalStatement | Statement],
     universe: Universe,
+    graphs: Iterable[UGraph] = (),
 ) -> Closure:
-    """Saturate the initial statements under the axioms.
+    """Saturate the initial statements and the graphs' separations.
 
-    The worklist starts from the initial statements in lexicographic order
-    and runs FIFO, so the discovered chains are deterministic.  The initial
-    statements are packed by the universe's encoding and the run makes no
+    The initial statements may be raw; trivial ones drop out.  Each graph
+    gives every statement it witnesses, packed straight from the graph.
+    The statements are checked before the size guard and the graphs after
+    it, so no graph is read over a universe the guard refuses.  The
+    worklist starts from all of these in lexicographic order and runs FIFO,
+    so the discovered chains are deterministic.  The run makes no
     statement object; ``Closure`` decodes on demand.
     """
+    statements = [universe.canonical(s) for s in init]
     check_size(universe, ENUMERATION_GUARD)
     enc = universe.encoding
-    seeds: set[int] = set()
-    for s in init:
-        if not isinstance(s, CanonicalStatement):
-            universe.require(s.x | s.z | s.y)
-            s = canonicalize(s)
-            if s is TRIVIALLY_TRUE:
-                continue
-        try:
-            seeds.add(enc.encode(s))
-        except KeyError:
-            universe.require(s.elements)
-            raise
+    seeds = {enc.encode(s) for s in statements if s is not TRIVIALLY_TRUE}
+    for g in graphs:
+        universe.require(g.elements)
+        seeds.update(separations(enc, g))
 
     unpack, key = enc.unpack, enc.key
     parents: dict[int, tuple[str, tuple[int, ...]]] = {}

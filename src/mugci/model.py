@@ -62,6 +62,11 @@ class Universe:
         if missing:
             raise UnknownElement(f"not in universe: {', '.join(missing)}")
 
+    def canonical(self, s: "Statement") -> "CanonicalStatement | TriviallyTrue":
+        """``canonicalize(s)``, once every element of s is in this universe."""
+        self.require(s.x | s.z | s.y)
+        return canonicalize(s)
+
     def __iter__(self) -> Iterator[str]:
         return iter(self._elements)
 

@@ -7,8 +7,9 @@ only grow along a derivation.
 
 The graph moves, node deletion and graph combination, live here in both
 forms: on ``UGraph`` objects for replay and script checks, and packed
-(``packed_graph``) for search.  Search and ``enumerate_satisfied`` share
-one element-neighbour-mask builder and one mask flood (``reach``).
+(``packed_graph``) for search.  Search and ``separations``, which the axiom
+closure seeds itself from, share one element-neighbour-mask builder and one
+mask flood (``reach``).
 """
 
 from __future__ import annotations
@@ -75,13 +76,13 @@ class Mug:
     def enumerate_satisfied(self) -> frozenset:
         """All canonical statements over the universe satisfied by some graph.
 
-        Generated graph by graph, not tested one by one: see ``_separations``.
+        Generated graph by graph, not tested one by one: see ``separations``.
         """
         check_size(self._universe, ENUMERATION_GUARD)
         enc = self._universe.encoding
         found: set[int] = set()
         for g in self._graphs:
-            found.update(_separations(enc, g))
+            found.update(separations(enc, g))
         return frozenset(map(enc.decode, found))
 
     def with_graph(self, g: UGraph) -> tuple["Mug", int]:
@@ -248,7 +249,7 @@ def reach(neighbours: dict[int, int], start: int, blocked: int) -> int:
     return reached
 
 
-def _separations(enc: Encoding, g: UGraph) -> list[int]:
+def separations(enc: Encoding, g: UGraph) -> list[int]:
     """Every statement the graph witnesses, packed.
 
     I(x, z, y) holds in g iff its elements lie in g and no connected

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mugci import ENUMERATION_GUARD, AxiomStep, Closure, cli
+from mugci import ENUMERATION_GUARD, AxiomStep, Closure, Mug, cli
 from mugci.cli import _build_parser, main
 
 FIXTURES = "tests/fixtures"
@@ -73,6 +73,26 @@ def test_closure_json_emit_chains_carries_verified_chains():
         {"rule": "given", "premises": [], "conclusion": "{w} | {z} | {x,y}"},
         {"rule": "weak_union", "premises": [1], "conclusion": "{w} | {x,z} | {y}"},
     ]
+
+
+def test_axiom_path_builds_no_mug(monkeypatch):
+    # The closure takes the model's graphs as they are and packs their
+    # separations itself: no Mug is built and no separation decoded.
+    chains = f"{FIXTURES}/chains.mug"
+    calls = [
+        ["closure", chains, *flags]
+        for flags in ([], ["--emit-chains"], ["--json"], ["--emit-chains", "--json"])
+    ]
+    calls.append(["query", chains, "--stmt", "{x}|{z}|{y}", "--mode", "axioms"])
+    expected = [run(*argv) for argv in calls]
+    assert all(code == 0 and text for code, text in expected)
+
+    def no_mug(*args, **kwargs):
+        raise AssertionError("the axiom path used a Mug")
+
+    monkeypatch.setattr(Mug, "__init__", no_mug)
+    monkeypatch.setattr(Mug, "enumerate_satisfied", no_mug)
+    assert [run(*argv) for argv in calls] == expected
 
 
 @pytest.mark.parametrize("extra", [(), ("--json",)])

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mugci import (
+    ENUMERATION_GUARD,
+    TRIVIALLY_TRUE,
     AxiomStep,
     Closure,
     Mug,
@@ -16,12 +18,14 @@ from mugci import (
     canonicalize,
     closure,
     enumerate_canonical,
+    graphoid,
     statement_key,
     verify_chain,
 )
 from mugci.errors import InvalidOverlap, UniverseTooLarge, UnknownElement
 from mugci.graphoid import _unary, contraction, first_invalid_step
 from mugci.model import Encoding
+from test_mug import random_graph
 
 U4 = Universe(["w", "x", "y", "z"])
 
@@ -92,6 +96,32 @@ def test_closure_guard():
     big = Universe([f"e{i}" for i in range(13)])
     with pytest.raises(UniverseTooLarge):
         closure([], big)
+
+
+def test_closure_guard_comes_before_any_graph_is_read(monkeypatch):
+    n = ENUMERATION_GUARD + 1
+    names = [f"e{i}" for i in range(n)]
+    u = Universe(names)
+    path = UGraph.from_singletons(names, zip(names, names[1:]))
+
+    def no_work(*args):
+        raise AssertionError("graph read before the guard")
+
+    monkeypatch.setattr(UGraph, "elements", property(no_work))
+    monkeypatch.setattr(graphoid, "separations", no_work)
+    with pytest.raises(
+        UniverseTooLarge, match=f"^universe has {n} elements, guard is {ENUMERATION_GUARD}$"
+    ):
+        closure([], u, [path])
+    # A statement error is reported before the guard, as the CLI reports it.
+    overlapping = Statement(frozenset({"e0"}), frozenset(), frozenset({"e0", "e1"}))
+    with pytest.raises(InvalidOverlap):
+        closure([overlapping], u, [path])
+
+
+def test_closure_rejects_a_graph_outside_the_universe():
+    with pytest.raises(UnknownElement, match="^not in universe: q$"):
+        closure([], U4, [UGraph.from_singletons(["x", "q"], [("x", "q")])])
 
 
 # -- chains -------------------------------------------------------------------
@@ -300,36 +330,44 @@ def chain_text(cl, s):
     return [(step.rule, step.premises, str(step.conclusion)) for step in cl.chain(s)]
 
 
-def assert_same_closure(init, universe):
-    got = closure(init, universe)
+def assert_same_closure(declared, universe, graphs=()):
+    """The closure of declared statements and graphs against the all-pairs
+    loop, with the graphs' separations passed in decoded and, separately,
+    as the graphs themselves."""
+    decoded = Mug(universe, graphs).enumerate_satisfied()
+    got = closure([*declared, *decoded], universe)
+    init = {canonicalize(s) for s in declared} - {TRIVIALLY_TRUE} | decoded
     want = all_pairs_closure(init, universe)
     assert got.statements == want.statements
     for s in want.statements:
         assert chain_text(got, s) == chain_text(want, s)
+    packed = closure(declared, universe, graphs)
+    assert packed.statements == want.statements
+    assert packed.stats == got.stats
+    for s in want.statements:
+        assert chain_text(packed, s) == chain_text(want, s)
     return got
 
 
 def path_init(n):
     names = [f"v{i}" for i in range(n)]
     g = UGraph.from_singletons(names, zip(names, names[1:]))
-    u = Universe(names)
-    return Mug(u, [g]).enumerate_satisfied(), u
+    return [], Universe(names), [g]
+
+
+def random_raw_statement(rng, names):
+    """A raw statement whose conditioning set may absorb part or all of a side."""
+    x = rng.sample(names, rng.randint(1, 2))
+    y = rng.sample([e for e in names if e not in x], rng.randint(1, 2))
+    z = rng.sample(names, rng.randint(0, 3))
+    return Statement(frozenset(x), frozenset(z), frozenset(y))
 
 
 def random_model_init(rng, n):
     names = [f"e{i}" for i in range(n)]
-    graphs = []
-    for _ in range(rng.randint(1, 3)):
-        members = rng.sample(names, rng.randint(n - 2, n))
-        edges = [
-            (a, b)
-            for i, a in enumerate(members)
-            for b in members[i + 1:]
-            if rng.random() < 0.4
-        ]
-        graphs.append(UGraph.from_singletons(members, edges))
-    u = Universe(names)
-    return Mug(u, graphs).enumerate_satisfied(), u
+    declared = [random_raw_statement(rng, names) for _ in range(rng.randint(0, 3))]
+    graphs = [random_graph(rng, names) for _ in range(rng.randint(1, 3))]
+    return declared, Universe(names), graphs
 
 
 def test_indexed_closure_matches_all_pairs_on_premise_sets():
@@ -343,8 +381,15 @@ def test_indexed_closure_matches_all_pairs_on_premise_sets():
 
 def test_indexed_closure_matches_all_pairs_on_graph_models():
     rng = random.Random(1987)
+    raw = trivial = 0
     for _ in range(20):
-        assert_same_closure(*random_model_init(rng, rng.choice((5, 6))))
+        declared, u, graphs = random_model_init(rng, rng.choice((5, 6)))
+        assert_same_closure(declared, u, graphs)
+        raw += len(declared)
+        trivial += sum(canonicalize(s) is TRIVIALLY_TRUE for s in declared)
+    assert 0 < trivial < raw
+    declared, u, graphs = random_model_init(rng, 5)
+    assert_same_closure(declared, u, [*graphs, UGraph({}, [])])
 
 
 def test_indexed_closure_matches_all_pairs_on_seven_element_path():
@@ -433,8 +478,7 @@ def test_closure_stats_count_every_rule():
 
 
 def test_closure_stats_on_eight_element_path():
-    init, u = path_init(8)
-    assert closure(init, u).stats == {
+    assert closure(*path_init(8)).stats == {
         "admitted_given": 4711,
         "admitted_decomposition": 0,
         "admitted_weak_union": 0,
