@@ -65,9 +65,12 @@ class Exhausted:
     explored at each depth (``states_depth_<d>``), successors dropped as
     already visited (``dedup_hits``) or by the graph cap
     (``rejected_graph_cap``), and separation questions answered from a
-    graph key's table or computed (``answer_hits``, ``answer_misses``).  A
-    hit is a question that key was asked before, through another graph or
-    state; the holding candidates a state takes over from its parent are
+    graph key's table or computed (``answer_hits``, ``answer_misses``).
+    ``dedup_hits`` leaves out the successors skipped, unbuilt as states,
+    as commuted orders of earlier moves (see ``search``).  A hit is a
+    question that key was asked before, through another graph or state;
+    the holding candidates a state takes over from its parent, or from an
+    earlier listing of the same graph under the same covering graphs, are
     not asked again and count as neither.  It takes no part in equality.
     """
 
@@ -201,10 +204,22 @@ def search(
 ) -> MoveScript | Exhausted:
     """Breadth-first search for a deletion/combination script reaching target.
 
-    States are deduplicated by their set of graph keys; successor moves are
-    ordered by graph index, deletions before combinations (in
-    ``Encoding.key`` order, which is ``statement_key`` order), so the result
-    is the deterministic shortest script within the bounds.
+    States are deduplicated by their set of graph keys, a mask of key
+    numbers; successor moves are ordered by graph index, deletions before
+    combinations (in ``Encoding.key`` order, which is ``statement_key``
+    order), so the result is the deterministic shortest script within the
+    bounds.
+
+    A state's graph set only grows along a path, so a move enabled at a
+    state is enabled at every superset, and two moves made in either order
+    reach the same state.  Each queued state carries a sleep mask
+    (Godefroid's sleep sets): the key numbers of the children its parent's
+    earlier moves made, and the parent's own mask.  Adding such a child
+    again reaches a state that the first order has already visited, or
+    that is over the graph cap, so it is skipped before the dedup lookup.
+    (This needs equal keys to mean equal successors, which holds unless a
+    graph gives two nodes one element set: moves never make such a graph,
+    and ``initial_mug`` never does.)
 
     Graphs are packed (``packed_graph``): the model's graphs are packed once
     and every move is made on the packed form, so no ``UGraph`` is built;
@@ -214,8 +229,10 @@ def search(
     universe.  Each distinct graph is keyed, and each question put to a
     key answered, once per call.  A queued state carries its parent's
     per-member lists of holding candidates: only a member the new graph
-    strictly covers can gain some, those the new graph witnesses.  A state
-    at the move bound is counted as explored, not queued.
+    strictly covers can gain some, those the new graph witnesses.  A new
+    graph's list is listed once per set of covering graphs' keys.  A state
+    at the move bound is counted as explored, not queued.  Moves are built
+    only for the returned script; a path is (previous path, kind, a, b).
     """
     if max_moves <= 0 or max_graphs <= 0:
         raise ValueError("search bounds must be positive")
@@ -228,6 +245,7 @@ def search(
     answers: list[dict] = []
     neighbours: list[dict | None] = []
     candidates: dict[tuple[int, int], list] = {}
+    listings: dict[tuple[int, int], tuple[int, list]] = {}
     statements: dict[int, CanonicalStatement] = {}
     # Each member's successors, built on first use since every state holding
     # it would ask for the same.  They live here, not on the members: equal
@@ -291,10 +309,14 @@ def search(
         # other side lies among those graphs' extra elements.
         inside = mem.mask
         covering = [o for o in members if o.mask != inside and not inside & ~o.mask]
-        extra = 0
-        for other in covering:
-            extra |= other.mask & ~inside
-        return extra, [c for c in combinable(inside, extra) if holds(covering, c)]
+        key = mem.gid, sum(1 << o.gid for o in covering)
+        if key not in listings:
+            extra = 0
+            for other in covering:
+                extra |= other.mask & ~inside
+            listed = [c for c in combinable(inside, extra) if holds(covering, c)]
+            listings[key] = extra, listed
+        return listings[key]
 
     def extended(mem: _Member, listed: tuple, new: _Member) -> tuple[int, list]:
         """A member's listing once ``new``, which strictly covers it, joins.
@@ -336,16 +358,17 @@ def search(
         goal = None, -1
     if holds(members0, goal):
         return MoveScript(m0, (), target, stats)
-    ids0 = frozenset(mem.gid for mem in members0)
+    ids0 = sum(1 << mem.gid for mem in members0)
     visited = {ids0}
-    # Members, their key numbers, moves and the parent's listings (None at first).
-    queue: deque[tuple] = deque([(members0, ids0, (), None)])
+    # Members, their key numbers and sleep mask, moves made, the path and
+    # the parent's listings (None at first).
+    queue: deque[tuple] = deque([(members0, ids0, 0, 0, None, None)])
     explored = 0
     depth_reached = 0
     while queue:
-        members, ids, path, inherited = queue.popleft()
+        members, ids, sleep, moved, path, inherited = queue.popleft()
         explored += 1
-        depth = f"states_depth_{len(path)}"
+        depth = f"states_depth_{moved}"
         stats[depth] = stats.get(depth, 0) + 1
         if inherited is None:
             lists = [listing(mem, members) for mem in members]
@@ -358,30 +381,45 @@ def search(
                 for mem, listed in zip(members, inherited)
             ]
             lists.append(listing(new, members))
+        slept = sleep
         for kind, a, b, child in successors(members, lists):
-            is_new = child.gid not in ids
+            bit = 1 << child.gid
+            is_new = not ids & bit
             if len(members) + is_new > max_graphs:
                 stats["rejected_graph_cap"] += 1
                 continue
-            ids2 = ids | {child.gid} if is_new else ids
+            if sleep & bit:
+                continue
+            ids2 = ids | bit
             if ids2 in visited:
                 stats["dedup_hits"] += 1
+                slept |= bit
                 continue
             visited.add(ids2)
-            path2 = path + (kind(a, b),)
-            depth_reached = max(depth_reached, len(path2))
+            path2 = path, kind, a, b
+            depth_reached = max(depth_reached, moved + 1)
             # The parent's graphs already fail the target; ask the new one.
             if holds((child,), goal):
-                return MoveScript(m0, path2, target, stats)
-            if len(path2) < max_moves:
-                queue.append((members + (child,), ids2, path2, lists))
+                return MoveScript(m0, _moves(path2), target, stats)
+            if moved + 1 < max_moves:
+                queue.append((members + (child,), ids2, slept, moved + 1, path2, lists))
             else:
                 explored += 1
                 depth = f"states_depth_{max_moves}"
                 stats[depth] = stats.get(depth, 0) + 1
+            slept |= bit
     return Exhausted(
         states_explored=explored, depth_reached=depth_reached, stats=stats
     )
+
+
+def _moves(path) -> tuple[Move, ...]:
+    """The moves along a ``search`` path, first to last."""
+    moves = []
+    while path:
+        path, kind, a, b = path
+        moves.append(kind(a, b))
+    return tuple(reversed(moves))
 
 
 def replay_final(script: MoveScript) -> Mug:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Union
 
-from .errors import StatementNotSatisfied, UnknownElement, WrongElementSet
+from .errors import StatementNotSatisfied, WrongElementSet
 from .model import (
     ENUMERATION_GUARD,
     CanonicalStatement,
@@ -27,14 +27,6 @@ from .model import (
     check_size,
 )
 from .ugraph import UGraph
-
-
-def _check_elements(universe: Universe, g: UGraph) -> None:
-    extra = g.elements.difference(universe)
-    if extra:
-        raise UnknownElement(
-            f"graph uses elements outside the universe: {', '.join(sorted(extra))}"
-        )
 
 
 class Mug:
@@ -47,7 +39,7 @@ class Mug:
         self._graphs: tuple[UGraph, ...] = ()
         self._index: dict[tuple, int] = {}
         for g in graphs:
-            _check_elements(universe, g)
+            universe.require(g.elements)
             key = g.key()
             if key not in self._index:
                 self._index[key] = len(self._graphs)
@@ -93,7 +85,7 @@ class Mug:
             return self, existing
         # Only the new graph needs checking: the parent's graphs and their
         # keys carry over as they are.
-        _check_elements(self._universe, g)
+        self._universe.require(g.elements)
         gi = len(self._graphs)
         m = Mug.__new__(Mug)
         m._universe = self._universe

@@ -124,6 +124,34 @@ def test_criterion_1_scripts_prove_exactly_the_closure():
         assert checked == 200
 
 
+def test_criterion_1_scripts_prove_exactly_the_closure_of_graph_models():
+    with criterion(1, "transformation scripts prove exactly the closure of 70 graph models"):
+        rng = random.Random(2013)
+        replayed = moved = 0
+        for _ in range(70):
+            u = Universe("abcdef"[: rng.randint(4, 6)])
+            pool = sorted(enumerate_canonical(u), key=statement_key)
+            graphs = [
+                random_multinode_graph(rng, u.elements) for _ in range(rng.randint(1, 2))
+            ]
+            premises = rng.sample(pool, rng.randint(0, 2))
+            m0 = initial_mug(u, statements=premises, graphs=graphs)
+            cl = closure(premises, u, graphs)
+            seen = {g.key(): g for g in m0.graphs}
+            # completeness: every closure statement replays to a verified script
+            for target in sorted(cl.statements, key=statement_key):
+                script = replay_chain(m0, cl.chain(target))
+                assert verify_script(script), target
+                for g in replay_final(script).graphs:
+                    seen.setdefault(g.key(), g)
+                replayed += 1
+                moved += len(script.moves) > 0
+            # soundness: every generated graph satisfies only closure statements
+            assert Mug(u, seen.values()).enumerate_satisfied() <= cl.statements
+        # derived statements take moves; some models derive many
+        assert replayed > 3000 and moved > 1000
+
+
 # -- criterion 2 ---------------------------------------------------------------
 
 
