@@ -25,7 +25,7 @@ from .errors import (
     ReducedGraphLosesSeparation,
 )
 from .graphoid import AxiomStep, contraction, first_invalid_step
-from .model import TRIVIALLY_TRUE, CanonicalStatement, Statement, Universe
+from .model import TRIVIALLY_TRUE, CanonicalStatement, Encoding, Statement, Universe
 from .mug import (
     Combine,
     Delete,
@@ -68,10 +68,12 @@ class Exhausted:
     graph key's table or computed (``answer_hits``, ``answer_misses``).
     ``dedup_hits`` leaves out the successors skipped, unbuilt as states,
     as commuted orders of earlier moves (see ``search``).  A hit is a
-    question that key was asked before, through another graph or state;
-    the holding candidates a state takes over from its parent, or from an
-    earlier listing of the same graph under the same covering graphs, are
-    not asked again and count as neither.  It takes no part in equality.
+    question that key was asked before, through another graph or state:
+    listing a member again under a new covering graph asks the older
+    covering graphs again, and those answers are hits.  The holding
+    candidates a state takes over from its parent, or from an earlier
+    listing of the same graph under the same covering graphs, are not
+    asked again and count as neither.  It takes no part in equality.
     """
 
     states_explored: int
@@ -228,11 +230,12 @@ def search(
     encoding; every table is sized by what the graphs hold, never by the
     universe.  Each distinct graph is keyed, and each question put to a
     key answered, once per call.  A queued state carries its parent's
-    per-member lists of holding candidates: only a member the new graph
-    strictly covers can gain some, those the new graph witnesses.  A new
-    graph's list is listed once per set of covering graphs' keys.  A state
-    at the move bound is counted as explored, not queued.  Moves are built
-    only for the returned script; a path is (previous path, kind, a, b).
+    per-member lists of holding candidates.  Only a member the new graph
+    strictly covers can gain some, so only it and the new graph are listed
+    again, and each graph is listed once per set of covering graphs' keys.
+    A state at the move bound is counted as explored, not queued.  A path
+    is (previous path, kind, a, b), with a combination's statement packed;
+    moves and statement objects are built only for the returned script.
     """
     if max_moves <= 0 or max_graphs <= 0:
         raise ValueError("search bounds must be positive")
@@ -245,8 +248,7 @@ def search(
     answers: list[dict] = []
     neighbours: list[dict | None] = []
     candidates: dict[tuple[int, int], list] = {}
-    listings: dict[tuple[int, int], tuple[int, list]] = {}
-    statements: dict[int, CanonicalStatement] = {}
+    listings: dict[tuple[int, int], list] = {}
     # Each member's successors, built on first use since every state holding
     # it would ask for the same.  They live here, not on the members: equal
     # graphs share a member, so links between members could form cycles that
@@ -303,8 +305,8 @@ def search(
             candidates[inside, extra] = [(p, found[p]) for p in ordered]
         return candidates[inside, extra]
 
-    def listing(mem: _Member, members) -> tuple[int, list]:
-        """A member's extra elements and holding candidates in a state."""
+    def listing(mem: _Member, members) -> list:
+        """A member's holding candidates in a state, once per covering set."""
         # Only a graph with more elements can witness a candidate, so its
         # other side lies among those graphs' extra elements.
         inside = mem.mask
@@ -314,21 +316,8 @@ def search(
             extra = 0
             for other in covering:
                 extra |= other.mask & ~inside
-            listed = [c for c in combinable(inside, extra) if holds(covering, c)]
-            listings[key] = extra, listed
+            listings[key] = [c for c in combinable(inside, extra) if holds(covering, c)]
         return listings[key]
-
-    def extended(mem: _Member, listed: tuple, new: _Member) -> tuple[int, list]:
-        """A member's listing once ``new``, which strictly covers it, joins.
-
-        The older covering graphs' answers stand, so only ``new`` is asked.
-        """
-        extra, before = listed
-        extra |= new.mask & ~mem.mask
-        known = {p for p, _ in before}
-        return extra, [
-            c for c in combinable(mem.mask, extra) if c[0] in known or holds((new,), c)
-        ]
 
     def successors(members, lists) -> Iterator[tuple]:
         """(move kind, its two arguments, child member) in move order."""
@@ -341,15 +330,12 @@ def search(
             for n, child in deletions[mem]:
                 yield Delete, gi, n, child
             combined = combinations.setdefault(mem, {})
-            for p, _ in lists[gi][1]:
+            for p, _ in lists[gi]:
                 if p not in combined:
-                    s = statements[p] = statements.get(p) or enc.decode(p)
                     x, z, y = enc.unpack(p)
                     added = y if x | z == mem.mask else x
-                    graph = packed_combination(mem.nodes, mem.adj, z, added)
-                    combined[p] = s, member(graph)
-                s, child = combined[p]
-                yield Combine, s, gi, child
+                    combined[p] = member(packed_combination(mem.nodes, mem.adj, z, added))
+                yield Combine, p, gi, combined[p]
 
     members0 = tuple(member(packed_graph(enc, g)) for g in m0.graphs)
     try:
@@ -375,7 +361,7 @@ def search(
         else:
             new = members[-1]
             lists = [
-                extended(mem, listed, new)
+                listing(mem, members)
                 if mem.mask != new.mask and not mem.mask & ~new.mask
                 else listed
                 for mem, listed in zip(members, inherited)
@@ -400,7 +386,7 @@ def search(
             depth_reached = max(depth_reached, moved + 1)
             # The parent's graphs already fail the target; ask the new one.
             if holds((child,), goal):
-                return MoveScript(m0, _moves(path2), target, stats)
+                return MoveScript(m0, _moves(enc, path2), target, stats)
             if moved + 1 < max_moves:
                 queue.append((members + (child,), ids2, slept, moved + 1, path2, lists))
             else:
@@ -413,12 +399,12 @@ def search(
     )
 
 
-def _moves(path) -> tuple[Move, ...]:
-    """The moves along a ``search`` path, first to last."""
+def _moves(enc: Encoding, path) -> tuple[Move, ...]:
+    """The moves along a ``search`` path, first to last, statements decoded."""
     moves = []
     while path:
         path, kind, a, b = path
-        moves.append(kind(a, b))
+        moves.append(Combine(enc.decode(a), b) if kind is Combine else kind(a, b))
     return tuple(reversed(moves))
 
 

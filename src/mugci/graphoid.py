@@ -71,6 +71,28 @@ def _unary(enc: Encoding, p: int) -> list[tuple[str, int]]:
     return out
 
 
+def _unary_follows(enc: Encoding, rule: str, p: int, c: int) -> bool:
+    """Whether ``(rule, c)`` is among ``_unary(enc, p)``, by masks alone.
+
+    The part a rule takes from the split side is read off c: its side
+    other than the kept one for decomposition, what its z adds to p's for
+    weak union.  Then c follows iff that part is a non-empty proper part of
+    the split side and packing the rule's conclusion from it gives c.
+    """
+    x, z, y = enc.unpack(p)
+    cx, cz, cy = enc.unpack(c)
+    for kept, split in ((x, y), (y, x)):
+        if rule == "decomposition":
+            part = (cx | cy) & ~kept
+            made = enc.pack(kept, z, part)
+        else:
+            part = cz & ~z
+            made = enc.pack(kept, z | part, split ^ part)
+        if part and part != split and not part & ~split and made == c:
+            return True
+    return False
+
+
 def contraction(enc: Encoding, p1: int, p2: int) -> tuple[int, int, int, int] | None:
     """Masks (x, z, y, w) with p1 = I(x, z+y, w) and p2 = I(x, z, y), or None.
 
@@ -262,7 +284,9 @@ def first_invalid_step(
     """Index of the first step that does not follow, or None when all do.
 
     Every conclusion is packed once, over the sorted union of the elements
-    the chain uses, and the rules run on the packed statements.
+    the chain uses, and the rules run on the packed statements; a
+    decomposition or weak-union step is one mask test, not a listing of
+    its premise's consequences.
     """
     given = set(init)
     steps = list(chain)
@@ -283,7 +307,7 @@ def first_invalid_step(
         elif step.rule in ("decomposition", "weak_union"):
             if len(premises) != 1:
                 return i
-            if (step.rule, packed[i]) not in _unary(enc, premises[0]):
+            if not _unary_follows(enc, step.rule, premises[0], packed[i]):
                 return i
         elif step.rule == "contraction":
             parts = contraction(enc, *premises) if len(premises) == 2 else None

@@ -303,8 +303,9 @@ def _numbered_block(
 
 def format_ugraph(name: str, g: UGraph) -> str:
     lines = [f"graph {name} {{"]
-    for n in sorted(g.nodes):
-        lines.append(f"  node {n} = {format_set(g.nodes[n])};")
+    nodes = g.nodes
+    for n in sorted(nodes):
+        lines.append(f"  node {n} = {format_set(nodes[n])};")
     for a, b in sorted(tuple(sorted(e)) for e in g.edges):
         lines.append(f"  edge {a} {b};")
     lines.append("}")

@@ -144,6 +144,8 @@ def packed_key(nodes: tuple, adj: tuple) -> tuple:
 
     Masks stand for element sets one to one, so two graphs over the same
     encoding have equal packed keys exactly when ``UGraph.key`` is equal.
+    Like that key, equal packed keys need not mean isomorphic graphs when
+    one element set sits on two nodes.
     """
     masks = [m for _, m in nodes]
     pairs = []
@@ -163,16 +165,21 @@ def packed_key(nodes: tuple, adj: tuple) -> tuple:
 def packed_deletion(nodes: tuple, adj: tuple, i: int) -> tuple[tuple, tuple]:
     """``UGraph.delete_node`` of the node at position i, packed.
 
-    Its neighbours are pairwise connected, then the position is dropped:
-    the positions above it move down by one.
+    Its neighbours, and every other node sharing an element with it, are
+    pairwise connected, then the position is dropped: the positions above
+    it move down by one.
     """
     bit = 1 << i
     below = bit - 1
     filled = adj[i]
+    mask = nodes[i][1]
+    for j, (_, m) in enumerate(nodes):
+        if m & mask and j != i:
+            filled |= 1 << j
     out = []
     for j, nbrs in enumerate(adj):
         if j != i:
-            if nbrs & bit:
+            if filled >> j & 1:
                 nbrs = (nbrs | filled) & ~(1 << j)
             out.append(nbrs & below | nbrs >> 1 & ~below)
     return nodes[:i] + nodes[i + 1 :], tuple(out)

@@ -93,14 +93,14 @@ def ci_holds(
     x: Iterable[str],
     z: Iterable[str],
     y: Iterable[str],
-    tol: float = CI_FLOAT_TOLERANCE,
 ) -> bool:
     """Whether x is independent of y given z in the joint.
 
     Checked per configuration: whenever the z-configuration has positive
     mass, every positive-mass (z, y)-configuration must leave the
     conditional distribution of x unchanged.  Exact tables compare by
-    cross-multiplication; float tables compare conditionals within ``tol``.
+    cross-multiplication; float tables compare conditionals within
+    ``CI_FLOAT_TOLERANCE``.
     """
     xs = _positions(p, x)
     zs = _positions(p, z)
@@ -152,7 +152,7 @@ def ci_holds(
         if exact:
             if joint * mass_z != marginal * mass_zy:
                 return False
-        elif abs(joint / mass_zy - marginal / mass_z) > tol:
+        elif abs(joint / mass_zy - marginal / mass_z) > CI_FLOAT_TOLERANCE:
             return False
     return True
 

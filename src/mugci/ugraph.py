@@ -172,12 +172,17 @@ class UGraph:
     def delete_node(self, n: int) -> "UGraph":
         """Remove a node after pairwise connecting its former neighbors.
 
-        The fill-in keeps every path that ran through the deleted node, so
-        no separation appears that the original graph did not have.
+        Every other node sharing an element with it counts as a neighbor:
+        such an element stays in the graph, and its paths through the node
+        must stay too.  The fill-in keeps every path that ran through the
+        deleted node, so no separation appears that the original graph did
+        not have.
         """
         if n not in self._nodes:
             raise UnknownNode(f"no node {n}")
-        nbrs = sorted(self.neighbors(n))
+        es = self._nodes[n]
+        sharing = {k for k, v in self._nodes.items() if k != n and v & es}
+        nbrs = sorted(self.neighbors(n) | sharing)
         edges = {e for e in self._edges if n not in e}
         edges.update(frozenset((a, b)) for a, b in combinations(nbrs, 2))
         nodes = {k: v for k, v in self._nodes.items() if k != n}
@@ -225,7 +230,13 @@ class UGraph:
         return UGraph(nodes, edges)
 
     def key(self) -> tuple:
-        """Canonical serialization; equal keys mean element-wise identical graphs."""
+        """Canonical serialization: the multisets of node element sets and of
+        element-set pairs along edges.
+
+        Isomorphic graphs have equal keys.  Equal keys need not mean
+        isomorphic graphs when one element set sits on two nodes: edges 1–3,
+        2–4 and edges 1–3, 1–4 over nodes 1={a} 2={a} 3={b} 4={c} agree.
+        """
         labels = {n: tuple(sorted(es)) for n, es in self._nodes.items()}
         nodes_part = tuple(sorted(labels.values()))
         edges_part = tuple(

@@ -230,6 +230,13 @@ def test_criterion_2_equivalence_preserving_transformations():
                 [UGraph({0: {"a"}, 1: {"b", "c"}, 2: {"d"}}, [(0, 1), (1, 2)])],
             )
         )
+        # one element on two non-adjacent nodes
+        corpus.append(
+            Mug(
+                Universe("abc"),
+                [UGraph({1: {"a"}, 2: {"a"}, 3: {"b"}, 4: {"c"}}, [(1, 3), (2, 4)])],
+            )
+        )
 
         descriptors_checked = 0
         for m in corpus:
@@ -362,7 +369,7 @@ def test_criterion_6_d_separation_sound_against_sampled_joints():
                     separated_seen += 1
                     assert ci_holds(p, s.x, s.z, s.y)
                     if q is not None:
-                        assert ci_holds(q, s.x, s.z, s.y, tol=1e-9)
+                        assert ci_holds(q, s.x, s.z, s.y)
         assert separated_seen > 1000
 
 

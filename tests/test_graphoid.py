@@ -23,7 +23,7 @@ from mugci import (
     verify_chain,
 )
 from mugci.errors import InvalidOverlap, UniverseTooLarge, UnknownElement
-from mugci.graphoid import _unary, contraction, first_invalid_step
+from mugci.graphoid import _unary, _unary_follows, contraction, first_invalid_step
 from mugci.model import Encoding
 from test_mug import random_graph
 
@@ -497,6 +497,21 @@ def test_unary_rules_match_frozenset_rules():
         enc = Encoding(sorted(s.elements))
         got = [(rule, enc.decode(c)) for rule, c in _unary(enc, enc.encode(s))]
         assert got == _unary_consequences(s)
+
+
+def test_unary_mask_test_matches_unary_membership():
+    # every (premise, conclusion, rule) triple over five elements
+    enc = Universe("abcde").encoding
+    packed = [enc.encode(s) for s in statements_over(Universe("abcde"))]
+    follows = 0
+    for p in packed:
+        consequences = set(_unary(enc, p))
+        for c in packed:
+            for rule in ("decomposition", "weak_union"):
+                got = _unary_follows(enc, rule, p, c)
+                assert got == ((rule, c) in consequences), (enc.decode(p), enc.decode(c))
+                follows += got
+    assert follows == sum(len(_unary(enc, p)) for p in packed)
 
 
 def test_contraction_rule_matches_frozenset_rule():

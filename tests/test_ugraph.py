@@ -199,6 +199,8 @@ DELETION_CORPUS = [
     UGraph.from_singletons("abcde", [("a", "b"), ("b", "c"), ("b", "d"), ("d", "e")]),
     UGraph({0: {"a", "b"}, 1: {"c"}, 2: {"d", "e"}}, [(0, 1), (1, 2)]),
     UGraph({0: {"a"}, 1: {"a", "b"}, 2: {"c"}}, [(0, 1), (1, 2)]),
+    # one element on two non-adjacent nodes
+    UGraph({1: {"a"}, 2: {"a"}, 3: {"b"}, 4: {"c"}}, [(1, 3), (2, 4)]),
 ]
 
 
