@@ -104,7 +104,7 @@ def _format_move(move) -> str:
 
 
 def _print_script(script: MoveScript, verified: bool, out) -> None:
-    print(f"initial-graphs: {len(script.initial.graphs)}", file=out)
+    print(f"initial-graphs: {len(script.initial.packed)}", file=out)
     for i, g in enumerate(script.initial.graphs):
         print(format_ugraph(f"g{i}", g), file=out)
     print("moves:", file=out)

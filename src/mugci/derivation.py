@@ -9,7 +9,7 @@ Replay therefore yields, for every statement in the closure, a script of
 deletions and combinations ending in a model that satisfies it.  A bounded
 breadth-first search over the same two move kinds is available when no
 chain is supplied.  This module chooses moves and checks scripts; ``mug``
-makes the moves, on ``UGraph`` objects and on packed graphs.
+makes every move, on the packed graphs a ``Mug`` holds.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from .mug import (
     Move,
     Mug,
     append_transformed,
+    element_mask,
     element_neighbours,
     packed_combination,
     packed_deletion,
-    packed_graph,
     packed_key,
     reach,
 )
@@ -156,18 +156,20 @@ def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
         s1 = steps[step.premises[0]].conclusion
         s2 = steps[step.premises[1]].conclusion
         # The chain verified, so the premises pair up as contraction's.
-        parts = contraction(enc, enc.encode(s1), enc.encode(s2))
-        x, z, y, _w = map(enc.names, parts)
-        kept = x | z | y
+        x, z, y, _w = contraction(enc, enc.encode(s1), enc.encode(s2))
         gi = m.witness(s2)
         if gi is None:
             raise PremiseNotSatisfied(f"model lost premise {s2}")
-        for e in sorted(m.graphs[gi].elements - kept):
-            node = m.graphs[gi].nodes_with_element(e)[0]
+        # Each extra element, in name order, goes at its lowest node id.
+        extra = element_mask(m.packed[gi][0]) & ~(x | z | y)
+        while extra:
+            bit = extra & -extra
+            extra ^= bit
+            node = next(n for n, mask in m.packed[gi][0] if mask & bit)
             move = Delete(gi, node)
             m, gi = append_transformed(m, move)
             moves.append(move)
-        if not m.graphs[gi].separates(x, z, y):
+        if not m.separates(gi, x, z, y):
             raise ReducedGraphLosesSeparation(
                 f"reduction broke {s2} while replaying {step.conclusion}"
             )
@@ -195,10 +197,7 @@ class _Member:
         self.adj = adj
         self.gid = gid
         self.answers = answers
-        mask = 0
-        for _, m in nodes:
-            mask |= m
-        self.mask = mask
+        self.mask = element_mask(nodes)
 
 
 def search(
@@ -223,9 +222,9 @@ def search(
     graph gives two nodes one element set: moves never make such a graph,
     and ``initial_mug`` never does.)
 
-    Graphs are packed (``packed_graph``): the model's graphs are packed once
-    and every move is made on the packed form, so no ``UGraph`` is built;
-    a returned script is checked through ``UGraph`` by ``verify_script``.
+    Graphs are packed (``packed_graph``): search starts from the model's
+    packed graphs and makes every move on them, so no ``UGraph`` is built;
+    ``verify_script`` replays a returned script through ``Mug``.
     Element sets are masks and statements packed ints of the universe's
     encoding; every table is sized by what the graphs hold, never by the
     universe.  Each distinct graph is keyed, and each question put to a
@@ -337,7 +336,7 @@ def search(
                     combined[p] = member(packed_combination(mem.nodes, mem.adj, z, added))
                 yield Combine, p, gi, combined[p]
 
-    members0 = tuple(member(packed_graph(enc, g)) for g in m0.graphs)
+    members0 = tuple(member(g) for g in m0.packed)
     try:
         goal = enc.encode(target), enc.mask(target.elements)
     except KeyError:  # an element outside the universe, so no graph holds it
@@ -417,7 +416,7 @@ def replay_final(script: MoveScript) -> Mug:
 
 
 def verify_script(script: MoveScript) -> bool:
-    """Replay the script through the model layer and check final satisfaction."""
+    """Replay the script, checking each move's preconditions, then the target."""
     try:
         final = replay_final(script)
     except (ModelError, IndexError, ValueError):

@@ -15,7 +15,7 @@ Statements are packed into ints by ``model.Encoding`` on the way in and
 stay packed inside: the closure runs and keeps its derivation over the
 universe's encoding, and a chain check packs over the sorted union of the
 elements its steps use.  A model's graphs come in as graphs: the closure
-packs each one's separations at intake (``mug.separations``), so no
+packs each one and lists its separations packed (``mug.separations``), so no
 statement object is made for them.  Statement objects appear only at the
 boundary, when a caller asks ``Closure`` for its statements or a chain.
 """
@@ -35,7 +35,7 @@ from .model import (
     Universe,
     check_size,
 )
-from .mug import separations
+from .mug import packed_graph, separations
 from .ugraph import UGraph
 
 
@@ -217,7 +217,7 @@ def closure(
     seeds = {enc.encode(s) for s in statements if s is not TRIVIALLY_TRUE}
     for g in graphs:
         universe.require(g.elements)
-        seeds.update(separations(enc, g))
+        seeds.update(separations(enc, *packed_graph(enc, g)))
 
     unpack, key = enc.unpack, enc.key
     parents: dict[int, tuple[str, tuple[int, ...]]] = {}

@@ -5,11 +5,10 @@ and witnesses the separation.  Transformations never mutate: they append the
 transformed graph (deduplicated by canonical key), so the satisfied set can
 only grow along a derivation.
 
-The graph moves, node deletion and graph combination, live here in both
-forms: on ``UGraph`` objects for replay and script checks, and packed
-(``packed_graph``) for search.  Search and ``separations``, which the axiom
-closure seeds itself from, share one element-neighbour-mask builder and one
-mask flood (``reach``).
+Graphs are packed (``packed_graph``) into node element masks and neighbour
+bitmasks.  ``Mug``, replay, script checks, search and the closure's graph
+intake share the one packed form of each graph move, the dedup key
+(``packed_key``) and the mask flood behind every separation (``reach``).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Union
 
-from .errors import StatementNotSatisfied, WrongElementSet
+from .errors import StatementNotSatisfied, UnknownNode, WrongElementSet
 from .model import (
     ENUMERATION_GUARD,
     CanonicalStatement,
@@ -30,28 +29,33 @@ from .ugraph import UGraph
 
 
 class Mug:
-    """An ordered, duplicate-free collection of undirected graphs."""
+    """An ordered, duplicate-free collection of packed undirected graphs."""
 
-    __slots__ = ("_universe", "_graphs", "_index")
+    __slots__ = ("_universe", "_packed", "_masks", "_index", "_neighbours")
 
     def __init__(self, universe: Universe, graphs: Iterable[UGraph] = ()):
         self._universe = universe
-        self._graphs: tuple[UGraph, ...] = ()
+        self._packed: tuple[tuple[tuple, tuple], ...] = ()
+        self._masks: tuple[int, ...] = ()
         self._index: dict[tuple, int] = {}
+        self._neighbours: list[dict | None] = []
         for g in graphs:
             universe.require(g.elements)
-            key = g.key()
-            if key not in self._index:
-                self._index[key] = len(self._graphs)
-                self._graphs = self._graphs + (g,)
+            self._add(packed_graph(universe.encoding, g))
 
     @property
     def universe(self) -> Universe:
         return self._universe
 
     @property
+    def packed(self) -> tuple[tuple[tuple, tuple], ...]:
+        return self._packed
+
+    @property
     def graphs(self) -> tuple[UGraph, ...]:
-        return self._graphs
+        """The graphs as ``UGraph`` objects, decoded on each call."""
+        enc = self._universe.encoding
+        return tuple(unpacked_graph(enc, *g) for g in self._packed)
 
     def witness(self, s: CanonicalStatement) -> int | None:
         """Index of the first graph satisfying s, or None.
@@ -59,11 +63,23 @@ class Mug:
         A graph that does not contain every element of the statement is
         never a witness.
         """
-        needed = s.elements
-        for i, g in enumerate(self._graphs):
-            if needed <= g.elements and g.separates(s.x, s.z, s.y):
+        enc = self._universe.encoding
+        try:
+            x, z, y = enc.mask(s.x), enc.mask(s.z), enc.mask(s.y)
+        except KeyError:  # an element outside the universe, so no graph holds it
+            return None
+        needed = x | z | y
+        for i, mask in enumerate(self._masks):
+            if not needed & ~mask and self.separates(i, x, z, y):
                 return i
         return None
+
+    def separates(self, gi: int, x: int, z: int, y: int) -> bool:
+        """Whether graph gi, which holds masks x, z and y, separates x from y by z."""
+        nbrs = self._neighbours[gi]
+        if nbrs is None:
+            nbrs = self._neighbours[gi] = element_neighbours(*self._packed[gi])
+        return not reach(nbrs, x, z) & y
 
     def enumerate_satisfied(self) -> frozenset:
         """All canonical statements over the universe satisfied by some graph.
@@ -73,52 +89,44 @@ class Mug:
         check_size(self._universe, ENUMERATION_GUARD)
         enc = self._universe.encoding
         found: set[int] = set()
-        for g in self._graphs:
-            found.update(separations(enc, g))
+        for g in self._packed:
+            found.update(separations(enc, *g))
         return frozenset(map(enc.decode, found))
 
     def with_graph(self, g: UGraph) -> tuple["Mug", int]:
         """Append a graph, deduplicating by key; returns (mug, graph index)."""
-        key = g.key()
-        existing = self._index.get(key)
-        if existing is not None:
-            return self, existing
-        # Only the new graph needs checking: the parent's graphs and their
-        # keys carry over as they are.
         self._universe.require(g.elements)
-        gi = len(self._graphs)
+        return self._appended(packed_graph(self._universe.encoding, g))
+
+    def _add(self, graph: tuple[tuple, tuple]) -> int:
+        """Add a packed graph in place unless its key is here; its index."""
+        gi = self._index.setdefault(packed_key(*graph), len(self._packed))
+        if gi == len(self._packed):
+            self._packed += (graph,)
+            self._masks += (element_mask(graph[0]),)
+            self._neighbours.append(None)
+        return gi
+
+    def _appended(self, graph: tuple[tuple, tuple]) -> tuple["Mug", int]:
+        """This model if it holds the packed graph's key, else a copy with it."""
+        # The tables are copied: a sibling appended to this model puts
+        # another graph at the same index.
         m = Mug.__new__(Mug)
-        m._universe = self._universe
-        m._graphs = self._graphs + (g,)
-        m._index = {**self._index, key: gi}
-        return m, gi
-
-    def _graph_at(self, gi: int) -> UGraph:
-        if not 0 <= gi < len(self._graphs):
-            raise IndexError(f"no graph at index {gi}")
-        return self._graphs[gi]
-
-    def combined(self, s: CanonicalStatement, gi: int) -> tuple["Mug", int]:
-        """Graph combination: the one transformation that adds statements.
-
-        Requires s to be satisfied somewhere in the model; the appended
-        graph is ``combination_graph(graph gi, s)``.
-        """
-        base = self._graph_at(gi)
-        if self.witness(s) is None:
-            raise StatementNotSatisfied(f"model does not satisfy {s}")
-        return self.with_graph(combination_graph(base, s))
+        m._universe, m._packed, m._masks = self._universe, self._packed, self._masks
+        m._index, m._neighbours = dict(self._index), list(self._neighbours)
+        gi = m._add(graph)
+        return (self if gi < len(self._packed) else m), gi
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mug):
             return NotImplemented
-        return self._universe == other._universe and self._graphs == other._graphs
+        return self._universe == other._universe and self._packed == other._packed
 
     def __hash__(self) -> int:
-        return hash((self._universe, self._graphs))
+        return hash((self._universe, self._packed))
 
     def __repr__(self) -> str:
-        return f"Mug({len(self._graphs)} graphs over {self._universe!r})"
+        return f"Mug({len(self._packed)} graphs over {self._universe!r})"
 
 
 def packed_graph(enc: Encoding, g: UGraph) -> tuple[tuple, tuple]:
@@ -137,6 +145,24 @@ def packed_graph(enc: Encoding, g: UGraph) -> tuple[tuple, tuple]:
         adj[position[a]] |= 1 << position[b]
         adj[position[b]] |= 1 << position[a]
     return tuple((n, enc.mask(labels[n])) for n in ids), tuple(adj)
+
+
+def unpacked_graph(enc: Encoding, nodes: tuple, adj: tuple) -> UGraph:
+    """The ``UGraph`` a packed graph stands for: ``packed_graph`` undone."""
+    edges = [
+        (nodes[i][0], nodes[j][0])
+        for i, j in combinations(range(len(nodes)), 2)
+        if adj[i] >> j & 1
+    ]
+    return UGraph({n: enc.names(m) for n, m in nodes}, edges)
+
+
+def element_mask(nodes: tuple) -> int:
+    """The mask of the elements a packed graph's nodes carry."""
+    mask = 0
+    for _, m in nodes:
+        mask |= m
+    return mask
 
 
 def packed_key(nodes: tuple, adj: tuple) -> tuple:
@@ -163,11 +189,12 @@ def packed_key(nodes: tuple, adj: tuple) -> tuple:
 
 
 def packed_deletion(nodes: tuple, adj: tuple, i: int) -> tuple[tuple, tuple]:
-    """``UGraph.delete_node`` of the node at position i, packed.
+    """Node deletion: the graph without the node at position i.
 
-    Its neighbours, and every other node sharing an element with it, are
-    pairwise connected, then the position is dropped: the positions above
-    it move down by one.
+    Its neighbours, and every other node sharing an element with it (whose
+    paths through it must stay), are pairwise connected first, so no
+    separation appears that the graph did not have.  The positions above i
+    move down by one.
     """
     bit = 1 << i
     below = bit - 1
@@ -188,11 +215,11 @@ def packed_deletion(nodes: tuple, adj: tuple, i: int) -> tuple[tuple, tuple]:
 def packed_combination(
     nodes: tuple, adj: tuple, z: int, added: int
 ) -> tuple[tuple, tuple]:
-    """``combination_graph`` packed: ``added`` is the side the graph lacks.
+    """Graph combination with I(x, z, y) of a graph over one side plus z.
 
-    One single-element node per added element, with ids from the largest
-    id plus one in element order, cliqued together with every node that
-    carries an element of z.
+    ``added`` is the other side: one single-element node per element, with
+    ids from the largest id plus one in element order, cliqued together
+    with every node that carries an element of z.
     """
     clique = 0
     for i, (_, m) in enumerate(nodes):
@@ -248,8 +275,8 @@ def reach(neighbours: dict[int, int], start: int, blocked: int) -> int:
     return reached
 
 
-def separations(enc: Encoding, g: UGraph) -> list[int]:
-    """Every statement the graph witnesses, packed.
+def separations(enc: Encoding, nodes: tuple, adj: tuple) -> list[int]:
+    """Every statement a packed graph witnesses, packed.
 
     I(x, z, y) holds in g iff its elements lie in g and no connected
     component of the element graph minus z meets both x and y.  So for each
@@ -257,8 +284,8 @@ def separations(enc: Encoding, g: UGraph) -> list[int]:
     of itself to x, to y, or nothing; the side holding the lower lowest bit
     is x.
     """
-    members = enc.mask(g.elements)
-    neighbours = element_neighbours(*packed_graph(enc, g))
+    members = element_mask(nodes)
+    neighbours = element_neighbours(nodes, adj)
     out = []
     z = 0
     while True:
@@ -283,37 +310,6 @@ def separations(enc: Encoding, g: UGraph) -> list[int]:
         z = (z - members) & members
 
 
-def combination_graph(base: UGraph, s: CanonicalStatement) -> UGraph:
-    """The graph that combining ``base`` with a satisfied statement s adds.
-
-    ``base`` must cover exactly one side of s plus its conditioning set.
-    The new graph copies it, adds a fresh single-element node for each
-    element of the other side, and cliques those new nodes together with
-    every node carrying a conditioning element.
-    """
-    elements = base.elements
-    if elements == s.x | s.z:
-        added_side = s.y
-    elif elements == s.y | s.z:
-        added_side = s.x
-    else:
-        raise WrongElementSet(
-            f"graph covers {sorted(elements)}, not one side of {s} plus z"
-        )
-    nodes = base.nodes
-    edges = set(base.edges)
-    anchors = [n for n in sorted(nodes) if nodes[n] & s.z]
-    next_id = max(nodes, default=-1) + 1
-    new_ids = []
-    for e in sorted(added_side):
-        nodes[next_id] = frozenset((e,))
-        new_ids.append(next_id)
-        next_id += 1
-    for a, b in combinations(new_ids + anchors, 2):
-        edges.add(frozenset((a, b)))
-    return UGraph(nodes, edges)
-
-
 @dataclass(frozen=True)
 class Delete:
     graph: int
@@ -330,9 +326,31 @@ Move = Union[Delete, Combine]
 
 
 def append_transformed(m: Mug, move: Move) -> tuple[Mug, int]:
-    """Apply a transformation descriptor; returns (new mug, result graph index)."""
-    if isinstance(move, Combine):
-        return m.combined(move.statement, move.graph)
+    """Apply a transformation descriptor; returns (new mug, result graph index).
+
+    A combination's statement must be satisfied in the model, and its graph
+    cover exactly one side of the statement plus z.
+    """
+    if not isinstance(move, (Combine, Delete)):
+        raise TypeError(f"not a transformation descriptor: {move!r}")
+    gi = move.graph
+    if not 0 <= gi < len(m._packed):
+        raise IndexError(f"no graph at index {gi}")
+    nodes, adj = m._packed[gi]
     if isinstance(move, Delete):
-        return m.with_graph(m._graph_at(move.graph).delete_node(move.node))
-    raise TypeError(f"not a transformation descriptor: {move!r}")
+        ids = [n for n, _ in nodes]
+        if move.node not in ids:
+            raise UnknownNode(f"no node {move.node}")
+        return m._appended(packed_deletion(nodes, adj, ids.index(move.node)))
+    s = move.statement
+    if m.witness(s) is None:
+        raise StatementNotSatisfied(f"model does not satisfy {s}")
+    enc = m.universe.encoding
+    x, z, y = enc.mask(s.x), enc.mask(s.z), enc.mask(s.y)
+    inside = m._masks[gi]
+    added = y if inside == x | z else x if inside == y | z else 0
+    if not added:
+        raise WrongElementSet(
+            f"graph covers {sorted(enc.names(inside))}, not one side of {s} plus z"
+        )
+    return m._appended(packed_combination(nodes, adj, z, added))

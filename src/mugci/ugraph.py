@@ -11,7 +11,6 @@ transformations are pure and return new graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -168,25 +167,6 @@ class UGraph:
                     raise UnknownNode(f"no node {endpoint}")
             new_edges.add(edge)
         return UGraph(self._nodes, new_edges)
-
-    def delete_node(self, n: int) -> "UGraph":
-        """Remove a node after pairwise connecting its former neighbors.
-
-        Every other node sharing an element with it counts as a neighbor:
-        such an element stays in the graph, and its paths through the node
-        must stay too.  The fill-in keeps every path that ran through the
-        deleted node, so no separation appears that the original graph did
-        not have.
-        """
-        if n not in self._nodes:
-            raise UnknownNode(f"no node {n}")
-        es = self._nodes[n]
-        sharing = {k for k, v in self._nodes.items() if k != n and v & es}
-        nbrs = sorted(self.neighbors(n) | sharing)
-        edges = {e for e in self._edges if n not in e}
-        edges.update(frozenset((a, b)) for a, b in combinations(nbrs, 2))
-        nodes = {k: v for k, v in self._nodes.items() if k != n}
-        return UGraph(nodes, edges)
 
     def merge_nodes(self, n1: int, n2: int) -> "UGraph":
         """Replace two nodes by one carrying the union of their elements."""

@@ -17,6 +17,7 @@ from itertools import combinations, permutations
 import pytest
 
 from mugci import (
+    Delete,
     DiGraph,
     DiscreteJoint,
     Exhausted,
@@ -24,6 +25,7 @@ from mugci import (
     UGraph,
     Universe,
     all_ci,
+    append_transformed,
     canonical_triple,
     ci_holds,
     closure,
@@ -39,6 +41,7 @@ from mugci import (
     verify_script,
 )
 from mugci.dsep import JoinTree, build_join_tree
+from mugci.mug import packed_key, unpacked_graph
 from mugci.prob import as_floats
 
 
@@ -75,16 +78,16 @@ def test_criterion_1_scripts_prove_exactly_the_closure():
         pool_by_size = pools()
         stmt_cache = {}
 
-        def graph_statements(n, g, pool):
-            key = (n, g.key())
-            cached = stmt_cache.get(key)
+        def graph_statements(u, key, packed, pool):
+            cached = stmt_cache.get((len(u), key))
             if cached is None:
+                g = unpacked_graph(u.encoding, *packed)
                 cached = frozenset(
                     s
                     for s in pool
                     if s.elements <= g.elements and g.separates(s.x, s.z, s.y)
                 )
-                stmt_cache[key] = cached
+                stmt_cache[len(u), key] = cached
             return cached
 
         checked = 0
@@ -98,15 +101,15 @@ def test_criterion_1_scripts_prove_exactly_the_closure():
                 cl = closure(base, u)
                 allowed = cl.statements
 
-                seen = {g.key(): g for g in m0.graphs}
+                seen = {packed_key(*g): g for g in m0.packed}
                 # completeness: replay every derivable statement
                 for target in sorted(allowed, key=statement_key):
                     script = replay_chain(m0, cl.chain(target))
                     assert verify_script(script)
                     final = replay_final(script)
                     assert final.witness(target) is not None
-                    for g in final.graphs:
-                        seen.setdefault(g.key(), g)
+                    for g in final.packed:
+                        seen.setdefault(packed_key(*g), g)
 
                 # a bounded search run contributes its transformation sequence
                 if i % 10 == 0 and allowed:
@@ -114,12 +117,12 @@ def test_criterion_1_scripts_prove_exactly_the_closure():
                     outcome = search(m0, target, max_moves=2, max_graphs=6)
                     if not isinstance(outcome, Exhausted):
                         assert verify_script(outcome)
-                        for g in replay_final(outcome).graphs:
-                            seen.setdefault(g.key(), g)
+                        for g in replay_final(outcome).packed:
+                            seen.setdefault(packed_key(*g), g)
 
                 # soundness: everything any generated graph satisfies is allowed
-                for g in seen.values():
-                    assert graph_statements(n, g, pool) <= allowed
+                for key, g in seen.items():
+                    assert graph_statements(u, key, g, pool) <= allowed
                 checked += 1
         assert checked == 200
 
@@ -137,17 +140,18 @@ def test_criterion_1_scripts_prove_exactly_the_closure_of_graph_models():
             premises = rng.sample(pool, rng.randint(0, 2))
             m0 = initial_mug(u, statements=premises, graphs=graphs)
             cl = closure(premises, u, graphs)
-            seen = {g.key(): g for g in m0.graphs}
+            seen = {packed_key(*g): g for g in m0.packed}
             # completeness: every closure statement replays to a verified script
             for target in sorted(cl.statements, key=statement_key):
                 script = replay_chain(m0, cl.chain(target))
                 assert verify_script(script), target
-                for g in replay_final(script).graphs:
-                    seen.setdefault(g.key(), g)
+                for g in replay_final(script).packed:
+                    seen.setdefault(packed_key(*g), g)
                 replayed += 1
                 moved += len(script.moves) > 0
             # soundness: every generated graph satisfies only closure statements
-            assert Mug(u, seen.values()).enumerate_satisfied() <= cl.statements
+            graphs = [unpacked_graph(u.encoding, *g) for g in seen.values()]
+            assert Mug(u, graphs).enumerate_satisfied() <= cl.statements
         # derived statements take moves; some models derive many
         assert replayed > 3000 and moved > 1000
 
@@ -175,14 +179,13 @@ def random_multinode_graph(rng, elements):
 
 
 def equivalence_descriptors(g):
-    """Every applicable single-arc addition, deletion, merge, and split."""
+    """Every applicable single-arc addition, merge, and split (deletion is
+    a model move, made with ``append_transformed``)."""
     ids = g.node_ids()
     nodes = g.nodes
     for a, b in combinations(ids, 2):
         if frozenset((a, b)) not in g.edges:
             yield ("add", lambda gg=g, a=a, b=b: gg.add_arcs([(a, b)]))
-    for n in ids:
-        yield ("delete", lambda gg=g, n=n: gg.delete_node(n))
     for a, b in combinations(ids, 2):
         yield ("merge", lambda gg=g, a=a, b=b: gg.merge_nodes(a, b))
     for n in ids:
@@ -242,9 +245,9 @@ def test_criterion_2_equivalence_preserving_transformations():
         for m in corpus:
             before = m.enumerate_satisfied()
             for gi, g in enumerate(m.graphs):
-                for _kind, apply_op in equivalence_descriptors(g):
-                    transformed = apply_op()
-                    m2, _ = m.with_graph(transformed)
+                made = [m.with_graph(apply_op()) for _, apply_op in equivalence_descriptors(g)]
+                made += [append_transformed(m, Delete(gi, n)) for n in g.node_ids()]
+                for m2, _ in made:
                     assert m2.enumerate_satisfied() == before
                     descriptors_checked += 1
         assert descriptors_checked > 300

@@ -27,20 +27,30 @@ from mugci import (
     verify_script,
     witness_graph,
 )
-from mugci.errors import ModelError, PremiseNotSatisfied
+from mugci.errors import (
+    ModelError,
+    PremiseNotSatisfied,
+    StatementNotSatisfied,
+    UnknownNode,
+    WrongElementSet,
+)
 from mugci.graphoid import AxiomStep
 from mugci.model import CanonicalStatement, Statement, TriviallyTrue, canonicalize
 from mugci.modelfile import parse_model
 from mugci.mug import (
     append_transformed,
-    combination_graph,
+    element_mask,
     element_neighbours,
     packed_combination,
     packed_deletion,
     packed_graph,
     packed_key,
     reach,
+    unpacked_graph,
 )
+
+import object_layer
+from object_layer import combination_graph, delete_node
 
 U4 = Universe(["w", "x", "y", "z"])
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -129,16 +139,21 @@ def test_replay_full_mixing_derivation():
     assert final.witness(target) is not None
 
 
-def test_replay_deletes_extraneous_elements_before_combining():
-    # the only witness for I(x,z,y) carries an extra element q that must go
+def _replay_with_deletions_model() -> Mug:
+    """The only witness for I(x,z,y) carries an extra element q."""
     q_universe = Universe(["q", "w", "x", "y", "z"])
     wide = witness_graph(cs("x", "z", "y")).add_arcs([])
     wide_nodes = dict(wide.nodes)
     qid = max(wide_nodes) + 1
     wide_nodes[qid] = frozenset("q")
     wide = UGraph(wide_nodes, list(wide.edges) + [(qid, wide.nodes_with_element("x")[0])])
-    m0 = Mug(q_universe, [wide, witness_graph(cs("x", "zy", "w"))])
-    c = closure(m0.enumerate_satisfied(), q_universe)
+    return Mug(q_universe, [wide, witness_graph(cs("x", "zy", "w"))])
+
+
+def test_replay_deletes_extraneous_elements_before_combining():
+    # q must go before the combination
+    m0 = _replay_with_deletions_model()
+    c = closure(m0.enumerate_satisfied(), m0.universe)
     target = cs("x", "z", "yw")
     assert target in c.statements
     script = replay_chain(m0, c.chain(target))
@@ -258,20 +273,11 @@ def test_search_scripts_stay_inside_the_closure():
 
 # -- packed graphs ----------------------------------------------------------------
 #
-# ``search`` moves on packed graphs; each packed move must unpack to exactly
-# what the ``UGraph`` move builds, and packed keys must group graphs exactly
-# as ``UGraph.key`` does.
+# Every move is made on packed graphs; each packed move must unpack to
+# exactly what the object layer's move built (``object_layer``), and packed
+# keys must group graphs exactly as ``UGraph.key`` does.
 
 U6 = Universe("abcdef")
-
-
-def _unpacked(enc, nodes, adj) -> UGraph:
-    edges = [
-        (nodes[i][0], nodes[j][0])
-        for i, j in combinations(range(len(nodes)), 2)
-        if adj[i] >> j & 1
-    ]
-    return UGraph({n: enc.names(m) for n, m in nodes}, edges)
 
 
 def _packed_test_graphs(count):
@@ -286,7 +292,7 @@ def test_packed_graph_round_trips():
     for g in _packed_test_graphs(200):
         nodes, adj = packed_graph(enc, g)
         assert [n for n, _ in nodes] == sorted(g.nodes)
-        assert _unpacked(enc, nodes, adj) == g
+        assert unpacked_graph(enc, nodes, adj) == g
 
 
 def test_packed_deletion_is_delete_node():
@@ -295,7 +301,7 @@ def test_packed_deletion_is_delete_node():
         packed = packed_graph(enc, g)
         for i, (n, _) in enumerate(packed[0]):
             got = packed_deletion(*packed, i)
-            assert _unpacked(enc, *got) == g.delete_node(n), (g, n)
+            assert unpacked_graph(enc, *got) == delete_node(g, n), (g, n)
 
 
 def test_packed_combination_is_combination_graph():
@@ -313,7 +319,7 @@ def test_packed_combination_is_combination_graph():
             y = set(rng.sample(outside, rng.randint(1, len(outside))))
             statement = cs(x, set(inside) - x, y)
             got = packed_combination(*packed, enc.mask(statement.z), enc.mask(y))
-            assert _unpacked(enc, *got) == combination_graph(g, statement)
+            assert unpacked_graph(enc, *got) == combination_graph(g, statement)
             checked += 1
     assert checked > 500
 
@@ -353,9 +359,9 @@ def test_packed_key_groups_graphs_as_ugraph_key_does():
 
 
 def _combine_candidates(m: Mug, gi: int) -> list[Combine]:
-    g = m.graphs[gi]
-    inside = sorted(g.elements)
-    outside = sorted(set(m.universe) - g.elements)
+    elements = m.universe.encoding.names(element_mask(m.packed[gi][0]))
+    inside = sorted(elements)
+    outside = sorted(set(m.universe) - elements)
     if not outside:
         return []
     out = []
@@ -375,8 +381,8 @@ def _combine_candidates(m: Mug, gi: int) -> list[Combine]:
 
 def _search_moves(m: Mug) -> list[Move]:
     moves: list[Move] = []
-    for gi, g in enumerate(m.graphs):
-        moves.extend(Delete(gi, n) for n in sorted(g.nodes))
+    for gi, (nodes, _) in enumerate(m.packed):
+        moves.extend(Delete(gi, n) for n, _ in nodes)
         moves.extend(_combine_candidates(m, gi))
     return moves
 
@@ -394,7 +400,7 @@ def reference_search(
         raise ValueError("search bounds must be positive")
     if m0.witness(target) is not None:
         return MoveScript(m0, (), target)
-    visited = {tuple(sorted(g.key() for g in m0.graphs))}
+    visited = {tuple(sorted(packed_key(*g) for g in m0.packed))}
     queue: deque[tuple[Mug, tuple[Move, ...]]] = deque([(m0, ())])
     explored = 0
     depth_reached = 0
@@ -408,9 +414,9 @@ def reference_search(
                 m2, _ = append_transformed(m, move)
             except ModelError:
                 continue
-            if len(m2.graphs) > max_graphs:
+            if len(m2.packed) > max_graphs:
                 continue
-            key = tuple(sorted(g.key() for g in m2.graphs))
+            key = tuple(sorted(packed_key(*g) for g in m2.packed))
             if key in visited:
                 continue
             visited.add(key)
@@ -535,6 +541,90 @@ def test_odd_id_scripts_stay_inside_the_closure():
     assert scripts > 200
 
 
+# -- the model layer against its object-layer predecessor ----------------------
+#
+# ``object_layer`` is a copy of the ``Mug`` and the moves that ran on
+# ``UGraph`` objects.  Every move, valid or not, must give the same graphs
+# and index, or the same error, and the models made must answer alike.
+
+
+def _made(apply, m, move) -> tuple:
+    """("made", model, index), or ("raised", error type, message)."""
+    try:
+        return ("made", *apply(m, move))
+    except (ModelError, IndexError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _every_move(rng, graphs, pool) -> list[Move]:
+    """Each node's deletion and each combination whose statement has one
+    side plus z on the graph, for every graph and the indices either side;
+    an absent node, and random statements, for each index."""
+    moves: list[Move] = []
+    for gi in range(-1, len(graphs) + 1):
+        g = graphs[gi] if 0 <= gi < len(graphs) else UGraph({})
+        ids = sorted(g.nodes)
+        moves += [Delete(gi, n) for n in ids + [max(ids, default=0) + 1]]
+        shaped = [s for s in pool if g.elements in (s.x | s.z, s.y | s.z)]
+        moves += [Combine(s, gi) for s in shaped + rng.sample(pool, 8)]
+    return moves
+
+
+def test_mug_matches_the_object_layer():
+    rng = random.Random(26)
+    cases = [*_random_search_cases(30), *_declared_graph_cases(30), *_odd_id_cases(30)]
+    raised = {}
+    witnessed = 0
+    for m0, _ in cases:
+        pool = sorted(enumerate_canonical(m0.universe), key=statement_key)
+        m, old = m0, object_layer.Mug(m0.universe, m0.graphs)
+        # Every move from the model, then again from one of the models made.
+        for _ in range(3):
+            assert m.graphs == old.graphs
+            made = []
+            for move in _every_move(rng, old.graphs, pool):
+                got = _made(append_transformed, m, move)
+                want = _made(object_layer.append_transformed, old, move)
+                if want[0] == "raised":
+                    assert got == want, move
+                    raised[want[1]] = raised.get(want[1], 0) + 1
+                    continue
+                assert got[0] == "made" and got[2] == want[2], move
+                assert got[1].graphs == want[1].graphs, move
+                made.append((got[1], want[1]))
+            for new, parent in rng.sample(made, min(len(made), 4)):
+                assert new.enumerate_satisfied() == parent.enumerate_satisfied()
+                for s in rng.sample(pool, 20):
+                    assert new.witness(s) == parent.witness(s), s
+                    witnessed += new.witness(s) is not None
+            m, old = rng.choice(made)
+    assert set(raised) == {
+        UnknownNode, IndexError, StatementNotSatisfied, WrongElementSet
+    }, raised
+    assert min(raised.values()) > 50 and witnessed > 500, (raised, witnessed)
+
+
+def test_sibling_models_answer_from_their_own_graphs():
+    # Both children put their new graph at index 2 of the same parent; each
+    # must answer from its own, whichever is asked first.
+    u = Universe("wxyz")
+    premise = UGraph.from_singletons(
+        "wxyz", [("x", "z"), ("x", "y"), ("z", "y"), ("z", "w"), ("y", "w")]
+    )
+    parent = Mug(u, [premise, UGraph.from_singletons("xyz", [("x", "z"), ("z", "y")])])
+    target = cs("x", "z", "yw")
+    assert parent.witness(target) is None
+    complete = UGraph.from_singletons("wxyz", combinations("wxyz", 2))
+    for first in range(2):
+        combined, gi = append_transformed(parent, Combine(cs("x", "zy", "w"), 1))
+        dense, gj = parent.with_graph(complete)
+        assert gi == gj == 2
+        pair = [(combined, 2), (dense, None)]
+        for m, expected in pair[first:] + pair[:first]:
+            assert m.witness(target) == expected
+    assert parent.witness(target) is None
+
+
 def test_search_matches_reference_on_random_models():
     # Equality covers a script's initial model, moves and target, and an
     # exhaustion's states explored and depth reached.
@@ -638,6 +728,29 @@ def test_search_builds_no_ugraph(monkeypatch, max_graphs):
     outcome = search(m0, target, max_moves=3, max_graphs=max_graphs)
     assert isinstance(outcome, Exhausted) and outcome.states_explored > 1
     assert built == []
+
+    # Checking a found script, and making moves, build none either.
+    premises = [cs("x", "zy", "w"), cs("x", "z", "y")]
+    m0 = initial_mug(U4, statements=premises)
+    built.clear()
+    script = search(m0, cs("x", "z", "yw"), max_moves=3, max_graphs=max_graphs)
+    assert script.moves and verify_script(script)
+    m1, gi = append_transformed(m0, Delete(1, 1))  # y off the x - z - y path
+    assert append_transformed(m1, Combine(cs("x", "z", "y"), gi)) == (m1, 1)
+    assert built == []
+
+    # Replay builds only its singletonized seeding graphs (each decoded
+    # from the model, then rebuilt), however many moves it makes.
+    m0 = _replay_with_deletions_model()
+    chain = closure(m0.enumerate_satisfied(), m0.universe).chain(cs("x", "z", "yw"))
+    built.clear()
+    seeding = [singletonize(g) for g in m0.graphs]
+    expected = len(built)
+    assert expected == 2 * len(seeding)
+    built.clear()
+    script = replay_chain(m0, chain)
+    assert len(built) == expected
+    assert any(isinstance(mv, Delete) for mv in script.moves)
 
 
 def test_search_work_ignores_elements_no_graph_holds():

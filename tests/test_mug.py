@@ -125,7 +125,7 @@ def test_combination_reveals_new_separation():
     assert m.witness(s) == 0
     fine = canonical_triple({"x1"}, {"z1"}, {"y1", "y2"})
     assert m.witness(fine) is None
-    m2, gi = m.combined(s, 1)
+    m2, gi = append_transformed(m, Combine(s, 1))
     combined = m2.graphs[gi]
     # every pair among the added y-nodes and the z-carrying nodes is linked
     for a, b in [("y1", "y2"), ("y1", "z1"), ("y1", "z2"), ("y2", "z1"),
@@ -144,14 +144,14 @@ def test_combination_contraction_pattern():
     m = Mug(u, [premise_graph, small])
     s = canonical_triple({"x"}, {"z", "y"}, {"w"})
     assert m.witness(s) is not None
-    m2, gi = m.combined(s, 1)
+    m2, gi = append_transformed(m, Combine(s, 1))
     assert m2.graphs[gi].separates({"x"}, {"z"}, {"y", "w"})
 
 
 def test_combination_requires_satisfaction():
     m = Mug(U3, [triangle_graph()])
     with pytest.raises(StatementNotSatisfied):
-        m.combined(canonical_triple({"x"}, {"z"}, {"y"}), 0)
+        append_transformed(m, Combine(canonical_triple({"x"}, {"z"}, {"y"}), 0))
 
 
 def test_combination_requires_exact_element_set():
@@ -159,7 +159,7 @@ def test_combination_requires_exact_element_set():
     m = Mug(U3, [chain_graph()])
     with pytest.raises(WrongElementSet):
         # the witnessing chain covers all of {x,y,z}: neither side matches
-        m.combined(s, 0)
+        append_transformed(m, Combine(s, 0))
 
 
 def test_combination_accepts_either_side():
@@ -167,9 +167,9 @@ def test_combination_accepts_either_side():
     yz = UGraph.from_singletons("yz")
     m = Mug(U3, [chain_graph(), xz, yz])
     s = canonical_triple({"x"}, {"z"}, {"y"})
-    m2, gi = m.combined(s, 1)  # adds a y node cliqued to z
+    m2, gi = append_transformed(m, Combine(s, 1))  # adds a y node cliqued to z
     assert m2.graphs[gi].separates({"x"}, {"z"}, {"y"})
-    m3, gj = m.combined(s, 2)  # adds an x node instead
+    m3, gj = append_transformed(m, Combine(s, 2))  # adds an x node instead
     assert m3.graphs[gj].separates({"x"}, {"z"}, {"y"})
 
 

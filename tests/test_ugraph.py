@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mugci import ElementGraph, UGraph, canonical_triple, singletonize
+from mugci import (
+    Delete,
+    ElementGraph,
+    Mug,
+    UGraph,
+    Universe,
+    append_transformed,
+    canonical_triple,
+    singletonize,
+)
 from mugci.errors import (
     CoverageGap,
     EmptyPart,
@@ -161,26 +170,32 @@ def test_arc_addition_antimonotone(a, b):
     assert graph_triples(g2) <= graph_triples(g)
 
 
-# -- delete_node ------------------------------------------------------------
+# -- node deletion ------------------------------------------------------
+
+
+def without_node(g, n):
+    """g without node n, deleted as a model's move."""
+    m, gi = append_transformed(Mug(Universe(g.elements), [g]), Delete(0, n))
+    return m.graphs[gi]
 
 
 def test_delete_fills_in_neighbors():
     # star: x adjacent to z and y, no z-y edge
     g = UGraph.from_singletons("xyz", [("x", "z"), ("x", "y")])
-    g2 = g.delete_node(g.nodes_with_element("x")[0])
+    g2 = without_node(g, g.nodes_with_element("x")[0])
     assert g2.expand().edges == frozenset({frozenset("zy")})
 
 
 def test_delete_isolated_node():
     g = UGraph({0: {"a"}, 1: {"b"}}, [])
-    g2 = g.delete_node(0)
+    g2 = without_node(g, 0)
     assert g2.nodes == {1: frozenset("b")}
     assert g2.edges == frozenset()
 
 
 def test_delete_middle_of_path_keeps_connection():
     g = UGraph.from_singletons("abc", [("a", "b"), ("b", "c")])
-    g2 = g.delete_node(g.nodes_with_element("b")[0])
+    g2 = without_node(g, g.nodes_with_element("b")[0])
     assert g2.expand().edges == frozenset({frozenset("ac")})
     # brute force: every separation of the result holds in the original
     nodes, edges = as_plain(g)
@@ -190,7 +205,7 @@ def test_delete_middle_of_path_keeps_connection():
 
 def test_delete_unknown_node():
     with pytest.raises(UnknownNode):
-        chain_xzy().delete_node(7)
+        without_node(chain_xzy(), 7)
 
 
 DELETION_CORPUS = [
@@ -207,7 +222,7 @@ DELETION_CORPUS = [
 @pytest.mark.parametrize("g", DELETION_CORPUS)
 def test_deletion_soundness_exhaustive(g):
     for n in g.node_ids():
-        g2 = g.delete_node(n)
+        g2 = without_node(g, n)
         if not g2.nodes:
             continue
         before = oracle_triples(g)
@@ -219,7 +234,7 @@ def test_deletion_soundness_exhaustive(g):
 def test_deletion_preserves_untouched_separations(g):
     for n in g.node_ids():
         deleted = g.nodes[n]
-        g2 = g.delete_node(n)
+        g2 = without_node(g, n)
         for s in oracle_triples(g):
             if s.elements & deleted:
                 continue
@@ -360,7 +375,7 @@ def test_key_ignores_node_ids_but_not_structure():
 @pytest.mark.parametrize(
     "transform",
     [
-        lambda g: g.delete_node(1),
+        lambda g: without_node(g, 1),
         lambda g: g.merge_nodes(0, 2),
         lambda g: g.split_node(1, {"z", "w"}, {"w"}),
         lambda g: g.add_arcs([(0, 2)]),
