@@ -29,15 +29,17 @@ from .model import TRIVIALLY_TRUE, CanonicalStatement, Encoding, Statement, Univ
 from .mug import (
     Combine,
     Delete,
+    Floods,
     Move,
     Mug,
     append_transformed,
     element_mask,
-    element_neighbours,
     packed_combination,
     packed_deletion,
+    packed_graph,
     packed_key,
-    reach,
+    packed_singletons,
+    unpacked_graph,
 )
 from .ugraph import UGraph
 
@@ -64,16 +66,11 @@ class Exhausted:
     ``stats`` holds the search's deterministic work counters: states
     explored at each depth (``states_depth_<d>``), successors dropped as
     already visited (``dedup_hits``) or by the graph cap
-    (``rejected_graph_cap``), and separation questions answered from a
-    graph key's table or computed (``answer_hits``, ``answer_misses``).
-    ``dedup_hits`` leaves out the successors skipped, unbuilt as states,
-    as commuted orders of earlier moves (see ``search``).  A hit is a
-    question that key was asked before, through another graph or state:
-    listing a member again under a new covering graph asks the older
-    covering graphs again, and those answers are hits.  The holding
-    candidates a state takes over from its parent, or from an earlier
-    listing of the same graph under the same covering graphs, are not
-    asked again and count as neither.  It takes no part in equality.
+    (``rejected_graph_cap``), and floods of a graph key's element graph
+    computed, or read again for another graph or listing (``floods``,
+    ``flood_hits``).  ``dedup_hits`` leaves out the successors skipped,
+    unbuilt as states, as commuted orders of earlier moves (see
+    ``search``).  It takes no part in equality.
     """
 
     states_explored: int
@@ -101,10 +98,8 @@ def witness_graph(s: CanonicalStatement) -> UGraph:
 
 def singletonize(g: UGraph) -> UGraph:
     """Rebuild a graph with one node per element, preserving separations."""
-    return UGraph.from_singletons(
-        g.elements,
-        ((a, b) for a, nbrs in g.element_adjacency().items() for b in nbrs if a < b),
-    )
+    enc = Encoding(sorted(g.elements))
+    return unpacked_graph(enc, *packed_singletons(*packed_graph(enc, g)))
 
 
 def initial_mug(
@@ -118,9 +113,8 @@ def initial_mug(
     canonicalized first, and trivial ones get no witness graph.
     """
     canonical = [universe.canonical(s) for s in statements]
-    members = [singletonize(g) for g in graphs]
-    members += [witness_graph(s) for s in canonical if s is not TRIVIALLY_TRUE]
-    return Mug(universe, members)
+    witnesses = [witness_graph(s) for s in canonical if s is not TRIVIALLY_TRUE]
+    return Mug(universe, [*map(singletonize, graphs), *witnesses])
 
 
 def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
@@ -133,7 +127,7 @@ def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
     steps = tuple(chain)
     if not steps:
         raise ValueError("empty chain")
-    m0 = Mug(m0.universe, [singletonize(g) for g in m0.graphs])
+    m0 = m0.singletonized()
     givens = tuple(st.conclusion for st in steps if st.rule == "given")
     for g in givens:
         if m0.witness(g) is None:
@@ -184,19 +178,14 @@ def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
 
 
 class _Member:
-    """One distinct graph in a search, packed as by ``packed_graph``.
+    """One distinct graph in a search: packed graph, key number, element set."""
 
-    ``mask`` is its element set; ``answers`` holds its key's separation
-    answers (shared by every member with that key) by packed statement.
-    """
+    __slots__ = ("nodes", "adj", "gid", "mask")
 
-    __slots__ = ("nodes", "adj", "gid", "mask", "answers")
-
-    def __init__(self, nodes: tuple, adj: tuple, gid: int, answers: dict):
+    def __init__(self, nodes: tuple, adj: tuple, gid: int):
         self.nodes = nodes
         self.adj = adj
         self.gid = gid
-        self.answers = answers
         self.mask = element_mask(nodes)
 
 
@@ -222,132 +211,116 @@ def search(
     graph gives two nodes one element set: moves never make such a graph,
     and ``initial_mug`` never does.)
 
-    Graphs are packed (``packed_graph``): search starts from the model's
-    packed graphs and makes every move on them, so no ``UGraph`` is built;
-    ``verify_script`` replays a returned script through ``Mug``.
-    Element sets are masks and statements packed ints of the universe's
-    encoding; every table is sized by what the graphs hold, never by the
-    universe.  Each distinct graph is keyed, and each question put to a
-    key answered, once per call.  A queued state carries its parent's
-    per-member lists of holding candidates.  Only a member the new graph
-    strictly covers can gain some, so only it and the new graph are listed
-    again, and each graph is listed once per set of covering graphs' keys.
-    A state at the move bound is counted as explored, not queued.  A path
-    is (previous path, kind, a, b), with a combination's statement packed;
-    moves and statement objects are built only for the returned script.
+    Graphs are packed (``packed_graph``), and every move is made on them;
+    ``verify_script`` replays a returned script through ``Mug``.  Every
+    table is sized by what the graphs hold, never by the universe.  A
+    candidate I(x, z, y) for a graph over ``inside`` has x + z = inside,
+    and holds where a graph strictly covering ``inside`` holds y and its
+    flood from x, blocked by z, misses y: each side x takes one flood per
+    covering graph, and each key floods each (start, blocked) pair once.
+    A queued state carries its parent's per-member lists of holding
+    candidates; only a member the new graph strictly covers can gain some,
+    so only it and the new graph are listed again, once per set of
+    covering graphs' keys.  Each key is tested against the target once.  A
+    state at the move bound is counted as explored, not queued.  A path is
+    (previous path, kind, a, b), with a combination's statement packed;
+    moves are built only for the returned script.
     """
     if max_moves <= 0 or max_graphs <= 0:
         raise ValueError("search bounds must be positive")
-    stats = dict.fromkeys(
-        ("dedup_hits", "rejected_graph_cap", "answer_hits", "answer_misses"), 0
-    )
+    stats = dict.fromkeys(("dedup_hits", "rejected_graph_cap"), 0)
     enc = m0.universe.encoding
     held: dict[tuple, _Member] = {}
     gids: dict[tuple, int] = {}
-    answers: list[dict] = []
-    neighbours: list[dict | None] = []
-    candidates: dict[tuple[int, int], list] = {}
+    try:
+        gx, gz, gy = enc.mask(target.x), enc.mask(target.z), enc.mask(target.y)
+        needed = gx | gz | gy
+    except KeyError:  # an element outside the universe, so no graph holds it
+        gx = gz = gy = needed = -1
+    # By key number: floods, and whether the key witnesses the target.
+    # ``asked`` counts flood lookups, hits and misses alike.
+    floods: list[Floods] = []
+    witnessed: list[bool] = []
+    asked = 0
     listings: dict[tuple[int, int], list] = {}
-    # Each member's successors, built on first use since every state holding
-    # it would ask for the same.  They live here, not on the members: equal
-    # graphs share a member, so links between members could form cycles that
-    # keep a finished search's graphs alive until a full collection.
+    # Each member's successors with their key bits, built on first use since
+    # every state holding it would ask for the same.  They live here, not on
+    # the members: equal graphs share a member, so links between members
+    # could form cycles that keep a finished search's graphs alive until a
+    # full collection.
     deletions: dict[_Member, list] = {}
     combinations: dict[_Member, dict] = {}
 
-    def member(graph: tuple[tuple, tuple]) -> _Member:
+    def member(graph: tuple[tuple, tuple]) -> tuple[_Member, int]:
+        """The graph's member and key bit."""
+        nonlocal asked
         mem = held.get(graph)
         if mem is None:
             gid = gids.setdefault(packed_key(*graph), len(gids))
-            if gid == len(answers):
-                answers.append({})
-                neighbours.append(None)
-            mem = held[graph] = _Member(*graph, gid, answers[gid])
-        return mem
-
-    def holds(members, c: tuple) -> bool:
-        """Whether a member witnesses c, a (packed statement, elements) pair."""
-        p, needed = c
-        for mem in members:
-            if needed & ~mem.mask:
-                continue
-            answer = mem.answers.get(p)
-            if answer is None:
-                stats["answer_misses"] += 1
-                nbrs = neighbours[mem.gid]
-                if nbrs is None:
-                    nbrs = neighbours[mem.gid] = element_neighbours(mem.nodes, mem.adj)
-                x, z, y = enc.unpack(p)
-                answer = mem.answers[p] = not reach(nbrs, x, z) & y
-            else:
-                stats["answer_hits"] += 1
-            if answer:
-                return True
-        return False
-
-    def combinable(inside: int, extra: int) -> list:
-        """Candidates for a graph over ``inside``, as (packed, elements) pairs.
-
-        One side plus z is exactly ``inside``, the other lies in ``extra``;
-        the list is in ``Encoding.key`` order.
-        """
-        if (inside, extra) not in candidates:
-            found = {}
-            x = inside
-            while x:
-                y = extra
-                while y:
-                    found[enc.pack(x, inside ^ x, y)] = inside | y
-                    y = (y - 1) & extra
-                x = (x - 1) & inside
-            ordered = sorted(found, key=enc.key)
-            candidates[inside, extra] = [(p, found[p]) for p in ordered]
-        return candidates[inside, extra]
+            mem = held[graph] = _Member(*graph, gid)
+            if gid == len(floods):
+                floods.append(Floods(*graph))
+                covers = not needed & ~mem.mask
+                asked += covers
+                witnessed.append(covers and not floods[gid][gx, gz] & gy)
+        return mem, 1 << mem.gid
 
     def listing(mem: _Member, members) -> list:
         """A member's holding candidates in a state, once per covering set."""
-        # Only a graph with more elements can witness a candidate, so its
-        # other side lies among those graphs' extra elements.
+        nonlocal asked
         inside = mem.mask
         covering = [o for o in members if o.mask != inside and not inside & ~o.mask]
         key = mem.gid, sum(1 << o.gid for o in covering)
-        if key not in listings:
-            extra = 0
-            for other in covering:
-                extra |= other.mask & ~inside
-            listings[key] = [c for c in combinable(inside, extra) if holds(covering, c)]
-        return listings[key]
+        listed = listings.get(key)
+        if listed is None:
+            found = set()
+            for o in covering:
+                reached = floods[o.gid]
+                free = o.mask & ~inside
+                x = inside
+                while x:
+                    z = inside ^ x
+                    y = holding = free & ~reached[x, z]
+                    while y:
+                        found.add(enc.pack(x, z, y))
+                        y = (y - 1) & holding
+                    x = (x - 1) & inside
+            asked += len(covering) * ((1 << inside.bit_count()) - 1)
+            listed = listings[key] = sorted(found, key=enc.key)
+        return listed
+
+    def counted() -> dict:
+        """The stats, with the floods computed and those read again."""
+        stats["floods"] = sum(map(len, floods))
+        stats["flood_hits"] = asked - stats["floods"]
+        return stats
 
     def successors(members, lists) -> Iterator[tuple]:
-        """(move kind, its two arguments, child member) in move order."""
+        """(move kind, its two arguments, child member, key bit) in move order."""
         for gi, mem in enumerate(members):
             if mem not in deletions:
                 deletions[mem] = [
-                    (n, member(packed_deletion(mem.nodes, mem.adj, i)))
+                    (n, *member(packed_deletion(mem.nodes, mem.adj, i)))
                     for i, (n, _) in enumerate(mem.nodes)
                 ]
-            for n, child in deletions[mem]:
-                yield Delete, gi, n, child
+            for n, child, bit in deletions[mem]:
+                yield Delete, gi, n, child, bit
             combined = combinations.setdefault(mem, {})
-            for p, _ in lists[gi]:
+            for p in lists[gi]:
                 if p not in combined:
                     x, z, y = enc.unpack(p)
                     added = y if x | z == mem.mask else x
                     combined[p] = member(packed_combination(mem.nodes, mem.adj, z, added))
-                yield Combine, p, gi, combined[p]
+                yield Combine, p, gi, *combined[p]
 
-    members0 = tuple(member(g) for g in m0.packed)
-    try:
-        goal = enc.encode(target), enc.mask(target.elements)
-    except KeyError:  # an element outside the universe, so no graph holds it
-        goal = None, -1
-    if holds(members0, goal):
-        return MoveScript(m0, (), target, stats)
+    members0 = tuple(member(g)[0] for g in m0.packed)
+    if any(witnessed[mem.gid] for mem in members0):
+        return MoveScript(m0, (), target, counted())
     ids0 = sum(1 << mem.gid for mem in members0)
     visited = {ids0}
     # Members, their key numbers and sleep mask, moves made, the path and
-    # the parent's listings (None at first).
-    queue: deque[tuple] = deque([(members0, ids0, 0, 0, None, None)])
+    # the parent's listings (none at first).
+    queue: deque[tuple] = deque([(members0, ids0, 0, 0, None, ())])
     explored = 0
     depth_reached = 0
     while queue:
@@ -355,22 +328,21 @@ def search(
         explored += 1
         depth = f"states_depth_{moved}"
         stats[depth] = stats.get(depth, 0) + 1
-        if inherited is None:
-            lists = [listing(mem, members) for mem in members]
-        else:
-            new = members[-1]
-            lists = [
-                listing(mem, members)
-                if mem.mask != new.mask and not mem.mask & ~new.mask
-                else listed
-                for mem, listed in zip(members, inherited)
-            ]
-            lists.append(listing(new, members))
+        grown = members[-1].mask if inherited else 0
+        lists = [
+            listing(mem, members)
+            if mem.mask != grown and not mem.mask & ~grown
+            else listed
+            for mem, listed in zip(members, inherited)
+        ]
+        lists += [listing(mem, members) for mem in members[len(lists) :]]
+        # A move that adds a graph needs room for it; an initial model over
+        # the cap has none even for a move that adds nothing.
+        room = max_graphs - len(members)
         slept = sleep
-        for kind, a, b, child in successors(members, lists):
-            bit = 1 << child.gid
+        for kind, a, b, child, bit in successors(members, lists):
             is_new = not ids & bit
-            if len(members) + is_new > max_graphs:
+            if is_new > room:
                 stats["rejected_graph_cap"] += 1
                 continue
             if sleep & bit:
@@ -382,10 +354,11 @@ def search(
                 continue
             visited.add(ids2)
             path2 = path, kind, a, b
-            depth_reached = max(depth_reached, moved + 1)
-            # The parent's graphs already fail the target; ask the new one.
-            if holds((child,), goal):
-                return MoveScript(m0, _moves(enc, path2), target, stats)
+            # Breadth-first: no state reached earlier is deeper.
+            depth_reached = moved + 1
+            # The parent's graphs already fail the target.
+            if witnessed[child.gid]:
+                return MoveScript(m0, _moves(enc, path2), target, counted())
             if moved + 1 < max_moves:
                 queue.append((members + (child,), ids2, slept, moved + 1, path2, lists))
             else:
@@ -394,7 +367,7 @@ def search(
                 stats[depth] = stats.get(depth, 0) + 1
             slept |= bit
     return Exhausted(
-        states_explored=explored, depth_reached=depth_reached, stats=stats
+        states_explored=explored, depth_reached=depth_reached, stats=counted()
     )
 
 

@@ -8,7 +8,7 @@ only grow along a derivation.
 Graphs are packed (``packed_graph``) into node element masks and neighbour
 bitmasks.  ``Mug``, replay, script checks, search and the closure's graph
 intake share the one packed form of each graph move, the dedup key
-(``packed_key``) and the mask flood behind every separation (``reach``).
+(``packed_key``) and the mask flood behind every separation (``reach``, ``Floods``).
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ from .ugraph import UGraph
 class Mug:
     """An ordered, duplicate-free collection of packed undirected graphs."""
 
-    __slots__ = ("_universe", "_packed", "_masks", "_index", "_neighbours")
+    __slots__ = ("_universe", "_packed", "_masks", "_index", "_floods")
 
     def __init__(self, universe: Universe, graphs: Iterable[UGraph] = ()):
         self._universe = universe
         self._packed: tuple[tuple[tuple, tuple], ...] = ()
         self._masks: tuple[int, ...] = ()
         self._index: dict[tuple, int] = {}
-        self._neighbours: list[dict | None] = []
+        self._floods: list[Floods] = []
         for g in graphs:
             universe.require(g.elements)
             self._add(packed_graph(universe.encoding, g))
@@ -76,10 +76,7 @@ class Mug:
 
     def separates(self, gi: int, x: int, z: int, y: int) -> bool:
         """Whether graph gi, which holds masks x, z and y, separates x from y by z."""
-        nbrs = self._neighbours[gi]
-        if nbrs is None:
-            nbrs = self._neighbours[gi] = element_neighbours(*self._packed[gi])
-        return not reach(nbrs, x, z) & y
+        return not self._floods[gi][x, z] & y
 
     def enumerate_satisfied(self) -> frozenset:
         """All canonical statements over the universe satisfied by some graph.
@@ -93,6 +90,13 @@ class Mug:
             found.update(separations(enc, *g))
         return frozenset(map(enc.decode, found))
 
+    def singletonized(self) -> "Mug":
+        """This model with each graph as ``packed_singletons`` rebuilds it."""
+        m = Mug(self._universe)
+        for g in self._packed:
+            m._add(packed_singletons(*g))
+        return m
+
     def with_graph(self, g: UGraph) -> tuple["Mug", int]:
         """Append a graph, deduplicating by key; returns (mug, graph index)."""
         self._universe.require(g.elements)
@@ -104,7 +108,7 @@ class Mug:
         if gi == len(self._packed):
             self._packed += (graph,)
             self._masks += (element_mask(graph[0]),)
-            self._neighbours.append(None)
+            self._floods.append(Floods(*graph))
         return gi
 
     def _appended(self, graph: tuple[tuple, tuple]) -> tuple["Mug", int]:
@@ -113,7 +117,7 @@ class Mug:
         # another graph at the same index.
         m = Mug.__new__(Mug)
         m._universe, m._packed, m._masks = self._universe, self._packed, self._masks
-        m._index, m._neighbours = dict(self._index), list(self._neighbours)
+        m._index, m._floods = dict(self._index), list(self._floods)
         gi = m._add(graph)
         return (self if gi < len(self._packed) else m), gi
 
@@ -261,6 +265,29 @@ def element_neighbours(nodes: tuple, adj: tuple) -> dict[int, int]:
             m ^= bit
             out[bit] = out.get(bit, 0) | near
     return out
+
+
+def packed_singletons(nodes: tuple, adj: tuple) -> tuple[tuple, tuple]:
+    """One node per element, ids 0, 1, ... in element order, same element graph."""
+    near = element_neighbours(nodes, adj)
+    bits = sorted(near)
+    adj = [sum(1 << j for j, b in enumerate(bits) if near[a] & ~a & b) for a in bits]
+    return tuple(enumerate(bits)), tuple(adj)
+
+
+class Floods(dict):
+    """A packed graph's floods, ``reach`` by (start, blocked), kept once asked."""
+
+    def __init__(self, nodes: tuple, adj: tuple):
+        super().__init__()
+        self.graph = nodes, adj
+        self.neighbours = None
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        if self.neighbours is None:
+            self.neighbours = element_neighbours(*self.graph)
+        reached = self[key] = reach(self.neighbours, *key)
+        return reached
 
 
 def reach(neighbours: dict[int, int], start: int, blocked: int) -> int:

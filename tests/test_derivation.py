@@ -5,6 +5,8 @@ from typing import Iterator
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mugci import (
     Combine,
@@ -240,6 +242,22 @@ def test_verify_reports_unreached_target():
     m0 = initial_mug(U4, statements=[cs("x", "z", "y")])
     script = MoveScript(m0, (), cs("x", "z", "w"))
     assert not verify_script(script)  # no moves, target unsatisfied
+
+
+def test_singletonize_rebuilds_the_element_graph():
+    # one node per element, ids in element order, over the element
+    # adjacency: a model's packed graphs and a lone UGraph alike
+    cases = [*_odd_id_cases(60), *_declared_graph_cases(20)]
+    for m0, _ in cases:
+        want = [
+            UGraph.from_singletons(
+                g.elements,
+                [(a, b) for a, near in g.element_adjacency().items() for b in near],
+            )
+            for g in m0.graphs
+        ]
+        assert [singletonize(g) for g in m0.graphs] == want
+        assert m0.singletonized() == Mug(m0.universe, want)
 
 
 def test_singletonize_preserves_satisfaction():
@@ -663,12 +681,11 @@ def test_search_matches_reference_on_random_models():
                 # before the dedup lookup and are not counted here.
                 "dedup_hits": 80,
                 "rejected_graph_cap": 0,
-                # A state takes over its parent's holding candidates, and a
-                # new graph's listing is reused under the same covering
-                # graphs, instead of asking their graphs again; the
-                # questions asked, answer_misses, are the same.
-                "answer_hits": 187,
-                "answer_misses": 121,
+                # One flood per side of a listed graph and covering graph,
+                # and one per graph key holding the target's elements; a
+                # state takes over its parent's listings without flooding.
+                "floods": 128,
+                "flood_hits": 38,
             },
         ),
         (
@@ -678,8 +695,8 @@ def test_search_matches_reference_on_random_models():
                 "states_depth_1": 4,
                 "dedup_hits": 16,
                 "rejected_graph_cap": 36,
-                "answer_hits": 13,
-                "answer_misses": 43,
+                "floods": 56,
+                "flood_hits": 2,
             },
         ),
     ],
@@ -707,8 +724,8 @@ def test_search_stats_on_a_proven_contraction():
         "states_depth_0": 1,
         "dedup_hits": 0,
         "rejected_graph_cap": 0,
-        "answer_hits": 0,
-        "answer_misses": 9,
+        "floods": 9,
+        "flood_hits": 0,
     }
     # a replayed script carries no search counters
     assert replay_chain(m0, closure(premises, U4).chain(target)).stats == {}
@@ -739,17 +756,14 @@ def test_search_builds_no_ugraph(monkeypatch, max_graphs):
     assert append_transformed(m1, Combine(cs("x", "z", "y"), gi)) == (m1, 1)
     assert built == []
 
-    # Replay builds only its singletonized seeding graphs (each decoded
-    # from the model, then rebuilt), however many moves it makes.
+    # Replay builds none either, though it renumbers the first graph's nodes
+    # when it singletonizes the model, and however many moves it makes.
     m0 = _replay_with_deletions_model()
     chain = closure(m0.enumerate_satisfied(), m0.universe).chain(cs("x", "z", "yw"))
     built.clear()
-    seeding = [singletonize(g) for g in m0.graphs]
-    expected = len(built)
-    assert expected == 2 * len(seeding)
-    built.clear()
     script = replay_chain(m0, chain)
-    assert len(built) == expected
+    assert built == []
+    assert script.initial != m0
     assert any(isinstance(mv, Delete) for mv in script.moves)
 
 
@@ -777,9 +791,9 @@ def test_search_work_ignores_elements_no_graph_holds():
 # through the listing memo (instead of patching the inherited list) and
 # before paths held packed statements (only ``search`` and ``_moves`` are
 # renamed).  Both must return equal outcomes with equal counters, except
-# ``answer_hits``: a listing asks the older covering graphs again, where the
-# predecessor took their answers from the inherited list, and the memo saves
-# some listings, so hits may move either way.
+# the work counters: the predecessor asks each candidate's separation
+# question (``answer_hits``, ``answer_misses``) where ``search`` floods once
+# per side (``floods``, ``flood_hits``).
 
 
 class _Member:
@@ -1035,16 +1049,81 @@ def test_search_matches_its_predecessor(max_moves, max_graphs):
         *_declared_graph_cases(40),
         *_odd_id_cases(30),
         _intersection_model(),
+        (initial_mug(U4), cs("x", "", "y")),  # a model of no graphs
     ]
-    moved = 0
     for m0, target in cases:
         got = search(m0, target, max_moves, max_graphs)
         want = parent_search(m0, target, max_moves, max_graphs)
         assert got == want, (m0, target)
-        new, old = got.stats, want.stats
-        assert new.keys() == old.keys()
-        for key in old.keys() - {"answer_hits"}:
-            assert new[key] == old[key], (m0, target, key)
-        moved += new["answer_hits"] != old["answer_hits"]
-    # the listings differ, so some searches read other answers
-    assert moved > 0
+        assert _uncounted(got.stats, "floods", "flood_hits") == _uncounted(
+            want.stats, "answer_hits", "answer_misses"
+        ), (m0, target)
+
+
+def _uncounted(stats: dict, *floods: str) -> dict:
+    """The counters other than the named work counters, which must be there."""
+    assert set(floods) <= stats.keys()
+    return {k: v for k, v in stats.items() if k not in floods}
+
+
+def test_search_over_the_graph_cap_from_the_start():
+    # Two graphs against a cap of one: every move is over it, even deleting
+    # z from the second graph, which remakes the first and adds nothing.
+    m0 = initial_mug(U4, statements=[cs("x", "", "y"), cs("x", "", "yz")])
+    target = cs("y", "", "z")
+    got = search(m0, target, 3, 1)
+    want = parent_search(m0, target, 3, 1)
+    assert got == want == Exhausted(states_explored=1, depth_reached=0)
+    assert got.stats["rejected_graph_cap"] == want.stats["rejected_graph_cap"] == 6
+    assert got.stats["dedup_hits"] == want.stats["dedup_hits"] == 0
+    # and models of two or three graphs against every smaller cap
+    for m0, target in [*_random_search_cases(30), *_declared_graph_cases(20)]:
+        for cap in range(1, len(m0.packed)):
+            got = search(m0, target, 2, cap)
+            want = parent_search(m0, target, 2, cap)
+            assert got == want, (m0, target, cap)
+            assert _uncounted(got.stats, "floods", "flood_hits") == _uncounted(
+                want.stats, "answer_hits", "answer_misses"
+            ), (m0, target, cap)
+
+
+def _multi_element_graph(draw, names: list[str]) -> UGraph:
+    """A graph over some of names whose nodes hold one to three elements."""
+    chosen = draw(st.lists(st.sampled_from(names), min_size=2, unique=True))
+    cuts = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    nodes: list[set] = []
+    for e, cut in zip(chosen, cuts):
+        if cut or not nodes or len(nodes[-1]) == 3:
+            nodes.append(set())
+        nodes[-1].add(e)
+    pairs = list(combinations(range(len(nodes)), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return UGraph(dict(enumerate(nodes)), [p for p, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def _multi_element_models(draw):
+    """A 4-6 element model of 1-3 graphs with multi-element nodes, beside
+    0-2 premise witnesses, and a target."""
+    u = Universe("abcdef"[: draw(st.integers(4, 6))])
+    pool = sorted(enumerate_canonical(u), key=statement_key)
+    graphs = [
+        _multi_element_graph(draw, list(u.elements))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    premises = draw(st.lists(st.sampled_from(pool), max_size=2))
+    return Mug(u, graphs + [witness_graph(s) for s in premises]), draw(
+        st.sampled_from(pool)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_multi_element_models(), st.sampled_from([(3, 8), (2, 4), (3, 3)]))
+def test_search_matches_its_predecessor_on_multi_element_graphs(case, bounds):
+    m0, target = case
+    got = search(m0, target, *bounds)
+    want = parent_search(m0, target, *bounds)
+    assert got == want
+    assert _uncounted(got.stats, "floods", "flood_hits") == _uncounted(
+        want.stats, "answer_hits", "answer_misses"
+    )

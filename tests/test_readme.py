@@ -2,7 +2,8 @@
 
 Each ```python block of README.md runs statement by statement in a fresh
 namespace.  An expression statement whose line ends in a comment starting
-with ``True`` or ``False`` must evaluate to exactly that value.
+with ``True`` or ``False`` must evaluate to exactly that value.  The counts
+of the search table in "Size limits" are what its recipe gives.
 """
 
 import ast
@@ -10,6 +11,8 @@ import io
 import re
 import tokenize
 from pathlib import Path
+
+from mugci import Exhausted, Universe, canonical_triple, initial_mug, search
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,3 +49,28 @@ def test_readme_python_examples_give_their_commented_values():
     checked = [run_block(block) for block in blocks]
     # the quick start, the directed example and the oracle each state values
     assert all(checked), checked
+
+
+def search_table() -> dict[int, tuple[int, int]]:
+    """The "Size limits" search table: k mapped to (states, floods)."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| k | states | floods | `search` |", 1)[1].split("\n\n")[0]
+    rows = re.findall(r"^\| (\d+) \| (\d+) \| (\d+) \|", table.replace(",", ""), re.M)
+    return {int(k): (int(states), int(floods)) for k, states, floods in rows}
+
+
+def test_readme_search_table_counts_are_its_recipes():
+    # search(m0, I(e0, e1, e_{k+1}), 2, 4) on the premises
+    # I(e0..e_{k/2-1}, {}, e_{k/2}..e_{k-1}) and I(e0, e_k, e_{k+1})
+    table = search_table()
+    assert sorted(table) == [8, 10, 12, 14]
+    for k in (8, 10, 12):
+        e = [f"e{i}" for i in range(k + 2)]
+        premises = [
+            canonical_triple(e[: k // 2], (), e[k // 2 : k]),
+            canonical_triple([e[0]], [e[k]], [e[k + 1]]),
+        ]
+        m0 = initial_mug(Universe(e), statements=premises)
+        outcome = search(m0, canonical_triple([e[0]], [e[1]], [e[k + 1]]), 2, 4)
+        assert isinstance(outcome, Exhausted) and outcome.depth_reached == 2
+        assert (outcome.states_explored, outcome.stats["floods"]) == table[k], k
