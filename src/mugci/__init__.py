@@ -24,6 +24,7 @@ from .graphoid import (
     AxiomStep,
     Closure,
     closure,
+    prove,
     verify_chain,
 )
 from .model import (
@@ -80,6 +81,7 @@ __all__ = [
     "enumerate_canonical",
     "initial_mug",
     "parse_model",
+    "prove",
     "replay_chain",
     "replay_final",
     "sample_dag_joint",

@@ -23,7 +23,7 @@ from .derivation import (
 )
 from .dsep import build_join_tree
 from .errors import ModelError
-from .graphoid import AxiomStep, closure, verify_chain
+from .graphoid import AxiomStep, closure, prove, verify_chain
 from .model import (
     TRIVIALLY_TRUE,
     Statement,
@@ -175,9 +175,9 @@ def _cmd_query(args, out) -> int:
         # nor is bound by the closure's size guard.
         outcome = search(_seed_mug(model), target, args.max_moves, args.max_graphs)
     else:
-        outcome = closure(
-            model.statements.values(), model.universe, model.graphs.values()
-        ).query(target)
+        outcome = prove(
+            model.statements.values(), model.universe, model.graphs.values(), target
+        )
         if outcome is not None and args.mode == "replay":
             outcome = replay_chain(_seed_mug(model), outcome)
     print(f"statement: {target}", file=out)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -83,17 +82,36 @@ def witness_graph(s: CanonicalStatement) -> UGraph:
 
     Cliques over x+z and over y+z, nothing across: z separates x from y,
     and the satisfied set equals the closure of s restricted to its
-    elements (no unintended independence sneaks in).
+    elements (no unintended independence sneaks in).  It is
+    ``packed_witness`` decoded over the statement's own elements.
     """
-    members = sorted(s.elements)
-    left = s.x | s.z
-    right = s.y | s.z
-    edges = [
-        (a, b)
-        for a, b in combinations(members, 2)
-        if {a, b} <= left or {a, b} <= right
-    ]
-    return UGraph.from_singletons(members, edges)
+    enc = Encoding(sorted(s.elements))
+    x, z, y = enc.mask(s.x), enc.mask(s.z), enc.mask(s.y)
+    return unpacked_graph(enc, *packed_witness(x, z, y))
+
+
+def packed_witness(x: int, z: int, y: int) -> tuple[tuple, tuple]:
+    """The witness graph of I(x, z, y), packed as by ``packed_graph``.
+
+    One node per element, ids 0, 1, ... in element order, so over a
+    universe's encoding it equals the packed ``witness_graph``.
+    """
+    bits = []
+    rest = x | z | y
+    while rest:
+        bits.append(rest & -rest)
+        rest ^= bits[-1]
+    left = right = 0  # the two cliques, as masks over node positions
+    for j, bit in enumerate(bits):
+        if bit & (x | z):
+            left |= 1 << j
+        if bit & (y | z):
+            right |= 1 << j
+    adj = tuple(
+        ((left if left >> j & 1 else 0) | (right if right >> j & 1 else 0)) & ~(1 << j)
+        for j in range(len(bits))
+    )
+    return tuple(enumerate(bits)), adj
 
 
 def singletonize(g: UGraph) -> UGraph:
@@ -113,8 +131,13 @@ def initial_mug(
     canonicalized first, and trivial ones get no witness graph.
     """
     canonical = [universe.canonical(s) for s in statements]
-    witnesses = [witness_graph(s) for s in canonical if s is not TRIVIALLY_TRUE]
-    return Mug(universe, [*map(singletonize, graphs), *witnesses])
+    mask = universe.encoding.mask
+    witnesses = [
+        packed_witness(mask(s.x), mask(s.z), mask(s.y))
+        for s in canonical
+        if s is not TRIVIALLY_TRUE
+    ]
+    return Mug(universe, map(singletonize, graphs), witnesses)
 
 
 def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:

@@ -18,6 +18,14 @@ elements its steps use.  A model's graphs come in as graphs: the closure
 packs each one and lists its separations packed (``mug.separations``), so no
 statement object is made for them.  Statement objects appear only at the
 boundary, when a caller asks ``Closure`` for its statements or a chain.
+
+One graph's separations are already closed under the axioms (graph
+separation is a graphoid, Pearl & Paz 1987), and all of them are seeds.  So
+the closure never applies a rule within one graph: a seed a graph witnesses
+gets no decomposition or weak union, and two statements one graph witnesses
+are never contracted.  That work could only re-derive admitted statements,
+so skipping it changes no admission, order or chain.  ``prove`` answers one
+query with the same run, stopped once its target is admitted.
 """
 
 from __future__ import annotations
@@ -115,9 +123,12 @@ class Closure:
     its ``(rule, packed premises)``; statement objects are made only when a
     caller asks for them.  ``stats`` holds the deterministic work counters
     of the run that built it: ``admitted_<rule>`` for each rule that added
-    statements, ``pairs_tried`` and ``pairs_productive`` for contraction
-    applications (productive ones admitted at least one new statement), and
-    ``peak_queue`` for the longest the worklist grew.
+    statements; ``pairs_tried`` for the contraction partners tried and
+    ``pairs_productive`` for those that admitted a new statement;
+    ``pairs_shared_graph`` for the partners skipped untried because a graph
+    witnesses both statements, so the conclusion is that graph's separation
+    and already admitted; and ``peak_queue`` for the longest the worklist
+    grew.
     """
 
     __slots__ = ("_universe", "_statements", "_parents", "_stats")
@@ -211,45 +222,100 @@ def closure(
     so the discovered chains are deterministic.  The run makes no
     statement object; ``Closure`` decodes on demand.
     """
+    seeds = _intake(init, universe, graphs)
+    return Closure(universe, *_saturate(universe.encoding, seeds))
+
+
+def prove(
+    init: Iterable[CanonicalStatement | Statement],
+    universe: Universe,
+    graphs: Iterable[UGraph],
+    target: Statement | CanonicalStatement,
+) -> tuple[AxiomStep, ...] | None:
+    """``closure(init, universe, graphs).query(target)``, stopping at target.
+
+    The checks run as ``closure`` runs them, then the target's.  The
+    saturation stops once target is admitted: a statement's ancestors are
+    admitted before it and never re-parented, so its chain is the one the
+    full closure gives.  A target that is not derivable saturates fully.
+    """
+    seeds = _intake(init, universe, graphs)
+    if not isinstance(target, CanonicalStatement):
+        target = universe.canonical(target)
+        if target is TRIVIALLY_TRUE:
+            return ()
+    enc = universe.encoding
+    try:
+        stop = enc.encode(target)
+    except KeyError:  # an element outside the universe, so never derived
+        return None
+    return Closure(universe, *_saturate(enc, seeds, stop)).query(target)
+
+
+def _intake(
+    init: Iterable[CanonicalStatement | Statement],
+    universe: Universe,
+    graphs: Iterable[UGraph],
+) -> dict[int, int]:
+    """The packed seeds, each mapped to a bitmask of the graphs witnessing it.
+
+    Bit i stands for the i-th graph; a statement only given has 0.
+    """
     statements = [universe.canonical(s) for s in init]
     check_size(universe, ENUMERATION_GUARD)
     enc = universe.encoding
-    seeds = {enc.encode(s) for s in statements if s is not TRIVIALLY_TRUE}
-    for g in graphs:
+    seeds = dict.fromkeys(
+        (enc.encode(s) for s in statements if s is not TRIVIALLY_TRUE), 0
+    )
+    for i, g in enumerate(graphs):
         universe.require(g.elements)
-        seeds.update(separations(enc, *packed_graph(enc, g)))
+        bit = 1 << i
+        for p in separations(enc, *packed_graph(enc, g)):
+            seeds[p] = seeds.get(p, 0) | bit
+    return seeds
 
+
+def _saturate(
+    enc: Encoding, seeds: dict[int, int], stop: int | None = None
+) -> tuple[dict, dict[str, int]]:
+    """The worklist run behind ``closure`` and ``prove``: ``(parents, stats)``.
+
+    It ends when the worklist empties or once ``stop`` is admitted.  A
+    statement carries its graph bits from ``seeds`` (0 once derived), and
+    the work those bits show to lie within one graph is skipped (see the
+    module docstring).
+    """
     unpack, key = enc.unpack, enc.key
     parents: dict[int, tuple[str, tuple[int, ...]]] = {}
-    queue: deque[int] = deque()
+    queue: deque[tuple[int, int]] = deque()
     # Contraction partners, indexed on admission: (side, z) finds the
     # statements that can play s1 = I(X, Z+Y, W), (side, z + other side)
     # those that can play s2 = I(X, Z, Y).  Entries carry the statement's
-    # sort key and the parts the conclusion is made of.
+    # sort key, the parts the conclusion is made of and its graph bits.
     by_z: dict[tuple[int, int], list] = defaultdict(list)
     by_zy: dict[tuple[int, int], list] = defaultdict(list)
     admitted = dict.fromkeys(("given", "decomposition", "weak_union", "contraction"), 0)
     peak_queue = 0
 
-    def admit(c: int, rule: str, premises: tuple) -> None:
+    def admit(c: int, rule: str, premises: tuple, bits: int = 0) -> None:
         nonlocal peak_queue
         parents[c] = (rule, premises)
         k = key(c)
         x, z, y = unpack(c)
-        by_z[x, z].append((k, c, y))
-        by_z[y, z].append((k, c, x))
-        by_zy[x, z | y].append((k, c, z, y))
-        by_zy[y, z | x].append((k, c, z, x))
-        queue.append(c)
+        by_z[x, z].append((k, c, y, bits))
+        by_z[y, z].append((k, c, x, bits))
+        by_zy[x, z | y].append((k, c, z, y, bits))
+        by_zy[y, z | x].append((k, c, z, x, bits))
+        queue.append((c, bits))
         admitted[rule] += 1
         peak_queue = max(peak_queue, len(queue))
 
     for p in sorted(seeds, key=key):
-        admit(p, "given", ())
+        admit(p, "given", (), seeds[p])
 
-    pairs_tried = pairs_productive = 0
-    while queue:
-        s = queue.popleft()
+    pairs_tried = pairs_listed = pairs_productive = 0
+    while queue and stop not in parents:
+        s, bits = queue.popleft()
         x, z, y = unpack(s)
         # Partners are taken from the statements known when s is popped,
         # queued ones included, and tried in statement_key order: the same
@@ -257,14 +323,20 @@ def closure(
         # Each partner meets s in exactly one contraction.
         found = []
         for side, other in ((x, y), (y, x)):
-            for k, t, tz, ty in by_zy.get((side, z), ()):
-                found.append((k, enc.pack(side, tz, ty | other), (s, t)))
-            for k, t, tw in by_z.get((side, z | other), ()):
-                found.append((k, enc.pack(side, z, other | tw), (t, s)))
+            s1s = by_zy.get((side, z), ())
+            s2s = by_z.get((side, z | other), ())
+            pairs_listed += len(s1s) + len(s2s)
+            for k, t, tz, ty, tbits in s1s:
+                if not tbits & bits:
+                    found.append((k, enc.pack(side, tz, ty | other), (s, t)))
+            for k, t, tw, tbits in s2s:
+                if not tbits & bits:
+                    found.append((k, enc.pack(side, z, other | tw), (t, s)))
         found.sort()
-        for rule, c in _unary(enc, s):
-            if c not in parents:
-                admit(c, rule, (s,))
+        if not bits:
+            for rule, c in _unary(enc, s):
+                if c not in parents:
+                    admit(c, rule, (s,))
         pairs_tried += len(found)
         for _, c, premises in found:
             if c not in parents:
@@ -273,9 +345,12 @@ def closure(
 
     stats = {f"admitted_{rule}": count for rule, count in admitted.items()}
     stats.update(
-        pairs_tried=pairs_tried, pairs_productive=pairs_productive, peak_queue=peak_queue
+        pairs_tried=pairs_tried,
+        pairs_shared_graph=pairs_listed - pairs_tried,
+        pairs_productive=pairs_productive,
+        peak_queue=peak_queue,
     )
-    return Closure(universe, parents, stats)
+    return parents, stats
 
 
 def first_invalid_step(

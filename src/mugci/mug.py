@@ -33,7 +33,13 @@ class Mug:
 
     __slots__ = ("_universe", "_packed", "_masks", "_index", "_floods")
 
-    def __init__(self, universe: Universe, graphs: Iterable[UGraph] = ()):
+    def __init__(
+        self,
+        universe: Universe,
+        graphs: Iterable[UGraph] = (),
+        packed: Iterable[tuple[tuple, tuple]] = (),
+    ):
+        """The graphs, then the ``packed`` graphs over the universe's encoding."""
         self._universe = universe
         self._packed: tuple[tuple[tuple, tuple], ...] = ()
         self._masks: tuple[int, ...] = ()
@@ -42,6 +48,8 @@ class Mug:
         for g in graphs:
             universe.require(g.elements)
             self._add(packed_graph(universe.encoding, g))
+        for graph in packed:
+            self._add(graph)
 
     @property
     def universe(self) -> Universe:

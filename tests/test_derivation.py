@@ -104,6 +104,36 @@ def test_witness_graph_encodes_exactly_the_closure(s):
     assert m.enumerate_satisfied() == closure([s], sub).statements
 
 
+def reference_witness_graph(s: CanonicalStatement) -> UGraph:
+    """``witness_graph`` as it was built from element pairs before it was
+    decoded from ``packed_witness``."""
+    members = sorted(s.elements)
+    left, right = s.x | s.z, s.y | s.z
+    edges = [
+        (a, b)
+        for a, b in combinations(members, 2)
+        if {a, b} <= left or {a, b} <= right
+    ]
+    return UGraph.from_singletons(members, edges)
+
+
+def test_witness_graphs_match_the_element_pair_construction():
+    # every statement over six elements, each placed anywhere in the universe
+    u = Universe("abcdef")
+    pool = sorted(enumerate_canonical(u), key=statement_key)
+    for s in pool:
+        want = reference_witness_graph(s)
+        assert witness_graph(s) == want
+        assert initial_mug(u, statements=[s]) == Mug(u, [want])
+    rng = random.Random(1312)
+    for _ in range(40):
+        graphs = [reference_witness_graph(s) for s in rng.sample(pool, 2)]
+        premises = rng.sample(pool, 3)
+        m0 = initial_mug(u, statements=premises, graphs=graphs)
+        witnesses = map(reference_witness_graph, premises)
+        assert m0 == Mug(u, [*map(singletonize, graphs), *witnesses])
+
+
 # -- replay -------------------------------------------------------------------
 
 

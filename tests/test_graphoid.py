@@ -1,5 +1,7 @@
 import random
-from collections import deque
+from collections import defaultdict, deque
+from pathlib import Path
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from mugci import (
     ENUMERATION_GUARD,
     TRIVIALLY_TRUE,
     AxiomStep,
+    CanonicalStatement,
     Closure,
     Mug,
     Statement,
@@ -19,12 +22,15 @@ from mugci import (
     closure,
     enumerate_canonical,
     graphoid,
+    parse_model,
+    prove,
     statement_key,
     verify_chain,
 )
 from mugci.errors import InvalidOverlap, UniverseTooLarge, UnknownElement
 from mugci.graphoid import _unary, _unary_follows, contraction, first_invalid_step
-from mugci.model import Encoding
+from mugci.model import Encoding, check_size
+from mugci.mug import packed_graph, separations
 from test_mug import random_graph
 
 U4 = Universe(["w", "x", "y", "z"])
@@ -109,14 +115,17 @@ def test_closure_guard_comes_before_any_graph_is_read(monkeypatch):
 
     monkeypatch.setattr(UGraph, "elements", property(no_work))
     monkeypatch.setattr(graphoid, "separations", no_work)
-    with pytest.raises(
-        UniverseTooLarge, match=f"^universe has {n} elements, guard is {ENUMERATION_GUARD}$"
-    ):
-        closure([], u, [path])
-    # A statement error is reported before the guard, as the CLI reports it.
-    overlapping = Statement(frozenset({"e0"}), frozenset(), frozenset({"e0", "e1"}))
-    with pytest.raises(InvalidOverlap):
-        closure([overlapping], u, [path])
+    target = cs(["e0"], [], ["e1"])
+    for run in (closure, lambda init, u, graphs: prove(init, u, graphs, target)):
+        with pytest.raises(
+            UniverseTooLarge,
+            match=f"^universe has {n} elements, guard is {ENUMERATION_GUARD}$",
+        ):
+            run([], u, [path])
+        # A statement error is reported before the guard, as the CLI reports it.
+        overlapping = Statement(frozenset({"e0"}), frozenset(), frozenset({"e0", "e1"}))
+        with pytest.raises(InvalidOverlap):
+            run([overlapping], u, [path])
 
 
 def test_closure_rejects_a_graph_outside_the_universe():
@@ -343,10 +352,20 @@ def assert_same_closure(declared, universe, graphs=()):
         assert chain_text(got, s) == chain_text(want, s)
     packed = closure(declared, universe, graphs)
     assert packed.statements == want.statements
-    assert packed.stats == got.stats
+    # The graphs' own work is skipped; every partner is still counted once.
+    assert got.stats["pairs_shared_graph"] == 0
+    assert pairs_folded(packed.stats) == pairs_folded(got.stats)
     for s in want.statements:
         assert chain_text(packed, s) == chain_text(want, s)
     return got
+
+
+def pairs_folded(stats):
+    """The counters with the partners skipped as sharing a graph counted as
+    tried, as the closure counted them before it skipped them."""
+    out = dict(stats)
+    out["pairs_tried"] += out.pop("pairs_shared_graph")
+    return out
 
 
 def path_init(n):
@@ -394,6 +413,179 @@ def test_indexed_closure_matches_all_pairs_on_graph_models():
 
 def test_indexed_closure_matches_all_pairs_on_seven_element_path():
     assert_same_closure(*path_init(7))
+
+
+# -- closure against a frozen copy of its predecessor ---------------------------
+#
+# ``parent_closure`` below is a verbatim copy of ``closure`` before it skipped
+# work within one graph (only the name is changed).  Both must admit the same
+# statements in the same order with the same derivations and equal counters,
+# except that a partner sharing a graph with the popped statement is counted
+# in ``pairs_shared_graph`` rather than ``pairs_tried``.
+
+
+def parent_closure(
+    init: Iterable[CanonicalStatement | Statement],
+    universe: Universe,
+    graphs: Iterable[UGraph] = (),
+) -> Closure:
+    """Saturate the initial statements and the graphs' separations.
+
+    The initial statements may be raw; trivial ones drop out.  Each graph
+    gives every statement it witnesses, packed straight from the graph.
+    The statements are checked before the size guard and the graphs after
+    it, so no graph is read over a universe the guard refuses.  The
+    worklist starts from all of these in lexicographic order and runs FIFO,
+    so the discovered chains are deterministic.  The run makes no
+    statement object; ``Closure`` decodes on demand.
+    """
+    statements = [universe.canonical(s) for s in init]
+    check_size(universe, ENUMERATION_GUARD)
+    enc = universe.encoding
+    seeds = {enc.encode(s) for s in statements if s is not TRIVIALLY_TRUE}
+    for g in graphs:
+        universe.require(g.elements)
+        seeds.update(separations(enc, *packed_graph(enc, g)))
+
+    unpack, key = enc.unpack, enc.key
+    parents: dict[int, tuple[str, tuple[int, ...]]] = {}
+    queue: deque[int] = deque()
+    # Contraction partners, indexed on admission: (side, z) finds the
+    # statements that can play s1 = I(X, Z+Y, W), (side, z + other side)
+    # those that can play s2 = I(X, Z, Y).  Entries carry the statement's
+    # sort key and the parts the conclusion is made of.
+    by_z: dict[tuple[int, int], list] = defaultdict(list)
+    by_zy: dict[tuple[int, int], list] = defaultdict(list)
+    admitted = dict.fromkeys(("given", "decomposition", "weak_union", "contraction"), 0)
+    peak_queue = 0
+
+    def admit(c: int, rule: str, premises: tuple) -> None:
+        nonlocal peak_queue
+        parents[c] = (rule, premises)
+        k = key(c)
+        x, z, y = unpack(c)
+        by_z[x, z].append((k, c, y))
+        by_z[y, z].append((k, c, x))
+        by_zy[x, z | y].append((k, c, z, y))
+        by_zy[y, z | x].append((k, c, z, x))
+        queue.append(c)
+        admitted[rule] += 1
+        peak_queue = max(peak_queue, len(queue))
+
+    for p in sorted(seeds, key=key):
+        admit(p, "given", ())
+
+    pairs_tried = pairs_productive = 0
+    while queue:
+        s = queue.popleft()
+        x, z, y = unpack(s)
+        # Partners are taken from the statements known when s is popped,
+        # queued ones included, and tried in statement_key order: the same
+        # admissions, in the same order, as trying every known statement.
+        # Each partner meets s in exactly one contraction.
+        found = []
+        for side, other in ((x, y), (y, x)):
+            for k, t, tz, ty in by_zy.get((side, z), ()):
+                found.append((k, enc.pack(side, tz, ty | other), (s, t)))
+            for k, t, tw in by_z.get((side, z | other), ()):
+                found.append((k, enc.pack(side, z, other | tw), (t, s)))
+        found.sort()
+        for rule, c in _unary(enc, s):
+            if c not in parents:
+                admit(c, rule, (s,))
+        pairs_tried += len(found)
+        for _, c, premises in found:
+            if c not in parents:
+                admit(c, "contraction", premises)
+                pairs_productive += 1
+
+    stats = {f"admitted_{rule}": count for rule, count in admitted.items()}
+    stats.update(
+        pairs_tried=pairs_tried, pairs_productive=pairs_productive, peak_queue=peak_queue
+    )
+    return Closure(universe, parents, stats)
+
+
+def differential_model(rng):
+    """0-3 raw premises and 0-3 graphs of multi-element nodes, some elements
+    on two nodes, over 4-6 elements."""
+    names = [f"e{i}" for i in range(rng.choice((4, 5, 6)))]
+    declared = [random_raw_statement(rng, names) for _ in range(rng.randint(0, 3))]
+    graphs = [random_graph(rng, names) for _ in range(rng.randint(0, 3))]
+    return declared, Universe(names), graphs
+
+
+def test_closure_matches_its_predecessor():
+    rng = random.Random(1988_5)
+    shared = repeated = 0
+    for _ in range(120):
+        declared, u, graphs = differential_model(rng)
+        got = closure(declared, u, graphs)
+        want = parent_closure(declared, u, graphs)
+        assert list(got._parents.items()) == list(want._parents.items())
+        assert pairs_folded(got.stats) == want.stats
+        shared += got.stats["pairs_shared_graph"] > 0
+        repeated += any(
+            len(g.elements) < sum(map(len, g.nodes.values())) for g in graphs
+        )
+    assert shared > 30 and repeated > 10
+
+
+def fixture_models():
+    """Each fixture that the size guard admits, as (statements, universe, graphs)."""
+    out = []
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.mug")):
+        model = parse_model(path.read_text(encoding="utf-8"))
+        if len(model.universe) <= ENUMERATION_GUARD:
+            out.append(
+                (list(model.statements.values()), model.universe, list(model.graphs.values()))
+            )
+    return out
+
+
+def test_prove_is_the_closure_query():
+    rng = random.Random(2013)
+    models = fixture_models()
+    assert len(models) == 4
+    while len(models) < 4 + 30:
+        declared, u, graphs = differential_model(rng)
+        if len(u) <= 5:
+            models.append((declared, u, graphs))
+    derivable = not_derivable = 0
+    for declared, u, graphs in models:
+        cl = closure(declared, u, graphs)
+        for s in enumerate_canonical(u):
+            want = cl.query(s)
+            assert prove(declared, u, graphs, s) == want, s
+            derivable += want is not None
+            not_derivable += want is None
+    assert derivable > 1000 and not_derivable > 1000
+    declared, u, graphs = models[0]
+    # raw, trivial and foreign targets answer as the query does
+    raw = Statement(frozenset("y"), frozenset("z"), frozenset("x"))
+    assert prove(declared, u, graphs, raw) == closure(declared, u, graphs).query(raw)
+    trivial = Statement(frozenset(), frozenset("z"), frozenset("y"))
+    assert prove(declared, u, graphs, trivial) == ()
+    assert prove(declared, u, graphs, cs("q", "z", "y")) is None
+    with pytest.raises(UnknownElement):
+        prove(declared, u, graphs, Statement(frozenset("q"), frozenset(), frozenset("x")))
+
+
+def test_prove_stops_once_the_target_is_admitted(monkeypatch):
+    # A given target needs no pop; a non-derivable one saturates fully.
+    init = [cs("xy", "z", "w"), cs("x", "z", "y")]
+    popped = []
+    real_unary = graphoid._unary
+
+    def counting_unary(enc, p):
+        popped.append(p)
+        return real_unary(enc, p)
+
+    monkeypatch.setattr(graphoid, "_unary", counting_unary)
+    assert [st.rule for st in prove(init, U4, [], cs("x", "z", "y"))] == ["given"]
+    assert popped == []
+    assert prove(init, U4, [], cs("x", "", "y")) is None
+    assert len(popped) == len(closure(init, U4)) == 9
 
 
 # -- networkx as an outside oracle ------------------------------------------
@@ -456,7 +648,8 @@ def test_closure_stats_on_seven_element_path():
         "admitted_decomposition": 0,
         "admitted_weak_union": 0,
         "admitted_contraction": 0,
-        "pairs_tried": 6056,
+        "pairs_tried": 0,
+        "pairs_shared_graph": 6056,
         "pairs_productive": 0,
         "peak_queue": 1141,
     }
@@ -471,6 +664,7 @@ def test_closure_stats_count_every_rule():
         "admitted_weak_union": 3,
         "admitted_contraction": 2,
         "pairs_tried": 10,
+        "pairs_shared_graph": 0,
         "pairs_productive": 2,
         "peak_queue": 6,
     }
@@ -483,7 +677,8 @@ def test_closure_stats_on_eight_element_path():
         "admitted_decomposition": 0,
         "admitted_weak_union": 0,
         "admitted_contraction": 0,
-        "pairs_tried": 35656,
+        "pairs_tried": 0,
+        "pairs_shared_graph": 35656,
         "pairs_productive": 0,
         "peak_queue": 4711,
     }

@@ -3,7 +3,8 @@
 Each ```python block of README.md runs statement by statement in a fresh
 namespace.  An expression statement whose line ends in a comment starting
 with ``True`` or ``False`` must evaluate to exactly that value.  The counts
-of the search table in "Size limits" are what its recipe gives.
+of the search table in "Size limits", and those of its closure table that
+do not depend on a random draw, are what their recipes give.
 """
 
 import ast
@@ -12,7 +13,15 @@ import re
 import tokenize
 from pathlib import Path
 
-from mugci import Exhausted, Universe, canonical_triple, initial_mug, search
+from mugci import (
+    Exhausted,
+    UGraph,
+    Universe,
+    canonical_triple,
+    closure,
+    initial_mug,
+    search,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -74,3 +83,28 @@ def test_readme_search_table_counts_are_its_recipes():
         outcome = search(m0, canonical_triple([e[0]], [e[1]], [e[k + 1]]), 2, 4)
         assert isinstance(outcome, Exhausted) and outcome.depth_reached == 2
         assert (outcome.states_explored, outcome.stats["floods"]) == table[k], k
+
+
+def closure_table() -> dict[str, str]:
+    """The "Size limits" closure table: model mapped to its statements cell."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| model | statements |", 1)[1].split("\n\n")[0]
+    rows = re.findall(r"^\| ([^|]+?) \| ([^|]+?) \|", table, re.M)
+    return dict(rows)
+
+
+def test_readme_closure_table_counts_are_its_recipes():
+    # a path over the elements, and one graph with no edge
+    table = closure_table()
+    counted = {}
+    for n in (7, 8):
+        names = [f"e{i}" for i in range(n)]
+        u = Universe(names)
+        path = UGraph.from_singletons(names, zip(names, names[1:]))
+        edgeless = UGraph.from_singletons(names)
+        counted[f"{n}-element path"] = len(closure([], u, [path]))
+        counted[f"{n} elements, every statement holds"] = len(closure([], u, [edgeless]))
+    assert {row: table[row] for row in counted} == {
+        row: str(count) for row, count in counted.items()
+    }
+    assert sorted(counted.values()) == [1141, 4711, 6069, 26335]
