@@ -15,11 +15,9 @@ from .derivation import (
     replay_chain,
     replay_final,
     search,
-    singletonize,
     verify_script,
-    witness_graph,
 )
-from .dsep import DiGraph, JoinTree, build_join_tree, validate_join_tree
+from .dsep import DiGraph, JoinTree, build_join_tree
 from .graphoid import (
     AxiomStep,
     Closure,
@@ -39,7 +37,7 @@ from .model import (
     enumerate_canonical,
     statement_key,
 )
-from .modelfile import ModelFile, parse_model, serialize_model
+from .modelfile import ModelFile, parse_model
 from .mug import (
     Combine,
     Delete,
@@ -86,11 +84,7 @@ __all__ = [
     "replay_final",
     "sample_dag_joint",
     "search",
-    "serialize_model",
-    "singletonize",
     "statement_key",
-    "validate_join_tree",
     "verify_chain",
     "verify_script",
-    "witness_graph",
 ]

@@ -38,7 +38,6 @@ from .mug import (
     packed_graph,
     packed_key,
     packed_singletons,
-    unpacked_graph,
 )
 from .ugraph import UGraph
 
@@ -77,24 +76,13 @@ class Exhausted:
     stats: dict = field(default_factory=dict, compare=False)
 
 
-def witness_graph(s: CanonicalStatement) -> UGraph:
-    """Single-element-node graph encoding exactly one statement.
-
-    Cliques over x+z and over y+z, nothing across: z separates x from y,
-    and the satisfied set equals the closure of s restricted to its
-    elements (no unintended independence sneaks in).  It is
-    ``packed_witness`` decoded over the statement's own elements.
-    """
-    enc = Encoding(sorted(s.elements))
-    x, z, y = enc.mask(s.x), enc.mask(s.z), enc.mask(s.y)
-    return unpacked_graph(enc, *packed_witness(x, z, y))
-
-
 def packed_witness(x: int, z: int, y: int) -> tuple[tuple, tuple]:
     """The witness graph of I(x, z, y), packed as by ``packed_graph``.
 
-    One node per element, ids 0, 1, ... in element order, so over a
-    universe's encoding it equals the packed ``witness_graph``.
+    One node per element, ids 0, 1, ... in element order, with cliques over
+    x+z and over y+z and nothing across: z separates x from y, and the
+    satisfied set equals the closure of the statement restricted to its
+    elements (no unintended independence sneaks in).
     """
     bits = []
     rest = x | z | y
@@ -114,12 +102,6 @@ def packed_witness(x: int, z: int, y: int) -> tuple[tuple, tuple]:
     return tuple(enumerate(bits)), adj
 
 
-def singletonize(g: UGraph) -> UGraph:
-    """Rebuild a graph with one node per element, preserving separations."""
-    enc = Encoding(sorted(g.elements))
-    return unpacked_graph(enc, *packed_singletons(*packed_graph(enc, g)))
-
-
 def initial_mug(
     universe: Universe,
     statements: Iterable[CanonicalStatement | Statement] = (),
@@ -131,13 +113,17 @@ def initial_mug(
     canonicalized first, and trivial ones get no witness graph.
     """
     canonical = [universe.canonical(s) for s in statements]
-    mask = universe.encoding.mask
+    enc = universe.encoding
     witnesses = [
-        packed_witness(mask(s.x), mask(s.z), mask(s.y))
+        packed_witness(enc.mask(s.x), enc.mask(s.z), enc.mask(s.y))
         for s in canonical
         if s is not TRIVIALLY_TRUE
     ]
-    return Mug(universe, map(singletonize, graphs), witnesses)
+    declared = []
+    for g in graphs:
+        universe.require(g.elements)
+        declared.append(packed_singletons(*packed_graph(enc, g)))
+    return Mug(universe, packed=[*declared, *witnesses])
 
 
 def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
@@ -255,11 +241,6 @@ def search(
     enc = m0.universe.encoding
     held: dict[tuple, _Member] = {}
     gids: dict[tuple, int] = {}
-    try:
-        gx, gz, gy = enc.mask(target.x), enc.mask(target.z), enc.mask(target.y)
-        needed = gx | gz | gy
-    except KeyError:  # an element outside the universe, so no graph holds it
-        gx = gz = gy = needed = -1
     # By key number: floods, and whether the key witnesses the target.
     # ``asked`` counts flood lookups, hits and misses alike.
     floods: list[Floods] = []
@@ -336,6 +317,11 @@ def search(
                     combined[p] = member(packed_combination(mem.nodes, mem.adj, z, added))
                 yield Combine, p, gi, *combined[p]
 
+    try:
+        gx, gz, gy = enc.mask(target.x), enc.mask(target.z), enc.mask(target.y)
+    except KeyError:  # an element outside the universe, so no graph holds it
+        return Exhausted(states_explored=0, depth_reached=0, stats=counted())
+    needed = gx | gz | gy
     members0 = tuple(member(g)[0] for g in m0.packed)
     if any(witnessed[mem.gid] for mem in members0):
         return MoveScript(m0, (), target, counted())
@@ -415,6 +401,6 @@ def verify_script(script: MoveScript) -> bool:
     """Replay the script, checking each move's preconditions, then the target."""
     try:
         final = replay_final(script)
-    except (ModelError, IndexError, ValueError):
+    except (ModelError, IndexError, TypeError, ValueError):
         return False
     return final.witness(script.target) is not None

@@ -261,10 +261,6 @@ def _reach(adjacency: Mapping[int, set], start: int, inside) -> set:
     return seen
 
 
-def validate_join_tree(tree: JoinTree) -> list[str]:
-    return tree.validate()
-
-
 class _UnionFind:
     def __init__(self, items):
         self.parent = {i: i for i in items}

@@ -88,11 +88,6 @@ class Universe:
         return f"Universe({' '.join(self._elements)})"
 
 
-def set_key(elements: frozenset) -> tuple[str, ...]:
-    """Total order on element sets: compare as sorted tuples."""
-    return tuple(sorted(elements))
-
-
 def format_set(elements: Iterable[str]) -> str:
     return "{" + ",".join(sorted(elements)) + "}"
 
@@ -139,7 +134,8 @@ class CanonicalStatement(_Triple):
 
 
 def statement_key(s: CanonicalStatement) -> tuple:
-    return (set_key(s.x), set_key(s.z), set_key(s.y))
+    """Total order on statements: each set compared as a sorted tuple."""
+    return tuple(sorted(s.x)), tuple(sorted(s.z)), tuple(sorted(s.y))
 
 
 class TriviallyTrue:
@@ -260,7 +256,7 @@ class Encoding:
         """Sort key of a packed statement, in ``statement_key`` order.
 
         Masks are ranked by their ascending index tuples, which is how
-        ``set_key`` orders the sets they stand for.  Each mask's rank is
+        ``statement_key`` orders the sets they stand for.  Each mask's rank is
         worked out when it first occurs; no table over all 2^n masks is built.
         """
         n = self._n

@@ -1,4 +1,4 @@
-"""Model-file parsing and serialization.
+"""Model-file parsing, and the printers for the graphs and join trees it reads.
 
 The input format is line-oriented with ``#`` comments.  A model declares one
 universe and any number of named undirected graphs, directed graphs, join
@@ -312,17 +312,6 @@ def format_ugraph(name: str, g: UGraph) -> str:
     return "\n".join(lines)
 
 
-def format_digraph(name: str, d: DiGraph) -> str:
-    lines = [f"digraph {name} {{"]
-    for e in d.universe:
-        prefix = "det node" if e in d.deterministic else "node"
-        lines.append(f"  {prefix} {e};")
-    for a, b in sorted(d.arcs):
-        lines.append(f"  arc {a} {b};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def format_jointree(name: str, t: JoinTree) -> str:
     lines = [f"jointree {name} {{"]
     for c in sorted(t.clusters):
@@ -332,16 +321,3 @@ def format_jointree(name: str, t: JoinTree) -> str:
     lines.append("}")
     return "\n".join(lines)
 
-
-def serialize_model(model: ModelFile) -> str:
-    """Deterministic text for a model; reparses to an equal model."""
-    parts = ["universe " + " ".join(model.universe)]
-    for name, g in model.graphs.items():
-        parts.append(format_ugraph(name, g))
-    for name, d in model.digraphs.items():
-        parts.append(format_digraph(name, d))
-    for name, t in model.jointrees.items():
-        parts.append(format_jointree(name, t))
-    for name, s in model.statements.items():
-        parts.append(f"stmt {name}: {s}")
-    return "\n".join(parts) + "\n"

@@ -218,9 +218,3 @@ def sample_dag_joint(d: DiGraph, seed: int) -> DiscreteJoint:
     probabilities = tuple(map(fractions.__getitem__, weights))
     return DiscreteJoint(variables, (2,) * n, probabilities)
 
-
-def as_floats(p: DiscreteJoint) -> DiscreteJoint:
-    """Float copy of an exact table (for tolerance-mode checks)."""
-    return DiscreteJoint(
-        p.variables, p.cardinalities, tuple(float(v) for v in p.probabilities)
-    )

@@ -112,9 +112,6 @@ class UGraph:
             raise UnknownNode(f"no node {n}")
         return frozenset(next(iter(e - {n})) for e in self._edges if n in e)
 
-    def nodes_with_element(self, element: str) -> tuple[int, ...]:
-        return tuple(sorted(n for n, es in self._nodes.items() if element in es))
-
     def _fresh_id(self) -> int:
         return max(self._nodes, default=-1) + 1
 

@@ -1,12 +1,17 @@
-"""The object layer that ``Mug`` ran on before it held packed graphs.
+"""Reference code that the package no longer holds, kept for the tests.
 
-A verbatim copy of that ``Mug``, ``combination_graph``,
-``append_transformed`` and ``UGraph.delete_node``, kept as the reference
-that ``mugci.mug`` and its packed moves are checked against.  Three lines
-differ from the original: ``delete_node`` is a function of its graph
-(dedented, with ``self`` kept), so ``append_transformed`` calls it as one,
-and ``enumerate_satisfied`` packs each graph for ``separations``, which now
-takes a packed graph.
+A verbatim copy of the ``Mug`` that ran on ``UGraph`` objects before it
+held packed graphs, with ``combination_graph``, ``append_transformed`` and
+``UGraph.delete_node``, kept as the reference that ``mugci.mug`` and its
+packed moves are checked against.  Three lines differ from the original:
+``delete_node`` is a function of its graph (dedented, with ``self`` kept),
+so ``append_transformed`` calls it as one, and ``enumerate_satisfied``
+packs each graph for ``separations``, which now takes a packed graph.
+
+Below them are helpers that only tests called, copied from the package
+with the same bodies: ``witness_graph``, ``singletonize``,
+``nodes_with_element`` (a ``UGraph`` method before, so ``self`` is kept),
+``as_floats``, and ``serialize_model`` with its ``format_digraph``.
 """
 
 from __future__ import annotations
@@ -14,10 +19,20 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from mugci import CanonicalStatement, UGraph, Universe
+from mugci import CanonicalStatement, DiGraph, DiscreteJoint, ModelFile, UGraph, Universe
+from mugci.derivation import packed_witness
 from mugci.errors import StatementNotSatisfied, UnknownNode, WrongElementSet
-from mugci.model import ENUMERATION_GUARD, check_size
-from mugci.mug import Combine, Delete, Move, packed_graph, separations
+from mugci.model import ENUMERATION_GUARD, Encoding, check_size
+from mugci.modelfile import format_jointree, format_ugraph
+from mugci.mug import (
+    Combine,
+    Delete,
+    Move,
+    packed_graph,
+    packed_singletons,
+    separations,
+    unpacked_graph,
+)
 
 
 class Mug:
@@ -170,3 +185,55 @@ def append_transformed(m: Mug, move: Move) -> tuple[Mug, int]:
     if isinstance(move, Delete):
         return m.with_graph(delete_node(m._graph_at(move.graph), move.node))
     raise TypeError(f"not a transformation descriptor: {move!r}")
+
+
+def witness_graph(s: CanonicalStatement) -> UGraph:
+    """Single-element-node graph encoding exactly one statement.
+
+    It is ``packed_witness`` decoded over the statement's own elements.
+    """
+    enc = Encoding(sorted(s.elements))
+    x, z, y = enc.mask(s.x), enc.mask(s.z), enc.mask(s.y)
+    return unpacked_graph(enc, *packed_witness(x, z, y))
+
+
+def singletonize(g: UGraph) -> UGraph:
+    """Rebuild a graph with one node per element, preserving separations."""
+    enc = Encoding(sorted(g.elements))
+    return unpacked_graph(enc, *packed_singletons(*packed_graph(enc, g)))
+
+
+def nodes_with_element(self: UGraph, element: str) -> tuple[int, ...]:
+    return tuple(sorted(n for n, es in self._nodes.items() if element in es))
+
+
+def as_floats(p: DiscreteJoint) -> DiscreteJoint:
+    """Float copy of an exact table (for tolerance-mode checks)."""
+    return DiscreteJoint(
+        p.variables, p.cardinalities, tuple(float(v) for v in p.probabilities)
+    )
+
+
+def format_digraph(name: str, d: DiGraph) -> str:
+    lines = [f"digraph {name} {{"]
+    for e in d.universe:
+        prefix = "det node" if e in d.deterministic else "node"
+        lines.append(f"  {prefix} {e};")
+    for a, b in sorted(d.arcs):
+        lines.append(f"  arc {a} {b};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def serialize_model(model: ModelFile) -> str:
+    """Deterministic text for a model; reparses to an equal model."""
+    parts = ["universe " + " ".join(model.universe)]
+    for name, g in model.graphs.items():
+        parts.append(format_ugraph(name, g))
+    for name, d in model.digraphs.items():
+        parts.append(format_digraph(name, d))
+    for name, t in model.jointrees.items():
+        parts.append(format_jointree(name, t))
+    for name, s in model.statements.items():
+        parts.append(f"stmt {name}: {s}")
+    return "\n".join(parts) + "\n"

@@ -36,13 +36,13 @@ from mugci import (
     sample_dag_joint,
     search,
     statement_key,
-    validate_join_tree,
     verify_chain,
     verify_script,
 )
 from mugci.dsep import JoinTree, build_join_tree
 from mugci.mug import packed_key, unpacked_graph
-from mugci.prob import as_floats
+
+from object_layer import as_floats
 
 
 @contextmanager
@@ -418,12 +418,12 @@ def test_criterion_8_moral_graph_and_join_trees():
                                                    frozenset("eb")}
 
         good = JoinTree({0: {"e", "l", "t"}, 1: {"b", "d", "e"}}, [(0, 1)])
-        assert validate_join_tree(good) == []
+        assert good.validate() == []
         mutated = JoinTree(
             {0: {"e", "l", "t"}, 1: {"b", "d"}, 2: {"d", "e"}},
             [(0, 1), (1, 2)],
         )
-        assert validate_join_tree(mutated) != []
+        assert mutated.validate() != []
 
         six = UGraph.from_singletons(
             "abcdef",
@@ -442,7 +442,7 @@ def test_criterion_8_moral_graph_and_join_trees():
             members = sorted(g.elements)
             for order in permutations(members):
                 _, tree = build_join_tree(g, order)
-                assert validate_join_tree(tree) == []
+                assert tree.validate() == []
                 built += 1
         assert built == 120 + 720 + 24 + 24
 

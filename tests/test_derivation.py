@@ -1,6 +1,6 @@
 import random
 from collections import deque
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator
 from pathlib import Path
 
@@ -24,10 +24,8 @@ from mugci import (
     replay_chain,
     replay_final,
     search,
-    singletonize,
     statement_key,
     verify_script,
-    witness_graph,
 )
 from mugci.errors import (
     ModelError,
@@ -52,7 +50,13 @@ from mugci.mug import (
 )
 
 import object_layer
-from object_layer import combination_graph, delete_node
+from object_layer import (
+    combination_graph,
+    delete_node,
+    nodes_with_element,
+    singletonize,
+    witness_graph,
+)
 
 U4 = Universe(["w", "x", "y", "z"])
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -132,6 +136,22 @@ def test_witness_graphs_match_the_element_pair_construction():
         m0 = initial_mug(u, statements=premises, graphs=graphs)
         witnesses = map(reference_witness_graph, premises)
         assert m0 == Mug(u, [*map(singletonize, graphs), *witnesses])
+    # Declared graphs that give two nodes one element set, and one with
+    # sparse and negative node ids and multi-element nodes, in every order:
+    # packed over the universe, they give the graphs, order and dedup of
+    # packing each singletonized graph.
+    declared = [
+        UGraph({1: {"a"}, 2: {"a"}, 3: {"b"}, 4: {"c"}}, [(1, 3), (2, 4)]),
+        UGraph({1: {"a"}, 2: {"a"}, 3: {"b"}, 4: {"c"}}, [(1, 3), (1, 4)]),
+        UGraph({-5: {"b", "d"}, 9: {"f"}, 40: {"a", "e"}}, [(-5, 40), (9, 40)]),
+    ]
+    premises = [cs("a", "b", "c"), cs("d", "", "f")]
+    for graphs in permutations(declared):
+        m0 = initial_mug(u, statements=premises, graphs=graphs)
+        witnesses = map(reference_witness_graph, premises)
+        want = Mug(u, [*map(singletonize, graphs), *witnesses])
+        assert m0.packed == want.packed
+        assert len(m0.packed) == 4
 
 
 # -- replay -------------------------------------------------------------------
@@ -178,7 +198,9 @@ def _replay_with_deletions_model() -> Mug:
     wide_nodes = dict(wide.nodes)
     qid = max(wide_nodes) + 1
     wide_nodes[qid] = frozenset("q")
-    wide = UGraph(wide_nodes, list(wide.edges) + [(qid, wide.nodes_with_element("x")[0])])
+    wide = UGraph(
+        wide_nodes, list(wide.edges) + [(qid, nodes_with_element(wide, "x")[0])]
+    )
     return Mug(q_universe, [wide, witness_graph(cs("x", "zy", "w"))])
 
 
@@ -251,6 +273,17 @@ def test_search_is_deterministic():
     assert a == b
 
 
+def test_search_gives_up_at_once_on_a_target_outside_the_universe():
+    # no graph can hold q, so no state is explored
+    m0 = initial_mug(U4, statements=[cs("x", "zy", "w"), cs("x", "z", "y")])
+    target = canonical_triple({"x"}, {"z"}, {"q"})
+    outcome = search(m0, target, max_moves=2, max_graphs=4)
+    assert outcome == Exhausted(states_explored=0, depth_reached=0)
+    assert outcome.stats == dict.fromkeys(
+        ("dedup_hits", "rejected_graph_cap", "floods", "flood_hits"), 0
+    )
+
+
 def test_search_bounds_must_be_positive():
     m0 = initial_mug(U4, statements=[cs("x", "z", "y")])
     with pytest.raises(ValueError):
@@ -266,6 +299,8 @@ def test_verify_rejects_unsatisfied_combination():
         m0, (Combine(cs("x", "z", "w"), 0),), cs("x", "z", "w")
     )
     assert not verify_script(bad)
+    # a script holding something that is not a move is rejected, not raised
+    assert not verify_script(MoveScript(m0, ("junk",), cs("x", "z", "y")))
 
 
 def test_verify_reports_unreached_target():

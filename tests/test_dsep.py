@@ -13,7 +13,6 @@ from mugci import (
     TRIVIALLY_TRUE,
     build_join_tree,
     canonicalize,
-    validate_join_tree,
 )
 from mugci.errors import CyclicGraph, InvalidOrder, ModelError, UnknownElement
 
@@ -251,12 +250,12 @@ def good_tree():
 
 
 def test_valid_join_tree_passes():
-    assert validate_join_tree(good_tree()) == []
+    assert good_tree().validate() == []
     assert good_tree().sepset(0, 1) == frozenset("e")
 
 
 def test_single_cluster_tree_is_valid():
-    assert validate_join_tree(JoinTree({0: {"a", "b"}})) == []
+    assert JoinTree({0: {"a", "b"}}).validate() == []
 
 
 def test_running_intersection_violation_detected():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mugci import Statement, parse_model, serialize_model
+from mugci import Statement, parse_model
 from mugci.dsep import DiGraph, JoinTree
 from mugci.errors import (
     DuplicateName,
@@ -20,6 +20,8 @@ from mugci.errors import (
 from mugci.model import Universe
 from mugci.modelfile import ModelFile
 from mugci.ugraph import UGraph
+
+from object_layer import serialize_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

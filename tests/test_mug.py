@@ -21,6 +21,7 @@ from mugci.errors import (
     WrongElementSet,
 )
 
+from object_layer import nodes_with_element
 from oracle import as_plain, mug_statements
 
 U3 = Universe(["x", "y", "z"])
@@ -181,7 +182,7 @@ def test_delete_keeps_satisfied_set():
     g = UGraph.from_singletons("wxyz", [("w", "z"), ("z", "x"), ("x", "y")])
     u = Universe(["w", "x", "y", "z"])
     m = Mug(u, [g])
-    m2, _ = append_transformed(m, Delete(0, g.nodes_with_element("x")[0]))
+    m2, _ = append_transformed(m, Delete(0, nodes_with_element(g, "x")[0]))
     assert m2.enumerate_satisfied() == m.enumerate_satisfied()
 
 
@@ -195,8 +196,8 @@ def test_merge_then_split_keeps_satisfied_set():
     g = UGraph.from_singletons("wxyz", [("x", "z"), ("z", "y"), ("w", "y")])
     u = Universe(["w", "x", "y", "z"])
     m = Mug(u, [g])
-    zid = g.nodes_with_element("z")[0]
-    yid = g.nodes_with_element("y")[0]
+    zid = nodes_with_element(g, "z")[0]
+    yid = nodes_with_element(g, "y")[0]
     m2, gi = m.with_graph(g.merge_nodes(zid, yid))
     (zy,) = [n for n, es in m2.graphs[gi].nodes.items() if es == frozenset("zy")]
     m3, _ = m2.with_graph(
@@ -219,7 +220,7 @@ def test_transformations_never_shrink_satisfaction():
     u = Universe(["w", "x", "y", "z"])
     m = Mug(u, [g])
     base = m.enumerate_satisfied()
-    m2, _ = append_transformed(m, Delete(0, g.nodes_with_element("w")[0]))
+    m2, _ = append_transformed(m, Delete(0, nodes_with_element(g, "w")[0]))
     m3, _ = m2.with_graph(m2.graphs[0].merge_nodes(1, 2))
     assert base <= m2.enumerate_satisfied() <= m3.enumerate_satisfied()
 

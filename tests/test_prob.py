@@ -16,7 +16,8 @@ from mugci import (
     sample_dag_joint,
 )
 from mugci.errors import UniverseTooLarge, UnknownVariable
-from mugci.prob import as_floats
+
+from object_layer import as_floats
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)

@@ -12,7 +12,6 @@ from mugci import (
     Universe,
     append_transformed,
     canonical_triple,
-    singletonize,
 )
 from mugci.errors import (
     CoverageGap,
@@ -24,6 +23,7 @@ from mugci.errors import (
     UnknownNode,
 )
 
+from object_layer import nodes_with_element, singletonize
 from oracle import all_triples, as_plain, element_adjacency, separates_oracle
 
 
@@ -139,7 +139,7 @@ def test_separates_rejects_uncanonical_triples():
 
 def test_add_arc_blocks_separation():
     g = UGraph.from_singletons("wxyz", [("w", "z"), ("z", "x"), ("x", "y")])
-    g2 = g.add_arcs([(g.nodes_with_element("z")[0], g.nodes_with_element("y")[0])])
+    g2 = g.add_arcs([(nodes_with_element(g, "z")[0], nodes_with_element(g, "y")[0])])
     assert g.separates({"y"}, {"x"}, {"z"})
     assert not g2.separates({"y"}, {"x"}, {"z"})
 
@@ -182,7 +182,7 @@ def without_node(g, n):
 def test_delete_fills_in_neighbors():
     # star: x adjacent to z and y, no z-y edge
     g = UGraph.from_singletons("xyz", [("x", "z"), ("x", "y")])
-    g2 = without_node(g, g.nodes_with_element("x")[0])
+    g2 = without_node(g, nodes_with_element(g, "x")[0])
     assert g2.expand().edges == frozenset({frozenset("zy")})
 
 
@@ -195,7 +195,7 @@ def test_delete_isolated_node():
 
 def test_delete_middle_of_path_keeps_connection():
     g = UGraph.from_singletons("abc", [("a", "b"), ("b", "c")])
-    g2 = without_node(g, g.nodes_with_element("b")[0])
+    g2 = without_node(g, nodes_with_element(g, "b")[0])
     assert g2.expand().edges == frozenset({frozenset("ac")})
     # brute force: every separation of the result holds in the original
     nodes, edges = as_plain(g)
@@ -246,12 +246,12 @@ def test_deletion_preserves_untouched_separations(g):
 
 def test_merge_inherits_both_neighborhoods():
     g = UGraph.from_singletons("wxyz", [("x", "z"), ("z", "y"), ("w", "y")])
-    zid = g.nodes_with_element("z")[0]
-    yid = g.nodes_with_element("y")[0]
+    zid = nodes_with_element(g, "z")[0]
+    yid = nodes_with_element(g, "y")[0]
     merged = g.merge_nodes(zid, yid)
     (new_id,) = [n for n, es in merged.nodes.items() if es == frozenset("zy")]
     assert merged.neighbors(new_id) == frozenset(
-        (g.nodes_with_element("x")[0], g.nodes_with_element("w")[0])
+        (nodes_with_element(g, "x")[0], nodes_with_element(g, "w")[0])
     )
 
 
@@ -280,7 +280,7 @@ def test_merge_errors():
 
 def test_split_restores_merged_shape():
     g = UGraph.from_singletons("wxyz", [("x", "z"), ("z", "y"), ("w", "y")])
-    merged = g.merge_nodes(g.nodes_with_element("z")[0], g.nodes_with_element("y")[0])
+    merged = g.merge_nodes(nodes_with_element(g, "z")[0], nodes_with_element(g, "y")[0])
     (zy,) = [n for n, es in merged.nodes.items() if es == frozenset("zy")]
     back = merged.split_node(zy, {"z"}, {"y"})
     assert back.expand().edges >= g.expand().edges
