@@ -1,17 +1,21 @@
 """Directed models, deterministic propagation, moral graphs, and join trees.
 
+A ``DiGraph`` is held as bitmasks over its universe's ``Encoding``: each
+element's parents and children as masks, keyed by the element's bit, the
+deterministic elements as one mask, and a topological order of the bits.
+
 The separation test for a directed graph runs in four stages: prune to the
 query elements and their ancestors, reroute the children of unobserved
 deterministic elements to draw from their parents instead, moralize, and
-test plain separation in the resulting undirected graph.  All four run on
-the parent index with plain sets and dicts: ``d_separated`` builds no
-intermediate graph.
+test plain separation in the resulting undirected graph.  All four are mask
+operations on the parent index, the last being the flood ``mug.reach``, so
+``d_separated`` builds no intermediate graph.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import CyclicGraph, InvalidOrder, ModelError
 from .model import (
@@ -20,15 +24,14 @@ from .model import (
     Universe,
     format_set,
 )
-from .ugraph import UGraph, _separated
+from .mug import reach
+from .ugraph import UGraph
 
 
 class DiGraph:
     """Acyclic directed graph over elements, with a deterministic-node flag."""
 
-    __slots__ = (
-        "_universe", "_arcs", "_deterministic", "_parents", "_children", "_order"
-    )
+    __slots__ = ("_universe", "_parents", "_children", "_det", "_order")
 
     def __init__(
         self,
@@ -37,38 +40,24 @@ class DiGraph:
         deterministic: Iterable[str] = (),
     ):
         self._universe = universe
-        arc_set = set()
+        bits = universe.encoding.bits
+        parents = dict.fromkeys(bits.values(), 0)
+        children = parents.copy()
         for a, b in arcs:
-            # require() builds a sorted error message; call it only to raise.
-            if a not in universe or b not in universe:
+            try:
+                pa, pb = bits[a], bits[b]
+            except KeyError:  # require() raises, naming every unknown endpoint
                 universe.require((a, b))
-            if a == b:
+            if pa == pb:
                 raise CyclicGraph(f"self-arc on {a}")
-            arc_set.add((a, b))
-        self._arcs = frozenset(arc_set)
+            parents[pb] |= pa
+            children[pa] |= pb
         det = frozenset(deterministic)
         universe.require(det)
-        self._deterministic = det
-        parents: dict[str, set] = {v: set() for v in universe}
-        children: dict[str, set] = {v: set() for v in universe}
-        for a, b in arc_set:
-            parents[b].add(a)
-            children[a].add(b)
-        self._parents = {v: frozenset(ps) for v, ps in parents.items()}
-        self._children = {v: frozenset(cs) for v, cs in children.items()}
-        self._order = self._toposort()
-
-    def _toposort(self) -> tuple[str, ...]:
-        indegree = {v: len(ps) for v, ps in self._parents.items()}
-        order = [v for v, n in indegree.items() if n == 0]
-        for v in order:  # grows as elements become ready
-            for c in self._children[v]:
-                indegree[c] -= 1
-                if indegree[c] == 0:
-                    order.append(c)
-        if len(order) != len(self._universe):
-            raise CyclicGraph("arcs contain a directed cycle")
-        return tuple(order)
+        self._det = universe.encoding.mask(det)
+        self._parents = parents
+        self._children = children
+        self._order = _toposort(parents, children)
 
     @property
     def universe(self) -> Universe:
@@ -76,23 +65,28 @@ class DiGraph:
 
     @property
     def arcs(self) -> frozenset:
-        return self._arcs
+        return frozenset(self._named_arcs(self._parents))
 
     @property
     def deterministic(self) -> frozenset:
-        return self._deterministic
+        return self._universe.encoding.names(self._det)
 
     def parents(self, v: str) -> frozenset:
         self._universe.require((v,))
-        return self._parents[v]
+        enc = self._universe.encoding
+        return enc.names(self._parents[enc.bits[v]])
 
     def ancestral_prune(self, keep: Iterable[str]) -> "DiGraph":
         """Induced subgraph on keep plus all of its ancestors."""
         keep = frozenset(keep)
         self._universe.require(keep)
-        kept = self._ancestral(keep)
-        arcs = [(p, v) for v, ps in kept.items() for p in ps]
-        return DiGraph(Universe(kept), arcs, self._deterministic.intersection(kept))
+        enc = self._universe.encoding
+        kept, parents = self._ancestral(enc.mask(keep))
+        return DiGraph(
+            Universe(enc.names(kept)),
+            self._named_arcs(parents),
+            enc.names(self._det & kept),
+        )
 
     def det_propagate(self, z: Iterable[str]) -> "DiGraph":
         """Reroute children of unobserved deterministic elements.
@@ -103,16 +97,29 @@ class DiGraph:
         left untouched; a graph with nothing to reroute is returned as it is.
         """
         z = frozenset(z)
-        if self._deterministic <= z:
+        universe = self._universe
+        enc = universe.encoding
+        observed = enc.mask(e for e in z if e in universe)
+        if not self._det & ~observed:
             return self
-        parents = self._rerouted(dict(self._parents), z)
-        arcs = [(p, c) for c, ps in parents.items() for p in ps]
-        return DiGraph(self._universe, arcs, self._deterministic)
+        parents = self._rerouted(dict(self._parents), enc.full, observed)
+        return DiGraph(universe, self._named_arcs(parents), self.deterministic)
 
     def moralize(self) -> UGraph:
-        """Drop arc directions and marry every pair of co-parents."""
-        edges = [(a, b) for a, ns in _moral(self._parents).items() for b in ns if a < b]
-        return UGraph.from_singletons(self._universe, edges)
+        """Drop arc directions and marry every pair of co-parents.
+
+        Node ids follow element order, as in ``UGraph.from_singletons``.
+        """
+        edges = []
+        for v, near in _moral_neighbours(self._parents).items():
+            i = v.bit_length() - 1
+            later = near >> i + 1 << i + 1  # each edge once, from its lower end
+            while later:
+                w = later & -later
+                later ^= w
+                edges.append((i, w.bit_length() - 1))
+        nodes = {i: (e,) for i, e in enumerate(self._universe.elements)}
+        return UGraph(nodes, edges)
 
     def d_separated(
         self, x: Iterable[str], z: Iterable[str], y: Iterable[str]
@@ -125,55 +132,104 @@ class DiGraph:
         c = self._universe.canonical(Statement(x, z, y))
         if c is TRIVIALLY_TRUE:
             return True
-        parents = self._rerouted(self._ancestral(c.x | c.z | c.y), c.z)
-        return _separated(_moral(parents), c.x, c.z, c.y)
+        mask = self._universe.encoding.mask
+        x, z, y = mask(c.x), mask(c.z), mask(c.y)
+        kept, parents = self._ancestral(x | z | y)
+        moral = _moral_neighbours(self._rerouted(parents, kept, z))
+        return not reach(moral, x, z) & y
 
-    def _ancestral(self, seed: frozenset) -> dict:
-        """Parents of the seed and of every element with a path into it."""
+    def _ancestral(self, seed: int) -> tuple[int, dict]:
+        """The mask of the seed and its ancestors, and their parent masks."""
+        parents = self._parents
         kept = {}
-        frontier = list(seed)
+        reached = frontier = seed
         while frontier:
-            v = frontier.pop()
-            if v not in kept:
-                kept[v] = self._parents[v]
-                frontier += kept[v]
-        return kept
+            v = frontier & -frontier
+            frontier ^= v
+            ps = kept[v] = parents[v]
+            new = ps & ~reached
+            reached |= new
+            frontier |= new
+        return reached, kept
 
-    def _rerouted(self, parents: dict, z: frozenset) -> dict:
-        """Reroute past unobserved deterministic elements, in place and in a
-        topological order: rerouting v gives new children only to v's parents,
-        which come before v, so v's children are still its own when v is
-        visited, and any topological order gives the same parent sets."""
-        rerouted = (self._deterministic - z).intersection(parents)
-        for v in filter(rerouted.__contains__, self._order):
-            for c in self._children[v]:
-                if c in parents:
-                    parents[c] = (parents[c] - {v}) | parents[v]
+    def _rerouted(self, parents: dict, kept: int, z: int) -> dict:
+        """Reroute past the unobserved deterministic elements in kept, whose
+        parent masks ``parents`` holds, in place and in a topological order:
+        rerouting v gives new children only to v's parents, which come before
+        v, so v's children are still its own when v is visited, and any
+        topological order gives the same parent masks."""
+        rerouted = self._det & kept & ~z
+        children = self._children
+        for v in self._order:
+            if not rerouted:
+                break
+            if v & rerouted:
+                rerouted ^= v
+                for c in _bits(children[v] & kept):
+                    parents[c] = parents[c] & ~v | parents[v]
         return parents
+
+    def _named_arcs(self, parents: dict) -> list[tuple[str, str]]:
+        """The arcs of a parent-mask index, as name pairs."""
+        name = {bit: e for e, bit in self._universe.encoding.bits.items()}
+        return [(name[p], name[c]) for c, ps in parents.items() for p in _bits(ps)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiGraph):
             return NotImplemented
         return (
             self._universe == other._universe
-            and self._arcs == other._arcs
-            and self._deterministic == other._deterministic
+            and self._parents == other._parents
+            and self._det == other._det
         )
 
     def __hash__(self) -> int:
-        return hash((self._universe, self._arcs, self._deterministic))
+        return hash((self._universe, self.arcs, self.deterministic))
 
     def __repr__(self) -> str:
-        arcs = ", ".join(f"{a}->{b}" for a, b in sorted(self._arcs))
-        return f"DiGraph({arcs}; det={format_set(self._deterministic)})"
+        arcs = ", ".join(f"{a}->{b}" for a, b in sorted(self.arcs))
+        return f"DiGraph({arcs}; det={format_set(self.deterministic)})"
 
 
-def _moral(parents: Mapping[str, frozenset]) -> dict[str, set]:
-    """Each element's parents, children and co-parents, and maybe itself."""
-    adj = {v: set(ps) for v, ps in parents.items()}
+def _bits(mask: int) -> Iterator[int]:
+    """The one-bit masks of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _toposort(parents: dict, children: dict) -> tuple[int, ...]:
+    """The bits in a topological order; CyclicGraph if there is none.
+
+    A bit is placed once its parents all are, which is checked whenever one
+    of them is visited: the last of them to be visited sees the rest placed.
+    """
+    order = [v for v, ps in parents.items() if not ps]
+    placed = sum(order)
+    for v in order:  # grows as elements become ready
+        rest = children[v] & ~placed
+        while rest:
+            c = rest & -rest
+            rest ^= c
+            if not parents[c] & ~placed:
+                placed |= c
+                order.append(c)
+    if len(order) != len(parents):
+        raise CyclicGraph("arcs contain a directed cycle")
+    return tuple(order)
+
+
+def _moral_neighbours(parents: Mapping[int, int]) -> dict[int, int]:
+    """Each element's parents, children and co-parents, and maybe itself,
+    keyed by its bit, as ``reach`` takes them."""
+    adj = dict(parents)
     for v, ps in parents.items():
-        for p in ps:
-            adj[p].update(ps, (v,))
+        family = ps | v
+        while ps:
+            p = ps & -ps
+            ps ^= p
+            adj[p] |= family
     return adj
 
 
@@ -330,6 +386,12 @@ def build_join_tree(
         combinations(range(len(maximal)), 2),
         key=lambda ij: -len(maximal[ij[0]] & maximal[ij[1]]),
     )
+    # Every candidate after the tree's last link would close a cycle.
     uf = _UnionFind(range(len(maximal)))
-    links = [(i, j) for i, j in candidates if uf.union(i, j)]
+    links = []
+    for i, j in candidates:
+        if len(links) == len(maximal) - 1:
+            break
+        if uf.union(i, j):
+            links.append((i, j))
     return chordal, JoinTree(clusters, links)

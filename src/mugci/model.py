@@ -195,22 +195,23 @@ class Encoding:
     a mask's lowest bit is its lowest member.  A canonical statement over n
     elements packs into ``x << 2n | z << n | y``, x being the side that
     holds the lower lowest bit, as in ``CanonicalStatement``.  This class is
-    the only code that knows the packed layout.
+    the only code that knows the packed layout.  ``bits`` maps each element
+    to its one-bit mask.
     """
 
-    __slots__ = ("elements", "full", "_n", "_bits", "_sets", "_rank")
+    __slots__ = ("elements", "full", "bits", "_n", "_sets", "_rank")
 
     def __init__(self, elements: Iterable[str]):
         self.elements = tuple(elements)
         self._n = len(self.elements)
         self.full = (1 << self._n) - 1
-        self._bits = {e: 1 << i for i, e in enumerate(self.elements)}
+        self.bits = {e: 1 << i for i, e in enumerate(self.elements)}
         self._sets: dict[int, frozenset] = {}
         self._rank = _MaskRanks(self._n)
 
     def mask(self, names: Iterable[str]) -> int:
         """Mask of a set of names; KeyError for a name not encoded."""
-        return sum(map(self._bits.__getitem__, names))
+        return sum(map(self.bits.__getitem__, names))
 
     def names(self, mask: int) -> frozenset:
         found = self._sets.get(mask)

@@ -174,7 +174,7 @@ def parse_model(text: str) -> ModelFile:
         names_taken.add(name)
         i += 2
         if head == "digraph":
-            model.digraphs[name], i = _digraph_block(p, i, members)
+            model.digraphs[name], i = _digraph_block(p, i, members, model.universe)
         elif head == "graph":
             nodes, edges, i = _numbered_block(p, i, members, _GRAPH_WORDS)
             model.graphs[name] = UGraph(nodes, edges)
@@ -195,7 +195,11 @@ def parse_model(text: str) -> ModelFile:
     return model
 
 
-def _digraph_block(p: _Tokens, i: int, members: frozenset) -> tuple[DiGraph, int]:
+def _digraph_block(
+    p: _Tokens, i: int, members: frozenset, universe: Universe
+) -> tuple[DiGraph, int]:
+    """A digraph over the file's universe when it declares every element of
+    it, else over a universe of its own made of what it declares."""
     toks = p.toks
     if toks[i] != "{":
         raise p.expected(i, "'{'")
@@ -235,7 +239,9 @@ def _digraph_block(p: _Tokens, i: int, members: frozenset) -> tuple[DiGraph, int
                 deterministic.append(el)
             i += 2
         elif head == "}":
-            return DiGraph(Universe(declared), arcs, deterministic), i + 1
+            if len(declared) != len(members):
+                universe = Universe(declared)
+            return DiGraph(universe, arcs, deterministic), i + 1
         else:
             raise p.expected(
                 i, "'node', 'det', or 'arc'", at_end="'node', 'det', 'arc', or '}'"

@@ -363,7 +363,8 @@ Move = Union[Delete, Combine]
 def append_transformed(m: Mug, move: Move) -> tuple[Mug, int]:
     """Apply a transformation descriptor; returns (new mug, result graph index).
 
-    A combination's statement must be satisfied in the model, and its graph
+    A combination's statement must be a ``CanonicalStatement`` satisfied in
+    the model (``TypeError`` for anything else), and its graph
     cover exactly one side of the statement plus z.
     """
     if not isinstance(move, (Combine, Delete)):
@@ -378,6 +379,8 @@ def append_transformed(m: Mug, move: Move) -> tuple[Mug, int]:
             raise UnknownNode(f"no node {move.node}")
         return m._appended(packed_deletion(nodes, adj, ids.index(move.node)))
     s = move.statement
+    if not isinstance(s, CanonicalStatement):
+        raise TypeError(f"not a canonical statement: {s!r}")
     if m.witness(s) is None:
         raise StatementNotSatisfied(f"model does not satisfy {s}")
     enc = m.universe.encoding

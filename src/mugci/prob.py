@@ -36,9 +36,9 @@ class DiscreteJoint:
     variables: tuple[str, ...]
     cardinalities: tuple[int, ...]
     probabilities: tuple
-    # Exact tables only: the probabilities as integer numerators over the
-    # LCM of their denominators.  Cross-multiplication is homogeneous, so
-    # ci_holds gets the same answers from these as from the fractions.
+    # Exact tables only: the probabilities as integer numerators over one
+    # common denominator.  Cross-multiplication is homogeneous, so ci_holds
+    # gets the same answers from these as from the fractions.
     _numerators: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -66,6 +66,24 @@ class DiscreteJoint:
             raise ValueError("probabilities must be nonnegative")
         elif abs(sum(probabilities) - 1) > MASS_FLOAT_TOLERANCE:
             raise ValueError(f"probabilities sum to {sum(probabilities)}, not 1")
+
+    @classmethod
+    def _from_weights(
+        cls, variables: tuple[str, ...], cardinalities: tuple[int, ...],
+        weights: list[int], scale: int,
+    ) -> "DiscreteJoint":
+        """The exact table with entries weight/scale, for nonnegative integer
+        weights summing to scale: the weights are its numerators as they
+        are, so nothing is checked or re-derived."""
+        # Weights repeat across a table: build each distinct Fraction once.
+        fractions = {w: Fraction(w, scale) for w in set(weights)}
+        joint = object.__new__(cls)
+        fields = joint.__dict__
+        fields["variables"] = variables
+        fields["cardinalities"] = cardinalities
+        fields["probabilities"] = tuple(map(fractions.__getitem__, weights))
+        fields["_numerators"] = tuple(weights)
+        return joint
 
     @property
     def exact(self) -> bool:
@@ -213,8 +231,5 @@ def sample_dag_joint(d: DiGraph, seed: int) -> DiscreteJoint:
         weights = list(
             map(mul, weights, map(lookup.__getitem__, map(mask.__and__, indices)))
         )
-    # Weights repeat across the table: build each distinct Fraction once.
-    fractions = {w: Fraction(w, scale) for w in set(weights)}
-    probabilities = tuple(map(fractions.__getitem__, weights))
-    return DiscreteJoint(variables, (2,) * n, probabilities)
+    return DiscreteJoint._from_weights(variables, (2,) * n, weights, scale)
 

@@ -301,6 +301,7 @@ def test_verify_rejects_unsatisfied_combination():
     assert not verify_script(bad)
     # a script holding something that is not a move is rejected, not raised
     assert not verify_script(MoveScript(m0, ("junk",), cs("x", "z", "y")))
+    assert not verify_script(MoveScript(m0, (Combine("junk", 0),), cs("x", "z", "y")))
 
 
 def test_verify_reports_unreached_target():

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+import object_layer
 from mugci import (
     DiGraph,
     JoinTree,
@@ -14,7 +15,13 @@ from mugci import (
     build_join_tree,
     canonicalize,
 )
-from mugci.errors import CyclicGraph, InvalidOrder, ModelError, UnknownElement
+from mugci.errors import (
+    CyclicGraph,
+    InvalidOrder,
+    InvalidOverlap,
+    ModelError,
+    UnknownElement,
+)
 
 
 def double_det_cascade():
@@ -538,3 +545,117 @@ def test_join_tree_of_random_orders_matches_networkx():
         assert tree.validate() == []
         filled += chordal != moral
     assert filled > 30
+
+
+# -- differential: the mask DiGraph against the name-set reference ------------
+#
+# ``object_layer.DiGraph`` is the class as it was held on name sets; the
+# package's ``DiGraph`` holds bitmasks.  Errors, every public view and every
+# verdict must be the same.
+
+
+def reference_dag(rng, n, det_share):
+    """Names, arcs and deterministic elements of a random DAG; the
+    topological order is not the name order."""
+    names = [f"v{i:02d}" for i in range(n)]
+    rng.shuffle(names)
+    arcs = []
+    for j in range(1, n):
+        for i in rng.sample(range(j), min(j, rng.randint(0, 3))):
+            arcs.append((names[i], names[j]))
+    det = [v for v in names if rng.random() < det_share]
+    return names, arcs, det
+
+
+def digraph_view(d):
+    return (d.universe, d.arcs, d.deterministic, hash(d), repr(d))
+
+
+def broken_arcs(rng, names, arcs):
+    """The arcs with one fault put in at a random place."""
+    arcs = list(arcs)
+    roll = rng.random()
+    if roll < 0.3:
+        bad = (rng.choice(names), "q") if rng.random() < 0.5 else ("q", rng.choice(names))
+    elif roll < 0.6:
+        v = rng.choice(names)
+        bad = (v, v)
+    else:  # an arc back up some path closes a cycle
+        a, b = rng.choice(arcs)
+        bad = (b, a)
+    arcs.insert(rng.randint(0, len(arcs)), bad)
+    return arcs
+
+
+def test_mask_digraph_matches_name_set_reference():
+    rng = random.Random(89)
+    shapes = [(1, 14, 0.0), (1, 14, 0.3)] * 60 + [(16, 64, 0.3), (16, 64, 0.6)] * 40
+    errors = set()
+    verdicts = set()
+    rerouted = 0
+    for low, high, det_share in shapes:
+        names, arcs, det = reference_dag(rng, rng.randint(low, high), det_share)
+        u = Universe(names)
+        d = DiGraph(u, arcs, det)
+        ref = object_layer.DiGraph(u, arcs, det)
+        assert digraph_view(d) == digraph_view(ref)
+        assert d == DiGraph(Universe(names), reversed(arcs), set(det))
+        assert d != DiGraph(u, arcs[1:], det) or not arcs
+        for v in names:
+            assert d.parents(v) == ref.parents(v)
+        assert outcome(lambda: d.parents("q")) == outcome(lambda: ref.parents("q"))
+
+        # each constructor error, with the same type and text
+        builds = [lambda cls: cls(u, arcs, [*det, "q", "p"])]
+        if arcs:
+            builds.append(lambda cls: cls(u, broken_arcs(rng, names, arcs), det))
+        for build in builds:
+            state = rng.getstate()
+            want = outcome(lambda: build(object_layer.DiGraph))
+            rng.setstate(state)
+            assert outcome(lambda: build(DiGraph)) == want
+            errors.add(want)
+
+        keep = rng.sample(names, rng.randint(0, len(names)))
+        assert digraph_view(d.ancestral_prune(keep)) == digraph_view(
+            ref.ancestral_prune(keep)
+        )
+        z = set(rng.sample(names, rng.randint(0, len(names) // 2))) | {"q"}
+        got, want = d.det_propagate(z), ref.det_propagate(z)
+        assert digraph_view(got) == digraph_view(want)
+        assert (got is d) == (want is ref)
+        rerouted += got is not d
+        assert d.moralize() == ref.moralize()
+        if len(names) >= 2:
+            for _ in range(5):
+                x, z, y = random_query(rng, names)
+                want = ref.d_separated(x, z, y)
+                assert d.d_separated(x, z, y) == want
+                verdicts.add(want)
+            for x, z, y in (({names[0]}, set(), {"q"}), ({names[0]}, set(), {names[0]})):
+                want = outcome(lambda: ref.d_separated(x, z, y))
+                assert outcome(lambda: d.d_separated(x, z, y)) == want
+                errors.add(want)
+    kinds = {want[0] if isinstance(want, tuple) else want for want in errors}
+    texts = {want[1] for want in errors if isinstance(want, tuple)}
+    assert {CyclicGraph, UnknownElement, InvalidOverlap} <= kinds
+    assert {"arcs contain a directed cycle", "not in universe: p, q"} <= texts
+    assert any(t.startswith("self-arc on ") for t in texts)
+    assert verdicts == {True, False}
+    assert rerouted > 50
+
+
+def test_early_kruskal_stop_matches_reference_join_trees():
+    rng = random.Random(97)
+    filled = 0
+    for _ in range(200):
+        names, arcs, _ = reference_dag(rng, rng.randint(1, 24), 0.0)
+        moral = DiGraph(Universe(names), arcs).moralize()
+        order = sorted(names)
+        rng.shuffle(order)
+        chordal, tree = build_join_tree(moral, order)
+        want_chordal, want_tree = object_layer.build_join_tree(moral, order)
+        assert chordal == want_chordal
+        assert tree == want_tree
+        filled += chordal != moral
+    assert filled > 50

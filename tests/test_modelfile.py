@@ -63,6 +63,28 @@ def test_digraph_block():
     assert d.arcs == frozenset({("a", "b"), ("b", "c")})
 
 
+def test_digraph_declaring_part_of_the_universe_gets_its_own():
+    text = (
+        "universe a b c\n"
+        "digraph D { node a; node b; node c; arc a b; }\n"
+        "digraph E { node c; det node a; arc c a; }\n"
+    )
+    model = parse_model(text)
+    d, e = model.digraphs["D"], model.digraphs["E"]
+    assert d.universe is model.universe
+    assert e.universe == Universe("ac")
+    assert e.arcs == frozenset({("c", "a")})
+    assert e.deterministic == frozenset("a")
+    assert e.parents("a") == frozenset("c")
+    with pytest.raises(UnknownElement):
+        e.parents("b")
+    with pytest.raises(UnknownElement):
+        e.d_separated({"a"}, set(), {"b"})
+    assert not e.d_separated({"a"}, set(), {"c"})
+    assert e.moralize() == UGraph({0: {"a"}, 1: {"c"}}, [(0, 1)])
+    assert outcome(parse_model, text) == reference_outcome(text)
+
+
 def test_jointree_block_computes_sepsets():
     model = parse_model(
         "universe a b c\n"

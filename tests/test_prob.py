@@ -355,9 +355,17 @@ def test_sample_dag_joint_matches_fraction_reference():
         saw_backward_arc |= any(a > b for a, b in d.arcs)
         got = sample_dag_joint(d, seed)
         want = reference_sample_dag_joint(d, seed)
-        assert got.variables == want.variables
+        assert got == want
         assert got.probabilities == want.probabilities
         assert all(type(pr) is Fraction for pr in got.probabilities)
+        # the weights handed over as numerators give the same answers
+        names = list(d.universe)
+        for _ in range(5 if len(names) >= 2 else 0):
+            pool = rng.sample(names, rng.randint(2, len(names)))
+            cut = rng.randint(1, len(pool) - 1)
+            rest = rng.randint(cut + 1, len(pool))
+            x, y, z = pool[:cut], pool[cut:rest], pool[rest:]
+            assert ci_holds(got, x, z, y) == ci_holds(want, x, z, y)
     assert saw_deterministic
     assert saw_backward_arc
 
