@@ -32,14 +32,11 @@ from .mug import (
     Move,
     Mug,
     append_transformed,
-    element_mask,
     packed_combination,
     packed_deletion,
-    packed_graph,
-    packed_key,
     packed_singletons,
 )
-from .ugraph import UGraph
+from .ugraph import UGraph, element_mask, packed_graph, packed_key
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,11 @@ The separation test for a directed graph runs in four stages: prune to the
 query elements and their ancestors, reroute the children of unobserved
 deterministic elements to draw from their parents instead, moralize, and
 test plain separation in the resulting undirected graph.  All four are mask
-operations on the parent index, the last being the flood ``mug.reach``, so
-``d_separated`` builds no intermediate graph.
+operations on the parent index, the last being the flood ``ugraph.reach``,
+so ``d_separated`` builds no intermediate graph.
+
+Join trees are built on element masks from the undirected graph's packed
+form, and checked with the same flood over masks of cluster positions.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from .model import (
     Universe,
     format_set,
 )
-from .mug import reach
-from .ugraph import UGraph
+from .ugraph import UGraph, reach
 
 
 class DiGraph:
@@ -269,25 +271,31 @@ class JoinTree:
         element's clusters form a connected subtree (running intersection).
         """
         violations = []
-        adjacency: dict[int, set[int]] = {c: set() for c in self._clusters}
+        clusters = self._clusters
+        position = {c: 1 << i for i, c in enumerate(sorted(clusters))}
+        neighbours = dict.fromkeys(position.values(), 0)
         well_formed = 0
         for link in sorted(self._links, key=sorted):
             a, b = sorted(link)
-            if a not in self._clusters or b not in self._clusters:
+            if a not in clusters or b not in clusters:
                 violations.append(f"link {a}-{b} references a missing cluster")
                 continue
-            adjacency[a].add(b)
-            adjacency[b].add(a)
+            neighbours[position[a]] |= position[b]
+            neighbours[position[b]] |= position[a]
             well_formed += 1
 
-        if self._clusters:
-            seen = _reach(adjacency, min(self._clusters), adjacency)
-            if len(seen) != len(self._clusters) or well_formed != len(seen) - 1:
-                violations.append("links do not form a tree over the clusters")
+        everything = (1 << len(clusters)) - 1
+        if clusters and (
+            reach(neighbours, 1, 0) != everything or well_formed != len(clusters) - 1
+        ):
+            violations.append("links do not form a tree over the clusters")
 
-        for e in sorted(set().union(*self._clusters.values())):
-            holders = {c for c, es in self._clusters.items() if e in es}
-            if _reach(adjacency, min(holders), holders) != holders:
+        holders: dict[str, int] = {}
+        for c, es in clusters.items():
+            for e in es:
+                holders[e] = holders.get(e, 0) | position[c]
+        for e, held in sorted(holders.items()):
+            if reach(neighbours, held & -held, ~held) != held:
                 violations.append(
                     f"element {e} appears in clusters not connected through "
                     f"clusters containing it"
@@ -304,35 +312,6 @@ class JoinTree:
             f"{c}={format_set(es)}" for c, es in sorted(self._clusters.items())
         )
         return f"JoinTree({parts})"
-
-
-def _reach(adjacency: Mapping[int, set], start: int, inside) -> set:
-    """Clusters reachable from start along links between clusters inside."""
-    seen, stack = {start}, [start]
-    while stack:
-        for nb in adjacency[stack.pop()]:
-            if nb in inside and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return seen
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
 
 
 def build_join_tree(
@@ -356,42 +335,56 @@ def build_join_tree(
     if sorted(order) != sorted(node_of):
         raise InvalidOrder("order must be a permutation of the graph's elements")
 
-    adjacency = {e: set(nbrs) for e, nbrs in g.element_adjacency().items()}
+    enc, nodes, _, adjacency = g._packed_form()
+    adjacency = dict(adjacency)  # by element bit: itself, neighbours, fill-in
 
-    fill = []
+    fill = []  # (a, mask of the b above a that get an edge to a)
     cliques = []
-    eliminated: set[str] = set()
-    for v in order:
-        nbrs = sorted(adjacency[v] - eliminated)
-        cliques.append(frozenset((v, *nbrs)))
-        for a, b in combinations(nbrs, 2):
-            if b not in adjacency[a]:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-                fill.append((a, b))
-        eliminated.add(v)
+    later = set()  # each eliminated element's neighbours not yet eliminated
+    eliminated = 0
+    for v in map(enc.bits.__getitem__, order):
+        nbrs = adjacency[v] & ~(eliminated | v)
+        cliques.append(v | nbrs)
+        later.add(nbrs)
+        rest = nbrs
+        while rest:
+            a = rest & -rest
+            rest ^= a
+            if rest & ~adjacency[a]:
+                fill.append((a, rest & ~adjacency[a]))
+            adjacency[a] |= nbrs
+        eliminated |= v
 
-    chordal = g.add_arcs((node_of[a], node_of[b]) for a, b in fill)
-
-    unique = list(dict.fromkeys(cliques))
-    maximal = sorted(
-        (c for c in unique if not any(c < d for d in unique)),
-        key=lambda c: tuple(sorted(c)),
+    node_at = {m: n for n, m in nodes}
+    chordal = g.add_arcs(
+        (node_at[a], node_at[b]) for a, above in fill for b in _bits(above)
     )
-    clusters = {i: c for i, c in enumerate(maximal)}
+
+    # v's clique is v and its later neighbours.  Each u's later neighbours
+    # lie in the clique of the first of them, so a clique inside another is,
+    # following such steps, exactly some u's later neighbours.
+    maximal = sorted(
+        (c for c in cliques if c not in later), key=lambda c: sorted(enc.names(c))
+    )
+    clusters = {i: enc.names(c) for i, c in enumerate(maximal)}
 
     # maximal is in name order, so the stable sort keeps links of equal
     # weight in name order too.
     candidates = sorted(
         combinations(range(len(maximal)), 2),
-        key=lambda ij: -len(maximal[ij[0]] & maximal[ij[1]]),
+        key=lambda ij: -(maximal[ij[0]] & maximal[ij[1]]).bit_count(),
     )
     # Every candidate after the tree's last link would close a cycle.
-    uf = _UnionFind(range(len(maximal)))
+    component = [1 << i for i in range(len(maximal))]  # by cluster position
     links = []
     for i, j in candidates:
         if len(links) == len(maximal) - 1:
             break
-        if uf.union(i, j):
+        if not component[i] >> j & 1:
+            joined = rest = component[i] | component[j]
+            while rest:
+                k = rest & -rest
+                rest ^= k
+                component[k.bit_length() - 1] = joined
             links.append((i, j))
     return chordal, JoinTree(clusters, links)

@@ -43,8 +43,8 @@ from .model import (
     Universe,
     check_size,
 )
-from .mug import packed_graph, separations
-from .ugraph import UGraph
+from .mug import separations
+from .ugraph import UGraph, packed_graph
 
 
 @dataclass(frozen=True)

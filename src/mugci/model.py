@@ -216,9 +216,13 @@ class Encoding:
     def names(self, mask: int) -> frozenset:
         found = self._sets.get(mask)
         if found is None:
-            found = self._sets[mask] = frozenset(
-                e for i, e in enumerate(self.elements) if mask >> i & 1
-            )
+            members = []
+            rest = mask
+            while rest:
+                low = rest & -rest
+                members.append(self.elements[low.bit_length() - 1])
+                rest ^= low
+            found = self._sets[mask] = frozenset(members)
         return found
 
     def pack(self, a: int, z: int, b: int) -> int:

@@ -5,16 +5,16 @@ and witnesses the separation.  Transformations never mutate: they append the
 transformed graph (deduplicated by canonical key), so the satisfied set can
 only grow along a derivation.
 
-Graphs are packed (``packed_graph``) into node element masks and neighbour
-bitmasks.  ``Mug``, replay, script checks, search and the closure's graph
-intake share the one packed form of each graph move, the dedup key
-(``packed_key``) and the mask flood behind every separation (``reach``, ``Floods``).
+Graphs are held in ``ugraph``'s packed form (``packed_graph``): node element
+masks and neighbour bitmasks.  This module holds the one implementation of
+each graph move on that form, which ``Mug``, replay, script checks and
+search share; models deduplicate by ``ugraph.packed_key`` and keep each
+graph's floods (``Floods``, over ``ugraph.reach``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Union
 
 from .errors import StatementNotSatisfied, UnknownNode, WrongElementSet
@@ -25,7 +25,15 @@ from .model import (
     Universe,
     check_size,
 )
-from .ugraph import UGraph
+from .ugraph import (
+    UGraph,
+    element_mask,
+    element_neighbours,
+    packed_graph,
+    packed_key,
+    reach,
+    unpacked_graph,
+)
 
 
 class Mug:
@@ -141,65 +149,6 @@ class Mug:
         return f"Mug({len(self._packed)} graphs over {self._universe!r})"
 
 
-def packed_graph(enc: Encoding, g: UGraph) -> tuple[tuple, tuple]:
-    """A graph in packed form: ``(nodes, adj)``.
-
-    ``nodes`` is a tuple of (node id, element mask) in id order; ``adj``
-    gives each node's neighbours as a mask over those positions, so any
-    node ids, negative or sparse, pack alike.  Two graphs are equal
-    exactly when their packed forms are.
-    """
-    labels = g.nodes
-    ids = sorted(labels)
-    position = {n: i for i, n in enumerate(ids)}
-    adj = [0] * len(ids)
-    for a, b in map(tuple, g.edges):
-        adj[position[a]] |= 1 << position[b]
-        adj[position[b]] |= 1 << position[a]
-    return tuple((n, enc.mask(labels[n])) for n in ids), tuple(adj)
-
-
-def unpacked_graph(enc: Encoding, nodes: tuple, adj: tuple) -> UGraph:
-    """The ``UGraph`` a packed graph stands for: ``packed_graph`` undone."""
-    edges = [
-        (nodes[i][0], nodes[j][0])
-        for i, j in combinations(range(len(nodes)), 2)
-        if adj[i] >> j & 1
-    ]
-    return UGraph({n: enc.names(m) for n, m in nodes}, edges)
-
-
-def element_mask(nodes: tuple) -> int:
-    """The mask of the elements a packed graph's nodes carry."""
-    mask = 0
-    for _, m in nodes:
-        mask |= m
-    return mask
-
-
-def packed_key(nodes: tuple, adj: tuple) -> tuple:
-    """The multiset of node masks and of the mask pairs along edges.
-
-    Masks stand for element sets one to one, so two graphs over the same
-    encoding have equal packed keys exactly when ``UGraph.key`` is equal.
-    Like that key, equal packed keys need not mean isomorphic graphs when
-    one element set sits on two nodes.
-    """
-    masks = [m for _, m in nodes]
-    pairs = []
-    for i, nbrs in enumerate(adj):
-        a = masks[i]
-        later = nbrs >> i + 1 << i + 1  # each edge once, from its lower end
-        while later:
-            low = later & -later
-            later ^= low
-            b = masks[low.bit_length() - 1]
-            pairs.append((a, b) if a <= b else (b, a))
-    masks.sort()
-    pairs.sort()
-    return tuple(masks), tuple(pairs)
-
-
 def packed_deletion(nodes: tuple, adj: tuple, i: int) -> tuple[tuple, tuple]:
     """Node deletion: the graph without the node at position i.
 
@@ -255,26 +204,6 @@ def packed_combination(
     return tuple(grown), tuple(out)
 
 
-def element_neighbours(nodes: tuple, adj: tuple) -> dict[int, int]:
-    """Each element's bit mapped to the mask of its element-graph neighbours.
-
-    Each element's own bit is included: ``reach`` never returns to what it
-    has reached, so the extra bit is harmless.
-    """
-    out: dict[int, int] = {}
-    for (_, m), nbrs in zip(nodes, adj):
-        near = m
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            near |= nodes[low.bit_length() - 1][1]
-        while m:
-            bit = m & -m
-            m ^= bit
-            out[bit] = out.get(bit, 0) | near
-    return out
-
-
 def packed_singletons(nodes: tuple, adj: tuple) -> tuple[tuple, tuple]:
     """One node per element, ids 0, 1, ... in element order, same element graph."""
     near = element_neighbours(nodes, adj)
@@ -296,18 +225,6 @@ class Floods(dict):
             self.neighbours = element_neighbours(*self.graph)
         reached = self[key] = reach(self.neighbours, *key)
         return reached
-
-
-def reach(neighbours: dict[int, int], start: int, blocked: int) -> int:
-    """Mask of what ``element_neighbours`` connects to ``start`` outside ``blocked``."""
-    reached = frontier = start
-    while frontier:
-        bit = frontier & -frontier
-        frontier ^= bit
-        new = neighbours[bit] & ~(blocked | reached)
-        reached |= new
-        frontier |= new
-    return reached
 
 
 def separations(enc: Encoding, nodes: tuple, adj: tuple) -> list[int]:

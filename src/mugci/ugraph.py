@@ -1,16 +1,23 @@
-"""Undirected graphs whose nodes carry sets of elements.
+"""Undirected graphs whose nodes carry sets of elements, and their packed form.
 
 Separation is always evaluated on the element graph: two elements are
 adjacent iff they share a node or sit in adjacent nodes.  This single rule
 covers plain graphs, multi-element nodes, and repeated elements uniformly.
-Each graph builds its element adjacency once, from its nodes and edges, and
-everything else reads it (``UGraph.element_adjacency``).  All
-transformations are pure and return new graphs.
+
+A graph is packed (``packed_graph``) into node element masks and neighbour
+bitmasks over an ``Encoding``.  This module holds the one implementation of
+the packed form, the element graph built from it (``element_neighbours``),
+the mask flood behind every separation (``reach``) and the graph key
+(``packed_key``).  A ``UGraph`` packs itself once, over its own sorted
+elements, and answers its queries from that form; ``mug``, ``derivation``
+and ``dsep`` use the same functions.  All transformations are pure and
+return new graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -23,6 +30,7 @@ from .errors import (
     SelfLoop,
     UnknownNode,
 )
+from .model import Encoding
 
 
 @dataclass(frozen=True)
@@ -31,21 +39,6 @@ class ElementGraph:
 
     vertices: frozenset
     edges: frozenset
-
-
-def _separated(adj: Mapping[str, set], x, z, y) -> bool:
-    """True iff removing z leaves no path from any x-vertex to any y-vertex."""
-    stack = list(x)
-    visited = set(stack)
-    while stack:
-        v = stack.pop()
-        if v in y:
-            return False
-        for nb in adj[v]:
-            if nb not in z and nb not in visited:
-                visited.add(nb)
-                stack.append(nb)
-    return True
 
 
 def _as_edge(pair) -> frozenset:
@@ -58,12 +51,11 @@ def _as_edge(pair) -> frozenset:
 class UGraph:
     """Undirected graph over integer node ids, each holding an element set.
 
-    Immutable: the element set and the element-graph adjacency are computed
-    on first use and kept for every later query; the canonical key is
-    computed on every call.
+    Immutable: the element set and the packed form, with its element graph,
+    are computed on first use and kept for every later query.
     """
 
-    __slots__ = ("_nodes", "_edges", "_elements", "_adjacency")
+    __slots__ = ("_nodes", "_edges", "_elements", "_packed")
 
     def __init__(self, nodes: Mapping[int, Iterable[str]], edges: Iterable = ()):
         node_map = {int(n): frozenset(es) for n, es in nodes.items()}
@@ -80,7 +72,7 @@ class UGraph:
         self._nodes = node_map
         self._edges = frozenset(edge_set)
         self._elements = None
-        self._adjacency = None
+        self._packed = None
 
     @classmethod
     def from_singletons(cls, elements: Iterable[str], element_edges: Iterable = ()):
@@ -117,7 +109,7 @@ class UGraph:
 
     def expand(self) -> ElementGraph:
         """Collapse to one vertex per element, edges from the element adjacency."""
-        adj = self._element_adjacency()
+        adj = self.element_adjacency()
         edges = frozenset(frozenset((a, b)) for a in adj for b in adj[a])
         return ElementGraph(self.elements, edges)
 
@@ -132,27 +124,24 @@ class UGraph:
             raise MissingElements(f"graph lacks {', '.join(sorted(missing))}")
         if x & y or x & z or y & z:
             raise InvalidOverlap("separation queries take a canonicalized triple")
-        return _separated(self._element_adjacency(), x, z, y)
+        enc, _, _, neighbours = self._packed_form()
+        return not reach(neighbours, enc.mask(x), enc.mask(z)) & enc.mask(y)
 
     def element_adjacency(self) -> Mapping[str, frozenset]:
         """Each element's neighbours in the element graph (read-only view)."""
-        return MappingProxyType(self._element_adjacency())
+        enc, _, _, neighbours = self._packed_form()
+        return MappingProxyType(
+            {e: enc.names(neighbours[bit] & ~bit) for e, bit in enc.bits.items()}
+        )
 
-    def _element_adjacency(self) -> dict[str, frozenset]:
-        # A repeated element merges the neighbourhoods of its nodes.
-        if self._adjacency is None:
-            nodes = self._nodes
-            adj = {e: set() for e in self.elements}
-            for es in nodes.values():
-                for e in es:
-                    adj[e] |= es
-            for n1, n2 in self._edges:
-                for a in nodes[n1]:
-                    adj[a] |= nodes[n2]
-                for b in nodes[n2]:
-                    adj[b] |= nodes[n1]
-            self._adjacency = {e: frozenset(nbrs - {e}) for e, nbrs in adj.items()}
-        return self._adjacency
+    def _packed_form(self) -> tuple[Encoding, tuple, tuple, dict[int, int]]:
+        """The encoding of the sorted elements, the graph packed over it, and
+        its ``element_neighbours``, built on first use."""
+        if self._packed is None:
+            enc = Encoding(sorted(self.elements))
+            nodes, adj = packed_graph(enc, self)
+            self._packed = enc, nodes, adj, element_neighbours(nodes, adj)
+        return self._packed
 
     def add_arcs(self, arcs: Iterable) -> "UGraph":
         """Return a copy with the given node-id pairs added as edges."""
@@ -207,19 +196,16 @@ class UGraph:
         return UGraph(nodes, edges)
 
     def key(self) -> tuple:
-        """Canonical serialization: the multisets of node element sets and of
-        element-set pairs along edges.
+        """Canonical serialization: the sorted elements and the ``packed_key``
+        over them, the multisets of node element sets and of element-set
+        pairs along edges.
 
         Isomorphic graphs have equal keys.  Equal keys need not mean
         isomorphic graphs when one element set sits on two nodes: edges 1–3,
         2–4 and edges 1–3, 1–4 over nodes 1={a} 2={a} 3={b} 4={c} agree.
         """
-        labels = {n: tuple(sorted(es)) for n, es in self._nodes.items()}
-        nodes_part = tuple(sorted(labels.values()))
-        edges_part = tuple(
-            sorted(tuple(sorted((labels[a], labels[b]))) for a, b in map(tuple, self._edges))
-        )
-        return nodes_part, edges_part
+        enc, nodes, adj, _ = self._packed_form()
+        return enc.elements, packed_key(nodes, adj)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UGraph):
@@ -235,3 +221,95 @@ class UGraph:
         )
         edges = ", ".join(f"{a}-{b}" for a, b in sorted(map(lambda e: tuple(sorted(e)), self._edges)))
         return f"UGraph({nodes} | {edges})"
+
+
+def packed_graph(enc: Encoding, g: UGraph) -> tuple[tuple, tuple]:
+    """A graph in packed form: ``(nodes, adj)``.
+
+    ``nodes`` is a tuple of (node id, element mask) in id order; ``adj``
+    gives each node's neighbours as a mask over those positions, so any
+    node ids, negative or sparse, pack alike.  Two graphs are equal
+    exactly when their packed forms are.
+    """
+    labels = g.nodes
+    ids = sorted(labels)
+    position = {n: i for i, n in enumerate(ids)}
+    adj = [0] * len(ids)
+    for a, b in map(tuple, g.edges):
+        adj[position[a]] |= 1 << position[b]
+        adj[position[b]] |= 1 << position[a]
+    return tuple((n, enc.mask(labels[n])) for n in ids), tuple(adj)
+
+
+def unpacked_graph(enc: Encoding, nodes: tuple, adj: tuple) -> UGraph:
+    """The ``UGraph`` a packed graph stands for: ``packed_graph`` undone."""
+    edges = [
+        (nodes[i][0], nodes[j][0])
+        for i, j in combinations(range(len(nodes)), 2)
+        if adj[i] >> j & 1
+    ]
+    return UGraph({n: enc.names(m) for n, m in nodes}, edges)
+
+
+def element_mask(nodes: tuple) -> int:
+    """The mask of the elements a packed graph's nodes carry."""
+    mask = 0
+    for _, m in nodes:
+        mask |= m
+    return mask
+
+
+def packed_key(nodes: tuple, adj: tuple) -> tuple:
+    """The multiset of node masks and of the mask pairs along edges.
+
+    Masks stand for element sets one to one, so over one encoding two
+    graphs have equal packed keys exactly when they have the same multisets
+    of node element sets and of element-set pairs along edges.  Equal
+    packed keys need not mean isomorphic graphs when one element set sits
+    on two nodes (see ``UGraph.key``).
+    """
+    masks = [m for _, m in nodes]
+    pairs = []
+    for i, nbrs in enumerate(adj):
+        a = masks[i]
+        later = nbrs >> i + 1 << i + 1  # each edge once, from its lower end
+        while later:
+            low = later & -later
+            later ^= low
+            b = masks[low.bit_length() - 1]
+            pairs.append((a, b) if a <= b else (b, a))
+    masks.sort()
+    pairs.sort()
+    return tuple(masks), tuple(pairs)
+
+
+def element_neighbours(nodes: tuple, adj: tuple) -> dict[int, int]:
+    """Each element's bit mapped to the mask of its element-graph neighbours.
+
+    Each element's own bit is included: ``reach`` never returns to what it
+    has reached, so the extra bit is harmless.
+    """
+    out: dict[int, int] = {}
+    for (_, m), nbrs in zip(nodes, adj):
+        near = m
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            near |= nodes[low.bit_length() - 1][1]
+        while m:
+            bit = m & -m
+            m ^= bit
+            out[bit] = out.get(bit, 0) | near
+    return out
+
+
+def reach(neighbours: dict[int, int], start: int, blocked: int) -> int:
+    """Mask of what ``element_neighbours`` connects to ``start`` outside ``blocked``."""
+    reached = frontier = start
+    while frontier:
+        bit = frontier & -frontier
+        frontier ^= bit
+        new = neighbours[bit] & ~(blocked | reached)
+        reached |= new
+        frontier |= new
+    return reached

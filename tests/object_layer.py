@@ -13,10 +13,14 @@ with the same bodies: ``witness_graph``, ``singletonize``,
 ``nodes_with_element`` (a ``UGraph`` method before, so ``self`` is kept),
 ``as_floats``, and ``serialize_model`` with its ``format_digraph``.
 
-Last come verbatim copies of ``DiGraph``, with its ``_moral``, as it was
-held on name sets before it held bitmasks, and of ``build_join_tree`` as it
-was before Kruskal's loop stopped at the tree's last link: the references
-the mask ``DiGraph`` and the join-tree builder are checked against.
+Last come verbatim copies of code that ran on name sets before the package
+ran it on masks: ``ugraph._separated``; ``UGraph.key``, the name-tuple key,
+as a function of its graph (``self`` kept); ``DiGraph`` with its ``_moral``;
+``JoinTree.validate`` (again with ``self`` kept) and its ``_reach``; and
+``_UnionFind`` with ``build_join_tree`` as it was before Kruskal's loop
+stopped at the tree's last link.  They are the references that
+``UGraph.key``, the mask ``DiGraph``, ``JoinTree.validate`` and the
+join-tree builder are checked against.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from mugci import (
     Universe,
 )
 from mugci.derivation import packed_witness
-from mugci.dsep import _UnionFind
 from mugci.errors import (
     CyclicGraph,
     InvalidOrder,
@@ -50,12 +53,10 @@ from mugci.mug import (
     Combine,
     Delete,
     Move,
-    packed_graph,
     packed_singletons,
     separations,
-    unpacked_graph,
 )
-from mugci.ugraph import _separated
+from mugci.ugraph import packed_graph, unpacked_graph
 
 
 class Mug:
@@ -262,6 +263,37 @@ def serialize_model(model: ModelFile) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _separated(adj: Mapping[str, set], x, z, y) -> bool:
+    """True iff removing z leaves no path from any x-vertex to any y-vertex."""
+    stack = list(x)
+    visited = set(stack)
+    while stack:
+        v = stack.pop()
+        if v in y:
+            return False
+        for nb in adj[v]:
+            if nb not in z and nb not in visited:
+                visited.add(nb)
+                stack.append(nb)
+    return True
+
+
+def key(self) -> tuple:
+    """Canonical serialization: the multisets of node element sets and of
+    element-set pairs along edges.
+
+    Isomorphic graphs have equal keys.  Equal keys need not mean
+    isomorphic graphs when one element set sits on two nodes: edges 1–3,
+    2–4 and edges 1–3, 1–4 over nodes 1={a} 2={a} 3={b} 4={c} agree.
+    """
+    labels = {n: tuple(sorted(es)) for n, es in self._nodes.items()}
+    nodes_part = tuple(sorted(labels.values()))
+    edges_part = tuple(
+        sorted(tuple(sorted((labels[a], labels[b]))) for a, b in map(tuple, self._edges))
+    )
+    return nodes_part, edges_part
+
+
 class DiGraph:
     """Acyclic directed graph over elements, with a deterministic-node flag."""
 
@@ -423,6 +455,68 @@ def _moral(parents: Mapping[str, frozenset]) -> dict[str, set]:
         for p in ps:
             adj[p].update(ps, (v,))
     return adj
+
+
+def validate(self) -> list[str]:
+    """Diagnostics: empty means a structurally valid join tree.
+
+    Checks that links reference clusters and form a tree, and that every
+    element's clusters form a connected subtree (running intersection).
+    """
+    violations = []
+    adjacency: dict[int, set[int]] = {c: set() for c in self._clusters}
+    well_formed = 0
+    for link in sorted(self._links, key=sorted):
+        a, b = sorted(link)
+        if a not in self._clusters or b not in self._clusters:
+            violations.append(f"link {a}-{b} references a missing cluster")
+            continue
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+        well_formed += 1
+
+    if self._clusters:
+        seen = _reach(adjacency, min(self._clusters), adjacency)
+        if len(seen) != len(self._clusters) or well_formed != len(seen) - 1:
+            violations.append("links do not form a tree over the clusters")
+
+    for e in sorted(set().union(*self._clusters.values())):
+        holders = {c for c, es in self._clusters.items() if e in es}
+        if _reach(adjacency, min(holders), holders) != holders:
+            violations.append(
+                f"element {e} appears in clusters not connected through "
+                f"clusters containing it"
+            )
+    return violations
+
+
+def _reach(adjacency: Mapping[int, set], start: int, inside) -> set:
+    """Clusters reachable from start along links between clusters inside."""
+    seen, stack = {start}, [start]
+    while stack:
+        for nb in adjacency[stack.pop()]:
+            if nb in inside and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {i: i for i in items}
+
+    def find(self, i):
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
 
 
 def build_join_tree(

@@ -40,7 +40,7 @@ from mugci import (
     verify_script,
 )
 from mugci.dsep import JoinTree, build_join_tree
-from mugci.mug import packed_key, unpacked_graph
+from mugci.ugraph import packed_key, unpacked_graph
 
 from object_layer import as_floats
 

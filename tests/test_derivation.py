@@ -37,12 +37,10 @@ from mugci.errors import (
 from mugci.graphoid import AxiomStep
 from mugci.model import CanonicalStatement, Statement, TriviallyTrue, canonicalize
 from mugci.modelfile import parse_model
-from mugci.mug import (
-    append_transformed,
+from mugci.mug import append_transformed, packed_combination, packed_deletion
+from mugci.ugraph import (
     element_mask,
     element_neighbours,
-    packed_combination,
-    packed_deletion,
     packed_graph,
     packed_key,
     reach,

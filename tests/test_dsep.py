@@ -645,17 +645,67 @@ def test_mask_digraph_matches_name_set_reference():
     assert rerouted > 50
 
 
+def declared_singletons(rng, n):
+    """A graph of n single-element nodes under sparse node ids, some
+    negative, that are not in element order."""
+    names = [f"e{i:02d}" for i in range(n)]
+    ids = rng.sample(range(-40, 60), n)
+    share = rng.choice((0.1, 0.3, 0.6))
+    edges = [(a, b) for a, b in combinations(ids, 2) if rng.random() < share]
+    return names, UGraph(dict(zip(ids, ({e} for e in names))), edges)
+
+
 def test_early_kruskal_stop_matches_reference_join_trees():
     rng = random.Random(97)
     filled = 0
-    for _ in range(200):
-        names, arcs, _ = reference_dag(rng, rng.randint(1, 24), 0.0)
-        moral = DiGraph(Universe(names), arcs).moralize()
+    cases = [(1, 24, "moral")] * 200 + [(48, 64, "moral")] * 40
+    cases += [(1, 24, "declared")] * 100 + [(48, 64, "declared")] * 10
+    for low, high, kind in cases:
+        if kind == "moral":
+            names, arcs, _ = reference_dag(rng, rng.randint(low, high), 0.0)
+            g = DiGraph(Universe(names), arcs).moralize()
+        else:
+            names, g = declared_singletons(rng, rng.randint(low, high))
         order = sorted(names)
         rng.shuffle(order)
-        chordal, tree = build_join_tree(moral, order)
-        want_chordal, want_tree = object_layer.build_join_tree(moral, order)
+        chordal, tree = build_join_tree(g, order)
+        want_chordal, want_tree = object_layer.build_join_tree(g, order)
         assert chordal == want_chordal
         assert tree == want_tree
-        filled += chordal != moral
-    assert filled > 50
+        assert tree.validate() == []
+        filled += chordal != g
+    assert filled > 200
+
+
+def random_join_tree(rng):
+    """Clusters with sparse ids over a few elements, some empty or shared,
+    linked as a tree, a forest, a tree with extra links, or at random, some
+    links naming clusters that are not there."""
+    ids = rng.sample(range(-5, 30), rng.choice((0, 1, 2, 3, 4, 6, 8)))
+    clusters = {c: set(rng.sample("abcde", rng.randint(0, 3))) for c in ids}
+    links = [(ids[i], ids[rng.randrange(i)]) for i in range(1, len(ids))]
+    shape = rng.choice(("tree", "forest", "cycle", "random"))
+    if shape == "forest" and links:
+        del links[rng.randrange(len(links))]
+    elif shape == "cycle" and len(ids) > 2:
+        links += rng.sample(list(combinations(ids, 2)), 2)
+    elif shape == "random":
+        links = [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 4)) if len(ids) > 1]
+    if rng.random() < 0.25:
+        missing = rng.choice((-9, 31, 40))
+        links.append((missing, rng.choice(ids)) if ids else (missing, 41))
+    return JoinTree(clusters, links)
+
+
+def test_validate_matches_name_set_reference():
+    rng = random.Random(113)
+    seen = {"valid": 0, "missing": 0, "tree": 0, "element": 0, "empty": 0}
+    for _ in range(600):
+        t = random_join_tree(rng)
+        got = t.validate()
+        assert got == object_layer.validate(t), t
+        seen["valid"] += got == []
+        seen["empty"] += not t.clusters
+        for kind in ("missing", "tree", "element"):
+            seen[kind] += any(kind in v for v in got)
+    assert min(seen.values()) > 30, seen

@@ -30,7 +30,8 @@ from mugci import (
 from mugci.errors import InvalidOverlap, UniverseTooLarge, UnknownElement
 from mugci.graphoid import _unary, _unary_follows, contraction, first_invalid_step
 from mugci.model import Encoding, check_size
-from mugci.mug import packed_graph, separations
+from mugci.mug import separations
+from mugci.ugraph import packed_graph
 from test_mug import random_graph
 
 U4 = Universe(["w", "x", "y", "z"])

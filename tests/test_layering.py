@@ -1,0 +1,52 @@
+"""The packed undirected graph has one home, below every module that uses it.
+
+``ugraph.py`` holds the packed form, the element graph built from it, the
+mask flood and the graph key.  It may import only ``errors`` and ``model``
+from the package, so no import cycle can form through it, and each of those
+functions is defined in exactly one module, so no second copy can grow back.
+Read with ``ast`` only: nothing is imported.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mugci"
+SHARED = ("reach", "element_neighbours", "packed_key", "packed_graph")
+
+
+def parsed(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a source file imports, by module name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.partition(".")[0])
+            else:  # from . import x
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            head, _, rest = (node.module or "").partition(".")
+            if head == "mugci":
+                found.add(rest.partition(".")[0] or "__init__")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "mugci":
+                    found.add(rest.partition(".")[0] or "__init__")
+    return found
+
+
+def test_ugraph_imports_only_errors_and_model():
+    assert package_imports(parsed(PACKAGE / "ugraph.py")) <= {"errors", "model"}
+
+
+def test_each_shared_graph_function_is_defined_once():
+    homes = {name: [] for name in SHARED}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parsed(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in homes:
+                homes[node.name].append(path.stem)
+    assert homes == {name: ["ugraph"] for name in SHARED}

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from mugci.errors import (
     UnknownNode,
 )
 
+from object_layer import key as name_tuple_key
 from object_layer import nodes_with_element, singletonize
 from oracle import all_triples, as_plain, element_adjacency, separates_oracle
 
@@ -87,9 +89,20 @@ def random_multi_graph(rng, n):
     return UGraph(nodes, edges)
 
 
+def relabelled(rng, g):
+    """The same graph under sparse node ids, some negative, in another order."""
+    ids = sorted(g.nodes)
+    moved = dict(zip(ids, rng.sample(range(-50, 50), len(ids))))
+    return UGraph(
+        {moved[n]: es for n, es in g.nodes.items()},
+        [tuple(moved[n] for n in e) for e in g.edges],
+    )
+
+
 def test_element_graph_matches_the_oracle_on_random_graphs():
     rng = random.Random(8191)
     seen = {"multi": 0, "repeated": 0, "isolated": 0}
+    graphs = []
     for _ in range(300):
         g = random_multi_graph(rng, rng.randint(3, 8))
         nodes, edges = as_plain(g)
@@ -100,10 +113,26 @@ def test_element_graph_matches_the_oracle_on_random_graphs():
             frozenset(frozenset((a, b)) for a, nbrs in want.items() for b in nbrs),
         )
         assert singletonize(g).element_adjacency() == want
+        if len(g.elements) <= 6:  # 1,351 triples at 6 elements, 26,335 at 8
+            assert graph_triples(g) == oracle_triples(g)
+        # the copy over other names packs alike over its own elements
+        renamed = UGraph({n: {e.upper() for e in es} for n, es in nodes.items()}, edges)
+        graphs += [g, relabelled(rng, g), renamed]
         seen["multi"] += any(len(es) > 1 for es in nodes.values())
         seen["repeated"] += sum(map(len, nodes.values())) > len(g.elements)
         seen["isolated"] += any(g.neighbors(n) == frozenset() for n in nodes)
     assert min(seen.values()) > 50, seen
+    # Node 1 and node 2 carry one element set, so the name-tuple key cannot
+    # tell these two apart, and neither may the key.
+    nodes = {1: {"a"}, 2: {"a"}, 3: {"b"}, 4: {"c"}}
+    graphs += [UGraph(nodes, [(1, 3), (2, 4)]), UGraph(nodes, [(1, 3), (1, 4)])]
+    assert graphs[-1] != graphs[-2] and graphs[-1].key() == graphs[-2].key()
+    keys = [(g.key(), name_tuple_key(g)) for g in graphs]
+    equal = 0
+    for (key, want), (other, other_want) in combinations(keys, 2):
+        assert (key == other) == (want == other_want)
+        equal += key == other
+    assert equal > 300
 
 
 # -- separates --------------------------------------------------------------
