@@ -24,7 +24,7 @@ from .errors import (
     ReducedGraphLosesSeparation,
 )
 from .graphoid import AxiomStep, contraction, first_invalid_step
-from .model import TRIVIALLY_TRUE, CanonicalStatement, Encoding, Statement, Universe
+from .model import TRIVIALLY_TRUE, CanonicalStatement, Statement, Universe
 from .mug import (
     Combine,
     Delete,
@@ -76,27 +76,13 @@ class Exhausted:
 def packed_witness(x: int, z: int, y: int) -> tuple[tuple, tuple]:
     """The witness graph of I(x, z, y), packed as by ``packed_graph``.
 
-    One node per element, ids 0, 1, ... in element order, with cliques over
-    x+z and over y+z and nothing across: z separates x from y, and the
-    satisfied set equals the closure of the statement restricted to its
-    elements (no unintended independence sneaks in).
+    Two unlinked nodes over x+z and y+z, singletonized: one node per
+    element, ids 0, 1, ... in element order, with cliques over x+z and over
+    y+z and nothing across.  z separates x from y, and the satisfied set
+    equals the closure of the statement restricted to its elements (no
+    unintended independence sneaks in).
     """
-    bits = []
-    rest = x | z | y
-    while rest:
-        bits.append(rest & -rest)
-        rest ^= bits[-1]
-    left = right = 0  # the two cliques, as masks over node positions
-    for j, bit in enumerate(bits):
-        if bit & (x | z):
-            left |= 1 << j
-        if bit & (y | z):
-            right |= 1 << j
-    adj = tuple(
-        ((left if left >> j & 1 else 0) | (right if right >> j & 1 else 0)) & ~(1 << j)
-        for j in range(len(bits))
-    )
-    return tuple(enumerate(bits)), adj
+    return packed_singletons(((0, x | z), (1, y | z)), (0, 0))
 
 
 def initial_mug(
@@ -110,16 +96,13 @@ def initial_mug(
     canonicalized first, and trivial ones get no witness graph.
     """
     canonical = [universe.canonical(s) for s in statements]
-    enc = universe.encoding
+    mask = universe.mask
     witnesses = [
-        packed_witness(enc.mask(s.x), enc.mask(s.z), enc.mask(s.y))
+        packed_witness(mask(s.x), mask(s.z), mask(s.y))
         for s in canonical
         if s is not TRIVIALLY_TRUE
     ]
-    declared = []
-    for g in graphs:
-        universe.require(g.elements)
-        declared.append(packed_singletons(*packed_graph(enc, g)))
+    declared = [packed_singletons(*packed_graph(universe, g)) for g in graphs]
     return Mug(universe, packed=[*declared, *witnesses])
 
 
@@ -142,7 +125,7 @@ def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
     if bad is not None:
         raise ValueError(f"chain does not verify at step {bad}")
 
-    enc = m0.universe.encoding
+    universe = m0.universe
     m = m0
     moves: list[Move] = []
     for step in steps:
@@ -156,7 +139,7 @@ def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
         s1 = steps[step.premises[0]].conclusion
         s2 = steps[step.premises[1]].conclusion
         # The chain verified, so the premises pair up as contraction's.
-        x, z, y, _w = contraction(enc, enc.encode(s1), enc.encode(s2))
+        x, z, y, _w = contraction(universe, universe.encode(s1), universe.encode(s2))
         gi = m.witness(s2)
         if gi is None:
             raise PremiseNotSatisfied(f"model lost premise {s2}")
@@ -202,7 +185,7 @@ def search(
 
     States are deduplicated by their set of graph keys, a mask of key
     numbers; successor moves are ordered by graph index, deletions before
-    combinations (in ``Encoding.key`` order, which is ``statement_key``
+    combinations (in ``Universe.key`` order, which is ``statement_key``
     order), so the result is the deterministic shortest script within the
     bounds.
 
@@ -235,7 +218,7 @@ def search(
     if max_moves <= 0 or max_graphs <= 0:
         raise ValueError("search bounds must be positive")
     stats = dict.fromkeys(("dedup_hits", "rejected_graph_cap"), 0)
-    enc = m0.universe.encoding
+    universe = m0.universe
     held: dict[tuple, _Member] = {}
     gids: dict[tuple, int] = {}
     # By key number: floods, and whether the key witnesses the target.
@@ -283,11 +266,11 @@ def search(
                     z = inside ^ x
                     y = holding = free & ~reached[x, z]
                     while y:
-                        found.add(enc.pack(x, z, y))
+                        found.add(universe.pack(x, z, y))
                         y = (y - 1) & holding
                     x = (x - 1) & inside
             asked += len(covering) * ((1 << inside.bit_count()) - 1)
-            listed = listings[key] = sorted(found, key=enc.key)
+            listed = listings[key] = sorted(found, key=universe.key)
         return listed
 
     def counted() -> dict:
@@ -309,13 +292,14 @@ def search(
             combined = combinations.setdefault(mem, {})
             for p in lists[gi]:
                 if p not in combined:
-                    x, z, y = enc.unpack(p)
+                    x, z, y = universe.unpack(p)
                     added = y if x | z == mem.mask else x
                     combined[p] = member(packed_combination(mem.nodes, mem.adj, z, added))
                 yield Combine, p, gi, *combined[p]
 
+    mask = universe.mask
     try:
-        gx, gz, gy = enc.mask(target.x), enc.mask(target.z), enc.mask(target.y)
+        gx, gz, gy = mask(target.x), mask(target.z), mask(target.y)
     except KeyError:  # an element outside the universe, so no graph holds it
         return Exhausted(states_explored=0, depth_reached=0, stats=counted())
     needed = gx | gz | gy
@@ -364,7 +348,7 @@ def search(
             depth_reached = moved + 1
             # The parent's graphs already fail the target.
             if witnessed[child.gid]:
-                return MoveScript(m0, _moves(enc, path2), target, counted())
+                return MoveScript(m0, _moves(universe, path2), target, counted())
             if moved + 1 < max_moves:
                 queue.append((members + (child,), ids2, slept, moved + 1, path2, lists))
             else:
@@ -377,12 +361,12 @@ def search(
     )
 
 
-def _moves(enc: Encoding, path) -> tuple[Move, ...]:
+def _moves(universe: Universe, path) -> tuple[Move, ...]:
     """The moves along a ``search`` path, first to last, statements decoded."""
     moves = []
     while path:
         path, kind, a, b = path
-        moves.append(Combine(enc.decode(a), b) if kind is Combine else kind(a, b))
+        moves.append(Combine(universe.decode(a), b) if kind is Combine else kind(a, b))
     return tuple(reversed(moves))
 
 

@@ -1,7 +1,7 @@
 """Directed models, deterministic propagation, moral graphs, and join trees.
 
-A ``DiGraph`` is held as bitmasks over its universe's ``Encoding``: each
-element's parents and children as masks, keyed by the element's bit, the
+A ``DiGraph`` is held as bitmasks over its ``Universe``: each element's
+parents and children as masks, keyed by the element's bit, the
 deterministic elements as one mask, and a topological order of the bits.
 
 The separation test for a directed graph runs in four stages: prune to the
@@ -42,7 +42,7 @@ class DiGraph:
         deterministic: Iterable[str] = (),
     ):
         self._universe = universe
-        bits = universe.encoding.bits
+        bits = universe.bits
         parents = dict.fromkeys(bits.values(), 0)
         children = parents.copy()
         for a, b in arcs:
@@ -56,7 +56,7 @@ class DiGraph:
             children[pa] |= pb
         det = frozenset(deterministic)
         universe.require(det)
-        self._det = universe.encoding.mask(det)
+        self._det = universe.mask(det)
         self._parents = parents
         self._children = children
         self._order = _toposort(parents, children)
@@ -71,23 +71,23 @@ class DiGraph:
 
     @property
     def deterministic(self) -> frozenset:
-        return self._universe.encoding.names(self._det)
+        return self._universe.names(self._det)
 
     def parents(self, v: str) -> frozenset:
-        self._universe.require((v,))
-        enc = self._universe.encoding
-        return enc.names(self._parents[enc.bits[v]])
+        universe = self._universe
+        universe.require((v,))
+        return universe.names(self._parents[universe.bits[v]])
 
     def ancestral_prune(self, keep: Iterable[str]) -> "DiGraph":
         """Induced subgraph on keep plus all of its ancestors."""
         keep = frozenset(keep)
-        self._universe.require(keep)
-        enc = self._universe.encoding
-        kept, parents = self._ancestral(enc.mask(keep))
+        universe = self._universe
+        universe.require(keep)
+        kept, parents = self._ancestral(universe.mask(keep))
         return DiGraph(
-            Universe(enc.names(kept)),
+            Universe(universe.names(kept)),
             self._named_arcs(parents),
-            enc.names(self._det & kept),
+            universe.names(self._det & kept),
         )
 
     def det_propagate(self, z: Iterable[str]) -> "DiGraph":
@@ -100,11 +100,10 @@ class DiGraph:
         """
         z = frozenset(z)
         universe = self._universe
-        enc = universe.encoding
-        observed = enc.mask(e for e in z if e in universe)
+        observed = universe.mask(e for e in z if e in universe)
         if not self._det & ~observed:
             return self
-        parents = self._rerouted(dict(self._parents), enc.full, observed)
+        parents = self._rerouted(dict(self._parents), universe.full, observed)
         return DiGraph(universe, self._named_arcs(parents), self.deterministic)
 
     def moralize(self) -> UGraph:
@@ -134,7 +133,7 @@ class DiGraph:
         c = self._universe.canonical(Statement(x, z, y))
         if c is TRIVIALLY_TRUE:
             return True
-        mask = self._universe.encoding.mask
+        mask = self._universe.mask
         x, z, y = mask(c.x), mask(c.z), mask(c.y)
         kept, parents = self._ancestral(x | z | y)
         moral = _moral_neighbours(self._rerouted(parents, kept, z))
@@ -173,7 +172,7 @@ class DiGraph:
 
     def _named_arcs(self, parents: dict) -> list[tuple[str, str]]:
         """The arcs of a parent-mask index, as name pairs."""
-        name = {bit: e for e, bit in self._universe.encoding.bits.items()}
+        name = {bit: e for e, bit in self._universe.bits.items()}
         return [(name[p], name[c]) for c, ps in parents.items() for p in _bits(ps)]
 
     def __eq__(self, other: object) -> bool:
@@ -335,14 +334,14 @@ def build_join_tree(
     if sorted(order) != sorted(node_of):
         raise InvalidOrder("order must be a permutation of the graph's elements")
 
-    enc, nodes, _, adjacency = g._packed_form()
+    universe, nodes, _, adjacency = g._packed_form()
     adjacency = dict(adjacency)  # by element bit: itself, neighbours, fill-in
 
     fill = []  # (a, mask of the b above a that get an edge to a)
     cliques = []
     later = set()  # each eliminated element's neighbours not yet eliminated
     eliminated = 0
-    for v in map(enc.bits.__getitem__, order):
+    for v in map(universe.bits.__getitem__, order):
         nbrs = adjacency[v] & ~(eliminated | v)
         cliques.append(v | nbrs)
         later.add(nbrs)
@@ -364,9 +363,9 @@ def build_join_tree(
     # lie in the clique of the first of them, so a clique inside another is,
     # following such steps, exactly some u's later neighbours.
     maximal = sorted(
-        (c for c in cliques if c not in later), key=lambda c: sorted(enc.names(c))
+        (c for c in cliques if c not in later), key=lambda c: sorted(universe.names(c))
     )
-    clusters = {i: enc.names(c) for i, c in enumerate(maximal)}
+    clusters = {i: universe.names(c) for i, c in enumerate(maximal)}
 
     # maximal is in name order, so the stable sort keeps links of equal
     # weight in name order too.

@@ -11,9 +11,9 @@ so each statement meets only the statements it can contract with, not every
 known one.  Each derived statement remembers one derivation, replayable as
 a chain.
 
-Statements are packed into ints by ``model.Encoding`` on the way in and
-stay packed inside: the closure runs and keeps its derivation over the
-universe's encoding, and a chain check packs over the sorted union of the
+Statements are packed into ints by the closure's ``model.Universe`` on the
+way in and stay packed inside: the closure runs and keeps its derivation
+over its universe, and a chain check packs over the sorted union of the
 elements its steps use.  A model's graphs come in as graphs: the closure
 packs each one and lists its separations packed (``mug.separations``), so no
 statement object is made for them.  Statement objects appear only at the
@@ -38,7 +38,6 @@ from .model import (
     ENUMERATION_GUARD,
     TRIVIALLY_TRUE,
     CanonicalStatement,
-    Encoding,
     Statement,
     Universe,
     check_size,
@@ -60,15 +59,15 @@ class AxiomStep:
     conclusion: CanonicalStatement
 
 
-def _unary(enc: Encoding, p: int) -> list[tuple[str, int]]:
+def _unary(universe: Universe, p: int) -> list[tuple[str, int]]:
     """Decomposition and weak union of a packed statement.
 
     For each side kept whole, every non-empty proper part of the other side
     in ascending mask order (the order of the sorted names' subsets) gives
     I(kept, z, part) and I(kept, z + part, rest).  No two of these coincide.
     """
-    x, z, y = enc.unpack(p)
-    pack = enc.pack
+    x, z, y = universe.unpack(p)
+    pack = universe.pack
     out = []
     for kept, split in ((x, y), (y, x)):
         part = (-split) & split
@@ -79,36 +78,38 @@ def _unary(enc: Encoding, p: int) -> list[tuple[str, int]]:
     return out
 
 
-def _unary_follows(enc: Encoding, rule: str, p: int, c: int) -> bool:
-    """Whether ``(rule, c)`` is among ``_unary(enc, p)``, by masks alone.
+def _unary_follows(universe: Universe, rule: str, p: int, c: int) -> bool:
+    """Whether ``(rule, c)`` is among ``_unary(universe, p)``, by masks alone.
 
     The part a rule takes from the split side is read off c: its side
     other than the kept one for decomposition, what its z adds to p's for
     weak union.  Then c follows iff that part is a non-empty proper part of
     the split side and packing the rule's conclusion from it gives c.
     """
-    x, z, y = enc.unpack(p)
-    cx, cz, cy = enc.unpack(c)
+    x, z, y = universe.unpack(p)
+    cx, cz, cy = universe.unpack(c)
     for kept, split in ((x, y), (y, x)):
         if rule == "decomposition":
             part = (cx | cy) & ~kept
-            made = enc.pack(kept, z, part)
+            made = universe.pack(kept, z, part)
         else:
             part = cz & ~z
-            made = enc.pack(kept, z | part, split ^ part)
+            made = universe.pack(kept, z | part, split ^ part)
         if part and part != split and not part & ~split and made == c:
             return True
     return False
 
 
-def contraction(enc: Encoding, p1: int, p2: int) -> tuple[int, int, int, int] | None:
+def contraction(
+    universe: Universe, p1: int, p2: int
+) -> tuple[int, int, int, int] | None:
     """Masks (x, z, y, w) with p1 = I(x, z+y, w) and p2 = I(x, z, y), or None.
 
     Sides are disjoint from each other and from z, so at most one pairing
-    of the sides matches; the conclusion is ``enc.pack(x, z, y | w)``.
+    of the sides matches; the conclusion is ``universe.pack(x, z, y | w)``.
     """
-    x1, z1, y1 = enc.unpack(p1)
-    x2, z2, y2 = enc.unpack(p2)
+    x1, z1, y1 = universe.unpack(p1)
+    x2, z2, y2 = universe.unpack(p2)
     for a, w in ((x1, y1), (y1, x1)):
         for b, y in ((x2, y2), (y2, x2)):
             if a == b and z1 == z2 | y:
@@ -119,7 +120,7 @@ def contraction(enc: Encoding, p1: int, p2: int) -> tuple[int, int, int, int] | 
 class Closure:
     """Least fixpoint of an initial statement set under the axioms.
 
-    ``parents`` maps each statement, packed by the universe's encoding, to
+    ``parents`` maps each statement, packed over the universe, to
     its ``(rule, packed premises)``; statement objects are made only when a
     caller asks for them.  ``stats`` holds the deterministic work counters
     of the run that built it: ``admitted_<rule>`` for each rule that added
@@ -159,7 +160,7 @@ class Closure:
         if not isinstance(s, CanonicalStatement):
             return None
         try:
-            p = self._universe.encoding.encode(s)
+            p = self._universe.encode(s)
         except KeyError:
             return None
         return p if p in self._parents else None
@@ -172,15 +173,15 @@ class Closure:
 
     def __iter__(self) -> Iterator[CanonicalStatement]:
         """The statements in ``statement_key`` order, each decoded as it comes."""
-        enc = self._universe.encoding
-        return map(enc.decode, sorted(self._parents, key=enc.key))
+        universe = self._universe
+        return map(universe.decode, sorted(self._parents, key=universe.key))
 
     def chain(self, s: CanonicalStatement) -> tuple[AxiomStep, ...]:
         """A verifiable derivation chain ending at s."""
         p = self._packed(s)
         if p is None:
             raise KeyError(f"{s} is not in the closure")
-        decode = self._universe.encoding.decode
+        decode = self._universe.decode
         steps: list[AxiomStep] = []
         position: dict[int, int] = {}
 
@@ -223,7 +224,7 @@ def closure(
     statement object; ``Closure`` decodes on demand.
     """
     seeds = _intake(init, universe, graphs)
-    return Closure(universe, *_saturate(universe.encoding, seeds))
+    return Closure(universe, *_saturate(universe, seeds))
 
 
 def prove(
@@ -244,12 +245,11 @@ def prove(
         target = universe.canonical(target)
         if target is TRIVIALLY_TRUE:
             return ()
-    enc = universe.encoding
     try:
-        stop = enc.encode(target)
+        stop = universe.encode(target)
     except KeyError:  # an element outside the universe, so never derived
         return None
-    return Closure(universe, *_saturate(enc, seeds, stop)).query(target)
+    return Closure(universe, *_saturate(universe, seeds, stop)).query(target)
 
 
 def _intake(
@@ -263,20 +263,18 @@ def _intake(
     """
     statements = [universe.canonical(s) for s in init]
     check_size(universe, ENUMERATION_GUARD)
-    enc = universe.encoding
     seeds = dict.fromkeys(
-        (enc.encode(s) for s in statements if s is not TRIVIALLY_TRUE), 0
+        (universe.encode(s) for s in statements if s is not TRIVIALLY_TRUE), 0
     )
     for i, g in enumerate(graphs):
-        universe.require(g.elements)
         bit = 1 << i
-        for p in separations(enc, *packed_graph(enc, g)):
+        for p in separations(universe, *packed_graph(universe, g)):
             seeds[p] = seeds.get(p, 0) | bit
     return seeds
 
 
 def _saturate(
-    enc: Encoding, seeds: dict[int, int], stop: int | None = None
+    universe: Universe, seeds: dict[int, int], stop: int | None = None
 ) -> tuple[dict, dict[str, int]]:
     """The worklist run behind ``closure`` and ``prove``: ``(parents, stats)``.
 
@@ -285,7 +283,7 @@ def _saturate(
     the work those bits show to lie within one graph is skipped (see the
     module docstring).
     """
-    unpack, key = enc.unpack, enc.key
+    unpack, pack, key = universe.unpack, universe.pack, universe.key
     parents: dict[int, tuple[str, tuple[int, ...]]] = {}
     queue: deque[tuple[int, int]] = deque()
     # Contraction partners, indexed on admission: (side, z) finds the
@@ -328,13 +326,13 @@ def _saturate(
             pairs_listed += len(s1s) + len(s2s)
             for k, t, tz, ty, tbits in s1s:
                 if not tbits & bits:
-                    found.append((k, enc.pack(side, tz, ty | other), (s, t)))
+                    found.append((k, pack(side, tz, ty | other), (s, t)))
             for k, t, tw, tbits in s2s:
                 if not tbits & bits:
-                    found.append((k, enc.pack(side, z, other | tw), (t, s)))
+                    found.append((k, pack(side, z, other | tw), (t, s)))
         found.sort()
         if not bits:
-            for rule, c in _unary(enc, s):
+            for rule, c in _unary(universe, s):
                 if c not in parents:
                     admit(c, rule, (s,))
         pairs_tried += len(found)
@@ -358,16 +356,16 @@ def first_invalid_step(
 ) -> int | None:
     """Index of the first step that does not follow, or None when all do.
 
-    Every conclusion is packed once, over the sorted union of the elements
-    the chain uses, and the rules run on the packed statements; a
-    decomposition or weak-union step is one mask test, not a listing of
-    its premise's consequences.
+    Every conclusion is packed once, over a universe of the sorted union of
+    the elements the chain uses, whose names are not checked, and the rules
+    run on the packed statements; a decomposition or weak-union step is one
+    mask test, not a listing of its premise's consequences.
     """
     given = set(init)
     steps = list(chain)
     elements = frozenset().union(*(step.conclusion.elements for step in steps))
-    enc = Encoding(sorted(elements))
-    packed = [enc.encode(step.conclusion) for step in steps]
+    universe = Universe._from_sorted(sorted(elements))
+    packed = [universe.encode(step.conclusion) for step in steps]
     for i, step in enumerate(steps):
         premises = [packed[q] for q in step.premises if 0 <= q < i]
         if len(premises) != len(step.premises):
@@ -382,14 +380,14 @@ def first_invalid_step(
         elif step.rule in ("decomposition", "weak_union"):
             if len(premises) != 1:
                 return i
-            if not _unary_follows(enc, step.rule, premises[0], packed[i]):
+            if not _unary_follows(universe, step.rule, premises[0], packed[i]):
                 return i
         elif step.rule == "contraction":
-            parts = contraction(enc, *premises) if len(premises) == 2 else None
+            parts = contraction(universe, *premises) if len(premises) == 2 else None
             if parts is None:
                 return i
             x, z, y, w = parts
-            if enc.pack(x, z, y | w) != packed[i]:
+            if universe.pack(x, z, y | w) != packed[i]:
                 return i
         else:
             return i

@@ -8,10 +8,10 @@ are ordered lexicographically (symmetry absorption), and statements with an
 empty side are represented by the ``TRIVIALLY_TRUE`` marker instead of a
 statement object.
 
-Statement objects are the boundary form.  Inside, the engines work on
-``Encoding``: element sets as int bitmasks and canonical statements packed
-into single ints, encoded when a statement comes in and decoded only when a
-caller asks for an object.
+Statement objects are the boundary form.  Inside, the engines work on the
+``Universe``'s own bitmask encoding: element sets as int bitmasks and
+canonical statements packed into single ints, encoded when a statement comes
+in and decoded only when a caller asks for an object.
 """
 
 from __future__ import annotations
@@ -36,29 +36,44 @@ def _checked_name(name: str) -> str:
 
 
 class Universe:
-    """Finite ordered set of named elements; iteration is lexicographic."""
+    """Finite ordered set of named elements, and its bitmask encoding.
 
-    __slots__ = ("_elements", "_members", "_encoding")
+    Iteration is lexicographic.  Bit i of a mask stands for ``elements[i]``;
+    with the elements sorted, a mask's lowest bit is its lowest member.  A
+    canonical statement over n elements packs into ``x << 2n | z << n | y``,
+    x being the side that holds the lower lowest bit, as in
+    ``CanonicalStatement``.  This class is the only code that knows the
+    packed layout.  ``bits`` maps each element to its one-bit mask.
+    """
+
+    __slots__ = ("_elements", "_n", "full", "bits", "_sets", "_rank")
 
     def __init__(self, elements: Iterable[str]):
-        self._elements = tuple(sorted({_checked_name(e) for e in elements}))
-        self._members = frozenset(self._elements)
-        self._encoding = None
+        self._adopt(tuple(sorted({_checked_name(e) for e in elements})))
+
+    @classmethod
+    def _from_sorted(cls, elements: Iterable[str]) -> "Universe":
+        """The universe over names already distinct and sorted; nothing is
+        checked, so any strings will do."""
+        universe = cls.__new__(cls)
+        universe._adopt(tuple(elements))
+        return universe
+
+    def _adopt(self, elements: tuple[str, ...]) -> None:
+        self._elements = elements
+        self._n = len(elements)
+        self.full = (1 << self._n) - 1
+        self.bits = {e: 1 << i for i, e in enumerate(elements)}
+        self._sets: dict[int, frozenset] = {}
+        self._rank = _MaskRanks(self._n)
 
     @property
     def elements(self) -> tuple[str, ...]:
         return self._elements
 
-    @property
-    def encoding(self) -> "Encoding":
-        """The bitmask encoding over this universe, built on first use."""
-        if self._encoding is None:
-            self._encoding = Encoding(self._elements)
-        return self._encoding
-
     def require(self, names: Iterable[str]) -> None:
         """Raise UnknownElement unless every name belongs to this universe."""
-        missing = sorted(set(names) - self._members)
+        missing = sorted(set(names).difference(self.bits))
         if missing:
             raise UnknownElement(f"not in universe: {', '.join(missing)}")
 
@@ -67,14 +82,74 @@ class Universe:
         self.require(s.x | s.z | s.y)
         return canonicalize(s)
 
+    def mask(self, names: Iterable[str]) -> int:
+        """Mask of a set of names; KeyError for a name not in the universe."""
+        return sum(map(self.bits.__getitem__, names))
+
+    def names(self, mask: int) -> frozenset:
+        found = self._sets.get(mask)
+        if found is None:
+            members = []
+            rest = mask
+            while rest:
+                low = rest & -rest
+                members.append(self._elements[low.bit_length() - 1])
+                rest ^= low
+            found = self._sets[mask] = frozenset(members)
+        return found
+
+    def pack(self, a: int, z: int, b: int) -> int:
+        """The statement with disjoint non-empty sides a and b given z."""
+        if b & -b < a & -a:
+            a, b = b, a
+        n = self._n
+        return (a << n | z) << n | b
+
+    def unpack(self, p: int) -> tuple[int, int, int]:
+        n = self._n
+        return p >> n >> n, p >> n & self.full, p & self.full
+
+    def encode(self, s: CanonicalStatement) -> int:
+        """Pack a statement; KeyError if it uses an element not in the universe."""
+        n = self._n
+        return (self.mask(s.x) << n | self.mask(s.z)) << n | self.mask(s.y)
+
+    def decode(self, p: int) -> CanonicalStatement:
+        """The statement a packed int from ``pack`` or ``encode`` stands for.
+
+        Such an int is canonical by construction, so the object is built
+        without ``CanonicalStatement``'s checks, which every other
+        construction runs.
+        """
+        x, z, y = self.unpack(p)
+        names = self.names
+        s = object.__new__(CanonicalStatement)
+        fields = s.__dict__
+        fields["x"] = names(x)
+        fields["z"] = names(z)
+        fields["y"] = names(y)
+        return s
+
+    def key(self, p: int) -> int:
+        """Sort key of a packed statement, in ``statement_key`` order.
+
+        Masks are ranked by their ascending index tuples, which is how
+        ``statement_key`` orders the sets they stand for.  Each mask's rank is
+        worked out when it first occurs; no table over all 2^n masks is built.
+        """
+        n = self._n
+        full = self.full
+        rank = self._rank
+        return (rank[p >> n >> n] << n | rank[p >> n & full]) << n | rank[p & full]
+
     def __iter__(self) -> Iterator[str]:
         return iter(self._elements)
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return self._n
 
     def __contains__(self, name: object) -> bool:
-        return name in self._members
+        return name in self.bits
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Universe):
@@ -188,88 +263,6 @@ def check_size(universe: Universe, max_elements: int) -> None:
         )
 
 
-class Encoding:
-    """Element sets as int bitmasks, canonical statements as packed ints.
-
-    Bit i of a mask stands for ``elements[i]``; with the elements sorted,
-    a mask's lowest bit is its lowest member.  A canonical statement over n
-    elements packs into ``x << 2n | z << n | y``, x being the side that
-    holds the lower lowest bit, as in ``CanonicalStatement``.  This class is
-    the only code that knows the packed layout.  ``bits`` maps each element
-    to its one-bit mask.
-    """
-
-    __slots__ = ("elements", "full", "bits", "_n", "_sets", "_rank")
-
-    def __init__(self, elements: Iterable[str]):
-        self.elements = tuple(elements)
-        self._n = len(self.elements)
-        self.full = (1 << self._n) - 1
-        self.bits = {e: 1 << i for i, e in enumerate(self.elements)}
-        self._sets: dict[int, frozenset] = {}
-        self._rank = _MaskRanks(self._n)
-
-    def mask(self, names: Iterable[str]) -> int:
-        """Mask of a set of names; KeyError for a name not encoded."""
-        return sum(map(self.bits.__getitem__, names))
-
-    def names(self, mask: int) -> frozenset:
-        found = self._sets.get(mask)
-        if found is None:
-            members = []
-            rest = mask
-            while rest:
-                low = rest & -rest
-                members.append(self.elements[low.bit_length() - 1])
-                rest ^= low
-            found = self._sets[mask] = frozenset(members)
-        return found
-
-    def pack(self, a: int, z: int, b: int) -> int:
-        """The statement with disjoint non-empty sides a and b given z."""
-        if b & -b < a & -a:
-            a, b = b, a
-        n = self._n
-        return (a << n | z) << n | b
-
-    def unpack(self, p: int) -> tuple[int, int, int]:
-        n = self._n
-        return p >> n >> n, p >> n & self.full, p & self.full
-
-    def encode(self, s: CanonicalStatement) -> int:
-        """Pack a statement; KeyError if it uses an element not encoded."""
-        n = self._n
-        return (self.mask(s.x) << n | self.mask(s.z)) << n | self.mask(s.y)
-
-    def decode(self, p: int) -> CanonicalStatement:
-        """The statement a packed int from ``pack`` or ``encode`` stands for.
-
-        Such an int is canonical by construction, so the object is built
-        without ``CanonicalStatement``'s checks, which every other
-        construction runs.
-        """
-        x, z, y = self.unpack(p)
-        names = self.names
-        s = object.__new__(CanonicalStatement)
-        fields = s.__dict__
-        fields["x"] = names(x)
-        fields["z"] = names(z)
-        fields["y"] = names(y)
-        return s
-
-    def key(self, p: int) -> int:
-        """Sort key of a packed statement, in ``statement_key`` order.
-
-        Masks are ranked by their ascending index tuples, which is how
-        ``statement_key`` orders the sets they stand for.  Each mask's rank is
-        worked out when it first occurs; no table over all 2^n masks is built.
-        """
-        n = self._n
-        full = self.full
-        rank = self._rank
-        return (rank[p >> n >> n] << n | rank[p >> n & full]) << n | rank[p & full]
-
-
 class _MaskRanks(dict):
     """Each n-bit mask's rank in ascending-index-tuple order, kept once asked."""
 
@@ -291,9 +284,7 @@ class _MaskRanks(dict):
         return r
 
 
-def enumerate_canonical(
-    universe: Universe, max_elements: int = ENUMERATION_GUARD
-) -> Iterator[CanonicalStatement]:
+def enumerate_canonical(universe: Universe) -> Iterator[CanonicalStatement]:
     """Yield every canonical statement over the universe exactly once.
 
     Element sets are bitmasks over the sorted universe: x, then y among the
@@ -302,9 +293,8 @@ def enumerate_canonical(
     bits, and each statement is generated once.  Statements come out sorted
     by ``statement_key`` so callers see a stable order.
     """
-    check_size(universe, max_elements)
-    enc = universe.encoding
-    full = enc.full
+    check_size(universe, ENUMERATION_GUARD)
+    full = universe.full
     packed = []
     for x in range(1, full + 1):
         x_low = x & -x
@@ -315,11 +305,11 @@ def enumerate_canonical(
                 free = rest & ~y
                 z = free
                 while True:
-                    packed.append(enc.pack(x, z, y))
+                    packed.append(universe.pack(x, z, y))
                     if not z:
                         break
                     z = (z - 1) & free
             y = (y - 1) & rest
-    packed.sort(key=enc.key)
+    packed.sort(key=universe.key)
     for p in packed:
-        yield enc.decode(p)
+        yield universe.decode(p)

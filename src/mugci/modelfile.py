@@ -158,7 +158,7 @@ def parse_model(text: str) -> ModelFile:
             members = frozenset(names)
             if len(members) != len(names):
                 raise p.error("duplicate element in universe", i)
-            model = ModelFile(Universe(names))
+            model = ModelFile(Universe._from_sorted(sorted(names)))
             i = end
             continue
         if head not in _DECLARATIONS:
@@ -240,7 +240,7 @@ def _digraph_block(
             i += 2
         elif head == "}":
             if len(declared) != len(members):
-                universe = Universe(declared)
+                universe = Universe._from_sorted(sorted(declared))
             return DiGraph(universe, arcs, deterministic), i + 1
         else:
             raise p.expected(

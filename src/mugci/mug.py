@@ -5,11 +5,12 @@ and witnesses the separation.  Transformations never mutate: they append the
 transformed graph (deduplicated by canonical key), so the satisfied set can
 only grow along a derivation.
 
-Graphs are held in ``ugraph``'s packed form (``packed_graph``): node element
-masks and neighbour bitmasks.  This module holds the one implementation of
-each graph move on that form, which ``Mug``, replay, script checks and
-search share; models deduplicate by ``ugraph.packed_key`` and keep each
-graph's floods (``Floods``, over ``ugraph.reach``).
+Graphs are held in ``ugraph``'s packed form (``packed_graph``) over the
+model's ``Universe``: node element masks and neighbour bitmasks.  This
+module holds the one implementation of each graph move on that form, which
+``Mug``, replay, script checks and search share; models deduplicate by
+``ugraph.packed_key`` and keep each graph's floods (``Floods``, over
+``ugraph.reach``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import StatementNotSatisfied, UnknownNode, WrongElementSet
 from .model import (
     ENUMERATION_GUARD,
     CanonicalStatement,
-    Encoding,
     Universe,
     check_size,
 )
@@ -47,15 +47,14 @@ class Mug:
         graphs: Iterable[UGraph] = (),
         packed: Iterable[tuple[tuple, tuple]] = (),
     ):
-        """The graphs, then the ``packed`` graphs over the universe's encoding."""
+        """The graphs, packed over the universe, then the ``packed`` graphs."""
         self._universe = universe
         self._packed: tuple[tuple[tuple, tuple], ...] = ()
         self._masks: tuple[int, ...] = ()
         self._index: dict[tuple, int] = {}
         self._floods: list[Floods] = []
         for g in graphs:
-            universe.require(g.elements)
-            self._add(packed_graph(universe.encoding, g))
+            self._add(packed_graph(universe, g))
         for graph in packed:
             self._add(graph)
 
@@ -70,8 +69,8 @@ class Mug:
     @property
     def graphs(self) -> tuple[UGraph, ...]:
         """The graphs as ``UGraph`` objects, decoded on each call."""
-        enc = self._universe.encoding
-        return tuple(unpacked_graph(enc, *g) for g in self._packed)
+        universe = self._universe
+        return tuple(unpacked_graph(universe, *g) for g in self._packed)
 
     def witness(self, s: CanonicalStatement) -> int | None:
         """Index of the first graph satisfying s, or None.
@@ -79,9 +78,9 @@ class Mug:
         A graph that does not contain every element of the statement is
         never a witness.
         """
-        enc = self._universe.encoding
+        universe = self._universe
         try:
-            x, z, y = enc.mask(s.x), enc.mask(s.z), enc.mask(s.y)
+            x, z, y = universe.mask(s.x), universe.mask(s.z), universe.mask(s.y)
         except KeyError:  # an element outside the universe, so no graph holds it
             return None
         needed = x | z | y
@@ -99,12 +98,12 @@ class Mug:
 
         Generated graph by graph, not tested one by one: see ``separations``.
         """
-        check_size(self._universe, ENUMERATION_GUARD)
-        enc = self._universe.encoding
+        universe = self._universe
+        check_size(universe, ENUMERATION_GUARD)
         found: set[int] = set()
         for g in self._packed:
-            found.update(separations(enc, *g))
-        return frozenset(map(enc.decode, found))
+            found.update(separations(universe, *g))
+        return frozenset(map(universe.decode, found))
 
     def singletonized(self) -> "Mug":
         """This model with each graph as ``packed_singletons`` rebuilds it."""
@@ -115,8 +114,7 @@ class Mug:
 
     def with_graph(self, g: UGraph) -> tuple["Mug", int]:
         """Append a graph, deduplicating by key; returns (mug, graph index)."""
-        self._universe.require(g.elements)
-        return self._appended(packed_graph(self._universe.encoding, g))
+        return self._appended(packed_graph(self._universe, g))
 
     def _add(self, graph: tuple[tuple, tuple]) -> int:
         """Add a packed graph in place unless its key is here; its index."""
@@ -227,7 +225,7 @@ class Floods(dict):
         return reached
 
 
-def separations(enc: Encoding, nodes: tuple, adj: tuple) -> list[int]:
+def separations(universe: Universe, nodes: tuple, adj: tuple) -> list[int]:
     """Every statement a packed graph witnesses, packed.
 
     I(x, z, y) holds in g iff its elements lie in g and no connected
@@ -236,6 +234,7 @@ def separations(enc: Encoding, nodes: tuple, adj: tuple) -> list[int]:
     of itself to x, to y, or nothing; the side holding the lower lowest bit
     is x.
     """
+    pack = universe.pack
     members = element_mask(nodes)
     neighbours = element_neighbours(nodes, adj)
     out = []
@@ -255,7 +254,7 @@ def separations(enc: Encoding, nodes: tuple, adj: tuple) -> list[int]:
                 (x, y | part) for x, y in pairs for part in parts
             ]
         out.extend(
-            enc.pack(x, z, y) for x, y in pairs if x and y and x & -x < y & -y
+            pack(x, z, y) for x, y in pairs if x and y and x & -x < y & -y
         )
         if z == members:
             return out
@@ -300,12 +299,12 @@ def append_transformed(m: Mug, move: Move) -> tuple[Mug, int]:
         raise TypeError(f"not a canonical statement: {s!r}")
     if m.witness(s) is None:
         raise StatementNotSatisfied(f"model does not satisfy {s}")
-    enc = m.universe.encoding
-    x, z, y = enc.mask(s.x), enc.mask(s.z), enc.mask(s.y)
+    universe = m.universe
+    x, z, y = universe.mask(s.x), universe.mask(s.z), universe.mask(s.y)
     inside = m._masks[gi]
     added = y if inside == x | z else x if inside == y | z else 0
     if not added:
         raise WrongElementSet(
-            f"graph covers {sorted(enc.names(inside))}, not one side of {s} plus z"
+            f"graph covers {sorted(universe.names(inside))}, not one side of {s} plus z"
         )
     return m._appended(packed_combination(nodes, adj, z, added))

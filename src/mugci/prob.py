@@ -175,17 +175,13 @@ def ci_holds(
     return True
 
 
-def all_ci(p: DiscreteJoint, max_variables: int = ALL_CI_GUARD) -> frozenset:
+def all_ci(p: DiscreteJoint) -> frozenset:
     """Every canonical statement over the variables that holds in the joint."""
-    if len(p.variables) > max_variables:
-        raise UniverseTooLarge(
-            f"{len(p.variables)} variables, guard is {max_variables}"
-        )
+    if len(p.variables) > ALL_CI_GUARD:
+        raise UniverseTooLarge(f"{len(p.variables)} variables, guard is {ALL_CI_GUARD}")
     universe = Universe(p.variables)
     return frozenset(
-        s
-        for s in enumerate_canonical(universe, max_variables)
-        if ci_holds(p, s.x, s.z, s.y)
+        s for s in enumerate_canonical(universe) if ci_holds(p, s.x, s.z, s.y)
     )
 
 

@@ -4,14 +4,14 @@ Separation is always evaluated on the element graph: two elements are
 adjacent iff they share a node or sit in adjacent nodes.  This single rule
 covers plain graphs, multi-element nodes, and repeated elements uniformly.
 
-A graph is packed (``packed_graph``) into node element masks and neighbour
-bitmasks over an ``Encoding``.  This module holds the one implementation of
+A graph is packed (``packed_graph``) over a ``Universe`` into node element
+masks and neighbour bitmasks.  This module holds the one implementation of
 the packed form, the element graph built from it (``element_neighbours``),
 the mask flood behind every separation (``reach``) and the graph key
-(``packed_key``).  A ``UGraph`` packs itself once, over its own sorted
-elements, and answers its queries from that form; ``mug``, ``derivation``
-and ``dsep`` use the same functions.  All transformations are pure and
-return new graphs.
+(``packed_key``).  A ``UGraph`` packs itself once, over a universe of its
+own sorted elements, and answers its queries from that form; ``mug``,
+``derivation`` and ``dsep`` use the same functions.  All transformations
+are pure and return new graphs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     SelfLoop,
     UnknownNode,
 )
-from .model import Encoding
+from .model import Universe
 
 
 @dataclass(frozen=True)
@@ -124,23 +124,28 @@ class UGraph:
             raise MissingElements(f"graph lacks {', '.join(sorted(missing))}")
         if x & y or x & z or y & z:
             raise InvalidOverlap("separation queries take a canonicalized triple")
-        enc, _, _, neighbours = self._packed_form()
-        return not reach(neighbours, enc.mask(x), enc.mask(z)) & enc.mask(y)
+        universe, _, _, neighbours = self._packed_form()
+        mask = universe.mask
+        return not reach(neighbours, mask(x), mask(z)) & mask(y)
 
     def element_adjacency(self) -> Mapping[str, frozenset]:
         """Each element's neighbours in the element graph (read-only view)."""
-        enc, _, _, neighbours = self._packed_form()
+        universe, _, _, neighbours = self._packed_form()
+        names = universe.names
         return MappingProxyType(
-            {e: enc.names(neighbours[bit] & ~bit) for e, bit in enc.bits.items()}
+            {e: names(neighbours[bit] & ~bit) for e, bit in universe.bits.items()}
         )
 
-    def _packed_form(self) -> tuple[Encoding, tuple, tuple, dict[int, int]]:
-        """The encoding of the sorted elements, the graph packed over it, and
-        its ``element_neighbours``, built on first use."""
+    def _packed_form(self) -> tuple[Universe, tuple, tuple, dict[int, int]]:
+        """The universe of the graph's elements, the graph packed over it,
+        and its ``element_neighbours``, built on first use.
+
+        The names are not checked: a graph may carry any strings.
+        """
         if self._packed is None:
-            enc = Encoding(sorted(self.elements))
-            nodes, adj = packed_graph(enc, self)
-            self._packed = enc, nodes, adj, element_neighbours(nodes, adj)
+            universe = Universe._from_sorted(sorted(self.elements))
+            nodes, adj = packed_graph(universe, self)
+            self._packed = universe, nodes, adj, element_neighbours(nodes, adj)
         return self._packed
 
     def add_arcs(self, arcs: Iterable) -> "UGraph":
@@ -204,8 +209,8 @@ class UGraph:
         isomorphic graphs when one element set sits on two nodes: edges 1–3,
         2–4 and edges 1–3, 1–4 over nodes 1={a} 2={a} 3={b} 4={c} agree.
         """
-        enc, nodes, adj, _ = self._packed_form()
-        return enc.elements, packed_key(nodes, adj)
+        universe, nodes, adj, _ = self._packed_form()
+        return universe.elements, packed_key(nodes, adj)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UGraph):
@@ -223,14 +228,16 @@ class UGraph:
         return f"UGraph({nodes} | {edges})"
 
 
-def packed_graph(enc: Encoding, g: UGraph) -> tuple[tuple, tuple]:
-    """A graph in packed form: ``(nodes, adj)``.
+def packed_graph(universe: Universe, g: UGraph) -> tuple[tuple, tuple]:
+    """A graph in packed form over the universe: ``(nodes, adj)``.
 
     ``nodes`` is a tuple of (node id, element mask) in id order; ``adj``
     gives each node's neighbours as a mask over those positions, so any
     node ids, negative or sparse, pack alike.  Two graphs are equal
-    exactly when their packed forms are.
+    exactly when their packed forms are.  Raises UnknownElement unless
+    the universe holds every element of the graph.
     """
+    universe.require(g.elements)
     labels = g.nodes
     ids = sorted(labels)
     position = {n: i for i, n in enumerate(ids)}
@@ -238,17 +245,17 @@ def packed_graph(enc: Encoding, g: UGraph) -> tuple[tuple, tuple]:
     for a, b in map(tuple, g.edges):
         adj[position[a]] |= 1 << position[b]
         adj[position[b]] |= 1 << position[a]
-    return tuple((n, enc.mask(labels[n])) for n in ids), tuple(adj)
+    return tuple((n, universe.mask(labels[n])) for n in ids), tuple(adj)
 
 
-def unpacked_graph(enc: Encoding, nodes: tuple, adj: tuple) -> UGraph:
+def unpacked_graph(universe: Universe, nodes: tuple, adj: tuple) -> UGraph:
     """The ``UGraph`` a packed graph stands for: ``packed_graph`` undone."""
     edges = [
         (nodes[i][0], nodes[j][0])
         for i, j in combinations(range(len(nodes)), 2)
         if adj[i] >> j & 1
     ]
-    return UGraph({n: enc.names(m) for n, m in nodes}, edges)
+    return UGraph({n: universe.names(m) for n, m in nodes}, edges)
 
 
 def element_mask(nodes: tuple) -> int:
@@ -262,7 +269,7 @@ def element_mask(nodes: tuple) -> int:
 def packed_key(nodes: tuple, adj: tuple) -> tuple:
     """The multiset of node masks and of the mask pairs along edges.
 
-    Masks stand for element sets one to one, so over one encoding two
+    Masks stand for element sets one to one, so over one universe two
     graphs have equal packed keys exactly when they have the same multisets
     of node element sets and of element-set pairs along edges.  Equal
     packed keys need not mean isomorphic graphs when one element set sits

@@ -3,15 +3,19 @@
 A verbatim copy of the ``Mug`` that ran on ``UGraph`` objects before it
 held packed graphs, with ``combination_graph``, ``append_transformed`` and
 ``UGraph.delete_node``, kept as the reference that ``mugci.mug`` and its
-packed moves are checked against.  Three lines differ from the original:
+packed moves are checked against.  Four lines differ from the original:
 ``delete_node`` is a function of its graph (dedented, with ``self`` kept),
 so ``append_transformed`` calls it as one, and ``enumerate_satisfied``
-packs each graph for ``separations``, which now takes a packed graph.
+packs each graph for ``separations``, which now takes a packed graph, over
+the universe itself, which now holds the bitmask encoding.
 
 Below them are helpers that only tests called, copied from the package
 with the same bodies: ``witness_graph``, ``singletonize``,
 ``nodes_with_element`` (a ``UGraph`` method before, so ``self`` is kept),
-``as_floats``, and ``serialize_model`` with its ``format_digraph``.
+``as_floats``, and ``serialize_model`` with its ``format_digraph``.  With
+them is ``reference_packed_witness``, a verbatim copy of
+``derivation.packed_witness`` as it was before it singletonized two unlinked
+nodes, renamed.
 
 Last come verbatim copies of code that ran on name sets before the package
 ran it on masks: ``ugraph._separated``; ``UGraph.key``, the name-tuple key,
@@ -47,7 +51,7 @@ from mugci.errors import (
     UnknownNode,
     WrongElementSet,
 )
-from mugci.model import ENUMERATION_GUARD, Encoding, check_size, format_set
+from mugci.model import ENUMERATION_GUARD, check_size, format_set
 from mugci.modelfile import format_jointree, format_ugraph
 from mugci.mug import (
     Combine,
@@ -101,7 +105,7 @@ class Mug:
         Generated graph by graph, not tested one by one: see ``separations``.
         """
         check_size(self._universe, ENUMERATION_GUARD)
-        enc = self._universe.encoding
+        enc = self._universe
         found: set[int] = set()
         for g in self._graphs:
             found.update(separations(enc, *packed_graph(enc, g)))
@@ -216,14 +220,40 @@ def witness_graph(s: CanonicalStatement) -> UGraph:
 
     It is ``packed_witness`` decoded over the statement's own elements.
     """
-    enc = Encoding(sorted(s.elements))
+    enc = Universe._from_sorted(sorted(s.elements))
     x, z, y = enc.mask(s.x), enc.mask(s.z), enc.mask(s.y)
     return unpacked_graph(enc, *packed_witness(x, z, y))
 
 
+def reference_packed_witness(x: int, z: int, y: int) -> tuple[tuple, tuple]:
+    """The witness graph of I(x, z, y), packed as by ``packed_graph``.
+
+    One node per element, ids 0, 1, ... in element order, with cliques over
+    x+z and over y+z and nothing across: z separates x from y, and the
+    satisfied set equals the closure of the statement restricted to its
+    elements (no unintended independence sneaks in).
+    """
+    bits = []
+    rest = x | z | y
+    while rest:
+        bits.append(rest & -rest)
+        rest ^= bits[-1]
+    left = right = 0  # the two cliques, as masks over node positions
+    for j, bit in enumerate(bits):
+        if bit & (x | z):
+            left |= 1 << j
+        if bit & (y | z):
+            right |= 1 << j
+    adj = tuple(
+        ((left if left >> j & 1 else 0) | (right if right >> j & 1 else 0)) & ~(1 << j)
+        for j in range(len(bits))
+    )
+    return tuple(enumerate(bits)), adj
+
+
 def singletonize(g: UGraph) -> UGraph:
     """Rebuild a graph with one node per element, preserving separations."""
-    enc = Encoding(sorted(g.elements))
+    enc = Universe._from_sorted(sorted(g.elements))
     return unpacked_graph(enc, *packed_singletons(*packed_graph(enc, g)))
 
 
@@ -437,15 +467,6 @@ class DiGraph:
     def __repr__(self) -> str:
         arcs = ", ".join(f"{a}->{b}" for a, b in sorted(self._arcs))
         return f"DiGraph({arcs}; det={format_set(self._deterministic)})"
-
-
-def _moral(parents: Mapping[str, frozenset]) -> dict[str, set]:
-    """Each element's parents, children and co-parents, and maybe itself."""
-    adj = {v: set(ps) for v, ps in parents.items()}
-    for v, ps in parents.items():
-        for p in ps:
-            adj[p].update(ps, (v,))
-    return adj
 
 
 def _moral(parents: Mapping[str, frozenset]) -> dict[str, set]:

@@ -81,7 +81,7 @@ def test_criterion_1_scripts_prove_exactly_the_closure():
         def graph_statements(u, key, packed, pool):
             cached = stmt_cache.get((len(u), key))
             if cached is None:
-                g = unpacked_graph(u.encoding, *packed)
+                g = unpacked_graph(u, *packed)
                 cached = frozenset(
                     s
                     for s in pool
@@ -150,7 +150,7 @@ def test_criterion_1_scripts_prove_exactly_the_closure_of_graph_models():
                 replayed += 1
                 moved += len(script.moves) > 0
             # soundness: every generated graph satisfies only closure statements
-            graphs = [unpacked_graph(u.encoding, *g) for g in seen.values()]
+            graphs = [unpacked_graph(u, *g) for g in seen.values()]
             assert Mug(u, graphs).enumerate_satisfied() <= cl.statements
         # derived statements take moves; some models derive many
         assert replayed > 3000 and moved > 1000

@@ -27,6 +27,7 @@ from mugci import (
     statement_key,
     verify_script,
 )
+from mugci.derivation import packed_witness
 from mugci.errors import (
     ModelError,
     PremiseNotSatisfied,
@@ -150,6 +151,33 @@ def test_witness_graphs_match_the_element_pair_construction():
         want = Mug(u, [*map(singletonize, graphs), *witnesses])
         assert m0.packed == want.packed
         assert len(m0.packed) == 4
+
+
+def test_packed_witness_matches_the_two_clique_construction():
+    # Disjoint non-empty x and y and a disjoint z, drawn over 2-10 bits with
+    # gaps, so the witness's node positions differ from its element bits.
+    rng = random.Random(2203)
+    shapes = {"empty z": 0, "single side": 0}
+    for _ in range(4000):
+        n = rng.randint(2, 10)
+        bits = [1 << i for i in range(n)]
+        x, y, *rest = rng.sample(bits, rng.randint(2, n))
+        z = 0
+        for bit in rest:
+            roll = rng.random()
+            if roll < 0.3:
+                x |= bit
+            elif roll < 0.6:
+                y |= bit
+            else:
+                z |= bit
+        want = object_layer.reference_packed_witness(x, z, y)
+        assert packed_witness(x, z, y) == want == packed_witness(y, z, x)
+        shapes["empty z"] += not z
+        shapes["single side"] += x.bit_count() == 1 or y.bit_count() == 1
+    assert min(shapes.values()) > 300, shapes
+    assert packed_witness(1, 0, 2) == (((0, 1), (1, 2)), (0, 0))
+    assert packed_witness(0b1, 0b10, 0b100) == (((0, 1), (1, 2), (2, 4)), (2, 5, 2))
 
 
 # -- replay -------------------------------------------------------------------
@@ -370,7 +398,7 @@ def _packed_test_graphs(count):
 
 
 def test_packed_graph_round_trips():
-    enc = U6.encoding
+    enc = U6
     for g in _packed_test_graphs(200):
         nodes, adj = packed_graph(enc, g)
         assert [n for n, _ in nodes] == sorted(g.nodes)
@@ -378,7 +406,7 @@ def test_packed_graph_round_trips():
 
 
 def test_packed_deletion_is_delete_node():
-    enc = U6.encoding
+    enc = U6
     for g in _packed_test_graphs(200):
         packed = packed_graph(enc, g)
         for i, (n, _) in enumerate(packed[0]):
@@ -387,7 +415,7 @@ def test_packed_deletion_is_delete_node():
 
 
 def test_packed_combination_is_combination_graph():
-    enc = U6.encoding
+    enc = U6
     rng = random.Random(24)
     checked = 0
     for g in _packed_test_graphs(200):
@@ -407,7 +435,7 @@ def test_packed_combination_is_combination_graph():
 
 
 def test_packed_key_groups_graphs_as_ugraph_key_does():
-    enc = U4.encoding
+    enc = U4
     rng = random.Random(25)
     graphs = []
     for _ in range(120):
@@ -441,7 +469,7 @@ def test_packed_key_groups_graphs_as_ugraph_key_does():
 
 
 def _combine_candidates(m: Mug, gi: int) -> list[Combine]:
-    elements = m.universe.encoding.names(element_mask(m.packed[gi][0]))
+    elements = m.universe.names(element_mask(m.packed[gi][0]))
     inside = sorted(elements)
     outside = sorted(set(m.universe) - elements)
     if not outside:
@@ -887,7 +915,7 @@ def parent_search(
 
     States are deduplicated by their set of graph keys, a mask of key
     numbers; successor moves are ordered by graph index, deletions before
-    combinations (in ``Encoding.key`` order, which is ``statement_key``
+    combinations (in ``Universe.key`` order, which is ``statement_key``
     order), so the result is the deterministic shortest script within the
     bounds.
 
@@ -920,7 +948,7 @@ def parent_search(
     stats = dict.fromkeys(
         ("dedup_hits", "rejected_graph_cap", "answer_hits", "answer_misses"), 0
     )
-    enc = m0.universe.encoding
+    enc = m0.universe
     held: dict[tuple, _Member] = {}
     gids: dict[tuple, int] = {}
     answers: list[dict] = []
@@ -969,7 +997,7 @@ def parent_search(
         """Candidates for a graph over ``inside``, as (packed, elements) pairs.
 
         One side plus z is exactly ``inside``, the other lies in ``extra``;
-        the list is in ``Encoding.key`` order.
+        the list is in ``Universe.key`` order.
         """
         if (inside, extra) not in candidates:
             found = {}

@@ -29,7 +29,7 @@ from mugci import (
 )
 from mugci.errors import InvalidOverlap, UniverseTooLarge, UnknownElement
 from mugci.graphoid import _unary, _unary_follows, contraction, first_invalid_step
-from mugci.model import Encoding, check_size
+from mugci.model import check_size
 from mugci.mug import separations
 from mugci.ugraph import packed_graph
 from test_mug import random_graph
@@ -201,13 +201,13 @@ def test_closure_decodes_only_the_statements_a_chain_returns(monkeypatch):
     u = Universe(names)
     init = [cs([a], [], names[i + 1:]) for i, a in enumerate(names[:-1])]
     decoded = []
-    real_decode = Encoding.decode
+    real_decode = Universe.decode
 
     def counting_decode(self, p):
         decoded.append(p)
         return real_decode(self, p)
 
-    monkeypatch.setattr(Encoding, "decode", counting_decode)
+    monkeypatch.setattr(Universe, "decode", counting_decode)
     cl = closure(init, u)
     target = cs(names[:2], names[2:4], names[4:])
     assert decoded == [] and len(cl) == 6069 and target in cl
@@ -215,7 +215,7 @@ def test_closure_decodes_only_the_statements_a_chain_returns(monkeypatch):
     assert [st.rule for st in chain] == [
         "given", "weak_union", "given", "weak_union", "contraction"
     ]
-    assert decoded == [u.encoding.encode(st.conclusion) for st in chain]
+    assert decoded == [u.encode(st.conclusion) for st in chain]
     assert verify_chain(chain, init)
 
 
@@ -328,7 +328,7 @@ def all_pairs_closure(init, universe):
             for c in _contraction_consequences(t, s):
                 admit(c, "contraction", (t, s))
     # Closure keeps its derivation packed: encode at the boundary only.
-    encode = universe.encoding.encode
+    encode = universe.encode
     packed = {
         encode(c): (rule, tuple(map(encode, premises)))
         for c, (rule, premises) in parents.items()
@@ -442,7 +442,7 @@ def parent_closure(
     """
     statements = [universe.canonical(s) for s in init]
     check_size(universe, ENUMERATION_GUARD)
-    enc = universe.encoding
+    enc = universe
     seeds = {enc.encode(s) for s in statements if s is not TRIVIALLY_TRUE}
     for g in graphs:
         universe.require(g.elements)
@@ -690,14 +690,14 @@ def test_closure_stats_on_eight_element_path():
 
 def test_unary_rules_match_frozenset_rules():
     for s in statements_over(Universe("abcde")):
-        enc = Encoding(sorted(s.elements))
+        enc = Universe._from_sorted(sorted(s.elements))
         got = [(rule, enc.decode(c)) for rule, c in _unary(enc, enc.encode(s))]
         assert got == _unary_consequences(s)
 
 
 def test_unary_mask_test_matches_unary_membership():
     # every (premise, conclusion, rule) triple over five elements
-    enc = Universe("abcde").encoding
+    enc = Universe("abcde")
     packed = [enc.encode(s) for s in statements_over(Universe("abcde"))]
     follows = 0
     for p in packed:
@@ -715,7 +715,7 @@ def test_contraction_rule_matches_frozenset_rule():
     matched = 0
     for s1 in pool:
         for s2 in pool:
-            enc = Encoding(sorted(s1.elements | s2.elements))
+            enc = Universe._from_sorted(sorted(s1.elements | s2.elements))
             parts = contraction(enc, enc.encode(s1), enc.encode(s2))
             got = []
             if parts is not None:
@@ -786,3 +786,36 @@ def test_chain_check_matches_frozenset_rules_on_corrupted_chains():
             )
             checked += first_invalid_step(chain, init) is not None
     assert checked > 100
+
+
+def test_chain_check_over_names_that_are_not_identifiers():
+    # A chain check packs over a universe of the chain's own elements that
+    # checks no names, so hand-built statements may carry any strings.  The
+    # renaming keeps the names' order, so each chain must check as it does
+    # over a, b, ...
+    rename = dict(zip("abcde", sorted(["1", "a b", "é", "x-y", "٣"])))
+
+    def renamed(s: CanonicalStatement) -> CanonicalStatement:
+        return CanonicalStatement(
+            *(frozenset(rename[e] for e in side) for side in (s.x, s.z, s.y))
+        )
+
+    rng = random.Random(3407)
+    pool = statements_over(Universe("abcde"))
+    verdicts = {True: 0, False: 0}
+    for _ in range(40):
+        init = rng.sample(pool, rng.randint(1, 3))
+        cl = closure(init, Universe("abcde"))
+        ordered = sorted(cl.statements, key=statement_key)
+        for s in rng.sample(ordered, min(3, len(ordered))):
+            chain = list(cl.chain(s))
+            if rng.random() < 0.5:
+                i = rng.randrange(len(chain))
+                chain[i] = AxiomStep(chain[i].rule, chain[i].premises, rng.choice(pool))
+            odd = [AxiomStep(t.rule, t.premises, renamed(t.conclusion)) for t in chain]
+            odd_init = list(map(renamed, init))
+            want = first_invalid_step(chain, init)
+            assert first_invalid_step(odd, odd_init) == want
+            assert verify_chain(odd, odd_init) == (want is None)
+            verdicts[want is None] += 1
+    assert min(verdicts.values()) > 20, verdicts

@@ -1,10 +1,11 @@
-"""The packed undirected graph has one home, below every module that uses it.
+"""The packed undirected graph and the packed layout each have one home.
 
 ``ugraph.py`` holds the packed form, the element graph built from it, the
 mask flood and the graph key.  It may import only ``errors`` and ``model``
 from the package, so no import cycle can form through it, and each of those
 functions is defined in exactly one module, so no second copy can grow back.
-Read with ``ast`` only: nothing is imported.
+``model.Universe`` is the one element-set type and the only code that knows
+the packed statement layout.  Read with ``ast`` only: nothing is imported.
 """
 
 import ast
@@ -50,3 +51,19 @@ def test_each_shared_graph_function_is_defined_once():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in homes:
                 homes[node.name].append(path.stem)
     assert homes == {name: ["ugraph"] for name in SHARED}
+
+
+def test_the_packed_layout_is_defined_once_on_the_universe():
+    homes = {name: [] for name in ("pack", "unpack", "mask")}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parsed(path)
+        owners = {
+            id(node): owner.name
+            for owner in ast.walk(tree)
+            if isinstance(owner, ast.ClassDef)
+            for node in owner.body
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in homes:
+                homes[node.name].append((path.stem, owners.get(id(node))))
+    assert homes == {name: [("model", "Universe")] for name in homes}

@@ -160,13 +160,28 @@ def test_universe_iteration_is_sorted_and_checked():
         Universe(["not an identifier!"])
 
 
+@pytest.mark.parametrize("bad", ["1", "a b", "x-y", "", "é!", 3, None])
+def test_universe_rejects_a_name_that_is_not_an_identifier(bad):
+    with pytest.raises(ValueError) as caught:
+        Universe(["a", bad, "b"])
+    assert str(caught.value) == f"element name must be an identifier, got {bad!r}"
+
+
+def test_universe_drops_repeated_names():
+    u = Universe(["v2", "v10", "v2", "é", "v10"])
+    assert u.elements == ("v10", "v2", "é") and len(u) == 3
+    assert u.bits == {"v10": 1, "v2": 2, "é": 4} and u.full == 7
+    assert u == Universe(["é", "v2", "v10"])
+    assert hash(u) == hash(Universe(["é", "v2", "v10"]))
+
+
 # -- bitmask encoding -----------------------------------------------------------
 
 
 def test_encoding_round_trip_and_key_order():
     # names whose string order differs from their numeric order
     u = Universe(["v10", "v2", "v1", "w", "a_b", "ab"])
-    enc = u.encoding
+    enc = u
     statements = list(enumerate_canonical(u))
     packed = [enc.encode(s) for s in statements]
     assert [enc.decode(p) for p in packed] == statements
@@ -185,7 +200,7 @@ def test_encoding_round_trip_and_key_order():
         cut1 = rng.randint(1, len(pool) - 1)
         cut2 = rng.randint(cut1 + 1, len(pool))
         seeded.add(canonical_triple(pool[:cut1], pool[cut2:], pool[cut1:cut2]))
-    big = Universe(names).encoding
+    big = Universe(names)
     start = time.perf_counter()
     ordered = sorted(map(big.encode, seeded), key=big.key)
     assert time.perf_counter() - start < 1.0
@@ -195,7 +210,7 @@ def test_encoding_round_trip_and_key_order():
 def test_decode_builds_the_object_the_checked_constructor_builds():
     # decode skips CanonicalStatement's checks; over every packed statement
     # at n = 5 its objects must be indistinguishable from checked ones.
-    enc = Universe("abcde").encoding
+    enc = Universe("abcde")
     seen = 0
     for x, z, y in product(range(32), repeat=3):
         if not x or not y or x & y or x & z or y & z:
@@ -215,8 +230,7 @@ def test_decode_builds_the_object_the_checked_constructor_builds():
 
 def test_encoding_bits_follow_the_element_order():
     u = Universe(["c", "a", "b"])
-    enc = u.encoding
-    assert u.encoding is enc
+    enc = u
     assert enc.mask({"a"}) == 1 and enc.mask({"c", "b"}) == 6
     assert enc.names(5) == frozenset({"a", "c"})
     with pytest.raises(KeyError):

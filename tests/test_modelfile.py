@@ -85,6 +85,41 @@ def test_digraph_declaring_part_of_the_universe_gets_its_own():
     assert outcome(parse_model, text) == reference_outcome(text)
 
 
+def assert_checked_universe(got: Universe, names) -> None:
+    """got is the universe ``Universe(names)`` builds, in every respect."""
+    want = Universe(names)
+    assert got.elements == want.elements and list(got) == list(want)
+    assert got.bits == want.bits and got.full == want.full
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+def test_parsed_universes_are_the_checked_universes():
+    # The parser builds its universes from names the tokenizer has already
+    # checked; each must be what the checking constructor builds.
+    rng = random.Random(1299)
+    pool = ["a", "B", "_x", "v10", "v2", "if", "Z_9", "ab", "a_b", "aB", "x1"]
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.mug"))]
+    for _ in range(60):
+        names = rng.sample(pool, rng.randint(1, len(pool)))
+        nodes = rng.sample(names, rng.randint(1, len(names)))
+        clauses = [f"node {e};" for e in nodes]
+        clauses += [f"arc {a} {b};" for a, b in zip(nodes, nodes[1:])]
+        texts.append(f"universe {' '.join(names)}\ndigraph D {{{' '.join(clauses)}}}\n")
+    texts.append(dag_text(random.Random(11), 24))
+    digraphs = subsets = 0
+    for text in texts:
+        model = parse_model(text)
+        declared = re.search(r"^universe (.*)$", text, re.M).group(1).split()
+        assert_checked_universe(model.universe, declared)
+        for name, body in re.findall(r"digraph (\w+) \{(.*?)\}", text, re.S):
+            nodes = re.findall(r"\bnode (\w+);", body)
+            universe = model.digraphs[name].universe
+            assert_checked_universe(universe, nodes)
+            digraphs += 1
+            subsets += len(universe) < len(model.universe)
+    assert digraphs > 50 and subsets > 20, (digraphs, subsets)
+
+
 def test_jointree_block_computes_sepsets():
     model = parse_model(
         "universe a b c\n"

@@ -228,12 +228,12 @@ def test_transformations_never_shrink_satisfaction():
 # -- differential: separations generated per graph against the 4^n filter -----
 
 
-def filtered_satisfied(m, max_elements=ENUMERATION_GUARD):
+def filtered_satisfied(m):
     """The filter enumerate_satisfied ran before it generated statements per
     graph: test every canonical statement over the universe."""
     return frozenset(
         s
-        for s in enumerate_canonical(m.universe, max_elements)
+        for s in enumerate_canonical(m.universe)
         if m.witness(s) is not None
     )
 

@@ -21,8 +21,10 @@ from mugci.errors import (
     MissingElements,
     SameNode,
     SelfLoop,
+    UnknownElement,
     UnknownNode,
 )
+from mugci.ugraph import packed_graph
 
 from object_layer import key as name_tuple_key
 from object_layer import nodes_with_element, singletonize
@@ -426,3 +428,47 @@ def test_element_adjacency_is_a_read_only_view_of_the_expansion():
         adjacency["a"] = frozenset()
     assert g.separates({"a"}, {"b"}, {"d"})
     assert g.element_adjacency() == adjacency
+
+
+# -- element names that are not identifiers -----------------------------------
+
+# A graph packs over a universe of its own elements that checks no names, so
+# a graph may carry any strings.  Listed in sorted order, so renaming e0, e1,
+# ... to them keeps every element's place.
+ODD_NAMES = sorted(["1", "a b", "é", "x-y", "if", "٣"])
+
+
+def test_graphs_over_names_that_are_not_identifiers():
+    rng = random.Random(6007)
+    rename = {f"e{i}": name for i, name in enumerate(ODD_NAMES)}
+    graphs = []
+    for _ in range(120):
+        g = random_multi_graph(rng, rng.randint(2, len(ODD_NAMES)))
+        nodes, edges = as_plain(g)
+        odd = UGraph({n: {rename[e] for e in es} for n, es in nodes.items()}, edges)
+        odd_nodes, _ = as_plain(odd)
+        assert odd.element_adjacency() == element_adjacency(odd_nodes, edges)
+        for s in all_triples(g.elements):
+            x, z, y = ({rename[e] for e in side} for side in (s.x, s.z, s.y))
+            want = separates_oracle(odd_nodes, edges, x, z, y)
+            assert odd.separates(x, z, y) == want == g.separates(s.x, s.z, s.y)
+        assert odd.key() == (tuple(sorted(odd.elements)), g.key()[1])
+        graphs.append(odd)
+    keys = [(g.key(), name_tuple_key(g)) for g in graphs]
+    equal = 0
+    for (key, want), (other, other_want) in combinations(keys, 2):
+        assert (key == other) == (want == other_want)
+        equal += key == other
+    assert equal > 0, equal
+
+
+def test_packed_graph_checks_the_graph_against_the_universe():
+    g = UGraph({0: {"a"}, 1: {"q", "b"}, 2: {"r"}, 3: {"z", "m"}}, [(0, 1)])
+    with pytest.raises(UnknownElement, match="^not in universe: m, q, r, z$"):
+        packed_graph(Universe("ab"), g)
+    with pytest.raises(UnknownElement, match="^not in universe: m, q, r, z$"):
+        Mug(Universe("ab"), [g])
+    with pytest.raises(UnknownElement, match="^not in universe: m, r, z$"):
+        Mug(Universe("abq")).with_graph(g)
+    packed = (((0, 1), (1, 10), (2, 16), (3, 36)), (2, 1, 0, 0))
+    assert packed_graph(Universe("abmqrz"), g) == packed
