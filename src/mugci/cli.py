@@ -126,8 +126,8 @@ def _verified(chain: tuple[AxiomStep, ...]) -> tuple[AxiomStep, ...]:
 def _cmd_closure(args, out) -> int:
     model = _load_model(args.file)
     result = closure(model.statements.values(), model.universe, model.graphs.values())
-    ordered = list(result)
     if args.json:
+        ordered = list(result)
         payload = {
             "universe": list(model.universe),
             "count": len(ordered),
@@ -152,13 +152,17 @@ def _cmd_closure(args, out) -> int:
             payload["statements"].append(record)
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
         return 0
+    lines = result.lines()
     print("universe: " + " ".join(model.universe), file=out)
-    print(f"statements: {len(ordered)}", file=out)
-    for s in ordered:
-        print(str(s), file=out)
-        if args.emit_chains:
-            for line in _format_chain(_verified(result.chain(s))):
-                print(line, file=out)
+    print(f"statements: {len(lines)}", file=out)
+    if not args.emit_chains:
+        if lines:
+            print("\n".join(lines), file=out)
+        return 0
+    for line, s in zip(lines, result):
+        print(line, file=out)
+        for step in _format_chain(_verified(result.chain(s))):
+            print(step, file=out)
     return 0
 
 

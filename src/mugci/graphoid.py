@@ -24,18 +24,23 @@ separation is a graphoid, Pearl & Paz 1987), and all of them are seeds.  So
 the closure never applies a rule within one graph: a seed a graph witnesses
 gets no decomposition or weak union, and two statements one graph witnesses
 are never contracted.  That work could only re-derive admitted statements,
-so skipping it changes no admission, order or chain.  ``prove`` answers one
-query with the same run, stopped once its target is admitted.
+so skipping it changes no admission, order or chain.  When one graph
+witnesses every seed, the worklist could admit nothing at all: the closure
+is the seeds, listed without a run, and its counters are worked out to
+equal the ones the run would have counted.  ``prove`` answers one query
+with the same run, stopped once its target is admitted, and a target that
+is a seed is answered from the seeds alone.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import partial, reduce
+from operator import and_
+from typing import Callable, Iterable, Iterator
 
 from .model import (
-    ENUMERATION_GUARD,
     TRIVIALLY_TRUE,
     CanonicalStatement,
     Statement,
@@ -129,12 +134,20 @@ class Closure:
     ``pairs_shared_graph`` for the partners skipped untried because a graph
     witnesses both statements, so the conclusion is that graph's separation
     and already admitted; and ``peak_queue`` for the longest the worklist
-    grew.
+    grew.  A closure whose seeds one graph all witnesses is built without
+    the worklist, and its counters are the ones the worklist would count.
     """
 
     __slots__ = ("_universe", "_statements", "_parents", "_stats")
 
-    def __init__(self, universe: Universe, parents: dict, stats: dict):
+    def __init__(
+        self,
+        universe: Universe,
+        parents: dict,
+        stats: dict[str, int] | Callable[[], dict[str, int]],
+    ):
+        """``stats`` is the counters, or a function that counts them when
+        they are first read."""
         self._universe = universe
         self._statements: frozenset | None = None
         self._parents = parents
@@ -153,6 +166,8 @@ class Closure:
 
     @property
     def stats(self) -> dict[str, int]:
+        if callable(self._stats):
+            self._stats = self._stats()
         return dict(self._stats)
 
     def _packed(self, s: object) -> int | None:
@@ -175,6 +190,16 @@ class Closure:
         """The statements in ``statement_key`` order, each decoded as it comes."""
         universe = self._universe
         return map(universe.decode, sorted(self._parents, key=universe.key))
+
+    def lines(self) -> list[str]:
+        """Each statement's ``str``, in ``statement_key`` order, made from
+        the packed statements and the universe's per-mask ``text``."""
+        universe = self._universe
+        text = universe.text
+        return [
+            f"{text(x)} | {text(z)} | {text(y)}"
+            for x, z, y in map(universe.unpack, sorted(self._parents, key=universe.key))
+        ]
 
     def chain(self, s: CanonicalStatement) -> tuple[AxiomStep, ...]:
         """A verifiable derivation chain ending at s."""
@@ -235,10 +260,12 @@ def prove(
 ) -> tuple[AxiomStep, ...] | None:
     """``closure(init, universe, graphs).query(target)``, stopping at target.
 
-    The checks run as ``closure`` runs them, then the target's.  The
-    saturation stops once target is admitted: a statement's ancestors are
-    admitted before it and never re-parented, so its chain is the one the
-    full closure gives.  A target that is not derivable saturates fully.
+    The checks run as ``closure`` runs them, then the target's.  A target
+    that is a seed is answered at once, as the run admits it: given,
+    before the first pop.  Otherwise the saturation stops once target is
+    admitted: a statement's ancestors are admitted before it and never
+    re-parented, so its chain is the one the full closure gives.  A target
+    that is not derivable saturates fully.
     """
     seeds = _intake(init, universe, graphs)
     if not isinstance(target, CanonicalStatement):
@@ -249,6 +276,8 @@ def prove(
         stop = universe.encode(target)
     except KeyError:  # an element outside the universe, so never derived
         return None
+    if stop in seeds:  # admitted before the first pop, as a given
+        return (AxiomStep("given", (), universe.decode(stop)),)
     return Closure(universe, *_saturate(universe, seeds, stop)).query(target)
 
 
@@ -262,27 +291,32 @@ def _intake(
     Bit i stands for the i-th graph; a statement only given has 0.
     """
     statements = [universe.canonical(s) for s in init]
-    check_size(universe, ENUMERATION_GUARD)
+    check_size(universe)
     seeds = dict.fromkeys(
         (universe.encode(s) for s in statements if s is not TRIVIALLY_TRUE), 0
     )
     for i, g in enumerate(graphs):
-        bit = 1 << i
-        for p in separations(universe, *packed_graph(universe, g)):
-            seeds[p] = seeds.get(p, 0) | bit
+        found = dict.fromkeys(separations(universe, *packed_graph(universe, g)), 1 << i)
+        for p in found.keys() & seeds.keys():
+            found[p] |= seeds[p]
+        seeds.update(found)
     return seeds
 
 
 def _saturate(
     universe: Universe, seeds: dict[int, int], stop: int | None = None
-) -> tuple[dict, dict[str, int]]:
+) -> tuple[dict, dict[str, int] | Callable[[], dict[str, int]]]:
     """The worklist run behind ``closure`` and ``prove``: ``(parents, stats)``.
 
     It ends when the worklist empties or once ``stop`` is admitted.  A
     statement carries its graph bits from ``seeds`` (0 once derived), and
     the work those bits show to lie within one graph is skipped (see the
-    module docstring).
+    module docstring).  Seeds that one graph all witness skip the run:
+    they are the closure, and their counters are worked out when first read.
     """
+    if reduce(and_, seeds.values(), -1):
+        parents = {p: ("given", ()) for p in sorted(seeds, key=universe.key)}
+        return parents, partial(_witnessed_stats, universe, seeds)
     unpack, pack, key = universe.unpack, universe.pack, universe.key
     parents: dict[int, tuple[str, tuple[int, ...]]] = {}
     queue: deque[tuple[int, int]] = deque()
@@ -349,6 +383,39 @@ def _saturate(
         peak_queue=peak_queue,
     )
     return parents, stats
+
+
+def _witnessed_stats(universe: Universe, seeds: dict[int, int]) -> dict[str, int]:
+    """The counters of the run on seeds that one graph all witnesses.
+
+    Every two seeds then share that graph and no seed gets the unary
+    rules, so the run admits the seeds as given, all before its first pop,
+    and nothing else; the index never changes after them.  A popped seed
+    lists, for each key it is filed under in ``by_z``, the ``by_zy``
+    entries under that key, and the other way round: so each key K is
+    listed 2 * |by_z[K]| * |by_zy[K]| times, all skipped as shared.  The
+    keys are counted as ints, side << n | z.
+    """
+    n = len(universe)
+    by_z: list[int] = []
+    by_zy: list[int] = []
+    for x, z, y in map(universe.unpack, seeds):
+        by_z += (x << n | z, y << n | z)
+        by_zy += (x << n | z | y, y << n | z | x)
+    by_z_count, by_zy_count = Counter(by_z), Counter(by_zy)
+    listed = sum(
+        c * by_zy_count[k] for k, c in by_z_count.items() if k in by_zy_count
+    )
+    return {
+        "admitted_given": len(seeds),
+        "admitted_decomposition": 0,
+        "admitted_weak_union": 0,
+        "admitted_contraction": 0,
+        "pairs_tried": 0,
+        "pairs_shared_graph": 2 * listed,
+        "pairs_productive": 0,
+        "peak_queue": len(seeds),
+    }
 
 
 def first_invalid_step(

@@ -42,11 +42,13 @@ class Universe:
     with the elements sorted, a mask's lowest bit is its lowest member.  A
     canonical statement over n elements packs into ``x << 2n | z << n | y``,
     x being the side that holds the lower lowest bit, as in
-    ``CanonicalStatement``.  This class is the only code that knows the
-    packed layout.  ``bits`` maps each element to its one-bit mask.
+    ``CanonicalStatement``.  This class is the only code that packs and
+    unpacks statements; ``mug.separations`` alone adds packed sides up
+    itself, for speed.  ``bits`` maps each element to its one-bit mask.  A
+    mask's names and their ``format_set`` text are each made once.
     """
 
-    __slots__ = ("_elements", "_n", "full", "bits", "_sets", "_rank")
+    __slots__ = ("_elements", "_n", "full", "bits", "_sets", "_texts", "_rank")
 
     def __init__(self, elements: Iterable[str]):
         self._adopt(tuple(sorted({_checked_name(e) for e in elements})))
@@ -65,6 +67,7 @@ class Universe:
         self.full = (1 << self._n) - 1
         self.bits = {e: 1 << i for i, e in enumerate(elements)}
         self._sets: dict[int, frozenset] = {}
+        self._texts: dict[int, str] = {}
         self._rank = _MaskRanks(self._n)
 
     @property
@@ -96,6 +99,13 @@ class Universe:
                 members.append(self._elements[low.bit_length() - 1])
                 rest ^= low
             found = self._sets[mask] = frozenset(members)
+        return found
+
+    def text(self, mask: int) -> str:
+        """``format_set`` of the mask's names."""
+        found = self._texts.get(mask)
+        if found is None:
+            found = self._texts[mask] = format_set(self.names(mask))
         return found
 
     def pack(self, a: int, z: int, b: int) -> int:
@@ -255,11 +265,11 @@ def canonical_triple(
     return canonicalize(Statement(frozenset(x), frozenset(z), frozenset(y)))
 
 
-def check_size(universe: Universe, max_elements: int) -> None:
-    """Raise UniverseTooLarge when the universe exceeds the guard."""
-    if len(universe) > max_elements:
+def check_size(universe: Universe) -> None:
+    """Raise UniverseTooLarge when the universe exceeds ``ENUMERATION_GUARD``."""
+    if len(universe) > ENUMERATION_GUARD:
         raise UniverseTooLarge(
-            f"universe has {len(universe)} elements, guard is {max_elements}"
+            f"universe has {len(universe)} elements, guard is {ENUMERATION_GUARD}"
         )
 
 
@@ -293,7 +303,7 @@ def enumerate_canonical(universe: Universe) -> Iterator[CanonicalStatement]:
     bits, and each statement is generated once.  Statements come out sorted
     by ``statement_key`` so callers see a stable order.
     """
-    check_size(universe, ENUMERATION_GUARD)
+    check_size(universe)
     full = universe.full
     packed = []
     for x in range(1, full + 1):

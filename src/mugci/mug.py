@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import StatementNotSatisfied, UnknownNode, WrongElementSet
-from .model import (
-    ENUMERATION_GUARD,
-    CanonicalStatement,
-    Universe,
-    check_size,
-)
+from .model import CanonicalStatement, Universe, check_size
 from .ugraph import (
     UGraph,
     element_mask,
@@ -99,7 +94,7 @@ class Mug:
         Generated graph by graph, not tested one by one: see ``separations``.
         """
         universe = self._universe
-        check_size(universe, ENUMERATION_GUARD)
+        check_size(universe)
         found: set[int] = set()
         for g in self._packed:
             found.update(separations(universe, *g))
@@ -206,8 +201,17 @@ def packed_singletons(nodes: tuple, adj: tuple) -> tuple[tuple, tuple]:
     """One node per element, ids 0, 1, ... in element order, same element graph."""
     near = element_neighbours(nodes, adj)
     bits = sorted(near)
-    adj = [sum(1 << j for j, b in enumerate(bits) if near[a] & ~a & b) for a in bits]
-    return tuple(enumerate(bits)), tuple(adj)
+    position = {b: 1 << j for j, b in enumerate(bits)}
+    out = []
+    for a in bits:
+        rest = near[a] & ~a
+        mask = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            mask |= position[low]
+        out.append(mask)
+    return tuple(enumerate(bits)), tuple(out)
 
 
 class Floods(dict):
@@ -231,31 +235,33 @@ def separations(universe: Universe, nodes: tuple, adj: tuple) -> list[int]:
     I(x, z, y) holds in g iff its elements lie in g and no connected
     component of the element graph minus z meets both x and y.  So for each
     z within g's elements, each component of g - z gives a non-empty subset
-    of itself to x, to y, or nothing; the side holding the lower lowest bit
+    of itself to x, to y, or nothing.  Each choice adds ``part << 2n`` or
+    ``part`` to a packed statement, so the statements are the sums of one
+    choice per component, kept when the side holding the lower lowest bit
     is x.
     """
-    pack = universe.pack
+    n, full = len(universe), universe.full
+    shift = 2 * n
     members = element_mask(nodes)
     neighbours = element_neighbours(nodes, adj)
     out = []
     z = 0
     while True:
         rest = members & ~z
-        pairs = [(0, 0)]
+        sums = [0]
         while rest:
             component = reach(neighbours, rest & -rest, z)
             rest &= ~component
-            parts = []
+            choices = []
             part = component
             while part:
-                parts.append(part)
+                choices += (part << shift, part)
                 part = (part - 1) & component
-            pairs += [(x | part, y) for x, y in pairs for part in parts] + [
-                (x, y | part) for x, y in pairs for part in parts
-            ]
-        out.extend(
-            pack(x, z, y) for x, y in pairs if x and y and x & -x < y & -y
-        )
+            sums += [s + c for s in sums for c in choices]
+        zn = z << n
+        out += [
+            s | zn for s in sums if (x := s >> shift) and x & -x < (y := s & full) & -y
+        ]
         if z == members:
             return out
         z = (z - members) & members

@@ -30,7 +30,7 @@ from .errors import (
     SelfLoop,
     UnknownNode,
 )
-from .model import Universe
+from .model import Universe, format_set
 
 
 @dataclass(frozen=True)
@@ -221,9 +221,7 @@ class UGraph:
         return hash((frozenset(self._nodes.items()), self._edges))
 
     def __repr__(self) -> str:
-        nodes = "; ".join(
-            f"{n}={{{','.join(sorted(es))}}}" for n, es in sorted(self._nodes.items())
-        )
+        nodes = "; ".join(f"{n}={format_set(es)}" for n, es in sorted(self._nodes.items()))
         edges = ", ".join(f"{a}-{b}" for a, b in sorted(map(lambda e: tuple(sorted(e)), self._edges)))
         return f"UGraph({nodes} | {edges})"
 

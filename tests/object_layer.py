@@ -51,7 +51,7 @@ from mugci.errors import (
     UnknownNode,
     WrongElementSet,
 )
-from mugci.model import ENUMERATION_GUARD, check_size, format_set
+from mugci.model import check_size, format_set
 from mugci.modelfile import format_jointree, format_ugraph
 from mugci.mug import (
     Combine,
@@ -104,7 +104,7 @@ class Mug:
 
         Generated graph by graph, not tested one by one: see ``separations``.
         """
-        check_size(self._universe, ENUMERATION_GUARD)
+        check_size(self._universe)
         enc = self._universe
         found: set[int] = set()
         for g in self._graphs:

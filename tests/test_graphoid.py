@@ -1,5 +1,6 @@
 import random
 from collections import defaultdict, deque
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
@@ -441,7 +442,7 @@ def parent_closure(
     statement object; ``Closure`` decodes on demand.
     """
     statements = [universe.canonical(s) for s in init]
-    check_size(universe, ENUMERATION_GUARD)
+    check_size(universe)
     enc = universe
     seeds = {enc.encode(s) for s in statements if s is not TRIVIALLY_TRUE}
     for g in graphs:
@@ -532,6 +533,65 @@ def test_closure_matches_its_predecessor():
     assert shared > 30 and repeated > 10
 
 
+def one_graph_models(rng):
+    """Models whose seeds one graph all witnesses, and near-misses that
+    are each one step away from that, as two lists of (declared, u, graphs)."""
+    witnessed, missed = [], []
+    while len(witnessed) < 48 or len(missed) < 32:
+        names = [f"e{i}" for i in range(rng.choice((4, 5, 6)))]
+        u = Universe(names)
+        g = random_graph(rng, names)
+        held = sorted(Mug(u, [g]).enumerate_satisfied(), key=statement_key)
+        if not held:
+            continue
+        other = [s for s in enumerate_canonical(u) if s not in held]
+        witnessed.append(([], u, [g]))
+        witnessed.append((rng.sample(held, min(len(held), rng.randint(1, 3))), u, [g]))
+        witnessed.append(([], u, [g, g]))
+        if other:
+            missed.append(([rng.choice(held), rng.choice(other)], u, [g]))
+        h = random_graph(rng, names)
+        h_held = Mug(u, [h]).enumerate_satisfied()
+        if h_held - set(held) and set(held) - h_held:
+            missed.append(([], u, [g, h]))
+    complete = [
+        ([], Universe(names), [UGraph.from_singletons(names, combinations(names, 2))])
+        for names in (["a"], ["a", "b"], list("abcd"), list("abcdef"))
+    ]
+    return witnessed + complete, missed
+
+
+def test_closure_of_seeds_one_graph_witnesses_is_its_predecessors(monkeypatch):
+    # Seeds that one graph all witness are listed without the worklist;
+    # everything else runs it.  Both give the predecessor's parents in
+    # order and its counters.
+    listed = []
+    real = graphoid._witnessed_stats
+
+    def counting(universe, seeds):
+        listed.append(len(seeds))
+        return real(universe, seeds)
+
+    monkeypatch.setattr(graphoid, "_witnessed_stats", counting)
+    witnessed, missed = one_graph_models(random.Random(1987_25))
+    assert len(witnessed) > 20 and len(missed) > 20
+    assert sum(len(graphs) == 2 for _, _, graphs in missed) > 5
+    for models, skipped in ((witnessed, True), (missed, False)):
+        for declared, u, graphs in models:
+            listed.clear()
+            got = closure(declared, u, graphs)
+            want = parent_closure(declared, u, graphs)
+            assert list(got._parents.items()) == list(want._parents.items())
+            assert pairs_folded(got.stats) == want.stats
+            assert listed == ([len(want)] if skipped else [])
+    # the witnessed models include one of no statement and ones of many
+    assert {len(closure(*m)) == 0 for m in witnessed} == {True, False}
+    # reading the counters twice counts them once
+    listed.clear()
+    cl = closure(*path_init(5))
+    assert cl.stats == cl.stats and listed == [len(cl)]
+
+
 def fixture_models():
     """Each fixture that the size guard admits, as (statements, universe, graphs)."""
     out = []
@@ -544,7 +604,15 @@ def fixture_models():
     return out
 
 
-def test_prove_is_the_closure_query():
+def test_prove_is_the_closure_query(monkeypatch):
+    saturated = []
+    real_saturate = graphoid._saturate
+
+    def counting_saturate(universe, seeds, stop=None):
+        saturated.append(stop)
+        return real_saturate(universe, seeds, stop)
+
+    monkeypatch.setattr(graphoid, "_saturate", counting_saturate)
     rng = random.Random(2013)
     models = fixture_models()
     assert len(models) == 4
@@ -552,15 +620,20 @@ def test_prove_is_the_closure_query():
         declared, u, graphs = differential_model(rng)
         if len(u) <= 5:
             models.append((declared, u, graphs))
-    derivable = not_derivable = 0
+    derivable = not_derivable = from_seeds = 0
     for declared, u, graphs in models:
         cl = closure(declared, u, graphs)
         for s in enumerate_canonical(u):
             want = cl.query(s)
+            saturated.clear()
             assert prove(declared, u, graphs, s) == want, s
             derivable += want is not None
             not_derivable += want is None
+            if not saturated:  # answered from the seeds: a given statement
+                assert [step.rule for step in want] == ["given"]
+                from_seeds += 1
     assert derivable > 1000 and not_derivable > 1000
+    assert 0 < from_seeds < derivable
     declared, u, graphs = models[0]
     # raw, trivial and foreign targets answer as the query does
     raw = Statement(frozenset("y"), frozenset("z"), frozenset("x"))
@@ -587,6 +660,22 @@ def test_prove_stops_once_the_target_is_admitted(monkeypatch):
     assert popped == []
     assert prove(init, U4, [], cs("x", "", "y")) is None
     assert len(popped) == len(closure(init, U4)) == 9
+
+
+def test_closure_lines_are_the_statements_text():
+    models = fixture_models()
+    rng = random.Random(2013_25)
+    models += [differential_model(rng) for _ in range(200)]
+    names = [f"v{i}" for i in range(8)]
+    models.append(([], Universe(names), [UGraph.from_singletons(names, [])]))
+    odd = Universe._from_sorted(sorted(["a b", "é", "x-y"]))
+    models.append(([cs(["a b"], ["x-y"], ["é"]), cs(["é"], [], ["a b", "x-y"])], odd, []))
+    sizes = set()
+    for declared, u, graphs in models:
+        cl = closure(declared, u, graphs)
+        assert cl.lines() == [str(s) for s in cl]
+        sizes.add(len(cl))
+    assert 0 in sizes and 26335 in sizes and len(sizes) > 50
 
 
 # -- networkx as an outside oracle ------------------------------------------

@@ -5,7 +5,8 @@ mask flood and the graph key.  It may import only ``errors`` and ``model``
 from the package, so no import cycle can form through it, and each of those
 functions is defined in exactly one module, so no second copy can grow back.
 ``model.Universe`` is the one element-set type and the only code that knows
-the packed statement layout.  Read with ``ast`` only: nothing is imported.
+the packed statement layout, and ``model.format_set`` the one rule for an
+element set's text.  Read with ``ast`` only: nothing is imported.
 """
 
 import ast
@@ -67,3 +68,25 @@ def test_the_packed_layout_is_defined_once_on_the_universe():
             if isinstance(node, ast.FunctionDef) and node.name in homes:
                 homes[node.name].append((path.stem, owners.get(id(node))))
     assert homes == {name: [("model", "Universe")] for name in homes}
+
+
+def builds_set_text(function: ast.FunctionDef) -> bool:
+    """Whether a function joins names with "," and writes a "{" itself."""
+    joins = braces = False
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target = node.func.value
+            joins |= node.func.attr == "join" and isinstance(target, ast.Constant) and target.value == ","
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            braces |= "{" in node.value
+    return joins and braces
+
+
+def test_format_set_is_the_one_set_text_rule():
+    builders = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parsed(path))
+        if isinstance(node, ast.FunctionDef) and builds_set_text(node)
+    ]
+    assert builders == ["model.format_set"]
