@@ -28,8 +28,10 @@ so skipping it changes no admission, order or chain.  When one graph
 witnesses every seed, the worklist could admit nothing at all: the closure
 is the seeds, listed without a run, and its counters are worked out to
 equal the ones the run would have counted.  ``prove`` answers one query
-with the same run, stopped once its target is admitted, and a target that
-is a seed is answered from the seeds alone.
+with the same run, stopped once its target is admitted, but lists the
+separations only when it needs the run: one flood per graph
+(``ugraph.reach``) shows a target that is a seed, and on one graph that
+witnesses every premise, a target that is not derivable.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .model import (
     check_size,
 )
 from .mug import separations
-from .ugraph import UGraph, packed_graph
+from .ugraph import UGraph, element_mask, element_neighbours, packed_graph, reach
 
 
 @dataclass(frozen=True)
@@ -136,22 +138,25 @@ class Closure:
     and already admitted; and ``peak_queue`` for the longest the worklist
     grew.  A closure whose seeds one graph all witnesses is built without
     the worklist, and its counters are the ones the worklist would count.
+    Its statements are sorted into ``statement_key`` order once, for every listing.
     """
 
-    __slots__ = ("_universe", "_statements", "_parents", "_stats")
+    __slots__ = ("_universe", "_statements", "_parents", "_stats", "_order")
 
     def __init__(
         self,
         universe: Universe,
         parents: dict,
         stats: dict[str, int] | Callable[[], dict[str, int]],
+        order: list[int] | None = None,
     ):
         """``stats`` is the counters, or a function that counts them when
-        they are first read."""
+        they are first read; ``order`` the key order, if already sorted."""
         self._universe = universe
         self._statements: frozenset | None = None
         self._parents = parents
         self._stats = stats
+        self._order = order
 
     @property
     def universe(self) -> Universe:
@@ -186,10 +191,15 @@ class Closure:
     def __len__(self) -> int:
         return len(self._parents)
 
+    def _sorted(self) -> list[int]:
+        """The packed statements in ``statement_key`` order, sorted once."""
+        if self._order is None:
+            self._order = sorted(self._parents, key=self._universe.key)
+        return self._order
+
     def __iter__(self) -> Iterator[CanonicalStatement]:
         """The statements in ``statement_key`` order, each decoded as it comes."""
-        universe = self._universe
-        return map(universe.decode, sorted(self._parents, key=universe.key))
+        return map(self._universe.decode, self._sorted())
 
     def lines(self) -> list[str]:
         """Each statement's ``str``, in ``statement_key`` order, made from
@@ -198,7 +208,7 @@ class Closure:
         text = universe.text
         return [
             f"{text(x)} | {text(z)} | {text(y)}"
-            for x, z, y in map(universe.unpack, sorted(self._parents, key=universe.key))
+            for x, z, y in map(universe.unpack, self._sorted())
         ]
 
     def chain(self, s: CanonicalStatement) -> tuple[AxiomStep, ...]:
@@ -248,8 +258,8 @@ def closure(
     so the discovered chains are deterministic.  The run makes no
     statement object; ``Closure`` decodes on demand.
     """
-    seeds = _intake(init, universe, graphs)
-    return Closure(universe, *_saturate(universe, seeds))
+    given, packed = _intake(init, universe, graphs)
+    return Closure(universe, *_saturate(universe, _seeds(universe, given, packed)))
 
 
 def prove(
@@ -260,14 +270,16 @@ def prove(
 ) -> tuple[AxiomStep, ...] | None:
     """``closure(init, universe, graphs).query(target)``, stopping at target.
 
-    The checks run as ``closure`` runs them, then the target's.  A target
-    that is a seed is answered at once, as the run admits it: given,
-    before the first pop.  Otherwise the saturation stops once target is
-    admitted: a statement's ancestors are admitted before it and never
-    re-parented, so its chain is the one the full closure gives.  A target
-    that is not derivable saturates fully.
+    The checks run as ``closure`` runs them, then the target's.  Then one
+    flood per graph decides what it can, with no separation listed: a
+    premise or a graph's separation is a seed, given before the first pop,
+    and with one graph that witnesses every premise nothing else is
+    derivable.  Otherwise the seeds are listed and the saturation stops
+    once target is admitted: a statement's ancestors are admitted before
+    it and never re-parented, so its chain is the one the full closure
+    gives.  A target that is not derivable saturates fully.
     """
-    seeds = _intake(init, universe, graphs)
+    given, packed = _intake(init, universe, graphs)
     if not isinstance(target, CanonicalStatement):
         target = universe.canonical(target)
         if target is TRIVIALLY_TRUE:
@@ -276,8 +288,12 @@ def prove(
         stop = universe.encode(target)
     except KeyError:  # an element outside the universe, so never derived
         return None
-    if stop in seeds:  # admitted before the first pop, as a given
+    witnessing = [_witnesses(universe, *g) for g in packed]
+    if stop in given or any(w(stop) for w in witnessing):
         return (AxiomStep("given", (), universe.decode(stop)),)
+    if len(witnessing) == 1 and all(map(witnessing[0], given)):
+        return None
+    seeds = _seeds(universe, given, packed)
     return Closure(universe, *_saturate(universe, seeds, stop)).query(target)
 
 
@@ -285,38 +301,60 @@ def _intake(
     init: Iterable[CanonicalStatement | Statement],
     universe: Universe,
     graphs: Iterable[UGraph],
-) -> dict[int, int]:
+) -> tuple[dict[int, int], list[tuple[tuple, tuple]]]:
+    """The packed premises, each mapped to 0, and the packed graphs; the
+    statements are checked before the size guard and the graphs after it."""
+    statements = [universe.canonical(s) for s in init]
+    check_size(universe)
+    given = dict.fromkeys(
+        (universe.encode(s) for s in statements if s is not TRIVIALLY_TRUE), 0
+    )
+    return given, [packed_graph(universe, g) for g in graphs]
+
+
+def _seeds(universe: Universe, given: dict[int, int], packed: list) -> dict[int, int]:
     """The packed seeds, each mapped to a bitmask of the graphs witnessing it.
 
     Bit i stands for the i-th graph; a statement only given has 0.
     """
-    statements = [universe.canonical(s) for s in init]
-    check_size(universe)
-    seeds = dict.fromkeys(
-        (universe.encode(s) for s in statements if s is not TRIVIALLY_TRUE), 0
-    )
-    for i, g in enumerate(graphs):
-        found = dict.fromkeys(separations(universe, *packed_graph(universe, g)), 1 << i)
+    seeds = dict(given)
+    for i, g in enumerate(packed):
+        found = dict.fromkeys(separations(universe, *g), 1 << i)
         for p in found.keys() & seeds.keys():
             found[p] |= seeds[p]
         seeds.update(found)
     return seeds
 
 
+def _witnesses(universe: Universe, nodes: tuple, adj: tuple) -> Callable[[int], bool]:
+    """Whether a packed graph witnesses a packed statement: it holds the
+    statement's elements and ``reach`` from x outside z misses y."""
+    members, neighbours = element_mask(nodes), element_neighbours(nodes, adj)
+
+    def witnessed(p: int) -> bool:
+        x, z, y = universe.unpack(p)
+        return not (x | z | y) & ~members and not reach(neighbours, x, z) & y
+
+    return witnessed
+
+
 def _saturate(
     universe: Universe, seeds: dict[int, int], stop: int | None = None
-) -> tuple[dict, dict[str, int] | Callable[[], dict[str, int]]]:
-    """The worklist run behind ``closure`` and ``prove``: ``(parents, stats)``.
+) -> tuple[dict, dict[str, int] | Callable[[], dict[str, int]], list[int] | None]:
+    """The worklist run behind ``closure`` and ``prove``: ``(parents, stats,
+    order)``, ``order`` being the key order when it is already sorted.
 
     It ends when the worklist empties or once ``stop`` is admitted.  A
     statement carries its graph bits from ``seeds`` (0 once derived), and
     the work those bits show to lie within one graph is skipped (see the
     module docstring).  Seeds that one graph all witness skip the run:
-    they are the closure, and their counters are worked out when first read.
+    they are the closure, sorted into the key order it hands on, and their
+    counters are worked out when first read.
     """
     if reduce(and_, seeds.values(), -1):
-        parents = {p: ("given", ()) for p in sorted(seeds, key=universe.key)}
-        return parents, partial(_witnessed_stats, universe, seeds)
+        order = sorted(seeds, key=universe.key)
+        parents = dict.fromkeys(order, ("given", ()))
+        return parents, partial(_witnessed_stats, universe, seeds), order
     unpack, pack, key = universe.unpack, universe.pack, universe.key
     parents: dict[int, tuple[str, tuple[int, ...]]] = {}
     queue: deque[tuple[int, int]] = deque()
@@ -382,7 +420,7 @@ def _saturate(
         pairs_productive=pairs_productive,
         peak_queue=peak_queue,
     )
-    return parents, stats
+    return parents, stats, None
 
 
 def _witnessed_stats(universe: Universe, seeds: dict[int, int]) -> dict[str, int]:

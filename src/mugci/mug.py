@@ -237,8 +237,9 @@ def separations(universe: Universe, nodes: tuple, adj: tuple) -> list[int]:
     z within g's elements, each component of g - z gives a non-empty subset
     of itself to x, to y, or nothing.  Each choice adds ``part << 2n`` or
     ``part`` to a packed statement, so the statements are the sums of one
-    choice per component, kept when the side holding the lower lowest bit
-    is x.
+    choice per component.  The first component (by lowest bit) that gives
+    anything gives it to x, so each pair of sides is made once; a sum with
+    y non-empty is kept, its sides swapped if y holds the lower lowest bit.
     """
     n, full = len(universe), universe.full
     shift = 2 * n
@@ -248,7 +249,7 @@ def separations(universe: Universe, nodes: tuple, adj: tuple) -> list[int]:
     z = 0
     while True:
         rest = members & ~z
-        sums = [0]
+        sums = []
         while rest:
             component = reach(neighbours, rest & -rest, z)
             rest &= ~component
@@ -257,10 +258,13 @@ def separations(universe: Universe, nodes: tuple, adj: tuple) -> list[int]:
             while part:
                 choices += (part << shift, part)
                 part = (part - 1) & component
-            sums += [s + c for s in sums for c in choices]
+            # each sum so far takes one choice, or this is the first to give: to x
+            sums += [s + c for s in sums for c in choices] + choices[::2]
         zn = z << n
         out += [
-            s | zn for s in sums if (x := s >> shift) and x & -x < (y := s & full) & -y
+            (s if (x := s >> shift) & -x < y & -y else y << shift | x) | zn
+            for s in sums
+            if (y := s & full)
         ]
         if z == members:
             return out

@@ -620,7 +620,9 @@ def test_prove_is_the_closure_query(monkeypatch):
         declared, u, graphs = differential_model(rng)
         if len(u) <= 5:
             models.append((declared, u, graphs))
-    derivable = not_derivable = from_seeds = 0
+    # Two kinds of answer come before any run: a seed target, given, and,
+    # on one graph that witnesses every premise, a target that is not one.
+    derivable = not_derivable = given_early = none_early = 0
     for declared, u, graphs in models:
         cl = closure(declared, u, graphs)
         for s in enumerate_canonical(u):
@@ -629,11 +631,17 @@ def test_prove_is_the_closure_query(monkeypatch):
             assert prove(declared, u, graphs, s) == want, s
             derivable += want is not None
             not_derivable += want is None
-            if not saturated:  # answered from the seeds: a given statement
+            if saturated:
+                continue
+            if want is None:
+                assert len(graphs) == 1
+                none_early += 1
+            else:
                 assert [step.rule for step in want] == ["given"]
-                from_seeds += 1
+                given_early += 1
     assert derivable > 1000 and not_derivable > 1000
-    assert 0 < from_seeds < derivable
+    assert 0 < given_early < derivable
+    assert 0 < none_early < not_derivable
     declared, u, graphs = models[0]
     # raw, trivial and foreign targets answer as the query does
     raw = Statement(frozenset("y"), frozenset("z"), frozenset("x"))
@@ -643,6 +651,63 @@ def test_prove_is_the_closure_query(monkeypatch):
     assert prove(declared, u, graphs, cs("q", "z", "y")) is None
     with pytest.raises(UnknownElement):
         prove(declared, u, graphs, Statement(frozenset("q"), frozenset(), frozenset("x")))
+
+
+def test_prove_answers_one_graph_queries_without_listing(monkeypatch):
+    # One flood per graph decides a seed target, and on one graph that
+    # witnesses every premise, any other target too; only a model the
+    # graph does not fully witness lists its separations.
+    names = list("abcde")
+    u = Universe(names)
+    path = UGraph.from_singletons(names, zip(names, names[1:]))
+    premise = cs("a", "b", "c")
+    targets = [premise, cs("a", "c", "e"), cs("ab", "c", "de"), cs("a", "", "e")]
+    want = [closure([premise], u, [path]).query(t) for t in targets]
+    assert [w and [st.rule for st in w] for w in want] == [["given"]] * 3 + [None]
+
+    def no_listing(*args):
+        raise AssertionError("separations listed")
+
+    monkeypatch.setattr(graphoid, "separations", no_listing)
+    assert [prove([premise], u, [path], t) for t in targets] == want
+    unwitnessed = targets[-1]
+    assert prove([], u, [path], unwitnessed) is None
+    assert prove([premise, unwitnessed], u, [path], unwitnessed) == (
+        AxiomStep("given", (), unwitnessed),
+    )
+    with pytest.raises(AssertionError, match="^separations listed$"):
+        prove([premise, unwitnessed], u, [path], cs("a", "", "d"))
+
+
+def test_prove_runs_every_check_before_an_early_answer(monkeypatch):
+    # The target below is a premise and the first graph's separation, so
+    # prove could answer it at once; every check closure runs comes first.
+    target = cs("x", "z", "y")
+    overlapping = Statement(frozenset("x"), frozenset(), frozenset("xy"))
+    path = UGraph.from_singletons(list("xyz"), [("x", "z"), ("z", "y")])
+    foreign = UGraph.from_singletons(["x", "q"], [("x", "q")])
+    with pytest.raises(InvalidOverlap):
+        prove([target, overlapping], U4, [path], target)
+    with pytest.raises(UnknownElement, match="^not in universe: q$"):
+        prove([target], U4, [foreign], target)
+    with pytest.raises(UnknownElement, match="^not in universe: q$"):
+        prove([target], U4, [path, foreign], target)
+    # Over the guard, a statement error still comes first, then the guard,
+    # and no graph is read.
+    names = [f"e{i}" for i in range(ENUMERATION_GUARD + 1)]
+    big = Universe(names)
+    line = UGraph.from_singletons(names, zip(names, names[1:]))
+    premise = cs(["e0"], ["e1"], ["e2"])
+    clash = Statement(frozenset({"e0"}), frozenset(), frozenset({"e0", "e1"}))
+
+    def no_work(*args):
+        raise AssertionError("graph read before the guard")
+
+    monkeypatch.setattr(UGraph, "elements", property(no_work))
+    with pytest.raises(InvalidOverlap):
+        prove([premise, clash], big, [line], premise)
+    with pytest.raises(UniverseTooLarge):
+        prove([premise], big, [line], premise)
 
 
 def test_prove_stops_once_the_target_is_admitted(monkeypatch):

@@ -90,3 +90,34 @@ def test_format_set_is_the_one_set_text_rule():
         if isinstance(node, ast.FunctionDef) and builds_set_text(node)
     ]
     assert builders == ["model.format_set"]
+
+
+def test_prove_floods_the_graph_only_through_reach():
+    # prove decides what it can by floods before the worklist run; those
+    # floods are ugraph.reach, so no graphoid function walks a graph itself.
+    tree = parsed(PACKAGE / "graphoid.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    front, called, todo = set(), set(), ["prove"]
+    while todo:
+        name = todo.pop()
+        if name in front or name not in functions or name == "_saturate":
+            continue
+        front.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                called.add(node.func.id)
+                todo.append(node.func.id)
+    assert "reach" in called and "reach" not in functions
+    assert any(
+        isinstance(node, ast.ImportFrom) and node.module == "ugraph" and node.level == 1
+        and "reach" in {alias.name for alias in node.names}
+        for node in tree.body
+    )
+    # A flood of its own would loop until nothing new is reached.
+    loops = [
+        name
+        for name in sorted(front)
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.While)
+    ]
+    assert loops == []

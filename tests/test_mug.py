@@ -20,6 +20,8 @@ from mugci.errors import (
     UnknownElement,
     WrongElementSet,
 )
+from mugci.mug import separations
+from mugci.ugraph import packed_graph
 
 from object_layer import nodes_with_element
 from oracle import as_plain, mug_statements
@@ -278,6 +280,30 @@ def test_generated_separations_on_edgeless_and_complete_graphs():
         assert m.enumerate_satisfied() == filtered_satisfied(m)
     assert len(Mug(Universe(names), [edgeless]).enumerate_satisfied()) == 6069
     assert Mug(Universe(names), [complete]).enumerate_satisfied() == frozenset()
+
+
+def test_separations_make_each_statement_once():
+    # Components come by their lowest bit, and the first one that gives
+    # anything gives it to x; a later component whose lowest bit lies
+    # between an earlier one's bits makes sums that need their sides swapped.
+    grid = ["ab", "bc", "de", "ef", "ad", "be", "cf"]  # rows abc and def
+    cases = [
+        (list("abc"), ["ac"]),
+        (list("abcde"), ["ad", "be"]),
+        (list("abcdef"), grid),
+        (list("abcdefg"), list(zip("abcdefg", "bcdefg"))),
+    ]
+    for names, edges in cases:
+        u = Universe(names)
+        g = UGraph.from_singletons(names, edges)
+        out = separations(u, *packed_graph(u, g))
+        assert len(out) == len(set(out)), names
+        assert frozenset(map(u.decode, out)) == filtered_satisfied(Mug(u, [g])), names
+    assert len(out) == 1141
+    names = list("abcdefgh")
+    u = Universe(names)
+    out = separations(u, *packed_graph(u, UGraph.from_singletons(names)))
+    assert len(out) == len(set(out)) == 26335
 
 
 def test_enumerate_satisfied_guard_comes_before_any_work(monkeypatch):
