@@ -281,6 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Decide conditional-independence statements graphically.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's parser, by name, for main
 
     p = sub.add_parser("closure", help="print the axiom closure of a model")
     p.add_argument("file")
@@ -327,8 +328,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        # A command's words go to its parser alone, as the top-level parser
+        # would hand them on.  Any other argv, or words that parser leaves
+        # over, take the full parse, whose errors and help are the CLI's.
+        args, extra = None, []
+        if argv and argv[0] in parser.commands:
+            args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if args is None or extra:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

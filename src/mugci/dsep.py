@@ -17,7 +17,6 @@ form, and checked with the same flood over masks of cluster positions.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CyclicGraph, InvalidOrder, ModelError
@@ -367,23 +366,42 @@ def build_join_tree(
     )
     clusters = {i: universe.names(c) for i, c in enumerate(maximal)}
 
-    # maximal is in name order, so the stable sort keeps links of equal
-    # weight in name order too.
-    candidates = sorted(
-        combinations(range(len(maximal)), 2),
-        key=lambda ij: -(maximal[ij[0]] & maximal[ij[1]]).bit_count(),
-    )
-    # Every candidate after the tree's last link would close a cycle.
-    component = [1 << i for i in range(len(maximal))]  # by cluster position
+    # Kruskal's loop takes the pairs of clusters by falling weight, the size
+    # of their intersection, and pairs of equal weight in (i, j) order.  Pairs
+    # of disjoint clusters are needed only to join the parts of a
+    # disconnected graph, and are not listed.
+    by_weight = {}  # weight -> its pairs (i, j), i < j, in (i, j) order
+    for i, c in enumerate(maximal):
+        overlaps = map(int.bit_count, map(c.__and__, maximal[i + 1:]))
+        for j, weight in enumerate(overlaps, i + 1):
+            if weight:
+                by_weight.setdefault(weight, []).append((i, j))
+    # Each position's part is named by one of its positions, and a link
+    # renames the smaller of the two parts it joins.
+    part = list(range(len(maximal)))
+    members = [1 << i for i in range(len(maximal))]  # by the part's name
     links = []
-    for i, j in candidates:
-        if len(links) == len(maximal) - 1:
-            break
-        if not component[i] >> j & 1:
-            joined = rest = component[i] | component[j]
-            while rest:
-                k = rest & -rest
-                rest ^= k
-                component[k.bit_length() - 1] = joined
-            links.append((i, j))
+
+    def link(i: int, j: int) -> None:
+        keep, drop = part[i], part[j]
+        if members[keep].bit_count() < members[drop].bit_count():
+            keep, drop = drop, keep
+        rest = members[drop]
+        members[keep] |= rest
+        while rest:
+            k = rest & -rest
+            rest ^= k
+            part[k.bit_length() - 1] = keep
+        links.append((i, j))
+
+    for weight in sorted(by_weight, reverse=True):
+        for i, j in by_weight[weight]:
+            if part[i] != part[j]:
+                link(i, j)
+    # The first disjoint pair in (i, j) order that joins two parts is i and
+    # the lowest position above i outside i's part.
+    everything = (1 << len(maximal)) - 1
+    for i in range(len(maximal)):
+        while outside := everything >> i + 1 << i + 1 & ~members[part[i]]:
+            link(i, (outside & -outside).bit_length() - 1)
     return chordal, JoinTree(clusters, links)

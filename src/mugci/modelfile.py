@@ -33,6 +33,12 @@ from .ugraph import UGraph
 # character is an error; ``\d`` and ``\s`` are Unicode classes.
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[{}();:|=,]")
 _BAD_RE = re.compile(r"[^A-Za-z_\d\s{}();:|=,]")
+# In an ASCII text where no digit runs into a name character, every run of
+# name characters is one name or one digit run, so the tokens are the words
+# left when the marks are spaced out: ``str.split`` and ``\s`` split on the
+# same characters.
+_GLUED_RE = re.compile(r"[0-9][A-Za-z_]")
+_MARKS = "{}();:|=,"
 # The line breaks of ``str.splitlines`` ("\r\n" is one), and a comment up
 # to the next one.
 _BREAK_RE = re.compile(r"[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
@@ -75,12 +81,7 @@ class _Tokens:
         if bad := _BAD_RE.search(body):
             line, column = self._line_column(bad.start())
             raise ModelSyntaxError(f"unexpected character {bad.group()!r}", line, column)
-        first = _TOKEN_RE.search(body)
-        brk = _BREAK_RE.search(body, first.end()) if first else None
-        cut = brk.start() if brk else len(body)
-        toks = _TOKEN_RE.findall(body, 0, cut)
-        self.first_line_end = len(toks)
-        toks += _TOKEN_RE.findall(body, cut)
+        toks, self.first_line_end = _tokenize(body)
         self.n = len(toks)
         self.toks = toks + _PAD
 
@@ -133,6 +134,26 @@ class _Tokens:
         if toks[j] != "}":
             raise self.expected(j, "'}'")
         return frozenset(found), j + 1
+
+
+def _splittable(body: str) -> bool:
+    """Whether ``str.split`` reads a checked text's tokens, once its marks
+    are spaced out."""
+    return body.isascii() and not _GLUED_RE.search(body)
+
+
+def _tokenize(body: str) -> tuple[list[str], int]:
+    """The tokens of a checked text, and how many lie on the first line that
+    holds one; a token starts at the first character that is not a space."""
+    if _splittable(body):
+        for mark in _MARKS:
+            body = body.replace(mark, f" {mark} ")
+        words = str.split
+    else:
+        words = _TOKEN_RE.findall
+    toks = words(body)
+    brk = _BREAK_RE.search(body, len(body) - len(body.lstrip()))
+    return toks, len(words(body[:brk.start()])) if brk else len(toks)
 
 
 def parse_model(text: str) -> ModelFile:

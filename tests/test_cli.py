@@ -2,6 +2,7 @@ import contextlib
 import io
 import random
 import signal
+import sys
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from mugci import ENUMERATION_GUARD, AxiomStep, Closure, Mug, cli
 from mugci.cli import _build_parser, main
+from mugci.errors import ModelError
 
 FIXTURES = "tests/fixtures"
 
@@ -399,6 +401,85 @@ def test_parser_reuse_is_invisible(capsys):
     assert reused == first_calls
     assert [code for (code, _), _ in reused] == [2, 1, 0]
     assert _build_parser() is _build_parser()
+
+
+# -- dispatch: one argparse pass against the full parse -----------------------
+
+
+def full_parse_main(argv):
+    """``main`` as it was when every argv went through the top-level parser."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    try:
+        return args.func(args, sys.stdout)
+    except (ModelError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+DIRECTED = f"{FIXTURES}/directed.mug"
+QUERY = ("query", f"{FIXTURES}/intersection.mug", "--stmt", "{x}|{z}|{y,w}")
+VALID_ARGVS = [
+    ("closure", f"{FIXTURES}/chains.mug"),
+    ("closure", f"{FIXTURES}/chains.mug", "--json", "--emit-chains"),
+    QUERY,
+    (*QUERY, "--mode", "replay"),
+    (*QUERY, "--mode", "search", "--max-moves", "2", "--max-graphs", "4"),
+    ("dsep", DIRECTED, "--graph", "Prop", "--x", "w", "--z", "z", "--y", "x,y,v"),
+    ("moralize", DIRECTED, "--graph", "Prop"),
+    ("check-jointree", DIRECTED, "--tree", "Broken"),
+    ("build-jointree", DIRECTED, "--graph", "Chest", "--order", "b,d,e,l,t"),
+    ("dsep", DIRECTED, "--graph", "Nope", "--x", "w", "--z", "", "--y", "x"),
+    ("moralize", f"{FIXTURES}/missing.mug", "--graph", "Prop"),
+    ("query", f"{FIXTURES}/intersection.mug", "--stmt={x}|{z}|{y,w}"),
+    (*QUERY, "--max-m", "2", "--mode", "search"),
+    ("moralize", "--graph", "Prop", "--", DIRECTED),
+]
+# Help and usage errors that the command's own parser prints.
+COMMAND_USAGE_ARGVS = [
+    ("moralize", "-h"),
+    ("dsep", DIRECTED, "--help"),
+    ("closure",),
+    ("dsep", DIRECTED, "--graph", "Prop", "--x", "w"),
+    (*QUERY, "--mode", "bogus"),
+    (*QUERY, "--mode", "search", "--max-moves", "0"),
+    (*QUERY, "--max", "2"),
+]
+# No command first, or words the command's parser leaves over: the full parse.
+FULL_PARSE_ARGVS = [
+    (),
+    ("frobnicate",),
+    ("-h",),
+    ("--help",),
+    ("-h", "moralize"),
+    ("--help", "dsep", DIRECTED),
+    ("--", "moralize", DIRECTED, "--graph", "Prop"),
+    ("moralize", DIRECTED, "--graph", "Prop", "--bogus"),
+    ("moralize", DIRECTED, "--graph", "Prop", "-x", "1"),
+    ("moralize", DIRECTED, "extra", "--graph", "Prop"),
+    ("moralize", DIRECTED, "--graph", "Prop", "--", "extra"),
+]
+ARGVS = VALID_ARGVS + COMMAND_USAGE_ARGVS + FULL_PARSE_ARGVS
+
+
+@pytest.mark.parametrize("argv", ARGVS)
+def test_dispatch_matches_the_full_parse(capsys, argv):
+    got = main(list(argv)), capsys.readouterr()
+    assert got == (full_parse_main(list(argv)), capsys.readouterr())
+
+
+def test_only_argvs_the_command_parser_cannot_take_get_the_full_parse(monkeypatch):
+    full_parses = []
+    parse_args = _build_parser().parse_args
+    monkeypatch.setattr(
+        _build_parser(), "parse_args", lambda argv: full_parses.append(argv) or parse_args(argv)
+    )
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in ARGVS:
+            main(list(argv))
+    assert full_parses == [list(argv) for argv in FULL_PARSE_ARGVS]
 
 
 # -- fuzzing ------------------------------------------------------------------

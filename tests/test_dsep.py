@@ -347,6 +347,41 @@ def test_disconnected_graph_still_yields_a_tree():
     assert len(tree.links) == len(tree.clusters) - 1
 
 
+def reference_links(clusters):
+    """Kruskal's links over every pair of clusters, sorted as ``(-weight, i,
+    j)``, the way ``build_join_tree`` once listed them."""
+    pairs = sorted(
+        combinations(sorted(clusters), 2),
+        key=lambda ij: -len(clusters[ij[0]] & clusters[ij[1]]),
+    )
+    part = {c: {c} for c in clusters}
+    links = set()
+    for i, j in pairs:
+        if part[i] is not part[j]:
+            joined = part[i] | part[j]
+            for k in joined:
+                part[k] = joined
+            links.add(frozenset((i, j)))
+    return links
+
+
+def test_join_tree_links_match_sorting_every_pair():
+    rng = random.Random(4242)
+    disconnected = 0
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        names = [f"e{i}" for i in range(n)]
+        density = rng.choice((0.0, 0.1, 0.2, 0.35, 0.6))
+        edges = [(a, b) for a, b in combinations(names, 2) if rng.random() < density]
+        g = UGraph.from_singletons(names, edges)
+        _, tree = build_join_tree(g, rng.sample(names, n))
+        assert tree.links == reference_links(tree.clusters), (edges, tree)
+        disconnected += any(
+            not (tree.clusters[a] & tree.clusters[b]) for a, b in map(sorted, tree.links)
+        )
+    assert disconnected > 50, disconnected
+
+
 # -- differential: the parents and children index against arc scans ---------
 #
 # The references below scan every arc for each element, as ``DiGraph`` did

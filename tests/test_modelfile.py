@@ -18,7 +18,8 @@ from mugci.errors import (
     UnknownElement,
 )
 from mugci.model import Universe
-from mugci.modelfile import ModelFile
+from mugci import modelfile
+from mugci.modelfile import ModelFile, _splittable, _Tokens
 from mugci.ugraph import UGraph
 
 from object_layer import serialize_model
@@ -566,6 +567,77 @@ def test_parse_errors_match_reference_on_mutated_models():
         kinds.add(got[0])
     # the mutations reach success as well as several kinds of error
     assert {"ok", ModelSyntaxError, UnknownElement} <= kinds
+
+
+# -- the two tokenizers ----------------------------------------------------------
+
+
+def split_branch(text):
+    """Whether the parser reads text's tokens by ``str.split``."""
+    return _splittable(_Tokens(text).body)
+
+
+def findall_tokens(body):
+    """The tokens of a checked text and how many lie on its first line that
+    holds one, as ``_TOKEN_RE.findall`` reads them."""
+    token_re, break_re = modelfile._TOKEN_RE, modelfile._BREAK_RE
+    first = token_re.search(body)
+    brk = break_re.search(body, first.end()) if first else None
+    cut = brk.start() if brk else len(body)
+    return token_re.findall(body), len(token_re.findall(body, 0, cut))
+
+
+def test_split_tokens_match_findall():
+    # The corpus and the texts of the mutation test, and larger DAGs; a text
+    # the character check refuses never reaches a tokenizer.
+    rng = random.Random(2024)
+    corpus = mutation_corpus()
+    mutated = [mutate(rng, rng.choice(corpus)) for _ in range(3000)]
+    dags = [dag_text(random.Random(seed), n) for seed, n in ((11, 24), (3, 64))]
+    assert all(split_branch(text) for text in dags)
+    branches = {True: 0, False: 0}
+    for text in corpus + dags + mutated:
+        try:
+            p = _Tokens(text)
+        except ModelSyntaxError:
+            continue
+        assert (p.toks[:p.n], p.first_line_end) == findall_tokens(p.body), text
+        branches[_splittable(p.body)] += 1
+    assert branches[True] > 1000 and branches[False] > 100, branches
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "universe a b\nstmt S: {a} | {} | {b} 3ab\n",  # a digit run, then a name
+        "universe x1y b\nstmt S: {x1y} | {} | {b}\n",  # a digit inside a name
+        "universe a b\ngraph G { node ٣ = {a}; }\n",  # a digit outside ASCII
+    ],
+)
+def test_findall_reads_what_split_would_misread(text):
+    assert not split_branch(text)
+    p = _Tokens(text)
+    assert (p.toks[:p.n], p.first_line_end) == findall_tokens(p.body)
+
+
+def test_benchmark_model_shapes_take_the_split_branch():
+    # The shapes of the benchmark's generated models: a DAG over two-letter
+    # names, a premise model and a graph model with numbered nodes.
+    universe = "universe ab qz hu xw\n"
+    dag = universe + (
+        "digraph D {\n  det node ab;\n  node qz;\n  node hu;\n  node xw;\n"
+        "  arc ab qz;\n  arc ab hu;\n  arc qz xw;\n}\n"
+    )
+    premises = universe + (
+        "stmt P0: {ab} | {} | {hu,qz}\nstmt P1: {ab,xw} | {qz} | {hu}\n"
+    )
+    graph = universe + (
+        "graph G0 {\n  node 0 = {ab,hu};\n  node 1 = {qz};\n  node 12 = {xw};\n"
+        "  edge 0 1;\n  edge 1 12;\n}\n"
+    )
+    for text in (dag, premises, graph):
+        assert split_branch(text), text
+        parse_model(text)
 
 
 @pytest.mark.parametrize(
