@@ -21,7 +21,7 @@ from .derivation import (
     search,
     verify_script,
 )
-from .dsep import build_join_tree
+from .dsep import join_tree_masks
 from .errors import ModelError
 from .graphoid import AxiomStep, closure, prove, verify_chain
 from .model import (
@@ -31,8 +31,8 @@ from .model import (
 )
 from .modelfile import (
     ModelFile,
-    format_jointree,
-    format_ugraph,
+    format_join_masks,
+    format_packed,
     parse_model,
 )
 from .mug import Combine, Delete, Mug
@@ -104,9 +104,10 @@ def _format_move(move) -> str:
 
 
 def _print_script(script: MoveScript, verified: bool, out) -> None:
+    universe = script.initial.universe
     print(f"initial-graphs: {len(script.initial.packed)}", file=out)
-    for i, g in enumerate(script.initial.graphs):
-        print(format_ugraph(f"g{i}", g), file=out)
+    for i, (nodes, adj) in enumerate(script.initial.packed):
+        print(format_packed(f"g{i}", universe, nodes, adj), file=out)
     print("moves:", file=out)
     for i, move in enumerate(script.moves):
         print(f"  [{i + 1}] {_format_move(move)}", file=out)
@@ -227,8 +228,8 @@ def _cmd_moralize(args, out) -> int:
     model = _load_model(args.file)
     if args.graph not in model.digraphs:
         raise ModelError(f"no digraph named {args.graph!r}")
-    moral = model.digraphs[args.graph].moralize()
-    print(format_ugraph(f"moral_{args.graph}", moral), file=out)
+    d = model.digraphs[args.graph]
+    print(format_packed(f"moral_{args.graph}", d.universe, *d.moral_graph()), file=out)
     return 0
 
 
@@ -248,28 +249,30 @@ def _cmd_check_jointree(args, out) -> int:
 def _cmd_build_jointree(args, out) -> int:
     model = _load_model(args.file)
     if args.graph in model.graphs:
-        base = model.graphs[args.graph]
-        if any(len(es) != 1 for es in base.nodes.values()):
+        universe, nodes, adj, _ = model.graphs[args.graph]._packed_form()
+        if any(m & m - 1 for _, m in nodes):
             raise ModelError(
                 f"graph {args.graph!r} has multi-element nodes; "
                 f"build-jointree needs one element per node"
             )
-        if len(base.elements) != len(base.nodes):
+        if len(universe) != len(nodes):
             raise ModelError(
                 f"graph {args.graph!r} repeats an element; "
                 f"build-jointree needs one node per element"
             )
     elif args.graph in model.digraphs:
-        base = model.digraphs[args.graph].moralize()
+        d = model.digraphs[args.graph]
+        universe, (nodes, adj) = d.universe, d.moral_graph()
     else:
         raise ModelError(f"no graph or digraph named {args.graph!r}")
     order = [e for e in (p.strip() for p in args.order.split(",")) if e]
-    chordal, tree = build_join_tree(base, order)
-    print(format_ugraph(f"chordal_{args.graph}", chordal), file=out)
-    print(format_jointree(f"jointree_{args.graph}", tree), file=out)
-    for link in sorted(tuple(sorted(l)) for l in tree.links):
-        a, b = link
-        print(f"sepset {a} {b} = {format_set(tree.sepset(a, b))}", file=out)
+    filled, clusters, links = join_tree_masks(universe, nodes, adj, order)
+    print(format_packed(f"chordal_{args.graph}", universe, nodes, filled), file=out)
+    print(format_join_masks(f"jointree_{args.graph}", universe, enumerate(clusters), links),
+          file=out)
+    text = universe.text
+    for a, b in sorted(links):
+        print(f"sepset {a} {b} = {text(clusters[a] & clusters[b])}", file=out)
     return 0
 
 

@@ -11,8 +11,10 @@ test plain separation in the resulting undirected graph.  All four are mask
 operations on the parent index, the last being the flood ``ugraph.reach``,
 so ``d_separated`` builds no intermediate graph.
 
-Join trees are built on element masks from the undirected graph's packed
-form, and checked with the same flood over masks of cluster positions.
+The moral graph (``moral_graph``) and join trees (``join_tree_masks``) are
+built in ``ugraph``'s packed form, which the CLI prints as it is;
+``moralize`` and ``build_join_tree`` decode the same masks into objects.
+Join trees are checked with the same flood over masks of cluster positions.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .model import (
     Universe,
     format_set,
 )
-from .ugraph import UGraph, reach
+from .ugraph import UGraph, reach, unpacked_graph
 
 
 class DiGraph:
@@ -105,21 +107,18 @@ class DiGraph:
         parents = self._rerouted(dict(self._parents), universe.full, observed)
         return DiGraph(universe, self._named_arcs(parents), self.deterministic)
 
+    def moral_graph(self) -> tuple[tuple, tuple]:
+        """The moral graph, packed over the universe as ``packed_graph``
+        packs a graph: node i holds element i."""
+        near = _moral_neighbours(self._parents)
+        return tuple(enumerate(near)), tuple(ns & ~v for v, ns in near.items())
+
     def moralize(self) -> UGraph:
         """Drop arc directions and marry every pair of co-parents.
 
         Node ids follow element order, as in ``UGraph.from_singletons``.
         """
-        edges = []
-        for v, near in _moral_neighbours(self._parents).items():
-            i = v.bit_length() - 1
-            later = near >> i + 1 << i + 1  # each edge once, from its lower end
-            while later:
-                w = later & -later
-                later ^= w
-                edges.append((i, w.bit_length() - 1))
-        nodes = {i: (e,) for i, e in enumerate(self._universe.elements)}
-        return UGraph(nodes, edges)
+        return unpacked_graph(self._universe, *self.moral_graph())
 
     def d_separated(
         self, x: Iterable[str], z: Iterable[str], y: Iterable[str]
@@ -321,50 +320,56 @@ def build_join_tree(
     elimination order works; bad orders just produce more fill-in.  The
     returned tree always satisfies the running intersection property.
     """
-    node_of = {}
-    for n, es in g.nodes.items():
+    seen = set()
+    for es in g.nodes.values():
         if len(es) != 1:
             raise ModelError("join-tree construction needs single-element nodes")
         (e,) = es
-        if e in node_of:
+        if e in seen:
             raise ModelError(f"element {e} appears in more than one node")
-        node_of[e] = n
+        seen.add(e)
+    universe, nodes, adj, _ = g._packed_form()
+    filled, clusters, links = join_tree_masks(universe, nodes, adj, order)
+    return unpacked_graph(universe, nodes, filled), JoinTree(
+        {i: universe.names(c) for i, c in enumerate(clusters)}, links
+    )
+
+
+def join_tree_masks(
+    universe: Universe, nodes: tuple, adj: tuple, order: Iterable[str]
+) -> tuple[tuple, list[int], list[tuple[int, int]]]:
+    """``build_join_tree`` on a packed graph of single-element nodes that
+    holds every element of the universe once: the filled adjacency over the
+    same nodes, the clusters' element masks by cluster id, and the links.
+    InvalidOrder unless the order is a permutation of the elements."""
     order = tuple(order)
-    if sorted(order) != sorted(node_of):
+    if tuple(sorted(order)) != universe.elements:
         raise InvalidOrder("order must be a permutation of the graph's elements")
+    position = {m: 1 << i for i, (_, m) in enumerate(nodes)}  # by element bit
+    adjacency = dict(zip(position.values(), adj))  # neighbours and fill-in
 
-    universe, nodes, _, adjacency = g._packed_form()
-    adjacency = dict(adjacency)  # by element bit: itself, neighbours, fill-in
-
-    fill = []  # (a, mask of the b above a that get an edge to a)
     cliques = []
-    later = set()  # each eliminated element's neighbours not yet eliminated
+    later = set()  # each eliminated node's neighbours not yet eliminated
     eliminated = 0
-    for v in map(universe.bits.__getitem__, order):
-        nbrs = adjacency[v] & ~(eliminated | v)
+    for v in map(position.__getitem__, map(universe.bits.__getitem__, order)):
+        nbrs = adjacency[v] & ~eliminated
         cliques.append(v | nbrs)
         later.add(nbrs)
         rest = nbrs
         while rest:
             a = rest & -rest
             rest ^= a
-            if rest & ~adjacency[a]:
-                fill.append((a, rest & ~adjacency[a]))
-            adjacency[a] |= nbrs
+            adjacency[a] |= nbrs ^ a
         eliminated |= v
-
-    node_at = {m: n for n, m in nodes}
-    chordal = g.add_arcs(
-        (node_at[a], node_at[b]) for a, above in fill for b in _bits(above)
-    )
 
     # v's clique is v and its later neighbours.  Each u's later neighbours
     # lie in the clique of the first of them, so a clique inside another is,
     # following such steps, exactly some u's later neighbours.
-    maximal = sorted(
-        (c for c in cliques if c not in later), key=lambda c: sorted(universe.names(c))
-    )
-    clusters = {i: universe.names(c) for i, c in enumerate(maximal)}
+    maximal = [c for c in cliques if c not in later]
+    if any(m != p for m, p in position.items()):  # node i holds another element
+        element = {p: m for m, p in position.items()}
+        maximal = [sum(map(element.__getitem__, _bits(c))) for c in maximal]
+    maximal.sort(key=lambda c: sorted(universe.names(c)))
 
     # Kruskal's loop takes the pairs of clusters by falling weight, the size
     # of their intersection, and pairs of equal weight in (i, j) order.  Pairs
@@ -404,4 +409,4 @@ def build_join_tree(
     for i in range(len(maximal)):
         while outside := everything >> i + 1 << i + 1 & ~members[part[i]]:
             link(i, (outside & -outside).bit_length() - 1)
-    return chordal, JoinTree(clusters, links)
+    return tuple(adjacency.values()), maximal, links

@@ -22,10 +22,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import islice
+from string import ascii_letters, digits
+from typing import Iterable
 
 from .dsep import DiGraph, JoinTree
 from .errors import DuplicateName, ModelError, ModelSyntaxError, UnknownElement
-from .model import Statement, Universe, format_set
+from .model import Statement, Universe
 from .ugraph import UGraph
 
 # A token is a name, a digit run or one punctuation mark, so a token is a
@@ -33,6 +35,8 @@ from .ugraph import UGraph
 # character is an error; ``\d`` and ``\s`` are Unicode classes.
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[{}();:|=,]")
 _BAD_RE = re.compile(r"[^A-Za-z_\d\s{}();:|=,]")
+# The ASCII characters ``_BAD_RE`` accepts; ``\s`` holds "\x1c"-"\x1f" too.
+_ALLOWED = (ascii_letters + digits + "_\t\n\v\f\r\x1c\x1d\x1e\x1f {}();:|=,").encode()
 # In an ASCII text where no digit runs into a name character, every run of
 # name characters is one name or one digit run, so the tokens are the words
 # left when the marks are spaced out: ``str.split`` and ``\s`` split on the
@@ -78,9 +82,12 @@ class _Tokens:
         # after it can join into one line break.
         body = _COMMENT_RE.sub(" ", text) if "#" in text else text
         self.body = body
-        if bad := _BAD_RE.search(body):
-            line, column = self._line_column(bad.start())
-            raise ModelSyntaxError(f"unexpected character {bad.group()!r}", line, column)
+        # An ASCII text is clean when deleting the allowed characters leaves
+        # nothing; the regex is left to place the first bad one.
+        if not body.isascii() or body.encode().translate(None, _ALLOWED):
+            if bad := _BAD_RE.search(body):
+                line, column = self._line_column(bad.start())
+                raise ModelSyntaxError(f"unexpected character {bad.group()!r}", line, column)
         toks, self.first_line_end = _tokenize(body)
         self.n = len(toks)
         self.toks = toks + _PAD
@@ -329,22 +336,43 @@ def _numbered_block(
 
 
 def format_ugraph(name: str, g: UGraph) -> str:
+    universe, nodes, adj, _ = g._packed_form()
+    return format_packed(name, universe, nodes, adj)
+
+
+def format_packed(name: str, universe: Universe, nodes: tuple, adj: tuple) -> str:
+    """A graph in ``packed_graph``'s form as a ``graph`` block: nodes in id
+    order, then edges in (a, b) order."""
+    text = universe.text
     lines = [f"graph {name} {{"]
-    nodes = g.nodes
-    for n in sorted(nodes):
-        lines.append(f"  node {n} = {format_set(nodes[n])};")
-    for a, b in sorted(tuple(sorted(e)) for e in g.edges):
-        lines.append(f"  edge {a} {b};")
+    lines += [f"  node {n} = {text(m)};" for n, m in nodes]
+    tails = [f" {n};" for n, _ in nodes]
+    for i, nbrs in enumerate(adj):
+        head = f"  edge {nodes[i][0]}"
+        later = nbrs >> i + 1  # each edge once, from its lower end
+        while later:
+            low = later & -later
+            later ^= low
+            lines.append(head + tails[i + low.bit_length()])
     lines.append("}")
     return "\n".join(lines)
 
 
 def format_jointree(name: str, t: JoinTree) -> str:
+    clusters = t.clusters
+    universe = Universe._from_sorted(sorted(frozenset().union(*clusters.values())))
+    masks = [(c, universe.mask(clusters[c])) for c in sorted(clusters)]
+    return format_join_masks(name, universe, masks, t.links)
+
+
+def format_join_masks(
+    name: str, universe: Universe, clusters: Iterable[tuple[int, int]], links: Iterable
+) -> str:
+    """A join tree as a ``jointree`` block, from (cluster id, element mask)
+    pairs in id order and links as pairs of ids."""
+    text = universe.text
     lines = [f"jointree {name} {{"]
-    for c in sorted(t.clusters):
-        lines.append(f"  cluster {c} = {format_set(t.clusters[c])};")
-    for a, b in sorted(tuple(sorted(l)) for l in t.links):
-        lines.append(f"  link {a} {b};")
+    lines += [f"  cluster {c} = {text(m)};" for c, m in clusters]
+    lines += [f"  link {a} {b};" for a, b in sorted(tuple(sorted(l)) for l in links)]
     lines.append("}")
     return "\n".join(lines)
-

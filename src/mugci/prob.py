@@ -70,20 +70,29 @@ class DiscreteJoint:
     @classmethod
     def _from_weights(
         cls, variables: tuple[str, ...], cardinalities: tuple[int, ...],
-        weights: list[int], scale: int,
+        weights: list[int],
     ) -> "DiscreteJoint":
-        """The exact table with entries weight/scale, for nonnegative integer
-        weights summing to scale: the weights are its numerators as they
-        are, so nothing is checked or re-derived."""
-        # Weights repeat across a table: build each distinct Fraction once.
-        fractions = {w: Fraction(w, scale) for w in set(weights)}
+        """The exact table with entries weight/total, for nonnegative integer
+        weights: the weights are its numerators as they are, so nothing is
+        checked or re-derived, and its probabilities are made on first read."""
         joint = object.__new__(cls)
         fields = joint.__dict__
         fields["variables"] = variables
         fields["cardinalities"] = cardinalities
-        fields["probabilities"] = tuple(map(fractions.__getitem__, weights))
         fields["_numerators"] = tuple(weights)
         return joint
+
+    def __getattr__(self, name: str):
+        # Reached only for a field that is not set: the probabilities of a
+        # table from _from_weights, each distinct Fraction built once.
+        if name != "probabilities" or "_numerators" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        weights = self._numerators
+        total = sum(weights)
+        fractions = {w: Fraction(w, total) for w in set(weights)}
+        probabilities = tuple(map(fractions.__getitem__, weights))
+        self.__dict__["probabilities"] = probabilities
+        return probabilities
 
     @property
     def exact(self) -> bool:
@@ -202,9 +211,8 @@ def sample_dag_joint(d: DiGraph, seed: int) -> DiscreteJoint:
     bit = {v: 1 << (n - 1 - i) for i, v in enumerate(variables)}
     indices = range(size)
     # Each factor is weight/10 (weight/1 for a deterministic element): keep
-    # integer weights, one factor at a time, and divide once at the end.
+    # integer weights, one factor at a time; their total is the denominator.
     weights = [1] * size
-    scale = 1
     for v in variables:
         # Parent configurations in product((0, 1), ...) order over the sorted
         # parents, as index bits; each draws its row of v's factor.
@@ -221,11 +229,9 @@ def sample_dag_joint(d: DiGraph, seed: int) -> DiscreteJoint:
                 one = rng.randint(1, 9)
                 lookup[row] = 10 - one
             lookup[row | bit[v]] = one
-        if not deterministic:
-            scale *= 10
         mask = bit[v] | rows[-1]  # the last row has every parent bit set
         weights = list(
             map(mul, weights, map(lookup.__getitem__, map(mask.__and__, indices)))
         )
-    return DiscreteJoint._from_weights(variables, (2,) * n, weights, scale)
+    return DiscreteJoint._from_weights(variables, (2,) * n, weights)
 

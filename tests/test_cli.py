@@ -4,6 +4,7 @@ import random
 import signal
 import sys
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,11 @@ from hypothesis import strategies as st
 
 from mugci import ENUMERATION_GUARD, AxiomStep, Closure, Mug, cli
 from mugci.cli import _build_parser, main
-from mugci.errors import ModelError
+from mugci.dsep import JoinTree, build_join_tree
+from mugci.errors import InvalidOrder, ModelError
+from mugci.model import format_set
+from mugci.modelfile import format_jointree, format_ugraph, parse_model
+from mugci.ugraph import UGraph
 
 FIXTURES = "tests/fixtures"
 
@@ -588,3 +593,109 @@ def test_cli_exits_0_1_or_2_without_a_traceback(tmp_path_factory, seed):
     assert code in (0, 1, 2), (data, argv)
     assert "Traceback" not in err.getvalue(), (data, argv)
     assert code != 2 or out.getvalue() == "", (data, argv)
+
+
+# -- moralize and build-jointree print what the library objects print ----------
+
+
+def random_directed_case(rng, kind):
+    """The text of a model with a digraph or graph named D, and the
+    elements a join tree is built over."""
+    n = {"one": 1, "large": rng.randint(48, 64)}.get(kind, rng.randint(2, 24))
+    names = [f"v{i:02d}" for i in range(n)]
+    rng.shuffle(names)  # so that the topological order is not the name order
+    extra = [f"w{i}" for i in range(rng.randint(1, 3))] if kind == "own" else []
+    head = f"universe {' '.join(names + extra)}\n"
+    if kind == "graph":  # single-element nodes under sparse ids
+        ids = rng.sample(range(300), n)
+        pairs = [(a, b) for a, b in combinations(ids, 2) if rng.random() < 0.2]
+        body = [f"node {i} = {{{e}}};" for i, e in zip(ids, names)]
+        body += [f"edge {a} {b};" for a, b in pairs]
+        return head + "graph D {\n  " + "\n  ".join(body) + "\n}\n", names
+    # A disconnected DAG draws its arcs within two halves.
+    cut = n // 2 if kind == "disconnected" else 0
+    arcs = []
+    for j in range(1, n):
+        low = cut if j >= cut else 0
+        for i in rng.sample(range(low, j), min(j - low, rng.randint(0, 3))):
+            arcs.append((names[i], names[j]))
+    det = {e for e in names if rng.random() < 0.2}
+    body = [f"{'det node' if e in det else 'node'} {e};" for e in names]
+    body += [f"arc {a} {b};" for a, b in arcs]
+    return head + "digraph D {\n  " + "\n  ".join(body) + "\n}\n", names
+
+
+def library_join_tree_text(base, order):
+    chordal, tree = build_join_tree(base, order)
+    links = sorted(tuple(sorted(link)) for link in tree.links)
+    sepsets = "".join(f"sepset {a} {b} = {format_set(tree.sepset(a, b))}\n" for a, b in links)
+    text = (format_ugraph("chordal_D", chordal) + "\n"
+            + format_jointree("jointree_D", tree) + "\n" + sepsets)
+    return text, chordal, tree
+
+
+def test_moralize_and_build_jointree_print_the_library_objects(tmp_path, capsys):
+    rng = random.Random(101)
+    kinds = ["plain"] * 110 + ["disconnected"] * 40 + ["one"] * 10
+    kinds += ["own"] * 30 + ["graph"] * 40 + ["large"] * 10
+    bad_orders = 0
+    for case, kind in enumerate(kinds):
+        text, names = random_directed_case(rng, kind)
+        path = tmp_path / f"case{case}.mug"
+        path.write_text(text)
+        model = parse_model(text)
+        if kind == "graph":
+            base = model.graphs["D"]
+        else:
+            base = model.digraphs["D"].moralize()
+            assert run("moralize", str(path), "--graph", "D") == (
+                0, format_ugraph("moral_D", base) + "\n"
+            )
+        order = rng.sample(names, len(names))
+        if case % 10 == 9:  # a partial order, or one with an element twice
+            order = order[1:] if case % 20 == 9 else order + order[:1]
+            code, got = run("build-jointree", str(path), "--graph", "D",
+                            "--order", ",".join(order))
+            with pytest.raises(InvalidOrder) as err:
+                build_join_tree(base, order)
+            assert (code, got, capsys.readouterr().err) == (2, "", f"error: {err.value}\n")
+            bad_orders += 1
+            continue
+        code, got = run("build-jointree", str(path), "--graph", "D",
+                        "--order", ",".join(order))
+        want, chordal, tree = library_join_tree_text(base, order)
+        assert (code, got) == (0, want), text
+        # The printed blocks parse back to the library's objects, and the
+        # tree passes check-jointree.
+        blocks = got[:got.index("\nsepset")] if "\nsepset" in got else got
+        printed = tmp_path / f"printed{case}.mug"
+        printed.write_text(text[:text.index("\n") + 1] + blocks)
+        back = parse_model(printed.read_text())
+        assert back.graphs["chordal_D"] == chordal
+        assert back.jointrees["jointree_D"] == tree
+        assert run("check-jointree", str(printed), "--tree", "jointree_D") == (0, "valid\n")
+    assert bad_orders == len(kinds) // 10
+
+
+def test_graph_printing_commands_build_no_ugraph_or_join_tree(monkeypatch, tmp_path):
+    built = []
+    for cls in (UGraph, JoinTree):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    dag = tmp_path / "chest.mug"
+    dag.write_text(
+        "universe b d e l t x\n"
+        "digraph Chest { node t; node l; node b; det node e; node d;\n"
+        "  arc t e; arc l e; arc e d; arc b d; }\n"
+    )
+    code, moral = run("moralize", str(dag), "--graph", "Chest")
+    assert code == 0 and moral.count("edge") == 6
+    code, tree = run("build-jointree", str(dag), "--graph", "Chest", "--order", "t,d,e,l,b")
+    assert code == 0 and "jointree jointree_Chest {" in tree
+    code, script = run("query", f"{FIXTURES}/chaining.mug", "--stmt", "{x}|{z}|{w}",
+                       "--mode", "replay")
+    assert code == 0 and "graph g0 {" in script and "script-verified: true" in script
+    assert built == []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
 
@@ -20,7 +21,7 @@ from mugci.errors import (
 from mugci.model import Universe
 from mugci import modelfile
 from mugci.modelfile import ModelFile, _splittable, _Tokens
-from mugci.ugraph import UGraph
+from mugci.ugraph import UGraph, packed_graph
 
 from object_layer import serialize_model
 
@@ -640,6 +641,43 @@ def test_benchmark_model_shapes_take_the_split_branch():
         parse_model(text)
 
 
+# -- the character check -----------------------------------------------------
+
+
+def test_allowed_bytes_are_the_ascii_characters_the_regex_accepts():
+    allowed = modelfile._ALLOWED
+    assert len(set(allowed)) == len(allowed)
+    for c in range(128):
+        assert (bytes([c]) in allowed) == (modelfile._BAD_RE.match(chr(c)) is None), hex(c)
+
+
+def test_every_bad_ascii_character_is_placed(monkeypatch):
+    searched = []
+
+    class CountingRegex:
+        def search(self, text):
+            searched.append(text)
+            return BAD_RE.search(text)
+
+    BAD_RE = modelfile._BAD_RE
+    monkeypatch.setattr(modelfile, "_BAD_RE", CountingRegex())
+    # A clean ASCII text is passed without the regex.
+    parse_model(dag_text(random.Random(5), 24))
+    assert searched == []
+    bad = [chr(c) for c in range(128) if bytes([c]) not in modelfile._ALLOWED]
+    assert "#" in bad and "\x00" in bad and "\x7f" in bad and "-" in bad
+    for ch in bad:
+        if ch == "#":  # a comment, removed before the check
+            continue
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(f"universe a b\r\nstmt S: {{a}} |{ch} {{}} | {{b}}\n")
+        assert str(err.value) == f"unexpected character {ch!r} (line 2, column 14)"
+    # Outside ASCII the regex decides: a Unicode space and digit are clean.
+    searched.clear()
+    parse_model("universe a b\u2028graph G { node \u0663 = {a}; }\n")
+    assert len(searched) == 1
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -743,3 +781,63 @@ def test_fuzzed_text_parses_or_raises_model_error(prefix, pieces):
     if got[0] == "ok":
         assert isinstance(got[1], ModelFile)
     assert got == reference_outcome(text)
+
+
+# -- the printers ------------------------------------------------------------
+
+
+def random_printable_graph(rng):
+    """Names and a graph under sparse non-negative ids, with multi-element
+    nodes, elements on several nodes and isolated nodes."""
+    names = [f"e{i}" for i in range(rng.randint(1, 6))]
+    ids = rng.sample(range(0, 200), rng.randint(0, 9))
+    nodes = {n: rng.sample(names, rng.randint(1, min(3, len(names)))) for n in ids}
+    share = rng.choice((0.0, 0.15, 0.4, 0.8))
+    edges = [(a, b) for a, b in combinations(ids, 2) if rng.random() < share]
+    return names, UGraph(nodes, edges)
+
+
+def printed_items(text, item):
+    """The numbers after each ``item`` keyword of a printed block, in order."""
+    found = re.findall(rf"^  {item} (\d+) ?(\d+)?", text, re.M)
+    return [tuple(int(x) for x in pair if x) for pair in found]
+
+
+def test_packed_printer_round_trips_random_graphs():
+    rng = random.Random(71)
+    seen = {"multi": 0, "repeated": 0, "isolated": 0, "empty": 0}
+    for _ in range(400):
+        names, g = random_printable_graph(rng)
+        text = modelfile.format_ugraph("G", g)
+        universe = Universe(names)
+        assert modelfile.format_packed("G", universe, *packed_graph(universe, g)) == text
+        assert text.startswith("graph G {\n") and text.endswith("\n}")
+        assert printed_items(text, "node") == [(n,) for n in sorted(g.nodes)]
+        assert printed_items(text, "edge") == sorted(tuple(sorted(e)) for e in g.edges)
+        assert text.count("\n") == len(g.nodes) + len(g.edges) + 1
+        back = parse_model(f"universe {' '.join(names)}\n{text}\n").graphs["G"]
+        assert back == g
+        seen["multi"] += any(len(es) > 1 for es in g.nodes.values())
+        seen["repeated"] += sum(map(len, g.nodes.values())) > len(g.elements)
+        seen["isolated"] += any(not g.neighbors(n) for n in g.nodes)
+        seen["empty"] += not g.nodes
+    assert min(seen.values()) > 10, seen
+
+
+def test_join_tree_printer_round_trips_random_trees():
+    rng = random.Random(73)
+    for _ in range(300):
+        names = [f"e{i}" for i in range(rng.randint(1, 6))]
+        ids = rng.sample(range(0, 200), rng.randint(0, 7))
+        clusters = {c: rng.sample(names, rng.randint(1, len(names))) for c in ids}
+        pairs = list(combinations(ids, 2))
+        links = rng.sample(pairs, min(len(pairs), rng.randint(0, 4)))
+        links = [link[::-1] if rng.random() < 0.5 else link for link in links]
+        t = JoinTree(clusters, links)
+        text = modelfile.format_jointree("J", t)
+        universe = Universe(names)
+        masks = [(c, universe.mask(t.clusters[c])) for c in sorted(t.clusters)]
+        assert modelfile.format_join_masks("J", universe, masks, t.links) == text
+        assert printed_items(text, "cluster") == [(c,) for c in sorted(ids)]
+        assert printed_items(text, "link") == sorted(tuple(sorted(l)) for l in links)
+        assert parse_model(f"universe {' '.join(names)}\n{text}\n").jointrees["J"] == t

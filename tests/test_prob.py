@@ -443,3 +443,34 @@ def test_d_connected_statements_are_dependent_on_some_seed():
             connected += 1
             assert not all(ci_holds(p, s.x, s.z, s.y) for p in joints), s
     assert connected > 10000
+
+
+def test_sampled_joint_builds_its_fractions_only_when_read():
+    # A sampled table keeps integer weights; its Fraction entries are made on
+    # the first read of ``probabilities``, which ci_holds never does.  Each
+    # view below is taken on a fresh table, so each one makes them itself.
+    rng = random.Random(29)
+    statements = {n: list(enumerate_canonical(Universe(f"v{i}" for i in range(n))))
+                  for n in range(2, 6)}
+    answers = set()
+    for seed in range(60):
+        d = random_dag(rng, rng.randint(1, 5), shuffled=seed % 2 == 1)
+        want = reference_sample_dag_joint(d, seed)
+        fresh = lambda: sample_dag_joint(d, seed)
+        assert "probabilities" not in vars(fresh())
+        assert fresh() == want and want == fresh()
+        assert hash(fresh()) == hash(want)
+        assert repr(fresh()) == repr(want)
+        assert fresh().exact
+        assert list(fresh().configurations()) == list(want.configurations())
+        assert fresh().probabilities == want.probabilities
+        p = fresh()
+        for s in statements.get(len(d.universe), ()):
+            got = ci_holds(p, s.x, s.z, s.y)
+            assert got == ci_holds(want, s.x, s.z, s.y)
+            answers.add(got)
+        assert "probabilities" not in vars(p)
+        assert p.probabilities is p.probabilities  # made once, then kept
+    assert answers == {True, False}
+    with pytest.raises(AttributeError, match="'DiscreteJoint' object has no attribute 'weights'"):
+        sample_dag_joint(DiGraph(Universe("a")), 0).weights
