@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import partial
+from itertools import chain
+from typing import Callable, Iterable
 
 from .errors import (
     ModelError,
@@ -28,7 +30,6 @@ from .model import TRIVIALLY_TRUE, CanonicalStatement, Statement, Universe
 from .mug import (
     Combine,
     Delete,
-    Floods,
     Move,
     Mug,
     append_transformed,
@@ -36,7 +37,14 @@ from .mug import (
     packed_deletion,
     packed_singletons,
 )
-from .ugraph import UGraph, element_mask, packed_graph, packed_key
+from .ugraph import (
+    UGraph,
+    element_mask,
+    element_neighbours,
+    packed_graph,
+    packed_key,
+    reach,
+)
 
 
 @dataclass(frozen=True)
@@ -61,11 +69,12 @@ class Exhausted:
     ``stats`` holds the search's deterministic work counters: states
     explored at each depth (``states_depth_<d>``), successors dropped as
     already visited (``dedup_hits``) or by the graph cap
-    (``rejected_graph_cap``), and floods of a graph key's element graph
-    computed, or read again for another graph or listing (``floods``,
-    ``flood_hits``).  ``dedup_hits`` leaves out the successors skipped,
-    unbuilt as states, as commuted orders of earlier moves (see
-    ``search``).  It takes no part in equality.
+    (``rejected_graph_cap``), the ``reach`` calls made (``floods``: one
+    per component that lists candidates, see ``search``, and one per graph
+    key holding the target's elements), and component floods read again
+    for another listing (``flood_hits``).  ``dedup_hits`` leaves out the
+    successors skipped, unbuilt as states, as commuted orders of earlier
+    moves.  It takes no part in equality.
     """
 
     states_explored: int
@@ -178,6 +187,67 @@ class _Member:
         self.mask = element_mask(nodes)
 
 
+class _Combinations(dict):
+    """A member's combination successors by packed statement, made on first ask."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[int], tuple]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, p: int) -> tuple:
+        made = self[p] = self.make(p)
+        return made
+
+
+def _components(
+    neighbours: dict[int, int], elements: int, inside: int
+) -> list[tuple[int, int]]:
+    """The components of a graph's element graph without ``inside``.
+
+    ``neighbours`` is the graph's ``element_neighbours`` and ``elements``
+    its element mask.  Each component comes with the mask of the elements
+    of ``inside`` next to it; one ``reach`` finds each.
+    """
+    parts = []
+    rest = elements & ~inside
+    while rest:
+        part = bits = reach(neighbours, rest & -rest, inside)
+        rest ^= part
+        touched = 0
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            touched |= neighbours[bit]
+        parts.append((part, touched & inside))
+    return parts
+
+
+def _candidates(universe: Universe, inside: int, parts: list) -> list[int]:
+    """Every packed I(x, inside - x, y) that a graph holding ``inside``
+    witnesses with y outside it, its ``_components`` being ``parts``.
+
+    A path from x to y that avoids z = inside - x enters y's component
+    straight from x, so y may take any elements of the components next to
+    no element of x.
+    """
+    found = []
+    x = inside
+    while x:
+        holding = 0
+        for part, touched in parts:
+            if not touched & x:
+                holding |= part
+        z = inside ^ x
+        y = holding
+        while y:
+            found.append(universe.pack(x, z, y))
+            y = (y - 1) & holding
+        x = (x - 1) & inside
+    return found
+
+
 def search(
     m0: Mug, target: CanonicalStatement, max_moves: int, max_graphs: int
 ) -> MoveScript | Exhausted:
@@ -204,16 +274,18 @@ def search(
     ``verify_script`` replays a returned script through ``Mug``.  Every
     table is sized by what the graphs hold, never by the universe.  A
     candidate I(x, z, y) for a graph over ``inside`` has x + z = inside,
-    and holds where a graph strictly covering ``inside`` holds y and its
-    flood from x, blocked by z, misses y: each side x takes one flood per
-    covering graph, and each key floods each (start, blocked) pair once.
+    and holds where a graph strictly covering ``inside`` witnesses it.
+    Each such pair of keys splits the covering graph's other elements into
+    components once (``_components``, one flood each), and each side x
+    takes the components next to none of its elements (``_candidates``).
     A queued state carries its parent's per-member lists of holding
     candidates; only a member the new graph strictly covers can gain some,
     so only it and the new graph are listed again, once per set of
-    covering graphs' keys.  Each key is tested against the target once.  A
-    state at the move bound is counted as explored, not queued.  A path is
-    (previous path, kind, a, b), with a combination's statement packed;
-    moves are built only for the returned script.
+    covering graphs' keys.  Each key is tested against the target once, by
+    one flood.  A child at the move bound is counted as explored, and
+    nothing more is made for it.  A path is (previous path, kind, graph
+    index, node or packed statement); moves are built only for the
+    returned script.
     """
     if max_moves <= 0 or max_graphs <= 0:
         raise ValueError("search bounds must be positive")
@@ -221,37 +293,61 @@ def search(
     universe = m0.universe
     held: dict[tuple, _Member] = {}
     gids: dict[tuple, int] = {}
-    # By key number: floods, and whether the key witnesses the target.
-    # ``asked`` counts flood lookups, hits and misses alike.
-    floods: list[Floods] = []
+    # By key number: the element graph, built on first use, and whether the
+    # key witnesses the target.
+    near: list[dict | None] = []
     witnessed: list[bool] = []
-    asked = 0
+    # By (a listed graph's elements, a covering key number): the covering
+    # graph's components outside those elements, each with the listed
+    # elements next to it.
+    splits: dict[tuple[int, int], list] = {}
     listings: dict[tuple[int, int], list] = {}
-    # Each member's successors with their key bits, built on first use since
-    # every state holding it would ask for the same.  They live here, not on
-    # the members: equal graphs share a member, so links between members
-    # could form cycles that keep a finished search's graphs alive until a
-    # full collection.
-    deletions: dict[_Member, list] = {}
-    combinations: dict[_Member, dict] = {}
+    # Each member's successors, built on first use since every state holding
+    # it would ask for the same.  They live here, not on the members: equal
+    # graphs share a member, so links between members could form cycles that
+    # keep a finished search's graphs alive until a full collection.
+    successors: dict[_Member, tuple[list, _Combinations]] = {}
+    floods = reread = dedup = rejected = bounded = 0
+
+    def neighbours(mem: _Member) -> dict[int, int]:
+        found = near[mem.gid]
+        if found is None:
+            found = near[mem.gid] = element_neighbours(mem.nodes, mem.adj)
+        return found
 
     def member(graph: tuple[tuple, tuple]) -> tuple[_Member, int]:
         """The graph's member and key bit."""
-        nonlocal asked
+        nonlocal floods
         mem = held.get(graph)
         if mem is None:
             gid = gids.setdefault(packed_key(*graph), len(gids))
             mem = held[graph] = _Member(*graph, gid)
-            if gid == len(floods):
-                floods.append(Floods(*graph))
+            if gid == len(near):
+                near.append(None)
                 covers = not needed & ~mem.mask
-                asked += covers
-                witnessed.append(covers and not floods[gid][gx, gz] & gy)
+                floods += covers
+                witnessed.append(covers and not reach(neighbours(mem), gx, gz) & gy)
         return mem, 1 << mem.gid
+
+    def combination(mem: _Member, p: int) -> tuple:
+        """The successor combining a member with packed statement p."""
+        x, z, y = universe.unpack(p)
+        added = y if x | z == mem.mask else x
+        return Combine, p, *member(packed_combination(mem.nodes, mem.adj, z, added))
+
+    def split(inside: int, o: _Member) -> list[tuple[int, int]]:
+        """``_components`` of a covering member outside ``inside``, made once."""
+        nonlocal floods, reread
+        parts = splits.get((inside, o.gid))
+        if parts is None:
+            parts = splits[inside, o.gid] = _components(neighbours(o), o.mask, inside)
+            floods += len(parts)
+        else:
+            reread += len(parts)
+        return parts
 
     def listing(mem: _Member, members) -> list:
         """A member's holding candidates in a state, once per covering set."""
-        nonlocal asked
         inside = mem.mask
         covering = [o for o in members if o.mask != inside and not inside & ~o.mask]
         key = mem.gid, sum(1 << o.gid for o in covering)
@@ -259,43 +355,19 @@ def search(
         if listed is None:
             found = set()
             for o in covering:
-                reached = floods[o.gid]
-                free = o.mask & ~inside
-                x = inside
-                while x:
-                    z = inside ^ x
-                    y = holding = free & ~reached[x, z]
-                    while y:
-                        found.add(universe.pack(x, z, y))
-                        y = (y - 1) & holding
-                    x = (x - 1) & inside
-            asked += len(covering) * ((1 << inside.bit_count()) - 1)
+                found.update(_candidates(universe, inside, split(inside, o)))
             listed = listings[key] = sorted(found, key=universe.key)
         return listed
 
     def counted() -> dict:
-        """The stats, with the floods computed and those read again."""
-        stats["floods"] = sum(map(len, floods))
-        stats["flood_hits"] = asked - stats["floods"]
+        """The stats, with the states at the move bound and the floods."""
+        stats["dedup_hits"] = dedup
+        stats["rejected_graph_cap"] = rejected
+        if bounded:
+            stats[f"states_depth_{max_moves}"] = bounded
+        stats["floods"] = floods
+        stats["flood_hits"] = reread
         return stats
-
-    def successors(members, lists) -> Iterator[tuple]:
-        """(move kind, its two arguments, child member, key bit) in move order."""
-        for gi, mem in enumerate(members):
-            if mem not in deletions:
-                deletions[mem] = [
-                    (n, *member(packed_deletion(mem.nodes, mem.adj, i)))
-                    for i, (n, _) in enumerate(mem.nodes)
-                ]
-            for n, child, bit in deletions[mem]:
-                yield Delete, gi, n, child, bit
-            combined = combinations.setdefault(mem, {})
-            for p in lists[gi]:
-                if p not in combined:
-                    x, z, y = universe.unpack(p)
-                    added = y if x | z == mem.mask else x
-                    combined[p] = member(packed_combination(mem.nodes, mem.adj, z, added))
-                yield Combine, p, gi, *combined[p]
 
     mask = universe.mask
     try:
@@ -329,35 +401,49 @@ def search(
         # A move that adds a graph needs room for it; an initial model over
         # the cap has none even for a move that adds nothing.
         room = max_graphs - len(members)
+        last = moved + 1 == max_moves
         slept = sleep
-        for kind, a, b, child, bit in successors(members, lists):
-            is_new = not ids & bit
-            if is_new > room:
-                stats["rejected_graph_cap"] += 1
-                continue
-            if sleep & bit:
-                continue
-            ids2 = ids | bit
-            if ids2 in visited:
-                stats["dedup_hits"] += 1
-                slept |= bit
-                continue
-            visited.add(ids2)
-            path2 = path, kind, a, b
-            # Breadth-first: no state reached earlier is deeper.
-            depth_reached = moved + 1
-            # The parent's graphs already fail the target.
-            if witnessed[child.gid]:
-                return MoveScript(m0, _moves(universe, path2), target, counted())
-            if moved + 1 < max_moves:
+        for gi, mem in enumerate(members):
+            made = successors.get(mem)
+            if made is None:
+                made = successors[mem] = (
+                    [
+                        (Delete, n, *member(packed_deletion(mem.nodes, mem.adj, i)))
+                        for i, (n, _) in enumerate(mem.nodes)
+                    ],
+                    _Combinations(partial(combination, mem)),
+                )
+            deleted, combined = made
+            walk = chain(deleted, map(combined.__getitem__, lists[gi]))
+            for kind, a, child, bit in walk:
+                is_new = not ids & bit
+                if is_new > room:
+                    rejected += 1
+                    continue
+                if sleep & bit:
+                    continue
+                ids2 = ids | bit
+                if ids2 in visited:
+                    dedup += 1
+                    slept |= bit
+                    continue
+                visited.add(ids2)
+                # Breadth-first: no state reached earlier is deeper.
+                depth_reached = moved + 1
+                # The parent's graphs already fail the target.
+                if witnessed[child.gid]:
+                    moves = _moves(universe, (path, kind, gi, a))
+                    return MoveScript(m0, moves, target, counted())
+                if last:  # no move is made from it, so it is only counted
+                    bounded += 1
+                    continue
+                path2 = path, kind, gi, a
                 queue.append((members + (child,), ids2, slept, moved + 1, path2, lists))
-            else:
-                explored += 1
-                depth = f"states_depth_{max_moves}"
-                stats[depth] = stats.get(depth, 0) + 1
-            slept |= bit
+                slept |= bit
     return Exhausted(
-        states_explored=explored, depth_reached=depth_reached, stats=counted()
+        states_explored=explored + bounded,
+        depth_reached=depth_reached,
+        stats=counted(),
     )
 
 
@@ -365,8 +451,9 @@ def _moves(universe: Universe, path) -> tuple[Move, ...]:
     """The moves along a ``search`` path, first to last, statements decoded."""
     moves = []
     while path:
-        path, kind, a, b = path
-        moves.append(Combine(universe.decode(a), b) if kind is Combine else kind(a, b))
+        path, kind, gi, a = path
+        move = Delete(gi, a) if kind is Delete else Combine(universe.decode(a), gi)
+        moves.append(move)
     return tuple(reversed(moves))
 
 

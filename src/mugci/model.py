@@ -45,7 +45,8 @@ class Universe:
     ``CanonicalStatement``.  This class is the only code that packs and
     unpacks statements; ``mug.separations`` alone adds packed sides up
     itself, for speed.  ``bits`` maps each element to its one-bit mask.  A
-    mask's names and their ``format_set`` text are each made once.
+    mask's names and their ``format_set`` text are each made once, the text
+    of one element or none without building its names.
     """
 
     __slots__ = ("_elements", "_n", "full", "bits", "_sets", "_texts", "_rank")
@@ -105,7 +106,13 @@ class Universe:
         """``format_set`` of the mask's names."""
         found = self._texts.get(mask)
         if found is None:
-            found = self._texts[mask] = format_set(self.names(mask))
+            if mask & (mask - 1):
+                found = format_set(self.names(mask))
+            elif mask:  # one element: no set to build and sort
+                found = "{" + self._elements[mask.bit_length() - 1] + "}"
+            else:
+                found = "{}"
+            self._texts[mask] = found
         return found
 
     def pack(self, a: int, z: int, b: int) -> int:

@@ -336,7 +336,7 @@ def _numbered_block(
 
 
 def format_ugraph(name: str, g: UGraph) -> str:
-    universe, nodes, adj, _ = g._packed_form()
+    universe, nodes, adj = g._packed_form()
     return format_packed(name, universe, nodes, adj)
 
 

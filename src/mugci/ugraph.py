@@ -55,7 +55,7 @@ class UGraph:
     are computed on first use and kept for every later query.
     """
 
-    __slots__ = ("_nodes", "_edges", "_elements", "_packed")
+    __slots__ = ("_nodes", "_edges", "_elements", "_packed", "_neighbours")
 
     def __init__(self, nodes: Mapping[int, Iterable[str]], edges: Iterable = ()):
         node_map = {int(n): frozenset(es) for n, es in nodes.items()}
@@ -73,6 +73,7 @@ class UGraph:
         self._edges = frozenset(edge_set)
         self._elements = None
         self._packed = None
+        self._neighbours = None
 
     @classmethod
     def from_singletons(cls, elements: Iterable[str], element_edges: Iterable = ()):
@@ -124,29 +125,34 @@ class UGraph:
             raise MissingElements(f"graph lacks {', '.join(sorted(missing))}")
         if x & y or x & z or y & z:
             raise InvalidOverlap("separation queries take a canonicalized triple")
-        universe, _, _, neighbours = self._packed_form()
-        mask = universe.mask
-        return not reach(neighbours, mask(x), mask(z)) & mask(y)
+        mask = self._packed_form()[0].mask
+        return not reach(self._element_neighbours(), mask(x), mask(z)) & mask(y)
 
     def element_adjacency(self) -> Mapping[str, frozenset]:
         """Each element's neighbours in the element graph (read-only view)."""
-        universe, _, _, neighbours = self._packed_form()
+        universe = self._packed_form()[0]
+        neighbours = self._element_neighbours()
         names = universe.names
         return MappingProxyType(
             {e: names(neighbours[bit] & ~bit) for e, bit in universe.bits.items()}
         )
 
-    def _packed_form(self) -> tuple[Universe, tuple, tuple, dict[int, int]]:
-        """The universe of the graph's elements, the graph packed over it,
-        and its ``element_neighbours``, built on first use.
+    def _packed_form(self) -> tuple[Universe, tuple, tuple]:
+        """The universe of the graph's elements and the graph packed over
+        it, built on first use.
 
         The names are not checked: a graph may carry any strings.
         """
         if self._packed is None:
             universe = Universe._from_sorted(sorted(self.elements))
-            nodes, adj = packed_graph(universe, self)
-            self._packed = universe, nodes, adj, element_neighbours(nodes, adj)
+            self._packed = universe, *packed_graph(universe, self)
         return self._packed
+
+    def _element_neighbours(self) -> dict[int, int]:
+        """The packed form's ``element_neighbours``, built on first read."""
+        if self._neighbours is None:
+            self._neighbours = element_neighbours(*self._packed_form()[1:])
+        return self._neighbours
 
     def add_arcs(self, arcs: Iterable) -> "UGraph":
         """Return a copy with the given node-id pairs added as edges."""
@@ -209,7 +215,7 @@ class UGraph:
         isomorphic graphs when one element set sits on two nodes: edges 1–3,
         2–4 and edges 1–3, 1–4 over nodes 1={a} 2={a} 3={b} 4={c} agree.
         """
-        universe, nodes, adj, _ = self._packed_form()
+        universe, nodes, adj = self._packed_form()
         return universe.elements, packed_key(nodes, adj)
 
     def __eq__(self, other: object) -> bool:

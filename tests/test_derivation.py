@@ -27,7 +27,7 @@ from mugci import (
     statement_key,
     verify_script,
 )
-from mugci.derivation import packed_witness
+from mugci.derivation import _candidates, _components, packed_witness
 from mugci.errors import (
     ModelError,
     PremiseNotSatisfied,
@@ -38,7 +38,12 @@ from mugci.errors import (
 from mugci.graphoid import AxiomStep
 from mugci.model import CanonicalStatement, Statement, TriviallyTrue, canonicalize
 from mugci.modelfile import parse_model
-from mugci.mug import append_transformed, packed_combination, packed_deletion
+from mugci.mug import (
+    append_transformed,
+    packed_combination,
+    packed_deletion,
+    separations,
+)
 from mugci.ugraph import (
     element_mask,
     element_neighbours,
@@ -773,11 +778,12 @@ def test_search_matches_reference_on_random_models():
                 # before the dedup lookup and are not counted here.
                 "dedup_hits": 80,
                 "rejected_graph_cap": 0,
-                # One flood per side of a listed graph and covering graph,
-                # and one per graph key holding the target's elements; a
-                # state takes over its parent's listings without flooding.
-                "floods": 128,
-                "flood_hits": 38,
+                # One flood per component of a covering graph outside a
+                # listed graph's elements, and one per graph key holding
+                # the target's elements; a state takes over its parent's
+                # listings without flooding.
+                "floods": 36,
+                "flood_hits": 14,
             },
         ),
         (
@@ -787,8 +793,8 @@ def test_search_matches_reference_on_random_models():
                 "states_depth_1": 4,
                 "dedup_hits": 16,
                 "rejected_graph_cap": 36,
-                "floods": 56,
-                "flood_hits": 2,
+                "floods": 10,
+                "flood_hits": 0,
             },
         ),
     ],
@@ -816,11 +822,79 @@ def test_search_stats_on_a_proven_contraction():
         "states_depth_0": 1,
         "dedup_hits": 0,
         "rejected_graph_cap": 0,
-        "floods": 9,
+        "floods": 3,
         "flood_hits": 0,
     }
     # a replayed script carries no search counters
     assert replay_chain(m0, closure(premises, U4).chain(target)).stats == {}
+
+
+def test_search_stats_when_the_witness_is_in_the_last_layer():
+    # I(a, {}, c) takes two moves: delete a from the witness of
+    # I(ac, {}, bd), then combine what is left with I(a, bd, c).  The fresh
+    # children the last layer made before it are counted as explored.
+    u = Universe("abcd")
+    m0 = initial_mug(u, statements=[cs("ac", "", "bd"), cs("a", "bd", "c")])
+    target = cs("a", "", "c")
+    script = search(m0, target, max_moves=2, max_graphs=8)
+    assert script.moves == (Delete(0, 0), Combine(cs("a", "bd", "c"), 2))
+    assert verify_script(script)
+    assert script.stats == {
+        "states_depth_0": 1,
+        "states_depth_1": 1,
+        "states_depth_2": 11,
+        "dedup_hits": 1,
+        "rejected_graph_cap": 0,
+        "floods": 10,
+        "flood_hits": 0,
+    }
+    want = parent_search(m0, target, 2, 8)
+    assert script == want
+    assert _uncounted(script.stats, "floods", "flood_hits") == _uncounted(
+        want.stats, "answer_hits", "answer_misses"
+    )
+
+
+def _covering_graph(rng) -> tuple[Universe, tuple, tuple]:
+    """A sparse packed graph over 4-8 elements whose nodes hold one to three
+    elements, one element sometimes on two nodes."""
+    u = Universe("abcdefgh"[: rng.randint(4, 8)])
+    nodes: list[set] = []
+    for e in rng.sample(u.elements, rng.randint(3, len(u))):
+        if not nodes or len(nodes[-1]) == 3 or rng.random() < 0.6:
+            nodes.append(set())
+        nodes[-1].add(e)
+    if len(nodes) > 1 and rng.random() < 0.3:
+        nodes[0].add(rng.choice(sorted(nodes[-1])))
+    pairs = combinations(range(len(nodes)), 2)
+    edges = [pair for pair in pairs if rng.random() < 0.3]
+    return u, *packed_graph(u, UGraph(dict(enumerate(nodes)), edges))
+
+
+def test_component_listing_matches_the_separations():
+    # The candidates a covering graph gives a graph over ``inside`` are the
+    # statements it witnesses (``mug.separations``, which lists them by z)
+    # with one side plus z exactly ``inside`` and the other side outside it.
+    rng = random.Random(29)
+    several = untouched = 0
+    for _ in range(400):
+        u, nodes, adj = _covering_graph(rng)
+        elements = element_mask(nodes)
+        inside = 0
+        while not inside or inside == elements:
+            inside = rng.randrange(1 << len(u)) & elements
+        parts = _components(element_neighbours(nodes, adj), elements, inside)
+        got = _candidates(u, inside, parts)
+        want = set()
+        for p in separations(u, nodes, adj):
+            a, z, b = u.unpack(p)
+            if a | z == inside and not b & inside or b | z == inside and not a & inside:
+                want.add(p)
+        assert sorted(got) == sorted(want), (nodes, adj, inside)
+        several += len(parts) > 1
+        untouched += any(not touched for _, touched in parts)
+    # extra elements in several components, some next to nothing inside
+    assert several > 100 and untouched > 100, (several, untouched)
 
 
 @pytest.mark.parametrize("max_graphs", [3, 8])
@@ -885,7 +959,7 @@ def test_search_work_ignores_elements_no_graph_holds():
 # renamed).  Both must return equal outcomes with equal counters, except
 # the work counters: the predecessor asks each candidate's separation
 # question (``answer_hits``, ``answer_misses``) where ``search`` floods once
-# per side (``floods``, ``flood_hits``).
+# per component of a covering graph (``floods``, ``flood_hits``).
 
 
 class _Member:
@@ -1163,20 +1237,23 @@ def test_search_over_the_graph_cap_from_the_start():
     # z from the second graph, which remakes the first and adds nothing.
     m0 = initial_mug(U4, statements=[cs("x", "", "y"), cs("x", "", "yz")])
     target = cs("y", "", "z")
-    got = search(m0, target, 3, 1)
-    want = parent_search(m0, target, 3, 1)
-    assert got == want == Exhausted(states_explored=1, depth_reached=0)
-    assert got.stats["rejected_graph_cap"] == want.stats["rejected_graph_cap"] == 6
-    assert got.stats["dedup_hits"] == want.stats["dedup_hits"] == 0
+    # The same at the move bound, where a child is only counted.
+    for max_moves in (3, 1):
+        got = search(m0, target, max_moves, 1)
+        want = parent_search(m0, target, max_moves, 1)
+        assert got == want == Exhausted(states_explored=1, depth_reached=0)
+        assert got.stats["rejected_graph_cap"] == want.stats["rejected_graph_cap"] == 6
+        assert got.stats["dedup_hits"] == want.stats["dedup_hits"] == 0
     # and models of two or three graphs against every smaller cap
     for m0, target in [*_random_search_cases(30), *_declared_graph_cases(20)]:
         for cap in range(1, len(m0.packed)):
-            got = search(m0, target, 2, cap)
-            want = parent_search(m0, target, 2, cap)
-            assert got == want, (m0, target, cap)
-            assert _uncounted(got.stats, "floods", "flood_hits") == _uncounted(
-                want.stats, "answer_hits", "answer_misses"
-            ), (m0, target, cap)
+            for max_moves in (2, 1):
+                got = search(m0, target, max_moves, cap)
+                want = parent_search(m0, target, max_moves, cap)
+                assert got == want, (m0, target, cap, max_moves)
+                assert _uncounted(got.stats, "floods", "flood_hits") == _uncounted(
+                    want.stats, "answer_hits", "answer_misses"
+                ), (m0, target, cap, max_moves)
 
 
 def _multi_element_graph(draw, names: list[str]) -> UGraph:

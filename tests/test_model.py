@@ -17,6 +17,7 @@ from mugci import (
     statement_key,
 )
 from mugci.errors import InvalidOverlap, UniverseTooLarge
+from mugci.model import format_set
 
 from oracle import all_triples
 
@@ -235,3 +236,11 @@ def test_encoding_bits_follow_the_element_order():
     assert enc.names(5) == frozenset({"a", "c"})
     with pytest.raises(KeyError):
         enc.mask({"q"})
+
+
+def test_text_of_every_mask_is_the_format_set_of_its_names():
+    # one element and none are written out directly, larger masks joined
+    for u in (Universe(["c", "a", "b", "d"]), Universe._from_sorted(["1", "a b", "é"])):
+        for mask in range(1 << len(u)):
+            assert u.text(mask) == format_set(u.names(mask)), mask
+    assert Universe("ab").text(0) == "{}" and Universe("ab").text(2) == "{b}"

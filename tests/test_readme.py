@@ -73,7 +73,7 @@ def test_readme_search_table_counts_are_its_recipes():
     # I(e0..e_{k/2-1}, {}, e_{k/2}..e_{k-1}) and I(e0, e_k, e_{k+1})
     table = search_table()
     assert sorted(table) == [8, 10, 12, 14]
-    for k in (8, 10, 12):
+    for k in (8, 10, 12, 14):
         e = [f"e{i}" for i in range(k + 2)]
         premises = [
             canonical_triple(e[: k // 2], (), e[k // 2 : k]),

@@ -430,6 +430,29 @@ def test_element_adjacency_is_a_read_only_view_of_the_expansion():
     assert g.element_adjacency() == adjacency
 
 
+def test_element_graph_is_built_only_when_read(monkeypatch):
+    import mugci.ugraph as ugraph
+    from mugci.modelfile import format_ugraph
+
+    built = []
+    real = ugraph.element_neighbours
+
+    def counting(nodes, adj):
+        built.append(nodes)
+        return real(nodes, adj)
+
+    monkeypatch.setattr(ugraph, "element_neighbours", counting)
+    g = UGraph({0: {"a", "b"}, 1: {"b", "c"}, 2: {"d"}}, [(1, 2)])
+    # the key and the printed graph read the packed form alone
+    g.key()
+    format_ugraph("G", g)
+    assert built == []
+    assert g.separates({"a"}, {"b"}, {"d"})
+    assert not g.separates({"a"}, {}, {"d"})
+    assert g.element_adjacency()["b"] == frozenset({"a", "c", "d"})
+    assert len(built) == 1
+
+
 # -- element names that are not identifiers -----------------------------------
 
 # A graph packs over a universe of its own elements that checks no names, so
