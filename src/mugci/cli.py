@@ -249,7 +249,8 @@ def _cmd_check_jointree(args, out) -> int:
 def _cmd_build_jointree(args, out) -> int:
     model = _load_model(args.file)
     if args.graph in model.graphs:
-        universe, nodes, adj = model.graphs[args.graph]._packed_form()
+        universe, packed = model.graphs[args.graph]._packed_form()
+        nodes, adj = packed.nodes, packed.adj
         if any(m & m - 1 for _, m in nodes):
             raise ModelError(
                 f"graph {args.graph!r} has multi-element nodes; "

@@ -37,14 +37,7 @@ from .mug import (
     packed_deletion,
     packed_singletons,
 )
-from .ugraph import (
-    UGraph,
-    element_mask,
-    element_neighbours,
-    packed_graph,
-    packed_key,
-    reach,
-)
+from .ugraph import Floods, UGraph, element_mask, packed_graph, packed_key, reach
 
 
 @dataclass(frozen=True)
@@ -180,11 +173,11 @@ class _Member:
 
     __slots__ = ("nodes", "adj", "gid", "mask")
 
-    def __init__(self, nodes: tuple, adj: tuple, gid: int):
+    def __init__(self, nodes: tuple, adj: tuple, gid: int, mask: int):
         self.nodes = nodes
         self.adj = adj
         self.gid = gid
-        self.mask = element_mask(nodes)
+        self.mask = mask
 
 
 class _Combinations(dict):
@@ -293,9 +286,10 @@ def search(
     universe = m0.universe
     held: dict[tuple, _Member] = {}
     gids: dict[tuple, int] = {}
-    # By key number: the element graph, built on first use, and whether the
-    # key witnesses the target.
-    near: list[dict | None] = []
+    # By key number: the ``Floods`` of the first member with that key (equal
+    # keys have equal element graphs), and whether the key witnesses the
+    # target.
+    records: list[Floods] = []
     witnessed: list[bool] = []
     # By (a listed graph's elements, a covering key number): the covering
     # graph's components outside those elements, each with the listed
@@ -309,24 +303,17 @@ def search(
     successors: dict[_Member, tuple[list, _Combinations]] = {}
     floods = reread = dedup = rejected = bounded = 0
 
-    def neighbours(mem: _Member) -> dict[int, int]:
-        found = near[mem.gid]
-        if found is None:
-            found = near[mem.gid] = element_neighbours(mem.nodes, mem.adj)
-        return found
-
     def member(graph: tuple[tuple, tuple]) -> tuple[_Member, int]:
         """The graph's member and key bit."""
         nonlocal floods
         mem = held.get(graph)
         if mem is None:
             gid = gids.setdefault(packed_key(*graph), len(gids))
-            mem = held[graph] = _Member(*graph, gid)
-            if gid == len(near):
-                near.append(None)
-                covers = not needed & ~mem.mask
-                floods += covers
-                witnessed.append(covers and not reach(neighbours(mem), gx, gz) & gy)
+            if gid == len(records):
+                records.append(Floods(*graph))
+                floods += not needed & ~records[gid].mask
+                witnessed.append(records[gid].witnesses(gx, gz, gy))
+            mem = held[graph] = _Member(*graph, gid, records[gid].mask)
         return mem, 1 << mem.gid
 
     def combination(mem: _Member, p: int) -> tuple:
@@ -340,7 +327,8 @@ def search(
         nonlocal floods, reread
         parts = splits.get((inside, o.gid))
         if parts is None:
-            parts = splits[inside, o.gid] = _components(neighbours(o), o.mask, inside)
+            near = records[o.gid].neighbours
+            parts = splits[inside, o.gid] = _components(near, o.mask, inside)
             floods += len(parts)
         else:
             reread += len(parts)

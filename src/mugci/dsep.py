@@ -328,9 +328,9 @@ def build_join_tree(
         if e in seen:
             raise ModelError(f"element {e} appears in more than one node")
         seen.add(e)
-    universe, nodes, adj = g._packed_form()
-    filled, clusters, links = join_tree_masks(universe, nodes, adj, order)
-    return unpacked_graph(universe, nodes, filled), JoinTree(
+    universe, packed = g._packed_form()
+    filled, clusters, links = join_tree_masks(universe, packed.nodes, packed.adj, order)
+    return unpacked_graph(universe, packed.nodes, filled), JoinTree(
         {i: universe.names(c) for i, c in enumerate(clusters)}, links
     )
 

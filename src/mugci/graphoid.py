@@ -29,9 +29,9 @@ witnesses every seed, the worklist could admit nothing at all: the closure
 is the seeds, listed without a run, and its counters are worked out to
 equal the ones the run would have counted.  ``prove`` answers one query
 with the same run, stopped once its target is admitted, but lists the
-separations only when it needs the run: one flood per graph
-(``ugraph.reach``) shows a target that is a seed, and on one graph that
-witnesses every premise, a target that is not derivable.
+separations only when it needs the run: floods of each graph's
+``ugraph.Floods`` record show a target that is a seed, and on one graph
+that witnesses every premise, a target that is not derivable.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .model import (
     check_size,
 )
 from .mug import separations
-from .ugraph import UGraph, element_mask, element_neighbours, packed_graph, reach
+from .ugraph import Floods, UGraph, packed_graph
 
 
 @dataclass(frozen=True)
@@ -270,8 +270,8 @@ def prove(
 ) -> tuple[AxiomStep, ...] | None:
     """``closure(init, universe, graphs).query(target)``, stopping at target.
 
-    The checks run as ``closure`` runs them, then the target's.  Then one
-    flood per graph decides what it can, with no separation listed: a
+    The checks run as ``closure`` runs them, then the target's.  Then the
+    graphs' ``Floods`` decide what they can, with no separation listed: a
     premise or a graph's separation is a seed, given before the first pop,
     and with one graph that witnesses every premise nothing else is
     derivable.  Otherwise the seeds are listed and the saturation stops
@@ -288,10 +288,11 @@ def prove(
         stop = universe.encode(target)
     except KeyError:  # an element outside the universe, so never derived
         return None
-    witnessing = [_witnesses(universe, *g) for g in packed]
-    if stop in given or any(w(stop) for w in witnessing):
+    unpack = universe.unpack
+    records = [Floods(*g) for g in packed]
+    if stop in given or any(f.witnesses(*unpack(stop)) for f in records):
         return (AxiomStep("given", (), universe.decode(stop)),)
-    if len(witnessing) == 1 and all(map(witnessing[0], given)):
+    if len(records) == 1 and all(records[0].witnesses(*unpack(p)) for p in given):
         return None
     seeds = _seeds(universe, given, packed)
     return Closure(universe, *_saturate(universe, seeds, stop)).query(target)
@@ -324,18 +325,6 @@ def _seeds(universe: Universe, given: dict[int, int], packed: list) -> dict[int,
             found[p] |= seeds[p]
         seeds.update(found)
     return seeds
-
-
-def _witnesses(universe: Universe, nodes: tuple, adj: tuple) -> Callable[[int], bool]:
-    """Whether a packed graph witnesses a packed statement: it holds the
-    statement's elements and ``reach`` from x outside z misses y."""
-    members, neighbours = element_mask(nodes), element_neighbours(nodes, adj)
-
-    def witnessed(p: int) -> bool:
-        x, z, y = universe.unpack(p)
-        return not (x | z | y) & ~members and not reach(neighbours, x, z) & y
-
-    return witnessed
 
 
 def _saturate(

@@ -336,8 +336,8 @@ def _numbered_block(
 
 
 def format_ugraph(name: str, g: UGraph) -> str:
-    universe, nodes, adj = g._packed_form()
-    return format_packed(name, universe, nodes, adj)
+    universe, packed = g._packed_form()
+    return format_packed(name, universe, packed.nodes, packed.adj)
 
 
 def format_packed(name: str, universe: Universe, nodes: tuple, adj: tuple) -> str:

@@ -9,8 +9,8 @@ Graphs are held in ``ugraph``'s packed form (``packed_graph``) over the
 model's ``Universe``: node element masks and neighbour bitmasks.  This
 module holds the one implementation of each graph move on that form, which
 ``Mug``, replay, script checks and search share; models deduplicate by
-``ugraph.packed_key`` and keep each graph's floods (``Floods``, over
-``ugraph.reach``).
+``ugraph.packed_key`` and hold one ``ugraph.Floods`` record per graph,
+which decides every witness query.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Iterable, Union
 from .errors import StatementNotSatisfied, UnknownNode, WrongElementSet
 from .model import CanonicalStatement, Universe, check_size
 from .ugraph import (
+    Floods,
     UGraph,
     element_mask,
     element_neighbours,
@@ -34,7 +35,7 @@ from .ugraph import (
 class Mug:
     """An ordered, duplicate-free collection of packed undirected graphs."""
 
-    __slots__ = ("_universe", "_packed", "_masks", "_index", "_floods")
+    __slots__ = ("_universe", "_packed", "_index", "_floods")
 
     def __init__(
         self,
@@ -45,7 +46,6 @@ class Mug:
         """The graphs, packed over the universe, then the ``packed`` graphs."""
         self._universe = universe
         self._packed: tuple[tuple[tuple, tuple], ...] = ()
-        self._masks: tuple[int, ...] = ()
         self._index: dict[tuple, int] = {}
         self._floods: list[Floods] = []
         for g in graphs:
@@ -78,15 +78,14 @@ class Mug:
             x, z, y = universe.mask(s.x), universe.mask(s.z), universe.mask(s.y)
         except KeyError:  # an element outside the universe, so no graph holds it
             return None
-        needed = x | z | y
-        for i, mask in enumerate(self._masks):
-            if not needed & ~mask and self.separates(i, x, z, y):
+        for i, floods in enumerate(self._floods):
+            if floods.witnesses(x, z, y):
                 return i
         return None
 
     def separates(self, gi: int, x: int, z: int, y: int) -> bool:
-        """Whether graph gi, which holds masks x, z and y, separates x from y by z."""
-        return not self._floods[gi][x, z] & y
+        """Whether graph gi witnesses the packed I(x, z, y)."""
+        return self._floods[gi].witnesses(x, z, y)
 
     def enumerate_satisfied(self) -> frozenset:
         """All canonical statements over the universe satisfied by some graph.
@@ -116,7 +115,6 @@ class Mug:
         gi = self._index.setdefault(packed_key(*graph), len(self._packed))
         if gi == len(self._packed):
             self._packed += (graph,)
-            self._masks += (element_mask(graph[0]),)
             self._floods.append(Floods(*graph))
         return gi
 
@@ -125,7 +123,7 @@ class Mug:
         # The tables are copied: a sibling appended to this model puts
         # another graph at the same index.
         m = Mug.__new__(Mug)
-        m._universe, m._packed, m._masks = self._universe, self._packed, self._masks
+        m._universe, m._packed = self._universe, self._packed
         m._index, m._floods = dict(self._index), list(self._floods)
         gi = m._add(graph)
         return (self if gi < len(self._packed) else m), gi
@@ -214,21 +212,6 @@ def packed_singletons(nodes: tuple, adj: tuple) -> tuple[tuple, tuple]:
     return tuple(enumerate(bits)), tuple(out)
 
 
-class Floods(dict):
-    """A packed graph's floods, ``reach`` by (start, blocked), kept once asked."""
-
-    def __init__(self, nodes: tuple, adj: tuple):
-        super().__init__()
-        self.graph = nodes, adj
-        self.neighbours = None
-
-    def __missing__(self, key: tuple[int, int]) -> int:
-        if self.neighbours is None:
-            self.neighbours = element_neighbours(*self.graph)
-        reached = self[key] = reach(self.neighbours, *key)
-        return reached
-
-
 def separations(universe: Universe, nodes: tuple, adj: tuple) -> list[int]:
     """Every statement a packed graph witnesses, packed.
 
@@ -311,7 +294,7 @@ def append_transformed(m: Mug, move: Move) -> tuple[Mug, int]:
         raise StatementNotSatisfied(f"model does not satisfy {s}")
     universe = m.universe
     x, z, y = universe.mask(s.x), universe.mask(s.z), universe.mask(s.y)
-    inside = m._masks[gi]
+    inside = m._floods[gi].mask
     added = y if inside == x | z else x if inside == y | z else 0
     if not added:
         raise WrongElementSet(

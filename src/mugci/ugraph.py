@@ -7,10 +7,11 @@ covers plain graphs, multi-element nodes, and repeated elements uniformly.
 A graph is packed (``packed_graph``) over a ``Universe`` into node element
 masks and neighbour bitmasks.  This module holds the one implementation of
 the packed form, the element graph built from it (``element_neighbours``),
-the mask flood behind every separation (``reach``) and the graph key
-(``packed_key``).  A ``UGraph`` packs itself once, over a universe of its
-own sorted elements, and answers its queries from that form; ``mug``,
-``derivation`` and ``dsep`` use the same functions.  All transformations
+the mask flood behind every separation (``reach``), the graph key
+(``packed_key``) and ``Floods``, the one record of what a packed graph
+derives, which holds the one witness rule.  A ``UGraph`` packs itself once,
+over a universe of its own sorted elements, into a ``Floods``; ``mug``,
+``graphoid`` and ``derivation`` hold one per graph.  All transformations
 are pure and return new graphs.
 """
 
@@ -51,11 +52,11 @@ def _as_edge(pair) -> frozenset:
 class UGraph:
     """Undirected graph over integer node ids, each holding an element set.
 
-    Immutable: the element set and the packed form, with its element graph,
+    Immutable: the element set and the packed form, a ``Floods`` record,
     are computed on first use and kept for every later query.
     """
 
-    __slots__ = ("_nodes", "_edges", "_elements", "_packed", "_neighbours")
+    __slots__ = ("_nodes", "_edges", "_elements", "_packed")
 
     def __init__(self, nodes: Mapping[int, Iterable[str]], edges: Iterable = ()):
         node_map = {int(n): frozenset(es) for n, es in nodes.items()}
@@ -73,15 +74,17 @@ class UGraph:
         self._edges = frozenset(edge_set)
         self._elements = None
         self._packed = None
-        self._neighbours = None
 
     @classmethod
     def from_singletons(cls, elements: Iterable[str], element_edges: Iterable = ()):
-        """Build a one-element-per-node graph; ids follow sorted element order."""
+        """Build a one-element-per-node graph; ids follow sorted element order.
+
+        UnknownElement names every edge endpoint outside the elements."""
         names = sorted(set(elements))
+        pairs = [tuple(pair) for pair in element_edges]
+        Universe._from_sorted(names).require(e for pair in pairs for e in pair)
         ids = {e: i for i, e in enumerate(names)}
-        edges = [(ids[a], ids[b]) for a, b in element_edges]
-        return cls({ids[e]: {e} for e in names}, edges)
+        return cls({ids[e]: {e} for e in names}, [(ids[a], ids[b]) for a, b in pairs])
 
     @property
     def nodes(self) -> dict[int, frozenset]:
@@ -125,34 +128,26 @@ class UGraph:
             raise MissingElements(f"graph lacks {', '.join(sorted(missing))}")
         if x & y or x & z or y & z:
             raise InvalidOverlap("separation queries take a canonicalized triple")
-        mask = self._packed_form()[0].mask
-        return not reach(self._element_neighbours(), mask(x), mask(z)) & mask(y)
+        universe, packed = self._packed_form()
+        mask = universe.mask
+        return packed.witnesses(mask(x), mask(z), mask(y))
 
     def element_adjacency(self) -> Mapping[str, frozenset]:
         """Each element's neighbours in the element graph (read-only view)."""
-        universe = self._packed_form()[0]
-        neighbours = self._element_neighbours()
+        universe, packed = self._packed_form()
+        neighbours = packed.neighbours
         names = universe.names
         return MappingProxyType(
             {e: names(neighbours[bit] & ~bit) for e, bit in universe.bits.items()}
         )
 
-    def _packed_form(self) -> tuple[Universe, tuple, tuple]:
-        """The universe of the graph's elements and the graph packed over
-        it, built on first use.
-
-        The names are not checked: a graph may carry any strings.
-        """
+    def _packed_form(self) -> tuple[Universe, Floods]:
+        """The universe of the graph's elements, whose names are not checked,
+        and the graph's ``Floods`` over it, built on first use."""
         if self._packed is None:
             universe = Universe._from_sorted(sorted(self.elements))
-            self._packed = universe, *packed_graph(universe, self)
+            self._packed = universe, Floods(*packed_graph(universe, self))
         return self._packed
-
-    def _element_neighbours(self) -> dict[int, int]:
-        """The packed form's ``element_neighbours``, built on first read."""
-        if self._neighbours is None:
-            self._neighbours = element_neighbours(*self._packed_form()[1:])
-        return self._neighbours
 
     def add_arcs(self, arcs: Iterable) -> "UGraph":
         """Return a copy with the given node-id pairs added as edges."""
@@ -215,8 +210,8 @@ class UGraph:
         isomorphic graphs when one element set sits on two nodes: edges 1–3,
         2–4 and edges 1–3, 1–4 over nodes 1={a} 2={a} 3={b} 4={c} agree.
         """
-        universe, nodes, adj = self._packed_form()
-        return universe.elements, packed_key(nodes, adj)
+        universe, packed = self._packed_form()
+        return universe.elements, packed_key(packed.nodes, packed.adj)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UGraph):
@@ -324,3 +319,29 @@ def reach(neighbours: dict[int, int], start: int, blocked: int) -> int:
         reached |= new
         frontier |= new
     return reached
+
+
+class Floods(dict):
+    """What a packed graph derives: its element mask, its element graph
+    (``neighbours``, built on first read) and, as a dict, its floods,
+    ``reach`` by (start, blocked), each kept once asked."""
+
+    __slots__ = ("nodes", "adj", "mask", "_neighbours")
+
+    def __init__(self, nodes: tuple, adj: tuple):
+        self.nodes, self.adj, self.mask = nodes, adj, element_mask(nodes)
+        self._neighbours = None
+
+    @property
+    def neighbours(self) -> dict[int, int]:
+        if self._neighbours is None:
+            self._neighbours = element_neighbours(self.nodes, self.adj)
+        return self._neighbours
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        reached = self[key] = reach(self.neighbours, *key)
+        return reached
+
+    def witnesses(self, x: int, z: int, y: int) -> bool:
+        """Whether the graph holds x, z and y, and x's flood outside z misses y."""
+        return not (x | z | y) & ~self.mask and not self[x, z] & y

@@ -933,6 +933,30 @@ def test_search_builds_no_ugraph(monkeypatch, max_graphs):
     assert any(isinstance(mv, Delete) for mv in script.moves)
 
 
+def test_search_builds_one_element_graph_per_key_number(monkeypatch):
+    import mugci.derivation as derivation
+    from test_ugraph import count_element_graph_builds
+
+    graphs = []
+    real_key = derivation.packed_key
+
+    def keying(nodes, adj):
+        graphs.append((nodes, adj))
+        return real_key(nodes, adj)
+
+    monkeypatch.setattr(derivation, "packed_key", keying)
+    built = count_element_graph_builds(monkeypatch)
+    m0, target = _intersection_model()
+    outcome = search(m0, target, max_moves=3, max_graphs=8)
+    assert isinstance(outcome, Exhausted)
+    keys = {real_key(*g) for g in graphs}
+    # several members share a key number, and each number's element graph
+    # is built at most once, from one of its members
+    assert len(keys) < len(set(graphs))
+    assert len({real_key(*g) for g in built}) == len(built) > 1
+    assert set(built) <= set(graphs)
+
+
 def test_search_work_ignores_elements_no_graph_holds():
     import time
 

@@ -1,9 +1,10 @@
 """The packed undirected graph and the packed layout each have one home.
 
 ``ugraph.py`` holds the packed form, the element graph built from it, the
-mask flood and the graph key.  It may import only ``errors`` and ``model``
-from the package, so no import cycle can form through it, and each of those
-functions is defined in exactly one module, so no second copy can grow back.
+mask flood, the graph key and ``Floods``, the one record of what a packed
+graph derives.  It may import only ``errors`` and ``model`` from the
+package, so no import cycle can form through it, and each of those functions
+and classes is defined in exactly one module, so no second copy can grow back.
 ``model.Universe`` is the one element-set type and the only code that knows
 the packed statement layout, and ``model.format_set`` the one rule for an
 element set's text.  Read with ``ast`` only: nothing is imported.
@@ -13,7 +14,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mugci"
-SHARED = ("reach", "element_neighbours", "packed_key", "packed_graph")
+SHARED = ("reach", "element_neighbours", "packed_key", "packed_graph", "Floods")
 
 
 def parsed(path: Path) -> ast.Module:
@@ -47,9 +48,10 @@ def test_ugraph_imports_only_errors_and_model():
 
 def test_each_shared_graph_function_is_defined_once():
     homes = {name: [] for name in SHARED}
+    defined = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(parsed(path)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in homes:
+            if isinstance(node, defined) and node.name in homes:
                 homes[node.name].append(path.stem)
     assert homes == {name: ["ugraph"] for name in SHARED}
 
@@ -92,9 +94,10 @@ def test_format_set_is_the_one_set_text_rule():
     assert builders == ["model.format_set"]
 
 
-def test_prove_floods_the_graph_only_through_reach():
+def test_prove_floods_the_graph_only_through_ugraph_floods():
     # prove decides what it can by floods before the worklist run; those
-    # floods are ugraph.reach, so no graphoid function walks a graph itself.
+    # floods are ugraph.Floods records, so no graphoid function walks a
+    # graph or states the witness rule itself.
     tree = parsed(PACKAGE / "graphoid.py")
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     front, called, todo = set(), set(), ["prove"]
@@ -107,10 +110,11 @@ def test_prove_floods_the_graph_only_through_reach():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 called.add(node.func.id)
                 todo.append(node.func.id)
-    assert "reach" in called and "reach" not in functions
+    assert "Floods" in called and "Floods" not in functions
+    assert not {"reach", "element_neighbours"} & called
     assert any(
         isinstance(node, ast.ImportFrom) and node.module == "ugraph" and node.level == 1
-        and "reach" in {alias.name for alias in node.names}
+        and "Floods" in {alias.name for alias in node.names}
         for node in tree.body
     )
     # A flood of its own would loop until nothing new is reached.

@@ -13,6 +13,8 @@ from mugci import (
     Universe,
     append_transformed,
     canonical_triple,
+    enumerate_canonical,
+    prove,
 )
 from mugci.errors import (
     CoverageGap,
@@ -24,11 +26,12 @@ from mugci.errors import (
     UnknownElement,
     UnknownNode,
 )
-from mugci.ugraph import packed_graph
+from mugci.ugraph import Floods, packed_graph
 
 from object_layer import key as name_tuple_key
 from object_layer import nodes_with_element, singletonize
 from oracle import all_triples, as_plain, element_adjacency, separates_oracle
+from test_mug import random_graph
 
 
 def chain_xzy():
@@ -430,18 +433,25 @@ def test_element_adjacency_is_a_read_only_view_of_the_expansion():
     assert g.element_adjacency() == adjacency
 
 
-def test_element_graph_is_built_only_when_read(monkeypatch):
+def count_element_graph_builds(monkeypatch) -> list:
+    """The packed graphs ``ugraph.element_neighbours`` is asked for, from now on."""
     import mugci.ugraph as ugraph
-    from mugci.modelfile import format_ugraph
 
     built = []
     real = ugraph.element_neighbours
 
     def counting(nodes, adj):
-        built.append(nodes)
+        built.append((nodes, adj))
         return real(nodes, adj)
 
     monkeypatch.setattr(ugraph, "element_neighbours", counting)
+    return built
+
+
+def test_element_graph_is_built_only_when_read(monkeypatch):
+    from mugci.modelfile import format_ugraph
+
+    built = count_element_graph_builds(monkeypatch)
     g = UGraph({0: {"a", "b"}, 1: {"b", "c"}, 2: {"d"}}, [(1, 2)])
     # the key and the printed graph read the packed form alone
     g.key()
@@ -495,3 +505,114 @@ def test_packed_graph_checks_the_graph_against_the_universe():
         Mug(Universe("abq")).with_graph(g)
     packed = (((0, 1), (1, 10), (2, 16), (3, 36)), (2, 1, 0, 0))
     assert packed_graph(Universe("abmqrz"), g) == packed
+
+
+# -- the witness rule, from every entry point -----------------------------------
+
+
+def networkx_separates(nx, g, s):
+    """Whether s.z separates s.x from s.y in g's element graph, by networkx."""
+    nodes = g.nodes
+    eg = nx.Graph()
+    eg.add_nodes_from(g.elements - s.z)
+    for es in nodes.values():
+        eg.add_edges_from((a, b) for a in es - s.z for b in es - s.z if a < b)
+    for n1, n2 in g.edges:
+        eg.add_edges_from(
+            (a, b) for a in nodes[n1] - s.z for b in nodes[n2] - s.z if a != b
+        )
+    near = set().union(*(nx.node_connected_component(eg, e) for e in s.x))
+    return not near & s.y
+
+
+def test_one_witness_rule_from_every_entry_point():
+    # Floods.witnesses is the rule; UGraph.separates, Mug.witness on a
+    # one-graph model and prove with no premises all answer through it.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3030)
+    seen = {"multi": 0, "repeated": 0, "negative": 0, "lacking": 0}
+    for round_ in range(60):
+        n = rng.randint(3, 5)
+        names = [f"e{i}" for i in range(n)]
+        if round_ % 2:
+            g = relabelled(rng, random_multi_graph(rng, n))
+        else:  # over part of the universe, so some statements are not held
+            g = relabelled(rng, random_graph(rng, names))
+        u = Universe(names)
+        nodes, adj = packed_graph(u, g)
+        floods = Floods(nodes, adj)
+        m = Mug(u, [g])
+        for s in enumerate_canonical(u):
+            got = floods.witnesses(u.mask(s.x), u.mask(s.z), u.mask(s.y))
+            assert (m.witness(s) == 0) is got, (g, s)
+            assert (prove([], u, [g], s) is not None) is got, (g, s)
+            if s.elements <= g.elements:
+                assert g.separates(s.x, s.z, s.y) is got, (g, s)
+                assert networkx_separates(nx, g, s) is got, (g, s)
+            else:
+                assert not got
+                with pytest.raises(MissingElements):
+                    g.separates(s.x, s.z, s.y)
+        plain = g.nodes.values()
+        seen["multi"] += any(len(es) > 1 for es in plain)
+        seen["repeated"] += sum(map(len, plain)) > len(g.elements)
+        seen["negative"] += min(g.nodes) < 0
+        seen["lacking"] += len(g.elements) < n
+    assert min(seen.values()) > 10, seen
+
+
+def test_each_graph_element_graph_and_floods_are_made_once_per_model(monkeypatch):
+    import mugci.ugraph as ugraph
+
+    u = Universe("abcde")
+    graphs = [
+        UGraph({0: {"a", "b"}, -3: {"c"}, 7: {"b", "d"}}, [(0, -3), (-3, 7)]),
+        UGraph.from_singletons("abcde", zip("abcd", "bcde")),
+        UGraph({4: {"e"}, 9: {"a"}}),  # asked only I(a, {}, e), which the path fails
+    ]
+    m = Mug(u, graphs)
+    built = count_element_graph_builds(monkeypatch)
+    floods = []
+    real_reach = ugraph.reach
+    monkeypatch.setattr(ugraph, "reach", lambda *a: floods.append(a) or real_reach(*a))
+    statements = list(enumerate_canonical(u))
+    counts = []
+    for _ in range(3):
+        for s in statements:
+            m.witness(s)
+        counts.append(len(floods))
+    assert built == list(m.packed)
+    # each (start, blocked) is flooded once a graph; later passes only read
+    assert counts[0] == counts[2] > 0
+
+
+def test_prove_builds_each_graph_element_graph_once_per_call(monkeypatch):
+    u = Universe("abcd")
+    g = UGraph.from_singletons("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    premises = [canonical_triple("a", "b", "c"), canonical_triple("a", "c", "d")]
+    premises += [canonical_triple("b", "c", "d"), canonical_triple("a", "bc", "d")]
+    built = count_element_graph_builds(monkeypatch)
+    for _ in range(3):
+        # four premises and the target flooded, the graph built once
+        assert prove(premises, u, [g], canonical_triple("a", "", "d")) is None
+    assert built == [packed_graph(u, g)] * 3
+    built.clear()
+    other = UGraph.from_singletons("ad")
+    for _ in range(2):
+        # the target is the second graph's seed: both graphs flooded once
+        assert prove(premises, u, [g, other], canonical_triple("a", "", "d"))
+    assert built == [packed_graph(u, g), packed_graph(u, other)] * 2
+
+
+def test_from_singletons_names_every_unknown_endpoint(monkeypatch):
+    def no_nodes(self, *args):
+        raise AssertionError("a node was built before the check")
+
+    monkeypatch.setattr(UGraph, "__init__", no_nodes)
+    with pytest.raises(UnknownElement, match="^not in universe: c, d$"):
+        UGraph.from_singletons("ab", [("a", "c"), ("d", "b"), ("c", "a")])
+    with pytest.raises(UnknownElement, match="^not in universe: c$"):
+        UGraph.from_singletons("ab", iter([("a", "b"), ("a", "c")]))
+    monkeypatch.undo()
+    g = UGraph.from_singletons("ba", iter([("a", "b")]))
+    assert g == UGraph({0: {"a"}, 1: {"b"}}, [(0, 1)])
