@@ -37,7 +37,17 @@ from .mug import (
     packed_deletion,
     packed_singletons,
 )
-from .ugraph import Floods, UGraph, element_mask, packed_graph, packed_key, reach
+from .ugraph import (
+    Floods,
+    UGraph,
+    element_combination,
+    element_deletion,
+    element_key,
+    element_mask,
+    packed_graph,
+    packed_key,
+    reach,
+)
 
 
 @dataclass(frozen=True)
@@ -169,13 +179,18 @@ def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
 
 
 class _Member:
-    """One distinct graph in a search: packed graph, key number, element set."""
+    """One distinct graph in a search: its nodes, key number and element
+    set, and its element key's ``near`` if it has one, else its packed
+    adjacency ``adj``."""
 
-    __slots__ = ("nodes", "adj", "gid", "mask")
+    __slots__ = ("nodes", "adj", "near", "gid", "mask")
 
-    def __init__(self, nodes: tuple, adj: tuple, gid: int, mask: int):
+    def __init__(
+        self, nodes: tuple, adj: tuple | None, near: tuple | None, gid: int, mask: int
+    ):
         self.nodes = nodes
         self.adj = adj
+        self.near = near
         self.gid = gid
         self.mask = mask
 
@@ -259,13 +274,19 @@ def search(
     earlier moves made, and the parent's own mask.  Adding such a child
     again reaches a state that the first order has already visited, or
     that is over the graph cap, so it is skipped before the dedup lookup.
-    (This needs equal keys to mean equal successors, which holds unless a
-    graph gives two nodes one element set: moves never make such a graph,
-    and ``initial_mug`` never does.)
+    (This needs equal keys to mean equal successors: keys are exact, see
+    ``packed_key``.)
 
-    Graphs are packed (``packed_graph``), and every move is made on them;
-    ``verify_script`` replays a returned script through ``Mug``.  Every
-    table is sized by what the graphs hold, never by the universe.  A
+    A graph whose nodes each carry one element of their own is held in
+    element form: its nodes and its ``element_key``.  Every graph of an
+    ``initial_mug`` model is such a graph, and so is every graph that moves
+    make from one.  Its moves are mask updates (``element_deletion``,
+    ``element_combination``), its key is its form as it stands, and its
+    ``Floods`` record is made from that.  Any other graph is held packed
+    (``packed_graph``) and moved by ``packed_deletion`` and
+    ``packed_combination``; a child with an element key is held in element
+    form.  ``verify_script`` replays a returned script through ``Mug``.
+    Every table is sized by what the graphs hold, never by the universe.  A
     candidate I(x, z, y) for a graph over ``inside`` has x + z = inside,
     and holds where a graph strictly covering ``inside`` witnesses it.
     Each such pair of keys splits the covering graph's other elements into
@@ -284,6 +305,8 @@ def search(
         raise ValueError("search bounds must be positive")
     stats = dict.fromkeys(("dedup_hits", "rejected_graph_cap"), 0)
     universe = m0.universe
+    # Members by (nodes, near) in element form and by (nodes, adj) packed:
+    # no graph is in both forms, so the two never share nodes.
     held: dict[tuple, _Member] = {}
     gids: dict[tuple, int] = {}
     # By key number: the ``Floods`` of the first member with that key (equal
@@ -303,24 +326,62 @@ def search(
     successors: dict[_Member, tuple[list, _Combinations]] = {}
     floods = reread = dedup = rejected = bounded = 0
 
-    def member(graph: tuple[tuple, tuple]) -> tuple[_Member, int]:
-        """The graph's member and key bit."""
+    def new_key(record: Floods) -> None:
+        """Number a new key by its record, and test it against the target."""
         nonlocal floods
+        records.append(record)
+        floods += not needed & ~record.mask
+        witnessed.append(record.witnesses(gx, gz, gy))
+
+    def member(nodes: tuple, mask: int, near: tuple) -> tuple[_Member, int]:
+        """The member and key bit of a graph in element form."""
+        graph = nodes, near
         mem = held.get(graph)
         if mem is None:
-            gid = gids.setdefault(packed_key(*graph), len(gids))
+            key = mask, near
+            gid = gids.setdefault(key, len(gids))
             if gid == len(records):
-                records.append(Floods(*graph))
-                floods += not needed & ~records[gid].mask
-                witnessed.append(records[gid].witnesses(gx, gz, gy))
-            mem = held[graph] = _Member(*graph, gid, records[gid].mask)
+                new_key(Floods(nodes, None, key))
+            mem = held[graph] = _Member(nodes, None, near, gid, mask)
         return mem, 1 << mem.gid
+
+    def packed_member(nodes: tuple, adj: tuple) -> tuple[_Member, int]:
+        """The member and key bit of a packed graph, in element form if it
+        has an element key."""
+        key = element_key(nodes, adj)
+        if key is not None:
+            return member(nodes, *key)
+        graph = nodes, adj
+        mem = held.get(graph)
+        if mem is None:
+            gid = gids.setdefault(packed_key(nodes, adj), len(gids))
+            if gid == len(records):
+                new_key(Floods(nodes, adj))
+            mem = held[graph] = _Member(nodes, adj, None, gid, records[gid].mask)
+        return mem, 1 << mem.gid
+
+    def deletions(mem: _Member) -> list:
+        """The successors deleting each of a member's nodes, in id order."""
+        nodes, adj, near, mask = mem.nodes, mem.adj, mem.near, mem.mask
+        if near is None:
+            return [
+                (Delete, n, *packed_member(*packed_deletion(nodes, adj, i)))
+                for i, (n, _) in enumerate(nodes)
+            ]
+        return [
+            (Delete, n, *member(*element_deletion(nodes, mask, near, i)))
+            for i, (n, _) in enumerate(nodes)
+        ]
 
     def combination(mem: _Member, p: int) -> tuple:
         """The successor combining a member with packed statement p."""
         x, z, y = universe.unpack(p)
         added = y if x | z == mem.mask else x
-        return Combine, p, *member(packed_combination(mem.nodes, mem.adj, z, added))
+        if mem.near is None:
+            child = packed_member(*packed_combination(mem.nodes, mem.adj, z, added))
+        else:
+            child = member(*element_combination(mem.nodes, mem.mask, mem.near, z, added))
+        return Combine, p, *child
 
     def split(inside: int, o: _Member) -> list[tuple[int, int]]:
         """``_components`` of a covering member outside ``inside``, made once."""
@@ -363,7 +424,7 @@ def search(
     except KeyError:  # an element outside the universe, so no graph holds it
         return Exhausted(states_explored=0, depth_reached=0, stats=counted())
     needed = gx | gz | gy
-    members0 = tuple(member(g)[0] for g in m0.packed)
+    members0 = tuple(packed_member(*g)[0] for g in m0.packed)
     if any(witnessed[mem.gid] for mem in members0):
         return MoveScript(m0, (), target, counted())
     ids0 = sum(1 << mem.gid for mem in members0)
@@ -395,11 +456,7 @@ def search(
             made = successors.get(mem)
             if made is None:
                 made = successors[mem] = (
-                    [
-                        (Delete, n, *member(packed_deletion(mem.nodes, mem.adj, i)))
-                        for i, (n, _) in enumerate(mem.nodes)
-                    ],
-                    _Combinations(partial(combination, mem)),
+                    deletions(mem), _Combinations(partial(combination, mem))
                 )
             deleted, combined = made
             walk = chain(deleted, map(combined.__getitem__, lists[gi]))

@@ -15,9 +15,10 @@ Statements are packed into ints by the closure's ``model.Universe`` on the
 way in and stay packed inside: the closure runs and keeps its derivation
 over its universe, and a chain check packs over the sorted union of the
 elements its steps use.  A model's graphs come in as graphs: the closure
-packs each one and lists its separations packed (``mug.separations``), so no
-statement object is made for them.  Statement objects appear only at the
-boundary, when a caller asks ``Closure`` for its statements or a chain.
+packs each one into a ``ugraph.Floods`` record and lists its separations
+packed from it (``mug.separations``), so no statement object is made for
+them.  Statement objects appear only at the boundary, when a caller asks
+``Closure`` for its statements or a chain.
 
 One graph's separations are already closed under the axioms (graph
 separation is a graphoid, Pearl & Paz 1987), and all of them are seeds.  So
@@ -29,9 +30,10 @@ witnesses every seed, the worklist could admit nothing at all: the closure
 is the seeds, listed without a run, and its counters are worked out to
 equal the ones the run would have counted.  ``prove`` answers one query
 with the same run, stopped once its target is admitted, but lists the
-separations only when it needs the run: floods of each graph's
-``ugraph.Floods`` record show a target that is a seed, and on one graph
-that witnesses every premise, a target that is not derivable.
+separations only when it needs the run: floods of each graph's record show
+a target that is a seed, and on one graph that witnesses every premise, a
+target that is not derivable.  The listing reads the same records, so each
+graph's element graph is built once.
 """
 
 from __future__ import annotations
@@ -259,7 +261,8 @@ def closure(
     statement object; ``Closure`` decodes on demand.
     """
     given, packed = _intake(init, universe, graphs)
-    return Closure(universe, *_saturate(universe, _seeds(universe, given, packed)))
+    records = [Floods(*g) for g in packed]
+    return Closure(universe, *_saturate(universe, _seeds(universe, given, records)))
 
 
 def prove(
@@ -294,7 +297,7 @@ def prove(
         return (AxiomStep("given", (), universe.decode(stop)),)
     if len(records) == 1 and all(records[0].witnesses(*unpack(p)) for p in given):
         return None
-    seeds = _seeds(universe, given, packed)
+    seeds = _seeds(universe, given, records)
     return Closure(universe, *_saturate(universe, seeds, stop)).query(target)
 
 
@@ -313,14 +316,17 @@ def _intake(
     return given, [packed_graph(universe, g) for g in graphs]
 
 
-def _seeds(universe: Universe, given: dict[int, int], packed: list) -> dict[int, int]:
+def _seeds(
+    universe: Universe, given: dict[int, int], records: list[Floods]
+) -> dict[int, int]:
     """The packed seeds, each mapped to a bitmask of the graphs witnessing it.
 
-    Bit i stands for the i-th graph; a statement only given has 0.
+    ``records`` holds each graph's ``Floods``.  Bit i stands for the i-th
+    graph; a statement only given has 0.
     """
     seeds = dict(given)
-    for i, g in enumerate(packed):
-        found = dict.fromkeys(separations(universe, *g), 1 << i)
+    for i, floods in enumerate(records):
+        found = dict.fromkeys(separations(universe, floods), 1 << i)
         for p in found.keys() & seeds.keys():
             found[p] |= seeds[p]
         seeds.update(found)

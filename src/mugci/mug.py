@@ -9,8 +9,9 @@ Graphs are held in ``ugraph``'s packed form (``packed_graph``) over the
 model's ``Universe``: node element masks and neighbour bitmasks.  This
 module holds the one implementation of each graph move on that form, which
 ``Mug``, replay, script checks and search share; models deduplicate by
-``ugraph.packed_key`` and hold one ``ugraph.Floods`` record per graph,
-which decides every witness query.
+``ugraph.packed_key``, which is exact, and hold one ``ugraph.Floods``
+record per graph, which decides every witness query and lists every
+separation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .model import CanonicalStatement, Universe, check_size
 from .ugraph import (
     Floods,
     UGraph,
-    element_mask,
+    element_key,
     element_neighbours,
     packed_graph,
     packed_key,
@@ -95,8 +96,8 @@ class Mug:
         universe = self._universe
         check_size(universe)
         found: set[int] = set()
-        for g in self._packed:
-            found.update(separations(universe, *g))
+        for floods in self._floods:
+            found.update(separations(universe, floods))
         return frozenset(map(universe.decode, found))
 
     def singletonized(self) -> "Mug":
@@ -111,11 +112,15 @@ class Mug:
         return self._appended(packed_graph(self._universe, g))
 
     def _add(self, graph: tuple[tuple, tuple]) -> int:
-        """Add a packed graph in place unless its key is here; its index."""
-        gi = self._index.setdefault(packed_key(*graph), len(self._packed))
+        """Add a packed graph in place unless its key is here; its index.
+
+        An element key is the graph's ``packed_key``, and its record's
+        element graph as well."""
+        key = element_key(*graph)
+        gi = self._index.setdefault(key or packed_key(*graph), len(self._packed))
         if gi == len(self._packed):
             self._packed += (graph,)
-            self._floods.append(Floods(*graph))
+            self._floods.append(Floods(*graph, key))
         return gi
 
     def _appended(self, graph: tuple[tuple, tuple]) -> tuple["Mug", int]:
@@ -212,8 +217,8 @@ def packed_singletons(nodes: tuple, adj: tuple) -> tuple[tuple, tuple]:
     return tuple(enumerate(bits)), tuple(out)
 
 
-def separations(universe: Universe, nodes: tuple, adj: tuple) -> list[int]:
-    """Every statement a packed graph witnesses, packed.
+def separations(universe: Universe, floods: Floods) -> list[int]:
+    """Every statement a packed graph witnesses, packed, from its ``Floods``.
 
     I(x, z, y) holds in g iff its elements lie in g and no connected
     component of the element graph minus z meets both x and y.  So for each
@@ -226,8 +231,8 @@ def separations(universe: Universe, nodes: tuple, adj: tuple) -> list[int]:
     """
     n, full = len(universe), universe.full
     shift = 2 * n
-    members = element_mask(nodes)
-    neighbours = element_neighbours(nodes, adj)
+    members = floods.mask
+    neighbours = floods.neighbours
     out = []
     z = 0
     while True:

@@ -7,12 +7,15 @@ covers plain graphs, multi-element nodes, and repeated elements uniformly.
 A graph is packed (``packed_graph``) over a ``Universe`` into node element
 masks and neighbour bitmasks.  This module holds the one implementation of
 the packed form, the element graph built from it (``element_neighbours``),
-the mask flood behind every separation (``reach``), the graph key
+the mask flood behind every separation (``reach``), the one exact graph key
 (``packed_key``) and ``Floods``, the one record of what a packed graph
-derives, which holds the one witness rule.  A ``UGraph`` packs itself once,
-over a universe of its own sorted elements, into a ``Floods``; ``mug``,
-``graphoid`` and ``derivation`` hold one per graph.  All transformations
-are pure and return new graphs.
+derives, which holds the one witness rule.  A graph whose nodes each carry
+one element of their own is its element graph: its key (``element_key``)
+is that graph, and ``element_deletion`` and ``element_combination`` move it
+as mask updates.  A ``UGraph`` packs itself once, over a universe of its
+own sorted elements, into a ``Floods``; ``mug``, ``graphoid`` and
+``derivation`` hold one per graph.  All transformations are pure and
+return new graphs.
 """
 
 from __future__ import annotations
@@ -203,12 +206,9 @@ class UGraph:
 
     def key(self) -> tuple:
         """Canonical serialization: the sorted elements and the ``packed_key``
-        over them, the multisets of node element sets and of element-set
-        pairs along edges.
-
-        Isomorphic graphs have equal keys.  Equal keys need not mean
-        isomorphic graphs when one element set sits on two nodes: edges 1–3,
-        2–4 and edges 1–3, 1–4 over nodes 1={a} 2={a} 3={b} 4={c} agree.
+        over them.  Two graphs have equal keys exactly when they are
+        isomorphic: some bijection of their nodes keeps every node's
+        element set and every edge.
         """
         universe, packed = self._packed_form()
         return universe.elements, packed_key(packed.nodes, packed.adj)
@@ -266,27 +266,157 @@ def element_mask(nodes: tuple) -> int:
 
 
 def packed_key(nodes: tuple, adj: tuple) -> tuple:
-    """The multiset of node masks and of the mask pairs along edges.
+    """The exact key of a packed graph: over one universe, two graphs have
+    equal keys exactly when some bijection of their nodes keeps every
+    node's element set and every edge.
 
-    Masks stand for element sets one to one, so over one universe two
-    graphs have equal packed keys exactly when they have the same multisets
-    of node element sets and of element-set pairs along edges.  Equal
-    packed keys need not mean isomorphic graphs when one element set sits
-    on two nodes (see ``UGraph.key``).
+    Every key starts with the graph's element mask.  A graph whose nodes
+    each carry one element of their own is keyed by its ``element_key``.
+    Any other graph is keyed by its element mask, its node masks in sorted
+    order and the edges between their places, nodes that share a mask put
+    in a canonical order (``_tied_order``).  So keys of either kind compare,
+    and never equal one of the other kind.
     """
+    key = element_key(nodes, adj)
+    if key is not None:
+        return key
     masks = [m for _, m in nodes]
+    if len(set(masks)) < len(masks):
+        order = _tied_order(masks, adj)
+    else:
+        order = sorted(range(len(masks)), key=masks.__getitem__)
+    return element_mask(nodes), tuple(masks[i] for i in order), _placed_edges(adj, order)
+
+
+def _placed_edges(adj: tuple, order: list[int]) -> tuple:
+    """The sorted edges as pairs of places, node ``order[p]`` at place p."""
+    place = [0] * len(order)
+    for p, i in enumerate(order):
+        place[i] = p
     pairs = []
     for i, nbrs in enumerate(adj):
-        a = masks[i]
+        a = place[i]
         later = nbrs >> i + 1 << i + 1  # each edge once, from its lower end
         while later:
             low = later & -later
             later ^= low
-            b = masks[low.bit_length() - 1]
-            pairs.append((a, b) if a <= b else (b, a))
-    masks.sort()
+            b = place[low.bit_length() - 1]
+            pairs.append((a, b) if a < b else (b, a))
     pairs.sort()
-    return tuple(masks), tuple(pairs)
+    return tuple(pairs)
+
+
+def _tied_order(masks: list[int], adj: tuple) -> list[int]:
+    """The node order, by mask, whose ``_placed_edges`` is least.
+
+    Colour refinement splits the nodes that share a mask by their
+    neighbours' colours; each class still tied is split by trying each of
+    its nodes first, in turn, and refining again.  Of two nodes whose
+    neighbours agree but for each other only one is tried, since swapping
+    them maps each try onto the other.
+    """
+    neighbours = [[j for j in range(len(masks)) if nbrs >> j & 1] for nbrs in adj]
+
+    def refined(colours: list) -> list:
+        while True:
+            signs = [
+                (c, tuple(sorted(colours[j] for j in near)))
+                for c, near in zip(colours, neighbours)
+            ]
+            rank = {sign: r for r, sign in enumerate(sorted(set(signs)))}
+            split = len(rank) > len(set(colours))
+            colours = [rank[sign] for sign in signs]
+            if not split:
+                return colours
+
+    def least(colours: list) -> tuple[tuple, list[int]]:
+        colours = refined(colours)
+        tied = [c for c in set(colours) if colours.count(c) > 1]
+        if not tied:
+            order = sorted(range(len(colours)), key=colours.__getitem__)
+            return _placed_edges(adj, order), order
+        c = min(tied)
+        best = None
+        tried: list[int] = []
+        for v, cv in enumerate(colours):
+            if cv != c or any(
+                adj[v] & ~(1 << u) == adj[u] & ~(1 << v) for u in tried
+            ):
+                continue
+            tried.append(v)
+            # v first in its class: every colour doubles, the rest of v's
+            # class one above it
+            found = least([2 * k + (k == c and i != v) for i, k in enumerate(colours)])
+            if best is None or found[0] < best[0]:
+                best = found
+        return best
+
+    ranks = {m: r for r, m in enumerate(sorted(set(masks)))}
+    return least([ranks[m] for m in masks])[1]
+
+
+def element_key(nodes: tuple, adj: tuple) -> tuple[int, tuple] | None:
+    """A graph's element key, if each node carries one element of its own.
+
+    The key is ``(element mask, near)``, ``near`` giving each element's
+    ``element_neighbours`` mask, its own bit included, in element order.
+    Such a graph's node graph is its element graph, so over one universe
+    two such graphs have equal element keys exactly when they are
+    isomorphic.  A graph in this element form, its nodes and the two parts
+    of its key, is moved by ``element_deletion`` and ``element_combination``.
+    """
+    mask = 0
+    for _, m in nodes:
+        if m & (m - 1) or m & mask:
+            return None
+        mask |= m
+    near = element_neighbours(nodes, adj)
+    return mask, tuple([near[bit] for bit in sorted(near)])
+
+
+def element_deletion(
+    nodes: tuple, mask: int, near: tuple, i: int
+) -> tuple[tuple, int, tuple]:
+    """``packed_deletion`` of the node at position i of a graph in element
+    form: the node's element leaves, and its neighbour mask joins each
+    neighbour's."""
+    bit = nodes[i][1]
+    k = (mask & (bit - 1)).bit_count()
+    joined = near[k]
+    rest = near[:k] + near[k + 1 :]
+    return (
+        nodes[:i] + nodes[i + 1 :],
+        mask ^ bit,
+        tuple([(n | joined) ^ bit if n & bit else n for n in rest]),
+    )
+
+
+def element_combination(
+    nodes: tuple, mask: int, near: tuple, z: int, added: int
+) -> tuple[tuple, int, tuple]:
+    """``packed_combination`` of a graph in element form: z and the
+    ``added`` elements become a clique, and the added elements' nodes get
+    the next ids in element order."""
+    clique = z | added
+    out = []
+    old = iter(near)
+    rest = mask | added
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if bit & added:
+            out.append(clique)
+        else:
+            n = next(old)
+            out.append(n | clique if bit & z else n)
+    grown = list(nodes)
+    next_id = nodes[-1][0] + 1
+    while added:
+        bit = added & -added
+        added ^= bit
+        grown.append((next_id, bit))
+        next_id += 1
+    return tuple(grown), mask | clique, tuple(out)
 
 
 def element_neighbours(nodes: tuple, adj: tuple) -> dict[int, int]:
@@ -323,14 +453,27 @@ def reach(neighbours: dict[int, int], start: int, blocked: int) -> int:
 
 class Floods(dict):
     """What a packed graph derives: its element mask, its element graph
-    (``neighbours``, built on first read) and, as a dict, its floods,
-    ``reach`` by (start, blocked), each kept once asked."""
+    (``neighbours``) and, as a dict, its floods, ``reach`` by (start,
+    blocked), each kept once asked.
+
+    The element graph is made from the graph's ``element_key`` when one is
+    given, else built on first read.
+    """
 
     __slots__ = ("nodes", "adj", "mask", "_neighbours")
 
-    def __init__(self, nodes: tuple, adj: tuple):
-        self.nodes, self.adj, self.mask = nodes, adj, element_mask(nodes)
-        self._neighbours = None
+    def __init__(self, nodes: tuple, adj: tuple | None, key: tuple | None = None):
+        self.nodes, self.adj = nodes, adj
+        if key is None:
+            self.mask, self._neighbours = element_mask(nodes), None
+        else:
+            mask, near = key
+            self.mask = mask
+            bits = []
+            while mask:
+                bits.append(mask & -mask)
+                mask &= mask - 1
+            self._neighbours = dict(zip(bits, near))
 
     @property
     def neighbours(self) -> dict[int, int]:

@@ -6,8 +6,9 @@ held packed graphs, with ``combination_graph``, ``append_transformed`` and
 packed moves are checked against.  Four lines differ from the original:
 ``delete_node`` is a function of its graph (dedented, with ``self`` kept),
 so ``append_transformed`` calls it as one, and ``enumerate_satisfied``
-packs each graph for ``separations``, which now takes a packed graph, over
-the universe itself, which now holds the bitmask encoding.
+packs each graph for ``separations``, which now takes a packed graph's
+``Floods`` record, over the universe itself, which now holds the bitmask
+encoding.
 
 Below them are helpers that only tests called, copied from the package
 with the same bodies: ``witness_graph``, ``singletonize``,
@@ -22,9 +23,10 @@ ran it on masks: ``ugraph._separated``; ``UGraph.key``, the name-tuple key,
 as a function of its graph (``self`` kept); ``DiGraph`` with its ``_moral``;
 ``JoinTree.validate`` (again with ``self`` kept) and its ``_reach``; and
 ``_UnionFind`` with ``build_join_tree`` as it was before Kruskal's loop
-stopped at the tree's last link.  They are the references that
-``UGraph.key``, the mask ``DiGraph``, ``JoinTree.validate`` and the
-join-tree builder are checked against.
+stopped at the tree's last link.  They are the references that the mask
+``DiGraph``, ``JoinTree.validate`` and the join-tree builder are checked
+against.  The name-tuple key is kept for the two graphs it cannot tell
+apart, which the exact ``UGraph.key`` does.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from mugci.mug import (
     packed_singletons,
     separations,
 )
-from mugci.ugraph import packed_graph, unpacked_graph
+from mugci.ugraph import Floods, packed_graph, unpacked_graph
 
 
 class Mug:
@@ -108,7 +110,7 @@ class Mug:
         enc = self._universe
         found: set[int] = set()
         for g in self._graphs:
-            found.update(separations(enc, *packed_graph(enc, g)))
+            found.update(separations(enc, Floods(*packed_graph(enc, g))))
         return frozenset(map(enc.decode, found))
 
     def with_graph(self, g: UGraph) -> tuple["Mug", int]:

@@ -45,6 +45,7 @@ from mugci.mug import (
     separations,
 )
 from mugci.ugraph import (
+    Floods,
     element_mask,
     element_neighbours,
     packed_graph,
@@ -886,7 +887,7 @@ def test_component_listing_matches_the_separations():
         parts = _components(element_neighbours(nodes, adj), elements, inside)
         got = _candidates(u, inside, parts)
         want = set()
-        for p in separations(u, nodes, adj):
+        for p in separations(u, Floods(nodes, adj)):
             a, z, b = u.unpack(p)
             if a | z == inside and not b & inside or b | z == inside and not a & inside:
                 want.add(p)
@@ -937,24 +938,34 @@ def test_search_builds_one_element_graph_per_key_number(monkeypatch):
     import mugci.derivation as derivation
     from test_ugraph import count_element_graph_builds
 
-    graphs = []
-    real_key = derivation.packed_key
+    members, records = [], []
+    real_member, real_floods = derivation._Member, derivation.Floods
 
-    def keying(nodes, adj):
-        graphs.append((nodes, adj))
-        return real_key(nodes, adj)
+    def holding(nodes, adj, near, gid, mask):
+        members.append((nodes, adj, near, gid, mask))
+        return real_member(nodes, adj, near, gid, mask)
 
-    monkeypatch.setattr(derivation, "packed_key", keying)
-    built = count_element_graph_builds(monkeypatch)
+    def recording(*args):
+        records.append(args)
+        return real_floods(*args)
+
+    monkeypatch.setattr(derivation, "_Member", holding)
+    monkeypatch.setattr(derivation, "Floods", recording)
     m0, target = _intersection_model()
+    built = count_element_graph_builds(monkeypatch)
     outcome = search(m0, target, max_moves=3, max_graphs=8)
     assert isinstance(outcome, Exhausted)
-    keys = {real_key(*g) for g in graphs}
-    # several members share a key number, and each number's element graph
-    # is built at most once, from one of its members
-    assert len(keys) < len(set(graphs))
-    assert len({real_key(*g) for g in built}) == len(built) > 1
-    assert set(built) <= set(graphs)
+    # every member is in element form, and several share a key number
+    assert all(adj is None and near is not None for _, adj, near, _, _ in members)
+    first = {}
+    for nodes, _, near, gid, mask in members:
+        first.setdefault(gid, (nodes, None, (mask, near)))
+    assert sorted(first) == list(range(len(first))) and len(first) < len(members)
+    # each number's record is made once, from its first member's element
+    # key; the element graphs built are the model's own, each once, as they
+    # are keyed
+    assert records == list(first.values())
+    assert built == list(m0.packed) and len(set(built)) == len(built)
 
 
 def test_search_work_ignores_elements_no_graph_holds():

@@ -32,7 +32,7 @@ from mugci.errors import InvalidOverlap, UniverseTooLarge, UnknownElement
 from mugci.graphoid import _unary, _unary_follows, contraction, first_invalid_step
 from mugci.model import check_size
 from mugci.mug import separations
-from mugci.ugraph import packed_graph
+from mugci.ugraph import Floods, packed_graph
 from test_mug import random_graph
 
 U4 = Universe(["w", "x", "y", "z"])
@@ -447,7 +447,7 @@ def parent_closure(
     seeds = {enc.encode(s) for s in statements if s is not TRIVIALLY_TRUE}
     for g in graphs:
         universe.require(g.elements)
-        seeds.update(separations(enc, *packed_graph(enc, g)))
+        seeds.update(separations(enc, Floods(*packed_graph(enc, g))))
 
     unpack, key = enc.unpack, enc.key
     parents: dict[int, tuple[str, tuple[int, ...]]] = {}

@@ -1,8 +1,8 @@
 """The packed undirected graph and the packed layout each have one home.
 
 ``ugraph.py`` holds the packed form, the element graph built from it, the
-mask flood, the graph key and ``Floods``, the one record of what a packed
-graph derives.  It may import only ``errors`` and ``model`` from the
+mask flood, the graph key, the element form's key and moves, and
+``Floods``, the one record of what a packed graph derives.  It may import only ``errors`` and ``model`` from the
 package, so no import cycle can form through it, and each of those functions
 and classes is defined in exactly one module, so no second copy can grow back.
 ``model.Universe`` is the one element-set type and the only code that knows
@@ -14,7 +14,16 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mugci"
-SHARED = ("reach", "element_neighbours", "packed_key", "packed_graph", "Floods")
+SHARED = (
+    "reach",
+    "element_neighbours",
+    "packed_key",
+    "packed_graph",
+    "Floods",
+    "element_key",
+    "element_deletion",
+    "element_combination",
+)
 
 
 def parsed(path: Path) -> ast.Module:

@@ -21,7 +21,7 @@ from mugci.errors import (
     WrongElementSet,
 )
 from mugci.mug import separations
-from mugci.ugraph import packed_graph
+from mugci.ugraph import Floods, packed_graph
 
 from object_layer import nodes_with_element
 from oracle import as_plain, mug_statements
@@ -296,13 +296,13 @@ def test_separations_make_each_statement_once():
     for names, edges in cases:
         u = Universe(names)
         g = UGraph.from_singletons(names, edges)
-        out = separations(u, *packed_graph(u, g))
+        out = separations(u, Floods(*packed_graph(u, g)))
         assert len(out) == len(set(out)), names
         assert frozenset(map(u.decode, out)) == filtered_satisfied(Mug(u, [g])), names
     assert len(out) == 1141
     names = list("abcdefgh")
     u = Universe(names)
-    out = separations(u, *packed_graph(u, UGraph.from_singletons(names)))
+    out = separations(u, Floods(*packed_graph(u, UGraph.from_singletons(names))))
     assert len(out) == len(set(out)) == 26335
 
 
@@ -320,3 +320,20 @@ def test_enumerate_satisfied_guard_comes_before_any_work(monkeypatch):
         UniverseTooLarge, match=f"^universe has {n} elements, guard is {ENUMERATION_GUARD}$"
     ):
         m.enumerate_satisfied()
+
+
+def test_a_repeated_element_set_keeps_both_graphs():
+    # Nodes 1 and 2 both carry {a}: the two graphs share every node element
+    # set and every element-set pair along an edge, but deleting node 1
+    # leaves b and c apart in the first and joined in the second.
+    u = Universe("abc")
+    nodes = {1: {"a"}, 2: {"a"}, 3: {"b"}, 4: {"c"}}
+    g1 = UGraph(nodes, [(1, 3), (2, 4)])
+    g2 = UGraph(nodes, [(1, 3), (1, 4)])
+    m, gi = Mug(u, [g1]).with_graph(g2)
+    assert gi == 1 and m.graphs == (g1, g2)
+    m, first = append_transformed(m, Delete(0, 1))
+    m, second = append_transformed(m, Delete(1, 1))
+    assert (first, second) == (2, 3)
+    b, a, c = u.mask("b"), u.mask("a"), u.mask("c")
+    assert m.separates(first, b, a, c) and not m.separates(second, b, a, c)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +26,16 @@ from mugci.errors import (
     UnknownElement,
     UnknownNode,
 )
-from mugci.ugraph import Floods, packed_graph
+from mugci.mug import packed_combination, packed_deletion
+from mugci.ugraph import (
+    Floods,
+    element_combination,
+    element_deletion,
+    element_key,
+    packed_graph,
+    packed_key,
+    unpacked_graph,
+)
 
 from object_layer import key as name_tuple_key
 from object_layer import nodes_with_element, singletonize
@@ -94,6 +103,24 @@ def random_multi_graph(rng, n):
     return UGraph(nodes, edges)
 
 
+def isomorphism_key(g):
+    """The element sets and the least edge list over every numbering of
+    the nodes that keeps element sets in order and numbers tied nodes in
+    any order: equal exactly for isomorphic graphs."""
+    labels = {n: tuple(sorted(es)) for n, es in g.nodes.items()}
+    ties: dict[tuple, list] = {}
+    for n in sorted(g.nodes):
+        ties.setdefault(labels[n], []).append(n)
+    groups = sorted(ties.items())
+    best = None
+    for orders in product(*(permutations(ns) for _, ns in groups)):
+        name = {n: (label, i) for (label, _), order in zip(groups, orders)
+                for i, n in enumerate(order)}
+        edges = sorted(tuple(sorted((name[a], name[b]))) for a, b in g.edges)
+        best = edges if best is None or edges < best else best
+    return tuple(sorted(labels.values())), tuple(best)
+
+
 def relabelled(rng, g):
     """The same graph under sparse node ids, some negative, in another order."""
     ids = sorted(g.nodes)
@@ -128,11 +155,14 @@ def test_element_graph_matches_the_oracle_on_random_graphs():
         seen["isolated"] += any(g.neighbors(n) == frozenset() for n in nodes)
     assert min(seen.values()) > 50, seen
     # Node 1 and node 2 carry one element set, so the name-tuple key cannot
-    # tell these two apart, and neither may the key.
+    # tell these two apart; the key must, since deleting node 1 leaves
+    # graphs with different separations.
     nodes = {1: {"a"}, 2: {"a"}, 3: {"b"}, 4: {"c"}}
-    graphs += [UGraph(nodes, [(1, 3), (2, 4)]), UGraph(nodes, [(1, 3), (1, 4)])]
-    assert graphs[-1] != graphs[-2] and graphs[-1].key() == graphs[-2].key()
-    keys = [(g.key(), name_tuple_key(g)) for g in graphs]
+    pair = [UGraph(nodes, [(1, 3), (2, 4)]), UGraph(nodes, [(1, 3), (1, 4)])]
+    assert name_tuple_key(pair[0]) == name_tuple_key(pair[1])
+    assert pair[0].key() != pair[1].key()
+    graphs += pair
+    keys = [(g.key(), isomorphism_key(g)) for g in graphs]
     equal = 0
     for (key, want), (other, other_want) in combinations(keys, 2):
         assert (key == other) == (want == other_want)
@@ -406,6 +436,107 @@ def test_key_ignores_node_ids_but_not_structure():
     assert g1.key() != g3.key()
 
 
+def test_keys_of_graphs_with_tied_nodes_are_exact():
+    # Few element sets over many nodes, so that nodes share element sets
+    # and graphs share the name-tuple key without being isomorphic.
+    rng = random.Random(4099)
+    pool = [{"a"}, {"b"}, {"a", "b"}, {"c"}]
+    graphs = []
+    for _ in range(250):
+        n = rng.randint(3, 6)
+        sets = pool[: rng.randint(2, 4)]
+        nodes = {i: rng.choice(sets) for i in range(n)}
+        edges = [pair for pair in combinations(range(n), 2) if rng.random() < 0.4]
+        g = UGraph(nodes, edges)
+        graphs += [g, relabelled(rng, g)]
+    keys = [(g.key(), isomorphism_key(g), name_tuple_key(g)) for g in graphs]
+    equal = told_apart = 0
+    for (key, want, named), (other, other_want, other_named) in combinations(keys, 2):
+        assert (key == other) == (want == other_want)
+        equal += key == other
+        told_apart += named == other_named and key != other
+    # beyond the relabelled pairs, some drawn graphs agree, and the
+    # name-tuple key joins some that the key tells apart
+    assert equal > len(graphs) // 2 + 20 and told_apart > 20, (equal, told_apart)
+
+
+def test_tied_key_where_refinement_splits_nothing():
+    # Seven nodes over one element set, every node of degree two: a triangle
+    # beside a square, or one seven-cycle.  Refinement cannot split them, so
+    # each numbering's key rests on trying every node first.
+    rng = random.Random(2027)
+    shapes = {
+        "3+4": [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)],
+        "7": [(i, (i + 1) % 7) for i in range(7)],
+    }
+    keys = {}
+    for shape, edges in shapes.items():
+        for _ in range(20):
+            place = rng.sample(range(7), 7)
+            g = UGraph({i: {"a"} for i in range(7)}, [(place[a], place[b]) for a, b in edges])
+            keys.setdefault(shape, set()).add(g.key())
+    assert len(keys["3+4"]) == len(keys["7"]) == 1
+    assert keys["3+4"] != keys["7"]
+
+
+U6 = Universe("abcdef")
+
+
+@st.composite
+def single_element_graphs(draw, names="abcdef"):
+    """A graph with one element of its own on each node, node ids drawn
+    apart from the element order."""
+    chosen = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    ids = draw(
+        st.lists(st.integers(-9, 9), min_size=len(chosen), max_size=len(chosen), unique=True)
+    )
+    pairs = list(combinations(range(len(chosen)), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(ids[a], ids[b]) for (a, b), k in zip(pairs, keep) if k]
+    return UGraph({n: {e} for n, e in zip(ids, chosen)}, edges)
+
+
+def decoded(nodes: tuple, mask: int, near: tuple) -> UGraph:
+    """The graph a graph in element form stands for, over ``U6``."""
+    bits = [bit for bit in U6.bits.values() if bit & mask]
+    near_of = dict(zip(bits, near))
+    edges = [(a, b) for (a, m), (b, n) in combinations(nodes, 2) if near_of[m] & n]
+    return UGraph({n: U6.names(m) for n, m in nodes}, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_element_graphs(), st.data())
+def test_element_form_moves_are_the_packed_moves(g, data):
+    packed = packed_graph(U6, g)
+    nodes = packed[0]
+    key = element_key(*packed)
+    assert key == packed_key(*packed) and decoded(nodes, *key) == g
+    for i in range(len(nodes)):
+        got = element_deletion(nodes, *key, i)
+        want = packed_deletion(*packed, i)
+        assert got[0] == want[0] and got[1:] == element_key(*want)
+        assert decoded(*got) == unpacked_graph(U6, *want)
+    mask = key[0]
+    outside = U6.full & ~mask
+    if outside:
+        z = data.draw(st.integers(0, mask)) & mask
+        added = data.draw(st.integers(1, outside).filter(lambda a: a & outside)) & outside
+        got = element_combination(nodes, *key, z, added)
+        want = packed_combination(*packed, z, added)
+        assert got[0] == want[0] and got[1:] == element_key(*want)
+        assert decoded(*got) == unpacked_graph(U6, *want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(single_element_graphs("abc"), min_size=2, max_size=2))
+def test_element_keys_are_equal_exactly_for_isomorphic_graphs(pair):
+    g, h = pair
+    key, other = (element_key(*packed_graph(U6, graph)) for graph in pair)
+    assert (key == other) == (isomorphism_key(g) == isomorphism_key(h))
+    assert (key == other) == (name_tuple_key(g) == name_tuple_key(h))
+    assert element_key(*packed_graph(U6, UGraph({0: {"a", "b"}}))) is None
+
+
 @pytest.mark.parametrize(
     "transform",
     [
@@ -434,7 +565,9 @@ def test_element_adjacency_is_a_read_only_view_of_the_expansion():
 
 
 def count_element_graph_builds(monkeypatch) -> list:
-    """The packed graphs ``ugraph.element_neighbours`` is asked for, from now on."""
+    """The packed graphs ``ugraph.element_neighbours`` is asked for, from now
+    on, by ``ugraph`` or by ``mug``, which imports it."""
+    import mugci.mug as mug
     import mugci.ugraph as ugraph
 
     built = []
@@ -444,7 +577,8 @@ def count_element_graph_builds(monkeypatch) -> list:
         built.append((nodes, adj))
         return real(nodes, adj)
 
-    monkeypatch.setattr(ugraph, "element_neighbours", counting)
+    for module in (ugraph, mug):
+        monkeypatch.setattr(module, "element_neighbours", counting)
     return built
 
 
@@ -487,7 +621,7 @@ def test_graphs_over_names_that_are_not_identifiers():
             assert odd.separates(x, z, y) == want == g.separates(s.x, s.z, s.y)
         assert odd.key() == (tuple(sorted(odd.elements)), g.key()[1])
         graphs.append(odd)
-    keys = [(g.key(), name_tuple_key(g)) for g in graphs]
+    keys = [(g.key(), isomorphism_key(g)) for g in graphs]
     equal = 0
     for (key, want), (other, other_want) in combinations(keys, 2):
         assert (key == other) == (want == other_want)
@@ -570,8 +704,8 @@ def test_each_graph_element_graph_and_floods_are_made_once_per_model(monkeypatch
         UGraph.from_singletons("abcde", zip("abcd", "bcde")),
         UGraph({4: {"e"}, 9: {"a"}}),  # asked only I(a, {}, e), which the path fails
     ]
-    m = Mug(u, graphs)
     built = count_element_graph_builds(monkeypatch)
+    m = Mug(u, graphs)
     floods = []
     real_reach = ugraph.reach
     monkeypatch.setattr(ugraph, "reach", lambda *a: floods.append(a) or real_reach(*a))
@@ -581,7 +715,9 @@ def test_each_graph_element_graph_and_floods_are_made_once_per_model(monkeypatch
         for s in statements:
             m.witness(s)
         counts.append(len(floods))
-    assert built == list(m.packed)
+    # the graphs of one element per node as they are keyed, the other on
+    # its first flood
+    assert built == [m.packed[1], m.packed[2], m.packed[0]]
     # each (start, blocked) is flooded once a graph; later passes only read
     assert counts[0] == counts[2] > 0
 
@@ -602,6 +738,13 @@ def test_prove_builds_each_graph_element_graph_once_per_call(monkeypatch):
         # the target is the second graph's seed: both graphs flooded once
         assert prove(premises, u, [g, other], canonical_triple("a", "", "d"))
     assert built == [packed_graph(u, g), packed_graph(u, other)] * 2
+    built.clear()
+    # The floods cannot decide and the run is needed: the separations are
+    # listed from the same records, so still one build a graph.
+    graphs = [g, UGraph.from_singletons("abd", [("a", "b")])]
+    target = canonical_triple("a", "c", "bd")
+    assert prove([canonical_triple("a", "b", "c")], u, graphs, target) is None
+    assert built == [packed_graph(u, h) for h in graphs]
 
 
 def test_from_singletons_names_every_unknown_endpoint(monkeypatch):
