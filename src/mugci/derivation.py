@@ -69,15 +69,18 @@ class MoveScript:
 class Exhausted:
     """Search gave up within its bounds; carries frontier statistics.
 
-    ``stats`` holds the search's deterministic work counters: states
-    explored at each depth (``states_depth_<d>``), successors dropped as
-    already visited (``dedup_hits``) or by the graph cap
-    (``rejected_graph_cap``), the ``reach`` calls made (``floods``: one
-    per component that lists candidates, see ``search``, and one per graph
-    key holding the target's elements), and component floods read again
-    for another listing (``flood_hits``).  ``dedup_hits`` leaves out the
-    successors skipped, unbuilt as states, as commuted orders of earlier
-    moves.  It takes no part in equality.
+    ``stats`` holds the search's deterministic work counters, in this
+    order: successors dropped as already visited (``dedup_hits``) or by the
+    graph cap (``rejected_graph_cap``), states explored at each depth
+    (``states_depth_<d>``, from 0 up to the deepest reached; none when an
+    initial graph witnesses the target, and the move bound's only when a
+    child was made there), the ``reach`` calls made (``floods``: one per
+    component of a (listed graph, covering graph) pair when the pair is
+    first listed, see ``search``, and one per graph key holding the
+    target's elements), and those components counted again each time a
+    later listing reads the pair (``flood_hits``).  ``dedup_hits`` leaves
+    out the successors skipped, unbuilt as states, as commuted orders of
+    earlier moves.  It takes no part in equality.
     """
 
     states_explored: int
@@ -234,25 +237,43 @@ def _components(
 
 def _candidates(universe: Universe, inside: int, parts: list) -> list[int]:
     """Every packed I(x, inside - x, y) that a graph holding ``inside``
-    witnesses with y outside it, its ``_components`` being ``parts``.
+    witnesses with y outside it, its ``_components`` being ``parts``; each
+    once.
 
     A path from x to y that avoids z = inside - x enters y's component
     straight from x, so y may take any elements of the components next to
-    no element of x.
+    no element of x.  So x has some y exactly when it lies within a
+    component's free elements, those of ``inside`` it is next to none of.
+    x ranges over the non-empty subsets of each free mask that no mask
+    listed before holds, and is skipped where such a mask holds it.  A
+    mask sorts after every mask holding it, so the largest come first.
+    The work is the candidates found.
     """
+    pack = universe.pack
     found = []
-    x = inside
-    while x:
-        holding = 0
-        for part, touched in parts:
-            if not touched & x:
-                holding |= part
-        z = inside ^ x
-        y = holding
-        while y:
-            found.append(universe.pack(x, z, y))
-            y = (y - 1) & holding
-        x = (x - 1) & inside
+    done: list[int] = []
+    for free in sorted({inside & ~touched for _, touched in parts}, reverse=True):
+        for f in done:
+            if not free & ~f:
+                break
+        else:
+            x = free
+            while x:
+                for f in done:
+                    if not x & ~f:
+                        break
+                else:
+                    holding = 0
+                    for part, touched in parts:
+                        if not touched & x:
+                            holding |= part
+                    z = inside ^ x
+                    y = holding
+                    while y:
+                        found.append(pack(x, z, y))
+                        y = (y - 1) & holding
+                x = (x - 1) & free
+            done.append(free)
     return found
 
 
@@ -289,21 +310,22 @@ def search(
     Every table is sized by what the graphs hold, never by the universe.  A
     candidate I(x, z, y) for a graph over ``inside`` has x + z = inside,
     and holds where a graph strictly covering ``inside`` witnesses it.
-    Each such pair of keys splits the covering graph's other elements into
-    components once (``_components``, one flood each), and each side x
-    takes the components next to none of its elements (``_candidates``).
+    Each such pair of ``inside`` and a covering key is listed once per
+    search: the covering graph's other elements split into components
+    (``_components``, one flood each), and each side x within some
+    component's free elements takes the components next to none of its
+    elements (``_candidates``, whose work is the candidates it finds).
     A queued state carries its parent's per-member lists of holding
     candidates; only a member the new graph strictly covers can gain some,
     so only it and the new graph are listed again, once per set of
-    covering graphs' keys.  Each key is tested against the target once, by
-    one flood.  A child at the move bound is counted as explored, and
-    nothing more is made for it.  A path is (previous path, kind, graph
-    index, node or packed statement); moves are built only for the
-    returned script.
+    covering graphs' keys, as the sorted union of its pairs' candidates.
+    Each key is tested against the target once, by one flood.  A child at
+    the move bound is counted as explored, and nothing more is made for
+    it.  A path is (previous path, kind, graph index, node or packed
+    statement); moves are built only for the returned script.
     """
     if max_moves <= 0 or max_graphs <= 0:
         raise ValueError("search bounds must be positive")
-    stats = dict.fromkeys(("dedup_hits", "rejected_graph_cap"), 0)
     universe = m0.universe
     # Members by (nodes, near) in element form and by (nodes, adj) packed:
     # no graph is in both forms, so the two never share nodes.
@@ -314,10 +336,10 @@ def search(
     # target.
     records: list[Floods] = []
     witnessed: list[bool] = []
-    # By (a listed graph's elements, a covering key number): the covering
-    # graph's components outside those elements, each with the listed
-    # elements next to it.
-    splits: dict[tuple[int, int], list] = {}
+    # By (a listed graph's elements, a covering key number): how many
+    # components the covering graph has outside those elements, and the
+    # candidates it gives them.
+    pairs: dict[tuple[int, int], tuple[int, list[int]]] = {}
     listings: dict[tuple[int, int], list] = {}
     # Each member's successors, built on first use since every state holding
     # it would ask for the same.  They live here, not on the members: equal
@@ -325,6 +347,8 @@ def search(
     # keep a finished search's graphs alive until a full collection.
     successors: dict[_Member, tuple[list, _Combinations]] = {}
     floods = reread = dedup = rejected = bounded = 0
+    # States explored, by moves made.
+    per_depth: list[int] = []
 
     def new_key(record: Floods) -> None:
         """Number a new key by its record, and test it against the target."""
@@ -383,35 +407,39 @@ def search(
             child = member(*element_combination(mem.nodes, mem.mask, mem.near, z, added))
         return Combine, p, *child
 
-    def split(inside: int, o: _Member) -> list[tuple[int, int]]:
-        """``_components`` of a covering member outside ``inside``, made once."""
+    def pair(inside: int, o: _Member) -> list[int]:
+        """The candidates a covering member gives ``inside``, listed once."""
         nonlocal floods, reread
-        parts = splits.get((inside, o.gid))
-        if parts is None:
-            near = records[o.gid].neighbours
-            parts = splits[inside, o.gid] = _components(near, o.mask, inside)
-            floods += len(parts)
+        made = pairs.get((inside, o.gid))
+        if made is None:
+            parts = _components(records[o.gid].neighbours, o.mask, inside)
+            made = pairs[inside, o.gid] = len(parts), _candidates(universe, inside, parts)
+            floods += made[0]
         else:
-            reread += len(parts)
-        return parts
+            reread += made[0]
+        return made[1]
 
     def listing(mem: _Member, members) -> list:
         """A member's holding candidates in a state, once per covering set."""
         inside = mem.mask
-        covering = [o for o in members if o.mask != inside and not inside & ~o.mask]
-        key = mem.gid, sum(1 << o.gid for o in covering)
+        covering = []
+        bits = 0
+        for o in members:
+            if o.mask != inside and not inside & ~o.mask:
+                covering.append(o)
+                bits |= 1 << o.gid
+        key = mem.gid, bits
         listed = listings.get(key)
         if listed is None:
-            found = set()
-            for o in covering:
-                found.update(_candidates(universe, inside, split(inside, o)))
-            listed = listings[key] = sorted(found, key=universe.key)
+            found = set().union(*[pair(inside, o) for o in covering])
+            listed = listings[key] = sorted(found, key=universe.key) if found else []
         return listed
 
     def counted() -> dict:
-        """The stats, with the states at the move bound and the floods."""
-        stats["dedup_hits"] = dedup
-        stats["rejected_graph_cap"] = rejected
+        """The stats, with the states by depth and the floods."""
+        stats = {"dedup_hits": dedup, "rejected_graph_cap": rejected}
+        for d, n in enumerate(per_depth):
+            stats[f"states_depth_{d}"] = n
         if bounded:
             stats[f"states_depth_{max_moves}"] = bounded
         stats["floods"] = floods
@@ -432,13 +460,13 @@ def search(
     # Members, their key numbers and sleep mask, moves made, the path and
     # the parent's listings (none at first).
     queue: deque[tuple] = deque([(members0, ids0, 0, 0, None, ())])
-    explored = 0
     depth_reached = 0
     while queue:
         members, ids, sleep, moved, path, inherited = queue.popleft()
-        explored += 1
-        depth = f"states_depth_{moved}"
-        stats[depth] = stats.get(depth, 0) + 1
+        if moved < len(per_depth):
+            per_depth[moved] += 1
+        else:
+            per_depth.append(1)
         grown = members[-1].mask if inherited else 0
         lists = [
             listing(mem, members)
@@ -459,10 +487,17 @@ def search(
                     deletions(mem), _Combinations(partial(combination, mem))
                 )
             deleted, combined = made
-            walk = chain(deleted, map(combined.__getitem__, lists[gi]))
+            listed = lists[gi]
+            walk = chain(deleted, map(combined.__getitem__, listed)) if listed else deleted
             for kind, a, child, bit in walk:
-                is_new = not ids & bit
-                if is_new > room:
+                if ids & bit:  # it adds no graph, so it reaches this state
+                    if room < 0:
+                        rejected += 1
+                    elif not sleep & bit:
+                        dedup += 1
+                        slept |= bit
+                    continue
+                if room <= 0:
                     rejected += 1
                     continue
                 if sleep & bit:
@@ -486,7 +521,7 @@ def search(
                 queue.append((members + (child,), ids2, slept, moved + 1, path2, lists))
                 slept |= bit
     return Exhausted(
-        states_explored=explored + bounded,
+        states_explored=sum(per_depth) + bounded,
         depth_reached=depth_reached,
         stats=counted(),
     )

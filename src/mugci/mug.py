@@ -101,7 +101,13 @@ class Mug:
         return frozenset(map(universe.decode, found))
 
     def singletonized(self) -> "Mug":
-        """This model with each graph as ``packed_singletons`` rebuilds it."""
+        """This model with each graph as ``packed_singletons`` rebuilds it.
+
+        That is the model itself when every graph is already so built, as
+        every graph of an ``initial_mug`` model is.
+        """
+        if all(_singletons(nodes) for nodes, _ in self._packed):
+            return self
         m = Mug(self._universe)
         for g in self._packed:
             m._add(packed_singletons(*g))
@@ -215,6 +221,18 @@ def packed_singletons(nodes: tuple, adj: tuple) -> tuple[tuple, tuple]:
             mask |= position[low]
         out.append(mask)
     return tuple(enumerate(bits)), tuple(out)
+
+
+def _singletons(nodes: tuple) -> bool:
+    """Whether nodes are as ``packed_singletons`` makes them: ids 0, 1, ...
+    holding one element each, in element order.  Its adjacency then already
+    is the element graph's."""
+    below = 0
+    for i, (n, m) in enumerate(nodes):
+        if n != i or m & (m - 1) or m <= below:
+            return False
+        below = m
+    return True
 
 
 def separations(universe: Universe, floods: Floods) -> list[int]:

@@ -157,6 +157,40 @@ def test_query_replay_emits_verified_script():
     assert "combine" in text
 
 
+def test_query_replay_singletonizes_only_while_seeding(tmp_path, monkeypatch):
+    # initial_mug rebuilds each declared graph (odd ids, a two-element node)
+    # and each premise witness; replay then takes the model as it is
+    import mugci.derivation as derivation
+    import mugci.mug as mug
+
+    model = tmp_path / "declared.mug"
+    model.write_text(
+        "universe v w x y z\n"
+        "stmt P1: {x,y} | {z} | {w}\n"
+        "stmt P2: {x} | {z} | {y}\n"
+        "graph G { node 3 = {v}; node 5 = {w,z}; edge 3 5; }\n"
+    )
+    calls = []
+    real = mug.packed_singletons
+
+    def counting(nodes, adj):
+        calls.append((nodes, adj))
+        return real(nodes, adj)
+
+    monkeypatch.setattr(mug, "packed_singletons", counting)
+    monkeypatch.setattr(derivation, "packed_singletons", counting)
+    parsed = parse_model(model.read_text())
+    derivation.initial_mug(
+        parsed.universe, parsed.statements.values(), parsed.graphs.values()
+    )
+    seeded = calls[:]
+    assert len(seeded) == 3
+    calls.clear()
+    code, text = run("query", str(model), "--stmt", "{x}|{z}|{y,w}", "--mode", "replay")
+    assert code == 0 and "combine" in text and "script-verified: true" in text
+    assert calls == seeded
+
+
 def test_query_replay_on_chaining_premises():
     code, text = run(
         "query", f"{FIXTURES}/chaining.mug", "--stmt", "{x}|{z}|{w}",

@@ -42,6 +42,7 @@ from mugci.mug import (
     append_transformed,
     packed_combination,
     packed_deletion,
+    packed_singletons,
     separations,
 )
 from mugci.ugraph import (
@@ -364,6 +365,26 @@ def test_singletonize_preserves_satisfaction():
     m_multi = Mug(u, [g])
     m_single = Mug(u, [singletonize(g)])
     assert m_multi.enumerate_satisfied() == m_single.enumerate_satisfied()
+
+
+def test_singletonize_keeps_an_initial_mug_model():
+    # every graph initial_mug seeds is already one node per element, ids in
+    # element order, so the model is its own singletonization
+    cases = [*_odd_id_cases(20), *_declared_graph_cases(20)]
+    for m0, _ in cases:
+        seeded = initial_mug(m0.universe, graphs=m0.graphs)
+        assert seeded.singletonized() is seeded
+        rebuilt = [packed_singletons(*g) for g in seeded.packed]
+        assert Mug(seeded.universe, packed=rebuilt) == seeded
+    # ids, element order and one element per node are each needed
+    u = Universe("abc")
+    for nodes in (
+        ((1, 0b001), (2, 0b010)),
+        ((0, 0b010), (1, 0b001)),
+        ((0, 0b011), (1, 0b100)),
+    ):
+        m = Mug(u, packed=[(nodes, (0b10, 0b01))])
+        assert m.singletonized() is not m
 
 
 # -- soundness on random instances ---------------------------------------------
@@ -856,6 +877,78 @@ def test_search_stats_when_the_witness_is_in_the_last_layer():
     )
 
 
+@pytest.mark.parametrize(
+    "statements, target, max_graphs, expected",
+    [
+        # the intersection premises: one layer, its children counted
+        (
+            [("x", "zy", "w"), ("x", "zw", "y")],
+            ("x", "z", "yw"),
+            8,
+            {
+                "dedup_hits": 4,
+                "rejected_graph_cap": 0,
+                "states_depth_0": 1,
+                "states_depth_1": 4,
+                "floods": 2,
+                "flood_hits": 0,
+            },
+        ),
+        # one graph covers another; with room the children are counted
+        (
+            [("a", "b", "c"), ("ab", "c", "de"), ("a", "cd", "e")],
+            ("a", "", "e"),
+            4,
+            {
+                "dedup_hits": 0,
+                "rejected_graph_cap": 0,
+                "states_depth_0": 1,
+                "states_depth_1": 24,
+                "floods": 18,
+                "flood_hits": 0,
+            },
+        ),
+        # and without room every child is rejected, so only depth 0 is there
+        (
+            [("a", "b", "c"), ("ab", "c", "de"), ("a", "cd", "e")],
+            ("a", "", "e"),
+            3,
+            {
+                "dedup_hits": 0,
+                "rejected_graph_cap": 24,
+                "states_depth_0": 1,
+                "floods": 18,
+                "flood_hits": 0,
+            },
+        ),
+    ],
+)
+def test_search_stats_of_one_move(statements, target, max_graphs, expected):
+    premises = [cs(*s) for s in statements]
+    u = Universe(sorted({e for s in premises for e in s.x | s.z | s.y}))
+    outcome = search(initial_mug(u, statements=premises), cs(*target), 1, max_graphs)
+    assert isinstance(outcome, Exhausted)
+    assert outcome.stats == expected
+    assert list(outcome.stats) == list(expected)
+    depths = [v for k, v in outcome.stats.items() if k.startswith("states_depth_")]
+    assert sum(depths) == outcome.states_explored
+
+
+def test_search_stats_when_an_initial_graph_witnesses_the_target():
+    # answered before any state is explored: no depth is counted, and the
+    # only floods test each graph holding the target's elements
+    s = cs("x", "z", "y")
+    m0 = initial_mug(U4, statements=[s, cs("xy", "z", "w")])
+    script = search(m0, s, max_moves=2, max_graphs=4)
+    assert script.moves == ()
+    assert script.stats == {
+        "dedup_hits": 0,
+        "rejected_graph_cap": 0,
+        "floods": 2,
+        "flood_hits": 0,
+    }
+
+
 def _covering_graph(rng) -> tuple[Universe, tuple, tuple]:
     """A sparse packed graph over 4-8 elements whose nodes hold one to three
     elements, one element sometimes on two nodes."""
@@ -896,6 +989,71 @@ def test_component_listing_matches_the_separations():
         untouched += any(not touched for _, touched in parts)
     # extra elements in several components, some next to nothing inside
     assert several > 100 and untouched > 100, (several, untouched)
+
+
+def _all_sides_candidates(universe: Universe, inside: int, parts: list) -> list[int]:
+    """``_candidates`` as it was: every non-empty side x of ``inside`` is
+    visited, and y takes the components next to no element of x."""
+    found = []
+    x = inside
+    while x:
+        holding = 0
+        for part, touched in parts:
+            if not touched & x:
+                holding |= part
+        z = inside ^ x
+        y = holding
+        while y:
+            found.append(universe.pack(x, z, y))
+            y = (y - 1) & holding
+        x = (x - 1) & inside
+    return found
+
+
+def _random_parts(rng, u: Universe) -> tuple[int, list]:
+    """An ``inside`` of 1-8 of the universe's first 8 elements, and 1-4
+    components over the rest, each next to a random part of ``inside``."""
+    inside = sum(1 << i for i in rng.sample(range(8), rng.randint(1, 8)))
+    outside = rng.sample(range(8, len(u)), rng.randint(1, 8))
+    count = rng.randint(1, min(4, len(outside)))
+    cuts = [0, *sorted(rng.sample(range(1, len(outside)), count - 1)), len(outside)]
+    parts = []
+    for a, b in zip(cuts, cuts[1:]):
+        part = sum(1 << i for i in outside[a:b])
+        parts.append((part, rng.randrange(1 << 8) & inside))
+    return inside, parts
+
+
+def test_candidates_match_every_side_enumeration():
+    rng = random.Random(32)
+    u = Universe([f"e{i}" for i in range(16)])
+    shapes = set()
+    for _ in range(2000):
+        inside, parts = _random_parts(rng, u)
+        got = _candidates(u, inside, parts)
+        assert len(got) == len(set(got)), (inside, parts)
+        assert set(got) == set(_all_sides_candidates(u, inside, parts)), (inside, parts)
+        shapes.add((inside.bit_count(), len(parts)))
+    # every size of inside with every number of components
+    assert shapes == {(i, c) for i in range(1, 9) for c in range(1, 5)}
+
+
+def test_candidates_visit_only_free_sides():
+    # 40 elements inside, one component next to all but 3 of them: only the
+    # 7 sides within those 3 have a y, and every side would be 2**40
+    import time
+
+    u = Universe([f"e{i}" for i in range(44)])
+    inside, free = (1 << 40) - 1, 0b111
+    part = 0b1111 << 40
+    start = time.perf_counter()
+    got = _candidates(u, inside, [(part, inside & ~free)])
+    assert time.perf_counter() - start < 1.0
+    assert len(got) == len(set(got)) == (2**3 - 1) * (2**4 - 1)
+    for p in got:
+        x, z, y = u.unpack(p)
+        a, b = (x, y) if x & inside else (y, x)
+        assert not a & ~free and z == inside & ~a and b and not b & ~part
 
 
 @pytest.mark.parametrize("max_graphs", [3, 8])
