@@ -33,8 +33,6 @@ from .mug import (
     Move,
     Mug,
     append_transformed,
-    packed_combination,
-    packed_deletion,
     packed_singletons,
 )
 from .ugraph import (
@@ -45,7 +43,6 @@ from .ugraph import (
     element_key,
     element_mask,
     packed_graph,
-    packed_key,
     reach,
 )
 
@@ -182,17 +179,13 @@ def replay_chain(m0: Mug, chain: Iterable[AxiomStep]) -> MoveScript:
 
 
 class _Member:
-    """One distinct graph in a search: its nodes, key number and element
-    set, and its element key's ``near`` if it has one, else its packed
-    adjacency ``adj``."""
+    """One distinct graph in a search: its nodes, its element key's
+    ``near``, its key number and its element set."""
 
-    __slots__ = ("nodes", "adj", "near", "gid", "mask")
+    __slots__ = ("nodes", "near", "gid", "mask")
 
-    def __init__(
-        self, nodes: tuple, adj: tuple | None, near: tuple | None, gid: int, mask: int
-    ):
+    def __init__(self, nodes: tuple, near: tuple, gid: int, mask: int):
         self.nodes = nodes
-        self.adj = adj
         self.near = near
         self.gid = gid
         self.mask = mask
@@ -296,17 +289,16 @@ def search(
     again reaches a state that the first order has already visited, or
     that is over the graph cap, so it is skipped before the dedup lookup.
     (This needs equal keys to mean equal successors: keys are exact, see
-    ``packed_key``.)
+    ``element_key``.)
 
-    A graph whose nodes each carry one element of their own is held in
-    element form: its nodes and its ``element_key``.  Every graph of an
-    ``initial_mug`` model is such a graph, and so is every graph that moves
-    make from one.  Its moves are mask updates (``element_deletion``,
-    ``element_combination``), its key is its form as it stands, and its
-    ``Floods`` record is made from that.  Any other graph is held packed
-    (``packed_graph``) and moved by ``packed_deletion`` and
-    ``packed_combination``; a child with an element key is held in element
-    form.  ``verify_script`` replays a returned script through ``Mug``.
+    Search starts from ``m0.singletonized()``, as ``replay_chain`` does,
+    which is ``m0`` itself for an ``initial_mug`` model; a returned
+    script's ``initial`` is that model.  So every graph, and every graph
+    that moves make from one, carries one element per node and is held in
+    element form: its nodes and its ``element_key``.  Its moves are mask
+    updates (``element_deletion``, ``element_combination``), its key is its
+    form as it stands, and its ``Floods`` record is made from that.
+    ``verify_script`` replays a returned script through ``Mug``.
     Every table is sized by what the graphs hold, never by the universe.  A
     candidate I(x, z, y) for a graph over ``inside`` has x + z = inside,
     and holds where a graph strictly covering ``inside`` witnesses it.
@@ -326,10 +318,9 @@ def search(
     """
     if max_moves <= 0 or max_graphs <= 0:
         raise ValueError("search bounds must be positive")
+    m0 = m0.singletonized()
     universe = m0.universe
-    # Members by (nodes, near) in element form and by (nodes, adj) packed:
-    # no graph is in both forms, so the two never share nodes.
-    held: dict[tuple, _Member] = {}
+    held: dict[tuple, _Member] = {}  # members by (nodes, near)
     gids: dict[tuple, int] = {}
     # By key number: the ``Floods`` of the first member with that key (equal
     # keys have equal element graphs), and whether the key witnesses the
@@ -350,48 +341,26 @@ def search(
     # States explored, by moves made.
     per_depth: list[int] = []
 
-    def new_key(record: Floods) -> None:
-        """Number a new key by its record, and test it against the target."""
-        nonlocal floods
-        records.append(record)
-        floods += not needed & ~record.mask
-        witnessed.append(record.witnesses(gx, gz, gy))
-
     def member(nodes: tuple, mask: int, near: tuple) -> tuple[_Member, int]:
-        """The member and key bit of a graph in element form."""
+        """The member and key bit of a graph; a new key is numbered by its
+        record and tested against the target."""
+        nonlocal floods
         graph = nodes, near
         mem = held.get(graph)
         if mem is None:
             key = mask, near
             gid = gids.setdefault(key, len(gids))
             if gid == len(records):
-                new_key(Floods(nodes, None, key))
-            mem = held[graph] = _Member(nodes, None, near, gid, mask)
-        return mem, 1 << mem.gid
-
-    def packed_member(nodes: tuple, adj: tuple) -> tuple[_Member, int]:
-        """The member and key bit of a packed graph, in element form if it
-        has an element key."""
-        key = element_key(nodes, adj)
-        if key is not None:
-            return member(nodes, *key)
-        graph = nodes, adj
-        mem = held.get(graph)
-        if mem is None:
-            gid = gids.setdefault(packed_key(nodes, adj), len(gids))
-            if gid == len(records):
-                new_key(Floods(nodes, adj))
-            mem = held[graph] = _Member(nodes, adj, None, gid, records[gid].mask)
+                record = Floods(nodes, None, key)
+                records.append(record)
+                floods += not needed & ~mask
+                witnessed.append(record.witnesses(gx, gz, gy))
+            mem = held[graph] = _Member(nodes, near, gid, mask)
         return mem, 1 << mem.gid
 
     def deletions(mem: _Member) -> list:
         """The successors deleting each of a member's nodes, in id order."""
-        nodes, adj, near, mask = mem.nodes, mem.adj, mem.near, mem.mask
-        if near is None:
-            return [
-                (Delete, n, *packed_member(*packed_deletion(nodes, adj, i)))
-                for i, (n, _) in enumerate(nodes)
-            ]
+        nodes, near, mask = mem.nodes, mem.near, mem.mask
         return [
             (Delete, n, *member(*element_deletion(nodes, mask, near, i)))
             for i, (n, _) in enumerate(nodes)
@@ -401,10 +370,7 @@ def search(
         """The successor combining a member with packed statement p."""
         x, z, y = universe.unpack(p)
         added = y if x | z == mem.mask else x
-        if mem.near is None:
-            child = packed_member(*packed_combination(mem.nodes, mem.adj, z, added))
-        else:
-            child = member(*element_combination(mem.nodes, mem.mask, mem.near, z, added))
+        child = member(*element_combination(mem.nodes, mem.mask, mem.near, z, added))
         return Combine, p, *child
 
     def pair(inside: int, o: _Member) -> list[int]:
@@ -452,7 +418,9 @@ def search(
     except KeyError:  # an element outside the universe, so no graph holds it
         return Exhausted(states_explored=0, depth_reached=0, stats=counted())
     needed = gx | gz | gy
-    members0 = tuple(packed_member(*g)[0] for g in m0.packed)
+    members0 = tuple(
+        member(nodes, *element_key(nodes, adj))[0] for nodes, adj in m0.packed
+    )
     if any(witnessed[mem.gid] for mem in members0):
         return MoveScript(m0, (), target, counted())
     ids0 = sum(1 << mem.gid for mem in members0)

@@ -8,7 +8,7 @@ only grow along a derivation.
 Graphs are held in ``ugraph``'s packed form (``packed_graph``) over the
 model's ``Universe``: node element masks and neighbour bitmasks.  This
 module holds the one implementation of each graph move on that form, which
-``Mug``, replay, script checks and search share; models deduplicate by
+``Mug``, replay and script checks share; models deduplicate by
 ``ugraph.packed_key``, which is exact, and hold one ``ugraph.Floods``
 record per graph, which decides every witness query and lists every
 separation.

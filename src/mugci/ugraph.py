@@ -55,11 +55,11 @@ def _as_edge(pair) -> frozenset:
 class UGraph:
     """Undirected graph over integer node ids, each holding an element set.
 
-    Immutable: the element set and the packed form, a ``Floods`` record,
-    are computed on first use and kept for every later query.
+    Immutable: the element set, the packed form, a ``Floods`` record, and
+    the key are computed on first use and kept for every later query.
     """
 
-    __slots__ = ("_nodes", "_edges", "_elements", "_packed")
+    __slots__ = ("_nodes", "_edges", "_elements", "_packed", "_key")
 
     def __init__(self, nodes: Mapping[int, Iterable[str]], edges: Iterable = ()):
         node_map = {int(n): frozenset(es) for n, es in nodes.items()}
@@ -77,6 +77,7 @@ class UGraph:
         self._edges = frozenset(edge_set)
         self._elements = None
         self._packed = None
+        self._key = None
 
     @classmethod
     def from_singletons(cls, elements: Iterable[str], element_edges: Iterable = ()):
@@ -210,8 +211,11 @@ class UGraph:
         isomorphic: some bijection of their nodes keeps every node's
         element set and every edge.
         """
-        universe, packed = self._packed_form()
-        return universe.elements, packed_key(packed.nodes, packed.adj)
+        if self._key is None:
+            universe, packed = self._packed_form()
+            key = element_key(packed.nodes, packed.adj, packed)
+            self._key = universe.elements, key or packed_key(packed.nodes, packed.adj)
+        return self._key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UGraph):
@@ -355,7 +359,9 @@ def _tied_order(masks: list[int], adj: tuple) -> list[int]:
     return least([ranks[m] for m in masks])[1]
 
 
-def element_key(nodes: tuple, adj: tuple) -> tuple[int, tuple] | None:
+def element_key(
+    nodes: tuple, adj: tuple, floods: Floods | None = None
+) -> tuple[int, tuple] | None:
     """A graph's element key, if each node carries one element of its own.
 
     The key is ``(element mask, near)``, ``near`` giving each element's
@@ -364,13 +370,14 @@ def element_key(nodes: tuple, adj: tuple) -> tuple[int, tuple] | None:
     two such graphs have equal element keys exactly when they are
     isomorphic.  A graph in this element form, its nodes and the two parts
     of its key, is moved by ``element_deletion`` and ``element_combination``.
+    The element graph is read from the graph's ``floods`` record if given.
     """
     mask = 0
     for _, m in nodes:
         if m & (m - 1) or m & mask:
             return None
         mask |= m
-    near = element_neighbours(nodes, adj)
+    near = element_neighbours(nodes, adj) if floods is None else floods.neighbours
     return mask, tuple([near[bit] for bit in sorted(near)])
 
 

@@ -678,6 +678,47 @@ def test_odd_id_scripts_stay_inside_the_closure():
     assert scripts > 200
 
 
+def _same_search(m0, target, bounds) -> bool:
+    """Search m0 and its singletonization alike; whether m0 returned a script.
+
+    A script starts from the singletonization and verifies, and the stats
+    are equal key by key, in the same order."""
+    single = m0.singletonized()
+    got = search(m0, target, *bounds)
+    want = search(single, target, *bounds)
+    assert got == want, (m0, target, bounds)
+    assert list(got.stats.items()) == list(want.stats.items())
+    if isinstance(got, Exhausted):
+        return False
+    assert got.initial == single and verify_script(got)
+    return True
+
+
+def test_search_starts_from_the_singletonized_model():
+    scripts = 0
+    for m0, target in _odd_id_cases(60):
+        assert m0.singletonized() is not m0
+        for bounds in ((3, 8), (2, 4), (3, 3)):
+            scripts += _same_search(m0, target, bounds)
+    assert scripts > 20
+    # a model seeded by initial_mug is its own singletonization, so every
+    # script starts from the very model searched
+    scripts = 0
+    for m0, target in [*_random_search_cases(40), *_declared_graph_cases(20)]:
+        outcome = search(m0, target, 3, 8)
+        if isinstance(outcome, MoveScript):
+            assert outcome.initial is m0
+            scripts += 1
+    assert scripts > 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_search_starts_from_the_singletonized_multi_element_model(data):
+    m0, target = data.draw(_multi_element_models())
+    _same_search(m0, target, data.draw(st.sampled_from([(3, 8), (2, 4), (3, 3)])))
+
+
 # -- the model layer against its object-layer predecessor ----------------------
 #
 # ``object_layer`` is a copy of the ``Mug`` and the moves that ran on
@@ -774,13 +815,13 @@ def test_search_matches_reference_on_random_models():
     ]
     for m0, target in cases:
         got = search(m0, target, max_moves=3, max_graphs=8)
-        want = reference_search(m0, target, max_moves=3, max_graphs=8)
+        want = reference_search(m0.singletonized(), target, max_moves=3, max_graphs=8)
         assert got == want, (m0, target)
         exhausted += isinstance(got, Exhausted)
         scripts += isinstance(got, MoveScript) and len(got.moves) > 0
         # a graph cap the search runs into
         got = search(m0, target, max_moves=3, max_graphs=3)
-        want = reference_search(m0, target, max_moves=3, max_graphs=3)
+        want = reference_search(m0.singletonized(), target, max_moves=3, max_graphs=3)
         assert got == want, (m0, target)
     # both outcomes occur, and scripts of one to three moves are compared
     assert exhausted >= 20 and scripts >= 20
@@ -870,7 +911,7 @@ def test_search_stats_when_the_witness_is_in_the_last_layer():
         "floods": 10,
         "flood_hits": 0,
     }
-    want = parent_search(m0, target, 2, 8)
+    want = parent_search(m0.singletonized(), target, 2, 8)
     assert script == want
     assert _uncounted(script.stats, "floods", "flood_hits") == _uncounted(
         want.stats, "answer_hits", "answer_misses"
@@ -1099,9 +1140,9 @@ def test_search_builds_one_element_graph_per_key_number(monkeypatch):
     members, records = [], []
     real_member, real_floods = derivation._Member, derivation.Floods
 
-    def holding(nodes, adj, near, gid, mask):
-        members.append((nodes, adj, near, gid, mask))
-        return real_member(nodes, adj, near, gid, mask)
+    def holding(nodes, near, gid, mask):
+        members.append((nodes, near, gid, mask))
+        return real_member(nodes, near, gid, mask)
 
     def recording(*args):
         records.append(args)
@@ -1113,10 +1154,9 @@ def test_search_builds_one_element_graph_per_key_number(monkeypatch):
     built = count_element_graph_builds(monkeypatch)
     outcome = search(m0, target, max_moves=3, max_graphs=8)
     assert isinstance(outcome, Exhausted)
-    # every member is in element form, and several share a key number
-    assert all(adj is None and near is not None for _, adj, near, _, _ in members)
+    # several members share a key number
     first = {}
-    for nodes, _, near, gid, mask in members:
+    for nodes, near, gid, mask in members:
         first.setdefault(gid, (nodes, None, (mask, near)))
     assert sorted(first) == list(range(len(first))) and len(first) < len(members)
     # each number's record is made once, from its first member's element
@@ -1412,7 +1452,7 @@ def test_search_matches_its_predecessor(max_moves, max_graphs):
     ]
     for m0, target in cases:
         got = search(m0, target, max_moves, max_graphs)
-        want = parent_search(m0, target, max_moves, max_graphs)
+        want = parent_search(m0.singletonized(), target, max_moves, max_graphs)
         assert got == want, (m0, target)
         assert _uncounted(got.stats, "floods", "flood_hits") == _uncounted(
             want.stats, "answer_hits", "answer_misses"
@@ -1433,7 +1473,7 @@ def test_search_over_the_graph_cap_from_the_start():
     # The same at the move bound, where a child is only counted.
     for max_moves in (3, 1):
         got = search(m0, target, max_moves, 1)
-        want = parent_search(m0, target, max_moves, 1)
+        want = parent_search(m0.singletonized(), target, max_moves, 1)
         assert got == want == Exhausted(states_explored=1, depth_reached=0)
         assert got.stats["rejected_graph_cap"] == want.stats["rejected_graph_cap"] == 6
         assert got.stats["dedup_hits"] == want.stats["dedup_hits"] == 0
@@ -1442,7 +1482,7 @@ def test_search_over_the_graph_cap_from_the_start():
         for cap in range(1, len(m0.packed)):
             for max_moves in (2, 1):
                 got = search(m0, target, max_moves, cap)
-                want = parent_search(m0, target, max_moves, cap)
+                want = parent_search(m0.singletonized(), target, max_moves, cap)
                 assert got == want, (m0, target, cap, max_moves)
                 assert _uncounted(got.stats, "floods", "flood_hits") == _uncounted(
                     want.stats, "answer_hits", "answer_misses"
@@ -1484,7 +1524,7 @@ def _multi_element_models(draw):
 def test_search_matches_its_predecessor_on_multi_element_graphs(case, bounds):
     m0, target = case
     got = search(m0, target, *bounds)
-    want = parent_search(m0, target, *bounds)
+    want = parent_search(m0.singletonized(), target, *bounds)
     assert got == want
     assert _uncounted(got.stats, "floods", "flood_hits") == _uncounted(
         want.stats, "answer_hits", "answer_misses"

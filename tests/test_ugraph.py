@@ -597,6 +597,23 @@ def test_element_graph_is_built_only_when_read(monkeypatch):
     assert len(built) == 1
 
 
+def test_key_and_separations_build_one_element_graph(monkeypatch):
+    # one element per node: the key is the element key, read from the
+    # graph's own record, whichever is asked first
+    for first_key in (True, False):
+        built = count_element_graph_builds(monkeypatch)
+        g = UGraph.from_singletons("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+        if not first_key:
+            assert g.separates({"a"}, {"b"}, {"d"})
+        key = g.key()
+        assert g.key() is key
+        assert g.separates({"a"}, {"c"}, {"d"})
+        assert len(built) == 1
+        universe, packed = g._packed_form()
+        monkeypatch.undo()
+        assert key == (universe.elements, packed_key(packed.nodes, packed.adj))
+
+
 # -- element names that are not identifiers -----------------------------------
 
 # A graph packs over a universe of its own elements that checks no names, so
