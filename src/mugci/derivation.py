@@ -40,7 +40,6 @@ from .ugraph import (
     UGraph,
     element_combination,
     element_deletion,
-    element_key,
     element_mask,
     packed_graph,
     reach,
@@ -74,10 +73,10 @@ class Exhausted:
     child was made there), the ``reach`` calls made (``floods``: one per
     component of a (listed graph, covering graph) pair when the pair is
     first listed, see ``search``, and one per graph key holding the
-    target's elements), and those components counted again each time a
-    later listing reads the pair (``flood_hits``).  ``dedup_hits`` leaves
-    out the successors skipped, unbuilt as states, as commuted orders of
-    earlier moves.  It takes no part in equality.
+    target's elements), and those components counted again at each later
+    read of the pair, by a listing or a patch (``flood_hits``).
+    ``dedup_hits`` leaves out the successors skipped, unbuilt as states, as
+    commuted orders of earlier moves.  It takes no part in equality.
     """
 
     states_explored: int
@@ -185,10 +184,7 @@ class _Member:
     __slots__ = ("nodes", "near", "gid", "mask")
 
     def __init__(self, nodes: tuple, near: tuple, gid: int, mask: int):
-        self.nodes = nodes
-        self.near = near
-        self.gid = gid
-        self.mask = mask
+        self.nodes, self.near, self.gid, self.mask = nodes, near, gid, mask
 
 
 class _Combinations(dict):
@@ -197,7 +193,6 @@ class _Combinations(dict):
     __slots__ = ("make",)
 
     def __init__(self, make: Callable[[int], tuple]):
-        super().__init__()
         self.make = make
 
     def __missing__(self, p: int) -> tuple:
@@ -295,26 +290,27 @@ def search(
     which is ``m0`` itself for an ``initial_mug`` model; a returned
     script's ``initial`` is that model.  So every graph, and every graph
     that moves make from one, carries one element per node and is held in
-    element form: its nodes and its ``element_key``.  Its moves are mask
-    updates (``element_deletion``, ``element_combination``), its key is its
-    form as it stands, and its ``Floods`` record is made from that.
+    element form: its nodes and its ``element_key``, read from the model's
+    record for an initial graph.  Its moves are mask updates
+    (``element_deletion``, ``element_combination``), its key is its form
+    as it stands, and its ``Floods`` record is made from that.
     ``verify_script`` replays a returned script through ``Mug``.
     Every table is sized by what the graphs hold, never by the universe.  A
     candidate I(x, z, y) for a graph over ``inside`` has x + z = inside,
     and holds where a graph strictly covering ``inside`` witnesses it.
     Each such pair of ``inside`` and a covering key is listed once per
-    search: the covering graph's other elements split into components
-    (``_components``, one flood each), and each side x within some
-    component's free elements takes the components next to none of its
-    elements (``_candidates``, whose work is the candidates it finds).
-    A queued state carries its parent's per-member lists of holding
-    candidates; only a member the new graph strictly covers can gain some,
-    so only it and the new graph are listed again, once per set of
-    covering graphs' keys, as the sorted union of its pairs' candidates.
-    Each key is tested against the target once, by one flood.  A child at
-    the move bound is counted as explored, and nothing more is made for
-    it.  A path is (previous path, kind, graph index, node or packed
-    statement); moves are built only for the returned script.
+    search, in key order: the covering graph's other elements split into
+    components (``_components``, one flood each), and each side x within
+    some component's free elements takes the components next to none of
+    its elements (``_candidates``, whose work is the candidates it finds).
+    A state takes over its parent's per-member candidate lists, shared and
+    never changed.  Only the new graph can strictly cover a member, whose
+    list is then merged with their pair's; the new graph takes the one
+    non-empty list of its pairs with the members covering it, or their
+    sorted union.  Each key is tested against the target once, by one
+    flood.  A child at the move bound is counted as explored, and nothing
+    more is made for it.  A path is (previous path, kind, graph index, node
+    or packed statement); moves are built only for the returned script.
     """
     if max_moves <= 0 or max_graphs <= 0:
         raise ValueError("search bounds must be positive")
@@ -329,9 +325,8 @@ def search(
     witnessed: list[bool] = []
     # By (a listed graph's elements, a covering key number): how many
     # components the covering graph has outside those elements, and the
-    # candidates it gives them.
+    # candidates it gives them, in key order, a list never changed.
     pairs: dict[tuple[int, int], tuple[int, list[int]]] = {}
-    listings: dict[tuple[int, int], list] = {}
     # Each member's successors, built on first use since every state holding
     # it would ask for the same.  They live here, not on the members: equal
     # graphs share a member, so links between members could form cycles that
@@ -379,27 +374,21 @@ def search(
         made = pairs.get((inside, o.gid))
         if made is None:
             parts = _components(records[o.gid].neighbours, o.mask, inside)
-            made = pairs[inside, o.gid] = len(parts), _candidates(universe, inside, parts)
+            found = _candidates(universe, inside, parts)
+            if len(found) > 1:
+                found.sort(key=universe.key)
+            made = pairs[inside, o.gid] = len(parts), found
             floods += made[0]
         else:
             reread += made[0]
         return made[1]
 
-    def listing(mem: _Member, members) -> list:
-        """A member's holding candidates in a state, once per covering set."""
-        inside = mem.mask
-        covering = []
-        bits = 0
-        for o in members:
-            if o.mask != inside and not inside & ~o.mask:
-                covering.append(o)
-                bits |= 1 << o.gid
-        key = mem.gid, bits
-        listed = listings.get(key)
-        if listed is None:
-            found = set().union(*[pair(inside, o) for o in covering])
-            listed = listings[key] = sorted(found, key=universe.key) if found else []
-        return listed
+    def union(lists: list[list[int]]) -> list[int]:
+        """Key-ordered lists merged; the list itself if only one has any."""
+        lists = [listed for listed in lists if listed]
+        if len(lists) > 1:
+            return sorted(set().union(*lists), key=universe.key)
+        return lists[0] if lists else []
 
     def counted() -> dict:
         """The stats, with the states by depth and the floods."""
@@ -419,14 +408,15 @@ def search(
         return Exhausted(states_explored=0, depth_reached=0, stats=counted())
     needed = gx | gz | gy
     members0 = tuple(
-        member(nodes, *element_key(nodes, adj))[0] for nodes, adj in m0.packed
+        member(nodes, record.mask, record.near)[0]
+        for (nodes, _), record in zip(m0.packed, m0.records)
     )
     if any(witnessed[mem.gid] for mem in members0):
         return MoveScript(m0, (), target, counted())
     ids0 = sum(1 << mem.gid for mem in members0)
     visited = {ids0}
     # Members, their key numbers and sleep mask, moves made, the path and
-    # the parent's listings (none at first).
+    # the parent's candidate lists (none at first).
     queue: deque[tuple] = deque([(members0, ids0, 0, 0, None, ())])
     depth_reached = 0
     while queue:
@@ -435,14 +425,23 @@ def search(
             per_depth[moved] += 1
         else:
             per_depth.append(1)
-        grown = members[-1].mask if inherited else 0
-        lists = [
-            listing(mem, members)
-            if mem.mask != grown and not mem.mask & ~grown
-            else listed
-            for mem, listed in zip(members, inherited)
-        ]
-        lists += [listing(mem, members) for mem in members[len(lists) :]]
+        # Only a graph added after those the parent listed can strictly
+        # cover one of them: the new graph, or at the root each in turn.
+        lists = list(inherited)
+        for k in range(len(lists), len(members)):
+            new = members[k]
+            grown = new.mask
+            found = []
+            for i, mem in enumerate(members[:k]):
+                inside = mem.mask
+                if inside & ~grown:
+                    if not grown & ~inside:  # mem strictly covers new
+                        found.append(pair(grown, mem))
+                elif inside != grown:  # new strictly covers mem
+                    more = pair(inside, new)
+                    if more:
+                        lists[i] = union([lists[i], more])
+            lists.append(union(found))
         # A move that adds a graph needs room for it; an initial model over
         # the cap has none even for a move that adds nothing.
         room = max_graphs - len(members)

@@ -63,6 +63,11 @@ class Mug:
         return self._packed
 
     @property
+    def records(self) -> tuple[Floods, ...]:
+        """Each graph's ``Floods`` record, in graph order."""
+        return tuple(self._floods)
+
+    @property
     def graphs(self) -> tuple[UGraph, ...]:
         """The graphs as ``UGraph`` objects, decoded on each call."""
         universe = self._universe
@@ -120,8 +125,8 @@ class Mug:
     def _add(self, graph: tuple[tuple, tuple]) -> int:
         """Add a packed graph in place unless its key is here; its index.
 
-        An element key is the graph's ``packed_key``, and its record's
-        element graph as well."""
+        An element key is the graph's ``packed_key``, and its record keeps
+        it, to build the element graph from on first read."""
         key = element_key(*graph)
         gi = self._index.setdefault(key or packed_key(*graph), len(self._packed))
         if gi == len(self._packed):

@@ -463,29 +463,23 @@ class Floods(dict):
     (``neighbours``) and, as a dict, its floods, ``reach`` by (start,
     blocked), each kept once asked.
 
-    The element graph is made from the graph's ``element_key`` when one is
-    given, else built on first read.
+    Given the graph's ``element_key``, it keeps the key's ``near``.  The
+    element graph is built on first read, from ``near`` if kept.
     """
 
-    __slots__ = ("nodes", "adj", "mask", "_neighbours")
+    __slots__ = ("nodes", "adj", "mask", "near", "_neighbours")
 
     def __init__(self, nodes: tuple, adj: tuple | None, key: tuple | None = None):
-        self.nodes, self.adj = nodes, adj
-        if key is None:
-            self.mask, self._neighbours = element_mask(nodes), None
-        else:
-            mask, near = key
-            self.mask = mask
-            bits = []
-            while mask:
-                bits.append(mask & -mask)
-                mask &= mask - 1
-            self._neighbours = dict(zip(bits, near))
+        self.nodes, self.adj, self._neighbours = nodes, adj, None
+        self.mask, self.near = (element_mask(nodes), None) if key is None else key
 
     @property
     def neighbours(self) -> dict[int, int]:
         if self._neighbours is None:
-            self._neighbours = element_neighbours(self.nodes, self.adj)
+            if self.near is None:
+                self._neighbours = element_neighbours(self.nodes, self.adj)
+            else:  # a node per element, so its mask's bits in element order
+                self._neighbours = dict(zip(sorted([m for _, m in self.nodes]), self.near))
         return self._neighbours
 
     def __missing__(self, key: tuple[int, int]) -> int:

@@ -217,6 +217,24 @@ def test_query_search_finds_and_exhausts():
     assert "states-explored:" in text
 
 
+def test_query_search_builds_one_element_graph_per_initial_graph(monkeypatch):
+    from test_ugraph import count_element_graph_builds
+
+    path = f"{FIXTURES}/intersection.mug"
+    with open(path, encoding="utf-8") as f:
+        initial = cli._seed_mug(parse_model(f.read())).packed
+    built = count_element_graph_builds(monkeypatch)
+    code, text = run(
+        "query", path, "--stmt", "{x}|{z}|{y,w}",
+        "--mode", "search", "--max-moves", "3", "--max-graphs", "8",
+    )
+    assert code == 1 and "result: exhausted" in text
+    # each premise's witness graph is built as the model keys it; search
+    # reads the keys from the model's records
+    assert len(initial) == 2
+    assert sorted(g for g in built if g in initial) == sorted(initial)
+
+
 def test_query_verifies_each_emitted_script_once(monkeypatch):
     calls = []
     verify = cli.verify_script

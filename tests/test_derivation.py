@@ -844,9 +844,11 @@ def test_search_matches_reference_on_random_models():
                 # One flood per component of a covering graph outside a
                 # listed graph's elements, and one per graph key holding
                 # the target's elements; a state takes over its parent's
-                # listings without flooding.
+                # candidate lists without flooding.
                 "floods": 36,
-                "flood_hits": 14,
+                # Those components again at each later read of a pair: a
+                # new graph's listing, or the patch of a list it covers.
+                "flood_hits": 26,
             },
         ),
         (
@@ -1160,10 +1162,10 @@ def test_search_builds_one_element_graph_per_key_number(monkeypatch):
         first.setdefault(gid, (nodes, None, (mask, near)))
     assert sorted(first) == list(range(len(first))) and len(first) < len(members)
     # each number's record is made once, from its first member's element
-    # key; the element graphs built are the model's own, each once, as they
-    # are keyed
+    # key; the model built its graphs' element graphs as it keyed them, and
+    # search reads those keys from the model's records, building none
     assert records == list(first.values())
-    assert built == list(m0.packed) and len(set(built)) == len(built)
+    assert built == []
 
 
 def test_search_work_ignores_elements_no_graph_holds():

@@ -32,6 +32,7 @@ from mugci.ugraph import (
     element_combination,
     element_deletion,
     element_key,
+    element_neighbours,
     packed_graph,
     packed_key,
     unpacked_graph,
@@ -525,6 +526,16 @@ def test_element_form_moves_are_the_packed_moves(g, data):
         want = packed_combination(*packed, z, added)
         assert got[0] == want[0] and got[1:] == element_key(*want)
         assert decoded(*got) == unpacked_graph(U6, *want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_element_graphs())
+def test_floods_keeps_an_element_key_and_builds_its_element_graph_on_read(g):
+    nodes, adj = packed_graph(U6, g)
+    key = element_key(nodes, adj)
+    floods = Floods(nodes, None, key)
+    assert (floods.mask, floods.near) == key and floods._neighbours is None
+    assert floods.neighbours == element_neighbours(nodes, adj)
 
 
 @settings(max_examples=300, deadline=None)
